@@ -15,7 +15,7 @@ import numpy as np
 import squeeze_aba as sa
 
 config = sa.BenchConfig(m=2, n=8, replications=100, seed=0, epsilon=1e-8)
-records, summary = sa.run_benchmark(config, threads=4)
+records, summary = sa.run_benchmark(config)
 
 print(f"{config.replications} replications of {config.m} x {config.n} channels, "
       f"epsilon {config.epsilon:g}\n")

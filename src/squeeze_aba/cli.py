@@ -158,7 +158,7 @@ def cmd_rate(args) -> int:
 def cmd_bench(args) -> int:
     config = BenchConfig(m=args.m, n=args.n, replications=args.reps,
                          seed=args.seed, epsilon=args.epsilon)
-    records, summary = run_benchmark(config, threads=args.threads)
+    records, summary = run_benchmark(config)
     if args.out:
         csv_path, json_path = write_bench_outputs(config, records, summary, args.out)
         log.info("wrote %s and %s", csv_path, json_path)
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--epsilon", type=float, default=1e-8)
     p_bench.add_argument("--out", default=None, help="output prefix for CSV/JSON")
-    p_bench.add_argument("--threads", type=int, default=os.cpu_count())
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

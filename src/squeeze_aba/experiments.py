@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,20 +124,15 @@ def _run_one(config: BenchConfig, k: int) -> BenchRecord:
     return BenchRecord(k, counts, ratios, errors)
 
 
-def run_benchmark(config: BenchConfig, *, threads: int | None = None):
-    """Run all replications; returns (records, summary).
+def run_benchmark(config: BenchConfig):
+    """Run all replications in order; returns (records, summary).
 
-    Records are ordered by replication id regardless of scheduling, and
-    each replication derives its own random stream, so output is
-    deterministic for a given seed.
+    Each replication derives its own random stream, so output is
+    deterministic for a given seed.  The replications run serially: the
+    solver loop holds the interpreter lock, and a thread pool measured
+    slower than one thread.
     """
-    ids = range(config.replications)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda k: _run_one(config, k), ids))
-    else:
-        records = [_run_one(config, k) for k in ids]
-    records.sort(key=lambda rec: rec.replication_id)
+    records = [_run_one(config, k) for k in range(config.replications)]
     return records, summarize(config, records)
 
 

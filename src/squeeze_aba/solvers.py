@@ -1,7 +1,7 @@
 """Capacity solvers: plain Arimoto-Blahut and its squeezed accelerations.
 
-All four methods share one loop shape.  At iterate p on the floored
-simplex Omega(r), let q = (p - r)/(1 - r_+) and
+All four methods run one loop and one update kernel.  At iterate p on
+the floored simplex Omega(r), let q = (p - r)/(1 - r_+) and
 
     z_i = D(W_i || qW),
 
@@ -11,19 +11,28 @@ max_i z_i is a capacity upper bound, and the stopping rule is
 
     max_i z_i - sum_i q_i z_i <= epsilon.
 
-Updates:
+The update reuses the same z:
 
-    aba    p'_i proportional to p_i exp(z_i)                  (r = 0)
-    alg1   p'_i proportional to p_i exp(lambda z_i)           (r = 0)
-    alg2   p'_i = max(r_i, delta p_i exp(lambda z_i)),  delta by waterfilling
-    alg3   p'_i = max(r_i, alpha exp(c_i + sum_j W~_ij ln Phi_ji)),
-           Phi_ji = p_i W~_ij / (f_j + (p W~)_j)
+    p'_i = max(r_i, delta p_i exp(lambda z_i))
 
-alg2 and alg3 are the same map expressed in different coordinates when
-lambda = (1 + f_+)/(1 - r_+); alg1 is alg2 with r = 0; aba is alg1 with
-lambda = 1.  Under the feasibility constraints the objective ascends
-monotonically; the solver verifies this per step and treats a violation
-as numerical breakdown (a warning instead under ``force=True``).
+with delta by waterfilling for the floored methods (alg2, alg3) and
+p' = p exp(lambda z) / sum for the plain ones (aba, alg1, where r = 0).
+The method name only chooses the parameters:
+
+    aba    lambda = 1, r = 0
+    alg1   gain lambda, r = 0
+    alg2   floor r and gain lambda; offset f_+ = lambda (1 - r_+) - 1
+    alg3   floor r and offset f; lambda = (1 + f_+)/(1 - r_+)
+
+alg3 is the (r, f) parametrisation of the paper, whose posterior form
+p'_i = max(r_i, alpha exp(c_i + sum_j W~_ij ln Phi_ji)) with
+Phi_ji = p_i W~_ij / (f_j + (p W~)_j) is the same map: f + pW~ = (1 + f_+) qW
+and the rows of a feasible W~ sum to 1, so its logits are ln p_i + lambda z_i
+plus a constant that normalisation removes.  The test suite keeps the
+posterior form as an independent oracle.  Under the feasibility
+constraints the objective ascends monotonically; the solver verifies this
+per step and treats a violation as numerical breakdown (a warning instead
+under ``force=True``).
 
 The final output is mapped back to the plain simplex:
 p_hat = (p - r)/(1 - r_+).
@@ -58,7 +67,8 @@ class SolverConfig:
     """Stopping threshold (nats), iteration cap, optional start, tracing.
 
     ``initial`` always lives on the plain simplex; floored methods start
-    from (1 - r_+) * initial + r.
+    from (1 - r_+) * initial + r.  It is validated here, since the bracket
+    is a certificate only for iterates on the simplex.
     """
 
     epsilon: float = 1e-8
@@ -71,6 +81,9 @@ class SolverConfig:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.initial is not None:
+            start = make_distribution(getattr(self.initial, "probs", self.initial))
+            object.__setattr__(self, "initial", start)
 
 
 @dataclass(frozen=True)
@@ -123,22 +136,20 @@ def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray) -> np.n
     return row_loglikes - w @ np.log(s)
 
 
-def _exp_weights(logits: np.ndarray) -> np.ndarray:
-    """exp(logits) shifted by the max for overflow safety."""
-    return np.exp(logits - logits.max())
+def _divergences_at(w: np.ndarray, row_loglikes: np.ndarray, p: np.ndarray,
+                    r: np.ndarray | None, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(q, z) at iterate p: q = max((p - r)/scale, 0), or p itself when r is None."""
+    q = (p - r) / scale if r is not None else p
+    q = np.maximum(q, 0.0)
+    return q, _divergences(w, row_loglikes, q)
 
 
-def _alg3_logits(params: SqueezeParams, p: np.ndarray) -> np.ndarray:
-    """c_i + sum_j W~_ij ln Phi_ji, with zero-weight terms contributing 0."""
-    wt = params.w_tilde
-    if np.any(p <= 0.0):
-        raise NumericalBreakdownError("iterate has a zero component; ln Phi is undefined")
-    denom = params.f + p @ wt
-    pos = wt > 0
-    log_wt = np.log(np.where(pos, wt, 1.0))
-    log_denom = np.log(np.where(denom > 0, denom, 1.0))
-    contrib = wt * (np.log(p)[:, None] + log_wt - log_denom[None, :])
-    return params.c + np.where(pos, contrib, 0.0).sum(axis=1)
+def _update(p: np.ndarray, z: np.ndarray, lam: float, r: np.ndarray | None) -> np.ndarray:
+    """The one update kernel: p_i exp(lambda z_i), normalised by its sum when
+    r is None and by waterfilling onto Omega(r) otherwise."""
+    logits = np.log(p) + lam * z
+    x = np.exp(logits - logits.max())  # shifted by the max for overflow safety
+    return x / x.sum() if r is None else waterfill(r, x).p
 
 
 def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
@@ -155,6 +166,13 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 # -- single steps (public, validated) --------------------------------------------
 
 
+def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
+    p = _check_start(p, r, channel.m)
+    scale = 1.0 - float(r.sum()) if r is not None else 1.0
+    _, z = _divergences_at(channel.w, _row_loglikes(channel.w), p, r, scale)
+    return make_distribution(_update(p, z, lam, r), floor=r)
+
+
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
     """One plain Arimoto-Blahut update from an interior point of the simplex."""
     return alg1_step(channel, 1.0, p)
@@ -166,32 +184,21 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
     ``lam`` must lie in the feasible interval for the channel unless
     ``force`` is set (convergence is then no longer guaranteed).
     """
-    p = _check_start(p, None, channel.m)
     lo, hi = lambda_bounds(channel, np.zeros(channel.m))
     if not force and not (1.0 - 1e-12 <= lam <= hi + 1e-12):
         raise LambdaRangeError(f"lambda = {lam:.15g} outside [1, {hi:.15g}]; pass force=True to override")
-    z = _divergences(channel.w, _row_loglikes(channel.w), p)
-    x = _exp_weights(np.log(p) + lam * z)
-    return make_distribution(x / x.sum())
+    return _step(channel, lam, None, p)
 
 
 def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
     """One floored update on Omega(r) with waterfilling normalization."""
-    r = params.r
-    p = _check_start(p, r, channel.m)
-    q = (p - r) / (1.0 - params.r_plus)
-    z = _divergences(channel.w, _row_loglikes(channel.w), np.maximum(q, 0.0))
-    x = _exp_weights(np.log(p) + params.lam * z)
-    return make_distribution(waterfill(r, x).p, floor=r)
+    return _step(channel, params.lam, params.r, p)
 
 
 def alg3_step(params: SqueezeParams, p) -> Distribution:
-    """One update in squeezed coordinates (same map as alg2 when
-    lambda = (1 + f_+)/(1 - r_+))."""
-    r = params.r
-    p = _check_start(p, r, params.m)
-    x = _exp_weights(_alg3_logits(params, p))
-    return make_distribution(waterfill(r, x).p, floor=r)
+    """One update in squeezed coordinates: the alg2 map of ``params.channel``,
+    since lambda = (1 + f_+)/(1 - r_+)."""
+    return _step(params.channel, params.lam, params.r, p)
 
 
 # -- parameter resolution ---------------------------------------------------------
@@ -199,7 +206,10 @@ def alg3_step(params: SqueezeParams, p) -> Distribution:
 
 def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
                     params: SqueezeParams | None, force: bool) -> SqueezeParams:
-    m = channel.m
+    """aba is alg1 with lambda = 1, alg1 is alg2 with r = 0, and alg2 is alg3
+    with the offset that ``params_from_r_lambda`` picks."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if params is not None:
         if method not in ("alg2", "alg3"):
             raise ValidationError(f"method {method!r} does not accept prebuilt params")
@@ -207,39 +217,33 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if method == "aba":
         if lam is not None or r is not None or f is not None:
             raise ValidationError("method 'aba' takes no squeeze parameters")
-        return build_squeeze_params(channel, np.zeros(m), np.zeros(channel.n))
-    if method == "alg1":
+        lam = 1.0
+    if method in ("aba", "alg1"):
         if r is not None or f is not None:
             raise ValidationError("method 'alg1' takes only lambda")
-        if lam is None:
-            lam = lambda_bounds(channel, np.zeros(m))[1]
-        return params_from_r_lambda(channel, np.zeros(m), lam, force=force)
-    if method == "alg2":
-        if r is None:
-            raise ValidationError("method 'alg2' requires the floor vector r")
-        if f is not None:
+        r = np.zeros(channel.m)
+    if r is None:
+        raise ValidationError(f"method {method!r} requires the floor vector r")
+    if f is not None:
+        if method == "alg2":
             raise ValidationError("method 'alg2' takes (r, lambda); use 'alg3' for (r, f)")
-        if lam is None:
-            lam = lambda_bounds(channel, r)[1]
-        return params_from_r_lambda(channel, r, lam, force=force)
-    if method == "alg3":
-        if r is None:
-            raise ValidationError("method 'alg3' requires the floor vector r")
-        if f is None and lam is not None:
-            return params_from_r_lambda(channel, r, lam, force=force)
-        if f is None:
-            raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
         return build_squeeze_params(channel, r, f, force=force)
-    raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if lam is None:
+        if method == "alg3":
+            raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
+        lam = lambda_bounds(channel, r)[1]
+    return params_from_r_lambda(channel, r, lam, force=force)
 
 
-def _degenerate_result(channel: ChannelMatrix, method: str, params: SqueezeParams) -> SolveResult:
+def _degenerate_result(channel: ChannelMatrix, method: str, params: SqueezeParams,
+                       config: SolverConfig) -> SolveResult:
     # all rows equal: capacity is 0 and any input achieves it; report uniform
     m = channel.m
     p_hat = uniform(m)
-    z = np.zeros(m)
-    rec = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0, z),)
-    return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, params, rec)
+    trace = ()
+    if config.record_trace:
+        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0, np.zeros(m)),)
+    return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, params, trace)
 
 
 # -- the solver -------------------------------------------------------------------
@@ -261,7 +265,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     config = config or SolverConfig()
     sp = _resolve_params(channel, method, lam, r, f, params, force)
     if channel.all_rows_equal:
-        return _degenerate_result(channel, method, sp)
+        return _degenerate_result(channel, method, sp, config)
     forced = force or not sp.feasible
 
     m = channel.m
@@ -281,14 +285,9 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     prev_objective = -np.inf
     converged = False
     iterations = config.max_iters
-    z = np.zeros(m)
-    objective = 0.0
-    gap = 0.0
 
     for t in range(config.max_iters + 1):
-        q = (p - rvec) / scale if rvec is not None else p
-        q = np.maximum(q, 0.0)
-        z = _divergences(w, row_ll, q)
+        q, z = _divergences_at(w, row_ll, p, rvec, scale)
         objective = float(q @ z)
         gap = float(z.max() - objective)
 
@@ -311,17 +310,10 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         if t == config.max_iters:
             break
 
-        if method == "alg3":
-            x = _exp_weights(_alg3_logits(sp, p))
-        else:
-            x = _exp_weights(np.log(p) + sp.lam * z)
-        if rvec is None:
-            p = x / x.sum()
-        else:
-            p = waterfill(rvec, x).p
+        p = _update(p, z, sp.lam, rvec)
 
-    q_final = np.maximum((p - rvec) / scale, 0.0) if rvec is not None else p
-    p_hat = make_distribution(q_final / q_final.sum())
+    # the loop ends on an iterate whose q and z it has just evaluated
+    p_hat = make_distribution(q / q.sum())
     lower = objective
     upper = float(z.max())
     return SolveResult(p_hat, lower, lower, upper, iterations, converged,

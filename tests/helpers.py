@@ -98,6 +98,25 @@ def bisect_waterfill_delta(r: np.ndarray, x: np.ndarray, iters: int = 200) -> fl
     return (lo + hi) / 2.0
 
 
+def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:
+    """Independent oracle: one step of Algorithm 3 in its literal posterior form,
+
+        p'_i = max(r_i, alpha exp(c_i + sum_j W~_ij ln Phi_ji)),
+        Phi_ji = p_i W~_ij / (f_j + (p W~)_j),
+
+    with zero-weight terms contributing 0 and alpha found by bisection."""
+    p = np.asarray(p, dtype=float)
+    wt = params.w_tilde
+    denom = params.f + p @ wt
+    pos = wt > 0
+    log_wt = np.log(np.where(pos, wt, 1.0))
+    log_denom = np.log(np.where(denom > 0, denom, 1.0))
+    contrib = wt * (np.log(p)[:, None] + log_wt - log_denom[None, :])
+    logits = params.c + np.where(pos, contrib, 0.0).sum(axis=1)
+    x = np.exp(logits - logits.max())
+    return np.maximum(params.r, bisect_waterfill_delta(params.r, x) * x)
+
+
 def golden_section_capacity(channel: sa.ChannelMatrix, tol: float = 1e-14):
     """Independent oracle for binary-input capacity: golden-section search
     of the mutual information over p_1."""

@@ -14,6 +14,7 @@ from helpers import (
     GOLDEN_CAPACITY,
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
+    alg3_posterior_step,
     bisect_waterfill_delta,
     draw_interior_channel,
     golden_channel,
@@ -235,9 +236,9 @@ def test_c08_floored_step_equivalence():
         params = sa.params_from_r_lambda(channel, r, float(rng.uniform(lo, hi)))
         for _ in range(20):
             p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(m))
-            via_gain = sa.alg2_step(channel, params, p).probs
-            via_posterior = sa.alg3_step(params, p).probs
-            worst = max(worst, float(np.abs(via_gain - via_posterior).max()))
+            via_posterior = alg3_posterior_step(params, p)
+            for via_gain in (sa.alg2_step(channel, params, p), sa.alg3_step(params, p)):
+                worst = max(worst, float(np.abs(via_gain.probs - via_posterior).max()))
     assert worst <= 1e-10
     _report(8, f"exponent-gain and posterior step forms agree on 1000 points "
                f"across 50 configurations (worst {worst:.1e})")
@@ -247,7 +248,7 @@ def test_c09_benchmark_distribution():
     start_time = time.monotonic()
     for seed in (0, 1, 2):
         config = sa.BenchConfig(m=2, n=8, replications=100, seed=seed, epsilon=1e-8)
-        _, summary = sa.run_benchmark(config, threads=4)
+        _, summary = sa.run_benchmark(config)
         assert summary["failures"] == 0
         iters = summary["iterations"]
         ratios = summary["log2_ratios"]

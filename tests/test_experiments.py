@@ -59,17 +59,9 @@ def test_single_replication_deterministic():
     assert all(v >= 1 for v in rec1[0].iterations.values())
 
 
-def test_threaded_run_matches_serial():
-    cfg = sa.BenchConfig(m=2, n=8, replications=12, seed=3)
-    serial, ssum = sa.run_benchmark(cfg)
-    threaded, tsum = sa.run_benchmark(cfg, threads=4)
-    assert [r.iterations for r in serial] == [r.iterations for r in threaded]
-    assert ssum == tsum
-
-
 def test_benchmark_bands_2x8():
     cfg = sa.BenchConfig(m=2, n=8, replications=100, seed=0, epsilon=1e-8)
-    records, summary = sa.run_benchmark(cfg, threads=4)
+    records, summary = sa.run_benchmark(cfg)
     assert summary["failures"] == 0
     it = summary["iterations"]
     lr = summary["log2_ratios"]

@@ -217,11 +217,11 @@ class TestInterfaceStability:
 class TestCliBench:
     def test_bench_outputs_and_determinism(self, tmp_path, capsys):
         args = ["bench", "--m", "2", "--n", "8", "--reps", "6", "--seed", "42",
-                "--out", str(tmp_path / "b1"), "--threads", "2"]
+                "--out", str(tmp_path / "b1")]
         assert main(args) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["replications"] == 6
         args2 = ["bench", "--m", "2", "--n", "8", "--reps", "6", "--seed", "42",
-                 "--out", str(tmp_path / "b2"), "--threads", "1"]
+                 "--out", str(tmp_path / "b2")]
         assert main(args2) == 0
         assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()

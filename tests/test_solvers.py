@@ -7,9 +7,11 @@ from helpers import (
     GOLDEN_CAPACITY,
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
+    alg3_posterior_step,
     golden_section_capacity,
     random_channel,
     random_floor,
+    random_offset,
 )
 
 
@@ -99,17 +101,22 @@ class TestSteps:
         assert np.allclose(p1, [0.5, 0.5], atol=1e-12)
 
     def test_alg2_equals_alg3_randomized(self, rng):
+        # offsets both proportional (from lambda) and arbitrary feasible,
+        # each step checked against the literal posterior form
         worst = 0.0
-        for _ in range(60):
+        for trial in range(60):
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 9)))
             r = random_floor(rng, ch)
-            lo, hi = sa.lambda_bounds(ch, r)
-            params = sa.params_from_r_lambda(ch, r, float(rng.uniform(lo, hi)))
+            if trial % 2:
+                params = sa.build_squeeze_params(ch, r, random_offset(rng, ch, r))
+            else:
+                lo, hi = sa.lambda_bounds(ch, r)
+                params = sa.params_from_r_lambda(ch, r, float(rng.uniform(lo, hi)))
             for _ in range(20):
                 p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(ch.m))
-                a = sa.alg2_step(ch, params, p).probs
-                b = sa.alg3_step(params, p).probs
-                worst = max(worst, float(np.abs(a - b).max()))
+                oracle = alg3_posterior_step(params, p)
+                for step in (sa.alg2_step(ch, params, p), sa.alg3_step(params, p)):
+                    worst = max(worst, float(np.abs(step.probs - oracle).max()))
         assert worst < 1e-10
 
 
@@ -147,6 +154,24 @@ class TestSolve:
         assert res.converged and res.iterations == 0
         assert res.capacity == 0.0
         assert np.allclose(res.p_hat.probs, [0.5, 0.5])
+        assert len(res.trace) == 1
+        quiet = sa.solve(ch, "aba", config=sa.SolverConfig(record_trace=False))
+        assert quiet.converged and quiet.trace == ()
+
+    def test_alg2_and_alg3_solves_agree(self):
+        # the same params through either method name: same iterate sequence
+        for m, n, seed in ((2, 8, 0), (8, 32, 1)):
+            for k in range(4):
+                ch = sa.random_channel(m, n, sa.replication_rng(seed, k))
+                r = sa.optimal_r_m2(ch) if m == 2 else sa.heuristic_r(ch, sa.uniform(m))
+                params = sa.params_from_r_lambda(ch, r, sa.lambda_upper_bound(ch))
+                cfg = sa.SolverConfig(record_trace=False)
+                a = sa.solve(ch, "alg2", params=params, config=cfg)
+                b = sa.solve(ch, "alg3", r=r, f=params.f, config=cfg)
+                assert a.converged and b.converged
+                assert a.iterations == b.iterations
+                assert abs(a.capacity_lower - b.capacity_lower) <= 1e-12
+                assert abs(a.capacity_upper - b.capacity_upper) <= 1e-12
 
     def test_bounds_bracket_capacity(self, golden):
         res = sa.solve(golden, "aba", config=sa.SolverConfig(epsilon=1e-4))
@@ -234,6 +259,16 @@ class TestSolve:
             sa.SolverConfig(epsilon=0.0)
         with pytest.raises(sa.ValidationError):
             sa.SolverConfig(max_iters=0)
+
+    def test_unnormalized_start_rejected(self, golden):
+        # a start off the simplex would shift both bounds of the bracket:
+        # scaled up, it certified a capacity below the true one at iteration 0
+        for factor in (1 + 1e-7, 1 - 1e-7):
+            with pytest.raises(sa.ValidationError):
+                sa.SolverConfig(initial=np.array([0.5, 0.5]) * factor)
+        res = sa.solve(golden, "aba", config=sa.SolverConfig(initial=np.array([0.5, 0.5])))
+        assert res.converged
+        assert res.capacity_lower - 1e-12 <= GOLDEN_CAPACITY <= res.capacity_upper + 1e-12
 
     def test_method_parameter_validation(self, golden):
         with pytest.raises(sa.ValidationError):
