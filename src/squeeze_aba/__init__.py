@@ -55,6 +55,7 @@ from .infotheory import (
     kl_divergence,
     mutual_information,
     nats_to_bits,
+    row_entropies,
 )
 from .io import load_channel, load_params_json, save_params_json
 from .rate_analysis import (

@@ -31,6 +31,18 @@ def entropy(q) -> float:
     return float(-np.sum(q[pos] * np.log(q[pos])))
 
 
+def row_entropies(w) -> np.ndarray:
+    """Entropies -sum_j W_ij ln W_ij of the rows of a nonnegative weight matrix."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise DimensionMismatchError(f"w must be a 2-d matrix, got shape {w.shape}")
+    if w.size and w.min() < 0:
+        raise NegativeEntryError(f"w has a negative entry (min {w.min():.3e})")
+    wlogw = np.log(w, out=np.zeros_like(w), where=w > 0)  # 0 ln 0 = 0
+    wlogw *= w
+    return -wlogw.sum(axis=1)
+
+
 def kl_divergence(q, s) -> float:
     """Relative entropy sum q_i ln(q_i / s_i); +inf if q puts mass where s has none."""
     q = _as_weights(q, "q")
@@ -77,8 +89,7 @@ def generalized_objective(v, f, c, p) -> float:
         raise DimensionMismatchError(
             f"inconsistent shapes: V {w.shape}, f {f.shape}, c {c.shape}, p {pv.shape}"
         )
-    row_ent = np.array([entropy(w[i]) for i in range(m)])
-    return float(entropy(pv @ w + f) + pv @ (c - row_ent) - entropy(f))
+    return float(entropy(pv @ w + f) + pv @ (c - row_entropies(w)) - entropy(f))
 
 
 def generalized_objective_kl_form(v, f, c, p) -> float:

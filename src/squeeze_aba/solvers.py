@@ -53,6 +53,7 @@ from .errors import (
     NumericalBreakdownError,
     ValidationError,
 )
+from .infotheory import row_entropies
 from .squeeze import SqueezeParams, build_squeeze_params, lambda_bounds, params_from_r_lambda
 from .waterfill import waterfill
 
@@ -118,12 +119,6 @@ class SolveResult:
 # -- shared kernels -------------------------------------------------------------
 
 
-def _row_loglikes(w: np.ndarray) -> np.ndarray:
-    """sum_j W_ij ln W_ij per row (negative row entropies)."""
-    masked = np.where(w > 0, w, 1.0)
-    return np.sum(w * np.log(masked), axis=1)
-
-
 def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray) -> np.ndarray:
     """z_i = D(W_i || qW); raises on zero output mass under any column."""
     s = q @ w
@@ -169,7 +164,7 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
     p = _check_start(p, r, channel.m)
     scale = 1.0 - float(r.sum()) if r is not None else 1.0
-    _, z = _divergences_at(channel.w, _row_loglikes(channel.w), p, r, scale)
+    _, z = _divergences_at(channel.w, -row_entropies(channel.w), p, r, scale)
     return make_distribution(_update(p, z, lam, r), floor=r)
 
 
@@ -227,11 +222,17 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if f is not None:
         if method == "alg2":
             raise ValidationError("method 'alg2' takes (r, lambda); use 'alg3' for (r, f)")
+        if lam is not None:
+            raise ValidationError("method 'alg3' takes f or lambda, not both: "
+                                  "lambda = (1 + f_+)/(1 - r_+)")
         return build_squeeze_params(channel, r, f, force=force)
     if lam is None:
         if method == "alg3":
             raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
-        lam = lambda_bounds(channel, r)[1]
+        # the upper bound is infinite when all rows are equal; solve then
+        # short-circuits, so take the finite lower bound (no offset)
+        lo, hi = lambda_bounds(channel, r)
+        lam = lo if channel.all_rows_equal else hi
     return params_from_r_lambda(channel, r, lam, force=force)
 
 
@@ -256,7 +257,9 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
 
     method: "aba" | "alg1" (needs lambda, defaults to its upper bound) |
     "alg2" (needs r; lambda defaults to its upper bound) | "alg3" (needs
-    r and f, or r and lambda, or prebuilt ``params``).
+    r and f, or r and lambda but not both, or prebuilt ``params``).  On a
+    channel whose rows are all equal the upper bound is infinite, so
+    lambda defaults to its lower bound; the solve returns capacity 0.
 
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).
@@ -278,7 +281,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         p = q0.copy()
 
     w = channel.w
-    row_ll = _row_loglikes(w)
+    row_ll = -row_entropies(w)
     scale = 1.0 - sp.r_plus if rvec is not None else 1.0
 
     trace: list[IterationRecord] = []

@@ -31,7 +31,7 @@ from .errors import (
     NegativeEntryError,
     SqueezeConstraintError,
 )
-from .infotheory import entropy
+from .infotheory import row_entropies
 
 #: constraint slack: exact-arithmetic feasibility may bind at 0
 CONSTRAINT_TOL = 1e-12
@@ -167,9 +167,8 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
         if not (lo - 1e-9 <= lam <= hi + 1e-9):
             feasible = False
 
-    row_ent_w = np.array([entropy(w[i]) for i in range(m)])
-    row_ent_t = np.array([entropy(w_tilde[i]) for i in range(m)])
-    c = row_ent_t - lam * row_ent_w
+    ent = row_entropies(np.vstack((w, w_tilde)))
+    c = ent[m:] - lam * ent[:m]
 
     return SqueezeParams(channel, r, f, float(lam), r_plus, f_plus,
                          w_star, w_tilde, c, feasible)

@@ -6,9 +6,10 @@ the unique delta > 0 such that
     sum_i max(r_i, delta * x_i) = 1.
 
 The resulting vector p_i = max(r_i, delta * x_i) is the renormalization of
-x onto the floored simplex.  Procedure: sort indices by r_i / x_i
-ascending; below the pivot the weights scale, above it the floors bind.
-O(m log m) from the sort.
+x onto the floored simplex.  Procedure: first try delta = 1/sum(x); if
+no floor exceeds delta * x_i, none binds and that is the answer, in O(m).
+Otherwise sort indices by r_i / x_i ascending; below the pivot the
+weights scale, above it the floors bind.  O(m log m) from the sort.
 
 delta is scale-invariant in x up to the obvious factor: waterfill(r, c*x)
 returns delta/c with the same p.  Callers that build x from exponentials
@@ -51,14 +52,19 @@ def waterfill(r, x) -> WaterfillResult:
     x = np.asarray(x, dtype=float)
     if r.shape != x.shape or r.ndim != 1 or r.size == 0:
         raise DimensionMismatchError(f"r and x must be equal-length vectors, got {r.shape} and {x.shape}")
-    if np.any(r < 0):
+    if not r.min() >= 0.0:  # also rejects NaN
         raise InfeasibleFloorError(f"floors must be nonnegative (min {r.min():.3e})")
     if r.sum() >= 1.0:
         raise InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
+    if not (x.min() > 0.0 and x.max() < np.inf):  # min > 0 also rejects NaN
         raise NonpositiveWeightError("weights must be finite and strictly positive")
 
-    m = r.shape[0]
+    # no floor binds at plain normalization: that is the answer
+    delta = 1.0 / x.sum()
+    p = delta * x
+    if not (r > p).any():
+        return WaterfillResult(float(delta), r >= p, p)
+
     order = np.argsort(r / x, kind="stable")
     rs = r[order]
     xs = x[order]

@@ -27,6 +27,23 @@ def test_entropy_rejects_negative():
         sa.entropy([0.5, -0.1])
 
 
+def test_row_entropies_match_per_row_entropy(rng):
+    for _ in range(50):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        w = rng.uniform(0.0, 3.0, (m, n))
+        w[rng.uniform(size=(m, n)) < 0.3] = 0.0  # rows with zeros, some all zero
+        expected = np.array([sa.entropy(row) for row in w])
+        assert np.allclose(sa.row_entropies(w), expected, rtol=1e-13, atol=1e-14)
+    assert sa.row_entropies([[1.0, 0.0], [0.0, 0.0]]).tolist() == [0.0, 0.0]
+
+
+def test_row_entropies_rejects_bad_input():
+    with pytest.raises(sa.NegativeEntryError):
+        sa.row_entropies([[0.5, -0.1]])
+    with pytest.raises(sa.DimensionMismatchError):
+        sa.row_entropies([0.5, 0.5])
+
+
 def test_kl_identical_is_zero():
     q = np.array([0.3, 0.3, 0.4])
     assert sa.kl_divergence(q, q) == 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,24 @@ class TestSolve:
             sa.solve(golden, "alg2")
         with pytest.raises(sa.ValidationError):
             sa.solve(golden, "nope")
+
+    def test_alg3_rejects_lambda_with_offset(self):
+        # lambda is fixed by (r, f); a second value would be silently ignored
+        ch = sa.validate_channel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        r, f = np.zeros(2), np.array([0.0, 0.1, 0.0])
+        assert sa.solve(ch, "alg3", r=r, f=f).params.lam == pytest.approx(1.1, abs=1e-15)
+        with pytest.raises(sa.ValidationError, match="not both"):
+            sa.solve(ch, "alg3", r=r, f=f, lam=99.0)
+
+    def test_degenerate_channel_default_lambda_is_finite(self):
+        ch = sa.validate_channel([[0.5, 0.5], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method, kw in (("alg1", {}), ("alg2", {"r": [0.1, 0.1]})):
+                res = sa.solve(ch, method, **kw)
+                assert res.converged and res.iterations == 0 and res.capacity == 0.0
+                assert np.isfinite(res.params.lam) and res.params.feasible
+                assert np.all(np.isfinite(res.params.w_tilde))
 
     def test_trace_csv_roundtrip(self, golden, tmp_path):
         res = sa.solve(golden, "aba",

@@ -28,12 +28,56 @@ def test_binding_floor_derived_case():
 
 
 def test_feasibility_errors():
-    with pytest.raises(sa.InfeasibleFloorError):
-        sa.waterfill([0.7, 0.4], [1.0, 1.0])
-    with pytest.raises(sa.NonpositiveWeightError):
-        sa.waterfill([0.1, 0.1], [1.0, 0.0])
-    with pytest.raises(sa.InfeasibleFloorError):
-        sa.waterfill([-0.1, 0.2], [1.0, 1.0])
+    for r in ([0.7, 0.4], [0.5, 0.5]):
+        with pytest.raises(sa.InfeasibleFloorError, match="leaves no room"):
+            sa.waterfill(r, [1.0, 1.0])
+    for x in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [np.nan, np.inf]):
+        with pytest.raises(sa.NonpositiveWeightError, match="finite and strictly positive"):
+            sa.waterfill([0.1, 0.1], x)
+        with pytest.raises(sa.NonpositiveWeightError):
+            sa.waterfill([0.0, 0.0], x)  # no floor would bind
+    for r in ([-0.1, 0.2], [-1e-300, 0.0], [np.nan, 0.1]):
+        with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
+            sa.waterfill(r, [1.0, 1.0])
+    with pytest.raises(sa.DimensionMismatchError):
+        sa.waterfill([0.1, 0.1], [1.0, 1.0, 1.0])
+
+
+def test_no_binding_floor_matches_bisection_randomized(rng):
+    for trial in range(2000):
+        m = int(rng.integers(1, 80))
+        x = rng.uniform(1e-3, 10.0, m)
+        r = rng.uniform(0.0, 1.0, m) * x / x.sum()  # every floor below x_i / sum(x)
+        if trial % 2:
+            r[rng.uniform(size=m) < 0.5] = 0.0
+        res = sa.waterfill(r, x)
+        delta = bisect_waterfill_delta(r, x)
+        assert res.delta == pytest.approx(delta, rel=1e-12)
+        assert res.delta == pytest.approx(1.0 / x.sum(), rel=1e-15)
+        assert np.abs(res.p - np.maximum(r, delta * x)).max() < 1e-12
+        assert not res.active_floor.any()
+        assert abs(res.p.sum() - 1.0) < 1e-12
+
+
+def test_floor_exactly_at_plain_share_is_active(rng):
+    # r_i == x_i / sum(x) in floating point: the floor touches but does not
+    # lift p_i, and it is reported active (r_i >= delta x_i)
+    for _ in range(200):
+        m = int(rng.integers(2, 30))
+        x = rng.uniform(0.1, 10.0, m)
+        share = (1.0 / x.sum()) * x
+        r = 0.5 * share
+        tie = rng.uniform(size=m) < 0.3
+        r[tie] = share[tie]
+        if r.sum() >= 1.0:
+            continue
+        res = sa.waterfill(r, x)
+        assert res.active_floor.tolist() == tie.tolist()
+        assert np.array_equal(res.p[tie], r[tie])
+        assert np.all(res.p >= r)
+        assert abs(res.p.sum() - 1.0) < 1e-12
+        delta = bisect_waterfill_delta(r, x)
+        assert np.abs(res.p - np.maximum(r, delta * x)).max() < 1e-12
 
 
 def test_matches_bisection_oracle_randomized(rng):
