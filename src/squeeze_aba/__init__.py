@@ -22,7 +22,6 @@ from .errors import (
     ChannelFileError,
     DegenerateChannelError,
     DimensionMismatchError,
-    EigensolverConvergenceError,
     EmptyMatrixError,
     FloorConstraintError,
     InfeasibleFloorError,
@@ -66,7 +65,6 @@ from .rate_analysis import (
     iteration_jacobian,
     jacobi_eigh,
     matrix_rate,
-    offset_from_g,
     overlap_rate_bound,
     polish_fixed_point,
     power_rate,
@@ -92,6 +90,7 @@ from .squeeze_select import (
     SqueezePlan,
     heuristic_r,
     lambda_upper_bound,
+    offset_from_g,
     optimal_g,
     optimal_r_m2,
     plan,

@@ -104,10 +104,6 @@ class NotAFixedPointError(SqueezeAbaError):
     requires a converged fixed point."""
 
 
-class EigensolverConvergenceError(SqueezeAbaError):
-    """Jacobi sweeps failed to reduce the off-diagonal norm in time."""
-
-
 # -- file I/O -------------------------------------------------------------------
 
 

@@ -15,9 +15,10 @@ Two independent routes compute the global rate:
   * spectral route: Psi = D_s^{-1} W*^T D_{p*} gives
     R = I - (1 + f_+) K + L with K = W* D_s^{-1} W*^T D_{p*} and L a
     rank-one term that vanishes on Gamma.  D^{1/2} K D^{-1/2} is symmetric
-    positive semidefinite with eigenvalues in [0, 1], so a cyclic Jacobi
-    sweep on it yields the whole spectrum; the rate is the largest
-    1 - (1 + f_+) mu over the nontrivial eigenvalues mu.
+    positive semidefinite with eigenvalues in [0, 1], so a symmetric
+    eigensolve on it (numpy's LAPACK ``eigh``) yields the whole spectrum;
+    the rate is the largest 1 - (1 + f_+) mu over the nontrivial
+    eigenvalues mu.
 
   * power route: power iteration directly on R with a zero-sum start,
     using the D_{p*}^{-1}-weighted Rayleigh quotient (R restricted to
@@ -40,12 +41,12 @@ from .channel import ChannelMatrix, Distribution, make_distribution
 from .errors import (
     BoundaryFixedPointError,
     DimensionMismatchError,
-    EigensolverConvergenceError,
     NotAFixedPointError,
-    SqueezeConstraintError,
+    ValidationError,
 )
 from .solvers import alg3_step
-from .squeeze import CONSTRAINT_TOL, SqueezeParams, build_squeeze_params
+from .squeeze import SqueezeParams, build_squeeze_params
+from .squeeze_select import offset_from_g
 
 #: default tolerance on one-step displacement when certifying a fixed point
 FIXED_POINT_TOL = 1e-7
@@ -57,53 +58,24 @@ INTERIOR_MARGIN = 1e-9
 # -- symmetric eigensolver --------------------------------------------------------
 
 
-def jacobi_eigh(a, *, off_tol: float = 1e-13, max_sweeps: int = 100):
-    """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi.
+def jacobi_eigh(a):
+    """Eigendecomposition of a small dense symmetric matrix.
 
-    Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm drops below ``off_tol``.  Returns (eigenvalues
-    ascending, eigenvectors as columns), like ``numpy.linalg.eigh``.
+    Returns (eigenvalues ascending, eigenvectors as columns) from
+    ``numpy.linalg.eigh`` on the symmetrised input.  Raises ValidationError
+    on non-finite entries and DimensionMismatchError when the input is not
+    square and symmetric.  The name is historical; it stays because it is
+    public and callers look it up by name.
     """
     A = np.array(a, dtype=float)
     n = A.shape[0]
     if A.ndim != 2 or A.shape != (n, n):
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError("matrix has a non-finite entry")
     if not np.allclose(A, A.T, atol=1e-10):
         raise DimensionMismatchError("matrix is not symmetric")
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2))
-        if off < off_tol:
-            order = np.argsort(np.diag(A))
-            return np.diag(A)[order].copy(), V[:, order].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                sign = 1.0 if tau >= 0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                col_p = V[:, p].copy()
-                col_q = V[:, q].copy()
-                V[:, p] = c * col_p - s * col_q
-                V[:, q] = s * col_p + c * col_q
-    raise EigensolverConvergenceError(
-        f"off-diagonal norm still {off:.3e} after {max_sweeps} sweeps"
-    )
+    return np.linalg.eigh((A + A.T) / 2.0)
 
 
 def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 10_000,
@@ -302,18 +274,6 @@ def matrix_rate(params: SqueezeParams, p_star, *,
 
 
 # -- comparison records --------------------------------------------------------------
-
-
-def offset_from_g(channel: ChannelMatrix, g, r) -> np.ndarray:
-    """Recover the output offset f = g - (1 + g_+) rW for a combined squeeze g."""
-    g = np.asarray(g, dtype=float)
-    r = np.asarray(r, dtype=float)
-    f = g - (1.0 + g.sum()) * (r @ channel.w)
-    if f.min() < -CONSTRAINT_TOL:
-        raise SqueezeConstraintError(
-            f"combined squeeze g is infeasible at this floor (min offset {f.min():.3e})"
-        )
-    return np.maximum(f, 0.0)
 
 
 @dataclass(frozen=True)

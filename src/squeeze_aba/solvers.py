@@ -229,10 +229,10 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if lam is None:
         if method == "alg3":
             raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
-        # the upper bound is infinite when all rows are equal; solve then
-        # short-circuits, so take the finite lower bound (no offset)
+        # the upper bound is infinite when all rows are equal; capacity is
+        # then 0, so take the finite lower bound (no offset)
         lo, hi = lambda_bounds(channel, r)
-        lam = lo if channel.all_rows_equal else hi
+        lam = hi if np.isfinite(hi) else lo
     return params_from_r_lambda(channel, r, lam, force=force)
 
 

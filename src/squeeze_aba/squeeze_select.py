@@ -120,13 +120,28 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     return delta * qv
 
 
+def offset_from_g(channel: ChannelMatrix, g, r) -> np.ndarray:
+    """Recover the output offset f = g - (1 + g_+) rW for a combined squeeze g.
+
+    Components that come out negative by rounding (tiny, from the tight
+    optimal choices) are clamped to zero; material negativity raises.
+    """
+    g = np.asarray(g, dtype=float)
+    r = np.asarray(r, dtype=float)
+    f = g - (1.0 + g.sum()) * (r @ channel.w)
+    if f.min() < -CONSTRAINT_TOL:
+        raise SqueezeConstraintError(
+            f"combined squeeze g is infeasible at this floor (min offset {f.min():.3e})"
+        )
+    return np.maximum(f, 0.0)
+
+
 def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> SqueezePlan:
     """Assemble (r, g, f, lambda) for the requested strategy.
 
-    The returned plan always passes ``build_squeeze_params`` validation.
-    Components of f that come out negative by rounding (tiny, from the
-    tight optimal choices) are clamped to zero; material negativity
-    raises.
+    The returned plan always passes ``build_squeeze_params`` validation;
+    f comes from ``offset_from_g``, which raises when the floor is
+    infeasible for the squeeze.
     """
     strategy = str(strategy).lower()
     if strategy not in STRATEGIES:
@@ -149,11 +164,4 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
     else:
         r = heuristic_r(channel, uniform(m) if q is None else q)
 
-    f = g - lam * (r @ channel.w)
-    if f.min() < -CONSTRAINT_TOL:
-        raise SqueezeConstraintError(
-            f"strategy {strategy!r} produced a materially negative offset "
-            f"(min {f.min():.3e}); the floor is infeasible for this squeeze"
-        )
-    f = np.maximum(f, 0.0)
-    return SqueezePlan(r, g, f, lam, strategy)
+    return SqueezePlan(r, g, offset_from_g(channel, g, r), lam, strategy)

@@ -44,7 +44,8 @@ class WaterfillResult:
 def waterfill(r, x) -> WaterfillResult:
     """Solve sum_i max(r_i, delta x_i) = 1 for delta > 0.
 
-    ``r`` must be nonnegative with sum < 1; ``x`` strictly positive.
+    ``r`` must be nonnegative with sum < 1; ``x`` strictly positive with
+    a finite sum.
     Ties in the sort key r_i / x_i are broken by original index, which
     does not change p but keeps the scan deterministic.
     """
@@ -61,6 +62,8 @@ def waterfill(r, x) -> WaterfillResult:
 
     # no floor binds at plain normalization: that is the answer
     delta = 1.0 / x.sum()
+    if delta == 0.0:  # finite weights, so the sum overflowed
+        raise NonpositiveWeightError("weights overflow the float range when summed; scale them down")
     p = delta * x
     if not (r > p).any():
         return WaterfillResult(float(delta), r >= p, p)

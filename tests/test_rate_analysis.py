@@ -35,6 +35,12 @@ class TestJacobiEigh:
         with pytest.raises(sa.DimensionMismatchError):
             sa.jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
 
+    def test_rejects_nonfinite(self):
+        # LAPACK would return NaN eigenvalues here without an error
+        for a in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(sa.ValidationError, match="non-finite"):
+                sa.jacobi_eigh(a)
+
 
 class TestGoldenRates:
     def test_plain_rate_matrix(self, golden):
@@ -98,6 +104,22 @@ class TestStructure:
             assert rep.gamma_spectrum.max() <= 1.0 + 1e-9
             # the two spectral routes agree
             assert rep.global_rate == pytest.approx(rep.global_rate_power, abs=1e-6)
+
+    def test_square_32_floored_and_offset(self):
+        rng = np.random.default_rng(2024)
+        noise = rng.random((32, 32))
+        ch = sa.validate_channel(0.7 * np.eye(32) + 0.3 * noise / noise.sum(axis=1, keepdims=True))
+        res = solve_tight(ch)
+        assert res.converged
+        r = random_floor(rng, ch, scale=0.5)
+        f = random_offset(rng, ch, r, scale=0.5)
+        params = sa.build_squeeze_params(ch, r, f)
+        assert params.r_plus > 0 and params.f_plus > 0
+        rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, res.p_hat))
+        assert rep.global_rate == pytest.approx(rep.global_rate_power, abs=1e-6)
+        assert rep.gamma_spectrum.shape == (31,)
+        assert 0.0 <= rep.gamma_spectrum.min() and rep.gamma_spectrum.max() <= 1.0
+        assert rep.shift_identity_residual() <= 1e-7
 
     def test_zero_offset_diagonalizable_real(self, rng):
         # reconstruct R from the symmetric eigendecomposition through the

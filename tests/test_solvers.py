@@ -289,14 +289,17 @@ class TestSolve:
             sa.solve(ch, "alg3", r=r, f=f, lam=99.0)
 
     def test_degenerate_channel_default_lambda_is_finite(self):
-        ch = sa.validate_channel([[0.5, 0.5], [0.5, 0.5]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for method, kw in (("alg1", {}), ("alg2", {"r": [0.1, 0.1]})):
-                res = sa.solve(ch, method, **kw)
-                assert res.converged and res.iterations == 0 and res.capacity == 0.0
-                assert np.isfinite(res.params.lam) and res.params.feasible
-                assert np.all(np.isfinite(res.params.w_tilde))
+        w = [[0.5, 0.5], [0.5, 0.5]]
+        # built directly, a ChannelMatrix keeps all_rows_equal=False, so the
+        # default must come from the bound itself, not from the flag
+        for ch in (sa.validate_channel(w), sa.ChannelMatrix(np.array(w))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for method, kw in (("alg1", {}), ("alg2", {"r": [0.1, 0.1]})):
+                    res = sa.solve(ch, method, **kw)
+                    assert res.converged and res.iterations == 0 and res.capacity == 0.0
+                    assert np.isfinite(res.params.lam) and res.params.feasible
+                    assert np.all(np.isfinite(res.params.w_tilde))
 
     def test_trace_csv_roundtrip(self, golden, tmp_path):
         res = sa.solve(golden, "aba",

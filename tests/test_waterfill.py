@@ -43,6 +43,13 @@ def test_feasibility_errors():
         sa.waterfill([0.1, 0.1], [1.0, 1.0, 1.0])
 
 
+def test_weight_sum_overflow_rejected():
+    # each weight is finite, but their sum is not
+    for r in ([0.0, 0.0], [0.3, 0.3]):
+        with np.errstate(over="ignore"), pytest.raises(sa.NonpositiveWeightError, match="overflow"):
+            sa.waterfill(r, [1e308, 1e308])
+
+
 def test_no_binding_floor_matches_bisection_randomized(rng):
     for trial in range(2000):
         m = int(rng.integers(1, 80))
