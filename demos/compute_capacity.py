@@ -44,8 +44,9 @@ print(f"alg3  : capacity {posterior.capacity:.9f} nats "
       f"in {posterior.iterations} iteration(s)")
 
 # The capacity gap at each iterate brackets the true capacity:
+# (the trace is opt-in: it copies p and z on every iteration)
 res = sa.solve(W, "aba", config=sa.SolverConfig(
-    epsilon=1e-10, initial=sa.make_distribution([0.05, 0.95])))
+    epsilon=1e-10, initial=sa.make_distribution([0.05, 0.95]), record_trace=True))
 print("\nper-iteration bracket (plain method, skewed start):")
 for rec in res.trace[:6]:
     print(f"  iter {rec.iter}: I(q) = {rec.objective:.9f}, "

@@ -58,7 +58,8 @@ print(f"overlap bound: rate {rec.rate} >= overlap {rec.overlap} "
 rng = np.random.default_rng(8)
 u = rng.random((2, 6))
 Wr = sa.validate_channel(u / u.sum(axis=1, keepdims=True))
-res = sa.solve(Wr, "aba", config=sa.SolverConfig(epsilon=1e-12, max_iters=100000))
+res = sa.solve(Wr, "aba", config=sa.SolverConfig(epsilon=1e-12, max_iters=100000,
+                                                 record_trace=True))
 params = res.params
 report = sa.matrix_rate(params, sa.fixed_point_on_floor(params, res.p_hat))
 p_star = sa.polish_fixed_point(params, res.p_hat.probs)

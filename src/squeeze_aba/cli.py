@@ -126,7 +126,7 @@ def cmd_params(args) -> int:
 def cmd_rate(args) -> int:
     channel = sio.load_channel(args.channel)
     method, kwargs = _resolve_method(args, channel)
-    config = SolverConfig(epsilon=args.gap, max_iters=args.max_iters, record_trace=False)
+    config = SolverConfig(epsilon=args.gap, max_iters=args.max_iters)
     result = solve(channel, method, config=config, **kwargs)
     if not result.converged:
         print(f"error: solver did not reach gap {args.gap:g} within "

@@ -87,8 +87,7 @@ def random_channel(m: int, n: int, rng: np.random.Generator) -> ChannelMatrix:
 def _run_one(config: BenchConfig, k: int) -> BenchRecord:
     rng = replication_rng(config.seed, k)
     channel = random_channel(config.m, config.n, rng)
-    solver_cfg = SolverConfig(epsilon=config.epsilon, max_iters=config.max_iters,
-                              record_trace=False)
+    solver_cfg = SolverConfig(epsilon=config.epsilon, max_iters=config.max_iters)
     counts: dict[str, int | None] = {}
     errors: dict[str, str] = {}
     for method in config.methods:

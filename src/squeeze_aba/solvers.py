@@ -40,6 +40,7 @@ p_hat = (p - r)/(1 - r_+).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,16 +71,24 @@ class SolverConfig:
     ``initial`` always lives on the plain simplex; floored methods start
     from (1 - r_+) * initial + r.  It is validated here, since the bracket
     is a certificate only for iterates on the simplex.
+
+    The trace is opt-in: with ``record_trace=True`` every iteration stores
+    an ``IterationRecord`` holding copies of p and z, so memory grows with
+    iterations x m.  Without it the result's ``trace`` is empty.
     """
 
     epsilon: float = 1e-8
     max_iters: int = 1_000_000
     initial: Distribution | None = None
-    record_trace: bool = True
+    record_trace: bool = False
 
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        try:
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValidationError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.initial is not None:
@@ -122,7 +131,7 @@ class SolveResult:
 def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray) -> np.ndarray:
     """z_i = D(W_i || qW); raises on zero output mass under any column."""
     s = q @ w
-    if np.any(s <= 0.0):
+    if s.min() <= 0.0:  # one reduction; a NaN mass compares False and passes
         j = int(np.argmin(s))
         raise NumericalBreakdownError(
             f"output letter {j} has zero probability under the current iterate; "
@@ -133,18 +142,24 @@ def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray) -> np.n
 
 def _divergences_at(w: np.ndarray, row_loglikes: np.ndarray, p: np.ndarray,
                     r: np.ndarray | None, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(q, z) at iterate p: q = max((p - r)/scale, 0), or p itself when r is None."""
-    q = (p - r) / scale if r is not None else p
-    q = np.maximum(q, 0.0)
+    """(q, z) at iterate p: q = max((p - r)/scale, 0), or p itself when r is None
+    (the plain update never makes p negative, so the clamp would be the identity)."""
+    q = p if r is None else np.maximum((p - r) / scale, 0.0)
     return q, _divergences(w, row_loglikes, q)
 
 
 def _update(p: np.ndarray, z: np.ndarray, lam: float, r: np.ndarray | None) -> np.ndarray:
     """The one update kernel: p_i exp(lambda z_i), normalised by its sum when
-    r is None and by waterfilling onto Omega(r) otherwise."""
-    logits = np.log(p) + lam * z
-    x = np.exp(logits - logits.max())  # shifted by the max for overflow safety
-    return x / x.sum() if r is None else waterfill(r, x).p
+    r is None and by waterfilling onto Omega(r) otherwise.  Works in place on
+    the fresh buffer from np.log, never on the caller's p."""
+    x = np.log(p)
+    x += lam * z
+    x -= x.max()  # shifted by the max for overflow safety
+    np.exp(x, out=x)
+    if r is not None:
+        return waterfill(r, x).p
+    x /= x.sum()
+    return x
 
 
 def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
@@ -292,7 +307,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     for t in range(config.max_iters + 1):
         q, z = _divergences_at(w, row_ll, p, rvec, scale)
         objective = float(q @ z)
-        gap = float(z.max() - objective)
+        gap = float(z.max()) - objective
 
         if objective < prev_objective - MONOTONE_TOL:
             msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
@@ -323,8 +338,18 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
                        method, sp, tuple(trace))
 
 
+def _require_trace(result: SolveResult) -> None:
+    if not result.trace:
+        raise ValidationError("the result holds no trace; solve with "
+                              "SolverConfig(record_trace=True)")
+
+
 def trace_csv_rows(result: SolveResult):
-    """Yield CSV lines for a solve trace: iter, objective, gap, bounds, p."""
+    """Yield CSV lines for a solve trace: iter, objective, gap, bounds, p.
+
+    Raises ValidationError on a result solved without a trace.
+    """
+    _require_trace(result)
     m = result.p_hat.m
     header = "iter,objective_nats,gap_nats,lower_nats,upper_nats," + \
         ",".join(f"p_{i + 1}" for i in range(m))
@@ -337,6 +362,7 @@ def trace_csv_rows(result: SolveResult):
 
 
 def write_trace_csv(result: SolveResult, path) -> None:
+    _require_trace(result)  # before the file is created
     with open(path, "w", encoding="utf-8") as fh:
         for line in trace_csv_rows(result):
             fh.write(line + "\n")

@@ -178,8 +178,10 @@ def test_c06_monotone_ascent_500_draws():
         start = sa.make_distribution(rng.dirichlet(np.ones(m)))
         result = sa.solve(
             channel, method,
-            config=sa.SolverConfig(epsilon=1e-9, max_iters=2000, initial=start),
+            config=sa.SolverConfig(epsilon=1e-9, max_iters=2000, initial=start,
+                                   record_trace=True),
             **kwargs)
+        assert len(result.trace) == result.iterations + 1, (trial, method)
         objectives = np.array([rec.objective for rec in result.trace])
         gaps = np.array([rec.gap for rec in result.trace])
         assert np.all(np.diff(objectives) >= -1e-12), (trial, method)
@@ -264,15 +266,20 @@ def test_c09_benchmark_distribution():
 
 def test_c10_empirical_rate_matches_theory():
     rng = np.random.default_rng(602214)
-    measured = 0
+    measured = draws = 0
     worst_rel = 0.0
     while measured < 50:
+        # at this seed every one of the first 50 draws is measured; a cap of
+        # 10x that turns a regression (say, an empty trace) into a failure
+        draws += 1
+        assert draws <= 500, f"only {measured} of 50 channels measured in 500 draws"
         try:
             channel, _ = draw_interior_channel(rng, m_choices=(2, 3), margin=1e-3)
         except AssertionError:
             continue
         result = sa.solve(channel, "aba",
-                          config=sa.SolverConfig(epsilon=1e-12, max_iters=100_000))
+                          config=sa.SolverConfig(epsilon=1e-12, max_iters=100_000,
+                                                 record_trace=True))
         if not result.converged:
             continue
         params = result.params

@@ -155,10 +155,14 @@ class TestStructure:
         assert resid[-1] <= max(resid[0] / 10.0, 5e-9)
 
     def test_empirical_contraction_matches_rate(self, rng):
-        seen = 0
+        seen = draws = 0
         while seen < 5:
+            # at this seed each of the first 5 draws is used; cap at 10x
+            draws += 1
+            assert draws <= 50, f"only {seen} of 5 channels usable in 50 draws"
             ch, _ = draw_interior_channel(rng, m_choices=(2, 3))
-            res = sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-12, max_iters=100_000))
+            res = sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-12, max_iters=100_000,
+                                                             record_trace=True))
             if not res.converged:
                 continue
             params = res.params

@@ -121,6 +121,18 @@ class TestSteps:
                     worst = max(worst, float(np.abs(step.probs - oracle).max()))
         assert worst < 1e-10
 
+    def test_steps_leave_the_callers_p_unchanged(self, rng):
+        # the update kernel works in place, but only on its own buffer
+        for _ in range(10):
+            ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 9)))
+            r = random_floor(rng, ch)
+            params = sa.params_from_r_lambda(ch, r, sa.lambda_bounds(ch, r)[1])
+            p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(ch.m))
+            before = p.copy()
+            for step in (sa.aba_step(ch, p), sa.alg2_step(ch, params, p)):
+                assert not np.shares_memory(step.probs, p)
+            assert np.array_equal(p, before)
+
 
 class TestSolve:
     def test_golden_channel_aba(self, golden):
@@ -156,9 +168,9 @@ class TestSolve:
         assert res.converged and res.iterations == 0
         assert res.capacity == 0.0
         assert np.allclose(res.p_hat.probs, [0.5, 0.5])
-        assert len(res.trace) == 1
-        quiet = sa.solve(ch, "aba", config=sa.SolverConfig(record_trace=False))
-        assert quiet.converged and quiet.trace == ()
+        assert res.trace == ()  # the trace is opt-in
+        traced = sa.solve(ch, "aba", config=sa.SolverConfig(record_trace=True))
+        assert traced.converged and len(traced.trace) == 1
 
     def test_alg2_and_alg3_solves_agree(self):
         # the same params through either method name: same iterate sequence
@@ -174,6 +186,32 @@ class TestSolve:
                 assert a.iterations == b.iterations
                 assert abs(a.capacity_lower - b.capacity_lower) <= 1e-12
                 assert abs(a.capacity_upper - b.capacity_upper) <= 1e-12
+
+    def test_trace_leaves_the_iterates_unchanged(self, golden):
+        # the trace only copies p and z, so recording it may not move any
+        # output by a single bit, for any method
+        rng = np.random.default_rng(4)
+        b = 0.9 + 0.2 * rng.random(8)
+        rows = np.zeros((3, 8))
+        for i, part in enumerate(np.array_split(np.arange(8), 3)):
+            rows[i, part] = 0.9 + 0.2 * rng.random(len(part))
+        overlap = sa.validate_channel(0.988 * b / b.sum()  # heavy overlap: rows 1.2% apart
+                                      + 0.012 * rows / rows.sum(axis=1, keepdims=True))
+        channels = [golden, overlap] + [sa.random_channel(m, n, sa.replication_rng(seed, 0))
+                                        for m, n, seed in ((2, 8, 0), (8, 32, 1))]
+        for ch in channels:
+            r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
+            params = sa.params_from_r_lambda(ch, r, sa.lambda_upper_bound(ch))
+            for method, kw in (("aba", {}), ("alg1", {}), ("alg2", {"params": params}),
+                               ("alg3", {"r": r, "f": params.f})):
+                off, on = (sa.solve(ch, method, config=sa.SolverConfig(record_trace=traced), **kw)
+                           for traced in (False, True))
+                assert off.converged and off.trace == ()
+                assert len(on.trace) == on.iterations + 1
+                assert off.iterations == on.iterations, (ch.m, ch.n, method)
+                assert off.capacity_lower == on.capacity_lower
+                assert off.capacity_upper == on.capacity_upper
+                assert np.array_equal(off.p_hat.probs, on.p_hat.probs)
 
     def test_bounds_bracket_capacity(self, golden):
         res = sa.solve(golden, "aba", config=sa.SolverConfig(epsilon=1e-4))
@@ -195,7 +233,9 @@ class TestSolve:
             ch = random_channel(rng, 2, int(rng.integers(3, 8)))
             _, true_capacity = golden_section_capacity(ch)
             start = sa.make_distribution(rng.dirichlet([1.0, 1.0]))
-            res = sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-10, initial=start))
+            res = sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-10, initial=start,
+                                                             record_trace=True))
+            assert len(res.trace) == res.iterations + 1
             for rec in res.trace:
                 assert rec.objective <= true_capacity + 1e-9
                 assert rec.objective + rec.gap >= true_capacity - 1e-9
@@ -227,7 +267,8 @@ class TestSolve:
 
     def test_trace_contents(self, golden):
         res = sa.solve(golden, "alg2", r=GOLDEN_R_OPT, lam=GOLDEN_LAMBDA,
-                       config=sa.SolverConfig(initial=sa.make_distribution([0.3, 0.7])))
+                       config=sa.SolverConfig(initial=sa.make_distribution([0.3, 0.7]),
+                                              record_trace=True))
         assert len(res.trace) == res.iterations + 1
         for rec in res.trace:
             assert abs(rec.p.sum() - 1.0) < 1e-12
@@ -249,8 +290,10 @@ class TestSolve:
                 kw = {"lam": float(rng.uniform(1.0, sa.lambda_upper_bound(ch)))}
             start = sa.make_distribution(rng.dirichlet(np.ones(ch.m)))
             res = sa.solve(ch, method,
-                           config=sa.SolverConfig(epsilon=1e-9, max_iters=2500, initial=start),
+                           config=sa.SolverConfig(epsilon=1e-9, max_iters=2500, initial=start,
+                                                  record_trace=True),
                            **kw)
+            assert len(res.trace) == res.iterations + 1
             objs = np.array([rec.objective for rec in res.trace])
             gaps = np.array([rec.gap for rec in res.trace])
             assert np.all(np.diff(objs) >= -1e-12)
@@ -261,6 +304,11 @@ class TestSolve:
             sa.SolverConfig(epsilon=0.0)
         with pytest.raises(sa.ValidationError):
             sa.SolverConfig(max_iters=0)
+        # a float cap used to pass here and fail later in range() with TypeError
+        for bad in (10.0, 1e6, "10", None):
+            with pytest.raises(sa.ValidationError, match="integer"):
+                sa.SolverConfig(max_iters=bad)
+        assert sa.SolverConfig(max_iters=np.int64(7)).max_iters == 7
 
     def test_unnormalized_start_rejected(self, golden):
         # a start off the simplex would shift both bounds of the bracket:
@@ -303,7 +351,8 @@ class TestSolve:
 
     def test_trace_csv_roundtrip(self, golden, tmp_path):
         res = sa.solve(golden, "aba",
-                       config=sa.SolverConfig(initial=sa.make_distribution([0.3, 0.7])))
+                       config=sa.SolverConfig(initial=sa.make_distribution([0.3, 0.7]),
+                                              record_trace=True))
         path = tmp_path / "trace.csv"
         sa.write_trace_csv(res, path)
         lines = path.read_text().strip().splitlines()
@@ -312,3 +361,14 @@ class TestSolve:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[5]) == pytest.approx(0.3, abs=1e-15)
+
+    def test_trace_csv_rejects_untraced_result(self, golden, tmp_path):
+        # the trace is opt-in; an untraced result used to give a header-only file
+        res = sa.solve(golden, "aba")
+        assert res.trace == ()
+        with pytest.raises(sa.ValidationError, match="record_trace=True"):
+            list(sa.solvers.trace_csv_rows(res))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(sa.ValidationError, match="record_trace=True"):
+            sa.write_trace_csv(res, path)
+        assert not path.exists()
