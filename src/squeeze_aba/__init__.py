@@ -78,6 +78,7 @@ from .solvers import (
     alg2_step,
     alg3_step,
     solve,
+    trace_csv_rows,
     write_trace_csv,
 )
 from .squeeze import (

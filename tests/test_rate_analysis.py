@@ -42,6 +42,104 @@ class TestJacobiEigh:
                 sa.jacobi_eigh(a)
 
 
+def near_diagonal_channel(rng, m, n):
+    """A seeded channel whose input i mostly hits its own block of outputs,
+    so the capacity-achieving input is interior."""
+    block = np.zeros((m, n))
+    for i, cols in enumerate(np.array_split(np.arange(n), m)):
+        block[i, cols] = 1.0 / len(cols)
+    noise = rng.random((m, n))
+    return sa.validate_channel(0.6 * block + 0.4 * noise / noise.sum(axis=1, keepdims=True))
+
+
+def stepwise_power_rate(R, p_star, steps):
+    """Reference: the Rayleigh quotient after ``steps`` single re-centred
+    steps of gamma <- gamma R from power_rate's seeded start."""
+    dinv = 1.0 / p_star
+    y = np.random.default_rng(0).standard_normal(R.shape[0])
+    y -= y.mean()
+    y /= np.linalg.norm(y)
+    for _ in range(steps):
+        y = y @ R
+        y -= y.mean()
+        y /= np.linalg.norm(y)
+    return float((y @ R) @ (dinv * y) / (y @ (dinv * y)))
+
+
+class TestPowerRate:
+    @pytest.mark.parametrize("m, n", [(2, 5), (2, 12), (8, 32), (32, 32)])
+    def test_agrees_with_eigh_floored_and_offset(self, m, n):
+        rng = np.random.default_rng(1000 + 100 * m + n)
+        for _ in range(3):
+            if m == 2:
+                ch, p_hat = draw_interior_channel(rng, m_choices=(2,), n_lo=n, n_hi=n)
+            else:
+                ch = near_diagonal_channel(rng, m, n)
+                res = solve_tight(ch)
+                assert res.converged
+                p_hat = res.p_hat
+            r = random_floor(rng, ch, scale=0.5)
+            f = random_offset(rng, ch, r, scale=0.5)
+            for rr, ff in ((np.zeros(m), np.zeros(n)), (r, np.zeros(n)), (r, f)):
+                params = sa.build_squeeze_params(ch, rr, ff)
+                rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, p_hat))
+                assert abs(rep.global_rate - rep.global_rate_power) <= 1e-9
+
+    def test_zero_spectrum(self, golden):
+        # the golden double squeeze has R = 0 up to roundoff (entries <= 3e-16)
+        params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
+        p_star = sa.fixed_point_on_floor(params, [0.5, 0.5]).probs
+        R, _ = sa.iteration_jacobian(params, p_star)
+        assert 0.0 <= sa.power_rate(R, p_star) <= 1e-15
+        # an exactly nilpotent zero-sum map: A @ A == 0, so the first squaring
+        # leaves nothing to normalise
+        u, v = np.array([1.0, 1.0, 5.0]), np.array([1.0, -1.0, 0.0])
+        assert sa.power_rate(np.outer(u, v), np.full(3, 1 / 3)) == 0.0
+
+    def test_small_radius_does_not_underflow(self):
+        # R = D^{-1/2} S D^{1/2} with S symmetric and S sqrt(p) = 0 is
+        # self-adjoint under 1/p, has zero row sums, and its spectrum on the
+        # zero-sum subspace is that of S on sqrt(p)-perp; (1e-6)**64 underflows
+        rng = np.random.default_rng(77)
+        m = 6
+        p = rng.dirichlet(np.ones(m))
+        half = np.sqrt(p)
+        basis, _ = np.linalg.qr(np.column_stack([half, rng.standard_normal((m, m - 1))]))
+        Q = basis[:, 1:]
+        S = (Q * (1e-6 * np.array([1.0, 0.7, -0.5, 0.3, 0.1]))) @ Q.T
+        R = (S / half[:, None]) * half[None, :]
+        assert np.abs(R.sum(axis=1)).max() < 1e-20
+        assert sa.power_rate(R, p) == pytest.approx(1e-6, abs=1e-9)
+
+    def test_step_budget(self):
+        rng = np.random.default_rng(5)
+        ch = near_diagonal_channel(rng, 8, 32)
+        res = solve_tight(ch)
+        params = sa.build_squeeze_params(ch, np.zeros(8), np.zeros(32))
+        p_star = sa.fixed_point_on_floor(params, res.p_hat).probs
+        rep = sa.matrix_rate(params, p_star)
+        # max_iters single steps buy the largest power of two of them that fits
+        for max_iters, steps in ((1, 1), (3, 2), (100, 64)):
+            got = sa.power_rate(rep.R, p_star, max_iters=max_iters)
+            assert got == pytest.approx(stepwise_power_rate(rep.R, p_star, steps), rel=1e-10)
+        assert abs(sa.power_rate(rep.R, p_star, max_iters=1) - rep.global_rate) > 1e-6
+        with pytest.raises(sa.ValidationError, match="max_iters"):
+            sa.power_rate(rep.R, p_star, max_iters=0)
+
+    def test_symmetric_channel_regression(self):
+        # inputs 1 and 2 are swapped by permuting outputs 1 and 2, so e_1 - e_2
+        # is an exact eigenvector of R, but not the dominant one (0.849 vs 0.928)
+        ch = sa.validate_channel([[0.0637, 0.3348, 0.2798, 0.3217],
+                                  [0.3348, 0.0637, 0.2798, 0.3217],
+                                  [0.1423, 0.1423, 0.5733, 0.1421]])
+        res = solve_tight(ch)
+        assert res.converged
+        params = sa.build_squeeze_params(ch, np.zeros(3), np.zeros(4))
+        rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, res.p_hat))
+        assert rep.global_rate == pytest.approx(0.928, abs=1e-3)
+        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-9
+
+
 class TestGoldenRates:
     def test_plain_rate_matrix(self, golden):
         params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])

@@ -362,12 +362,15 @@ class TestSolve:
         assert int(first[0]) == 0
         assert float(first[5]) == pytest.approx(0.3, abs=1e-15)
 
+    def test_trace_csv_rows_exported(self):
+        assert sa.trace_csv_rows is sa.solvers.trace_csv_rows
+
     def test_trace_csv_rejects_untraced_result(self, golden, tmp_path):
         # the trace is opt-in; an untraced result used to give a header-only file
         res = sa.solve(golden, "aba")
         assert res.trace == ()
         with pytest.raises(sa.ValidationError, match="record_trace=True"):
-            list(sa.solvers.trace_csv_rows(res))
+            list(sa.trace_csv_rows(res))
         path = tmp_path / "trace.csv"
         with pytest.raises(sa.ValidationError, match="record_trace=True"):
             sa.write_trace_csv(res, path)
