@@ -61,9 +61,6 @@ class ChannelMatrix:
     def n(self) -> int:
         return self.w.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.w[i]
-
     def column_minima(self) -> np.ndarray:
         """Vector of per-output minima min_i W[i, j] (row-overlap profile)."""
         return self.w.min(axis=0)

@@ -45,17 +45,6 @@ def load_channel(path, *, tolerance: float = 1e-9,
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def save_channel_json(channel: ChannelMatrix, path) -> None:
-    Path(path).write_text(
-        json.dumps({"matrix": channel.w.tolist()}, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def save_channel_csv(channel: ChannelMatrix, path) -> None:
-    lines = [",".join(f"{v:.17g}" for v in row) for row in channel.w]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def params_to_dict(params: SqueezeParams) -> dict:
     return {"r": params.r.tolist(), "f": params.f.tolist(), "lambda": params.lam}
 

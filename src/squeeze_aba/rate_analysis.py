@@ -51,11 +51,14 @@ from .solvers import alg3_step
 from .squeeze import SqueezeParams, build_squeeze_params
 from .squeeze_select import offset_from_g
 
-#: default tolerance on one-step displacement when certifying a fixed point
+#: tolerance on one-step displacement when certifying a fixed point
 FIXED_POINT_TOL = 1e-7
 
 #: minimum clearance above the floor for the local rate formula to apply
 INTERIOR_MARGIN = 1e-9
+
+#: Newton rounds of polish_fixed_point before it returns its best point
+POLISH_ROUNDS = 50
 
 
 # -- symmetric eigensolver --------------------------------------------------------
@@ -85,7 +88,7 @@ def jacobi_eigh(a):
 POWER_SQUARINGS = 6
 
 
-def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 10_000,
+def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000,
                tol: float = 1e-10) -> float:
     """Spectral radius of R on the zero-sum subspace by left power iteration.
 
@@ -198,8 +201,7 @@ def iteration_jacobian(params: SqueezeParams, p) -> tuple[np.ndarray, np.ndarray
     return np.eye(params.m) - wt @ psi, psi
 
 
-def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14,
-                       max_rounds: int = 50) -> np.ndarray:
+def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14) -> np.ndarray:
     """Newton-refine a near-fixed point of the iteration map to ~machine precision.
 
     Solves M(p) - p = 0 with the analytic Jacobian; one-step displacement
@@ -211,7 +213,7 @@ def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14,
     p = np.asarray(getattr(p, "probs", p), dtype=float).copy()
     eye = np.eye(params.m)
     best, best_disp = p.copy(), np.inf
-    for _ in range(max_rounds):
+    for _ in range(POLISH_ROUNDS):
         g = alg3_step(params, p).probs - p
         disp = float(np.abs(g).max())
         if disp < best_disp:
@@ -236,39 +238,38 @@ def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14,
     return best
 
 
-def matrix_rate(params: SqueezeParams, p_star, *,
-                fixed_point_tol: float = FIXED_POINT_TOL,
-                interior_margin: float = INTERIOR_MARGIN) -> RateReport:
+def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     """Build the full RateReport at a fixed point p* on Omega(r).
 
     Raises BoundaryFixedPointError when p* does not clear the floor by
-    ``interior_margin`` (the formula only holds at interior fixed points)
+    INTERIOR_MARGIN (the formula only holds at interior fixed points)
     and NotAFixedPointError when one iteration step moves p* by more than
-    ``fixed_point_tol``.
+    FIXED_POINT_TOL.
     """
     m, n = params.m, params.n
     p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
     if p.shape != (m,):
         raise DimensionMismatchError(f"p_star must have length {m}, got shape {p.shape}")
-    if np.any(p <= params.r + interior_margin):
+    if np.any(p <= params.r + INTERIOR_MARGIN):
         i = int(np.argmin(p - params.r))
         raise BoundaryFixedPointError(
-            f"component {i} of p* is within {interior_margin:g} of its floor; "
+            f"component {i} of p* is within {INTERIOR_MARGIN:g} of its floor; "
             "the local rate formula does not apply at boundary fixed points"
         )
     moved = alg3_step(params, p).probs
     disp = float(np.abs(moved - p).max())
-    if disp > fixed_point_tol:
+    if disp > FIXED_POINT_TOL:
         raise NotAFixedPointError(
-            f"one step moves p* by {disp:.3e} (> {fixed_point_tol:g}); "
+            f"one step moves p* by {disp:.3e} (> {FIXED_POINT_TOL:g}); "
             "run the solver to a tighter gap first"
         )
 
     R, psi = iteration_jacobian(params, p)
 
-    s = p @ params.w_star
+    w_star = params.w_star
+    s = p @ w_star
     half = np.sqrt(p)
-    B = params.w_star * half[:, None]
+    B = w_star * half[:, None]
     M = (B / s[None, :]) @ B.T
     mu, vecs = jacobi_eigh(M)
 

@@ -49,13 +49,18 @@ import numpy as np
 from .channel import ChannelMatrix, Distribution, make_distribution, uniform
 from .errors import (
     DimensionMismatchError,
-    LambdaRangeError,
     NonInteriorStartError,
     NumericalBreakdownError,
     ValidationError,
 )
 from .infotheory import row_entropies
-from .squeeze import SqueezeParams, build_squeeze_params, lambda_bounds, params_from_r_lambda
+from .squeeze import (
+    SqueezeParams,
+    _check_lambda,
+    build_squeeze_params,
+    lambda_bounds,
+    params_from_r_lambda,
+)
 from .waterfill import waterfill
 
 #: per-step slack on the monotone-ascent check
@@ -191,12 +196,11 @@ def aba_step(channel: ChannelMatrix, p) -> Distribution:
 def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> Distribution:
     """One exponent-gain update p'_i proportional to p_i exp(lambda z_i).
 
-    ``lam`` must lie in the feasible interval for the channel unless
-    ``force`` is set (convergence is then no longer guaranteed).
+    ``lam`` must lie in the feasible interval for the channel; ``force``
+    turns a violation into a warning (convergence is then no longer
+    guaranteed).
     """
-    lo, hi = lambda_bounds(channel, np.zeros(channel.m))
-    if not force and not (1.0 - 1e-12 <= lam <= hi + 1e-12):
-        raise LambdaRangeError(f"lambda = {lam:.15g} outside [1, {hi:.15g}]; pass force=True to override")
+    _check_lambda(channel, np.zeros(channel.m), lam, force)
     return _step(channel, lam, None, p)
 
 

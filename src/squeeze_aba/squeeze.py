@@ -9,10 +9,13 @@ nonnegative output offset f (length n), the squeezed representation is
     c_i     = H(W~_i) - lambda H(W_i)           (row entropy offsets)
 
 where r_+ and f_+ are the total masses of r and f.  Feasibility requires
-W >= 1_m rW (the floor mixture never exceeds any entry), r_+ < 1, and
-W~ >= 0.  The rows of a feasible W~ sum to 1 automatically; subtracting
-the offsets reduces the overlap between rows, which is what accelerates
-the capacity iteration built on top of this representation.
+r_+ < 1, W >= 1_m rW and W~ >= 0.  Both matrix conditions are column
+tests, since W* and W~ grow with W_ij down a column: with room_j =
+min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
+entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
+``SqueezeParams`` keeps (r, f, lambda) and derives W*, W~ and c on demand.
+The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
+overlap between rows, which is what accelerates the capacity iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     LambdaRangeError,
     NegativeEntryError,
     SqueezeConstraintError,
+    ValidationError,
 )
 from .infotheory import row_entropies
 
@@ -39,7 +43,7 @@ CONSTRAINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Immutable bundle of squeeze parameters and derived matrices.
+    """Immutable squeeze parameters; W*, W~ and c are derived on each access.
 
     ``feasible`` is False only when constructed with ``force=True`` over a
     constraint violation; the solvers then lose their monotonicity
@@ -52,13 +56,10 @@ class SqueezeParams:
     lam: float
     r_plus: float
     f_plus: float
-    w_star: np.ndarray
-    w_tilde: np.ndarray
-    c: np.ndarray
     feasible: bool = True
 
     def __post_init__(self):
-        for name in ("r", "f", "w_star", "w_tilde", "c"):
+        for name in ("r", "f"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -68,6 +69,23 @@ class SqueezeParams:
     @property
     def n(self) -> int:
         return self.f.shape[0]
+
+    @property
+    def w_star(self) -> np.ndarray:
+        """Floor-adjusted channel max(W - 1_m rW, 0)/(1 - r_+)."""
+        w = self.channel.w
+        return np.maximum(w - self.r @ w, 0.0) / (1.0 - self.r_plus)
+
+    @property
+    def w_tilde(self) -> np.ndarray:
+        """Squeezed channel max((1 + f_+) W* - 1_m f, 0)."""
+        return np.maximum((1.0 + self.f_plus) * self.w_star - self.f, 0.0)
+
+    @property
+    def c(self) -> np.ndarray:
+        """Row entropy offsets c_i = H(W~_i) - lambda H(W_i)."""
+        ent = row_entropies(np.vstack((self.channel.w, self.w_tilde)))
+        return ent[self.m:] - self.lam * ent[:self.m]
 
     def is_plain(self) -> bool:
         """True when r = 0 and f = 0 (no squeezing at all)."""
@@ -80,20 +98,26 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
         v = np.full(length, float(v))
     if v.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} must be finite")
     if np.any(v < 0):
         raise NegativeEntryError(f"{name} must be nonnegative (min {v.min():.3e})")
     return v
 
 
-def _clamp_small_negatives(a: np.ndarray, tol: float) -> np.ndarray:
-    return np.where((a < 0) & (a >= -tol), 0.0, a)
+def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
+    """Raise ``error``, or under ``force`` warn at the checking function's caller."""
+    if not force:
+        raise error(msg)
+    warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
 
-def floor_mixture_slack(channel: ChannelMatrix, r) -> float:
-    """Worst-case value of min_{i,j} (W_ij - (rW)_j); negative means r infeasible."""
-    r = _check_vector(r, channel.m, "r")
-    rw = r @ channel.w
-    return float((channel.w - rw[None, :]).min())
+def _worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
+    """(i, j) of the worst entry, first in row-major order: among the columns
+    where ``col_worst`` is smallest, the first row holding a column minimum of W."""
+    cols = np.flatnonzero(col_worst == col_worst.min())
+    rows = w[:, cols].argmin(axis=0)
+    return int(rows.min()), int(cols[np.argmin(rows)])
 
 
 def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
@@ -112,20 +136,26 @@ def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
     return 1.0 / (1.0 - r_plus), hi
 
 
+def _check_lambda(channel: ChannelMatrix, r, lam: float, force: bool) -> None:
+    """LambdaRangeError (a warning under ``force``) unless lam is in lambda_bounds."""
+    lo, hi = lambda_bounds(channel, r)
+    if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
+        _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
+                   f"interval [{lo:.15g}, {hi:.15g}]", force)
+
+
 def build_squeeze_params(channel: ChannelMatrix, r, f, *,
                          force: bool = False) -> SqueezeParams:
     """Construct and validate SqueezeParams from a floor r and offset f.
 
-    Raises FloorConstraintError / SqueezeConstraintError /
-    InfeasibleFloorError on violations; with ``force=True`` violations
-    warn instead, negative squeezed entries are clamped to 0, and the
-    result is marked infeasible.
+    Checks both constraints per column and raises FloorConstraintError /
+    SqueezeConstraintError / InfeasibleFloorError on violations; with
+    ``force=True`` violations warn instead, the result is marked
+    infeasible, and its derived W* and W~ clamp negative entries to 0.
     """
     w = channel.w
-    m, n = channel.m, channel.n
-    r = _check_vector(r, m, "r")
-    f = _check_vector(f, n, "f")
-
+    r = _check_vector(r, channel.m, "r")
+    f = _check_vector(f, channel.n, "f")
     r_plus = float(r.sum())
     f_plus = float(f.sum())
     if r_plus >= 1.0:
@@ -133,45 +163,23 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
 
     feasible = True
     rw = r @ w
-    slack = w - rw[None, :]
-    worst = slack.min()
-    if worst < -CONSTRAINT_TOL:
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        msg = (f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
-               f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-worst:.3e}")
-        if not force:
-            raise FloorConstraintError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    room = channel.column_minima() - rw
+    if room.min() < -CONSTRAINT_TOL:
+        i, j = _worst_entry(w, room)
+        _violation(FloorConstraintError,
+                   f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
+                   f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-room[j]:.3e}", force)
         feasible = False
 
-    w_star = _clamp_small_negatives(slack, CONSTRAINT_TOL) / (1.0 - r_plus)
-    if force:
-        w_star = np.maximum(w_star, 0.0)
-
-    lam = (1.0 + f_plus) / (1.0 - r_plus)
-    w_tilde = (1.0 + f_plus) * w_star - f[None, :]
-    if w_tilde.min() < -CONSTRAINT_TOL:
-        i, j = np.unravel_index(np.argmin(w_tilde), w_tilde.shape)
-        msg = (f"offset constraint violated: squeezed entry ({i},{j}) = "
-               f"{w_tilde[i, j]:.3e} is negative; reduce f or r")
-        if not force:
-            raise SqueezeConstraintError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
+    if tilde_min.min() < -CONSTRAINT_TOL:
+        i, j = _worst_entry(w, tilde_min)
+        _violation(SqueezeConstraintError,
+                   f"offset constraint violated: squeezed entry ({i},{j}) = "
+                   f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
         feasible = False
-    w_tilde = _clamp_small_negatives(w_tilde, CONSTRAINT_TOL)
-    if force:
-        w_tilde = np.maximum(w_tilde, 0.0)
-
-    if feasible:
-        lo, hi = lambda_bounds(channel, r)
-        if not (lo - 1e-9 <= lam <= hi + 1e-9):
-            feasible = False
-
-    ent = row_entropies(np.vstack((w, w_tilde)))
-    c = ent[m:] - lam * ent[:m]
-
-    return SqueezeParams(channel, r, f, float(lam), r_plus, f_plus,
-                         w_star, w_tilde, c, feasible)
+    return SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
+                         feasible)
 
 
 def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
@@ -188,26 +196,16 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
     """
     r = _check_vector(r, channel.m, "r")
     lam = float(lam)
-    lo, hi = lambda_bounds(channel, r)
-    if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
-        msg = f"lambda = {lam:.15g} outside feasible interval [{lo:.15g}, {hi:.15g}]"
-        if not force:
-            raise LambdaRangeError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-
+    _check_lambda(channel, r, lam, force)
     r_plus = float(r.sum())
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:
         f = np.zeros(channel.n)
     else:
-        rw = r @ channel.w
-        w_star = _clamp_small_negatives(channel.w - rw[None, :], CONSTRAINT_TOL)
-        col_min = w_star.min(axis=0) / (1.0 - r_plus)
+        col_min = np.maximum(channel.column_minima() - r @ channel.w, 0.0) / (1.0 - r_plus)
         total = col_min.sum()
         if total <= 0.0:
-            raise LambdaRangeError(
-                "channel has no squeezing room (zero column-minima mass) "
-                f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}"
-            )
+            raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
+                                   f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * col_min / total
     return build_squeeze_params(channel, r, f, force=force)

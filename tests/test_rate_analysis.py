@@ -139,6 +139,22 @@ class TestPowerRate:
         assert rep.global_rate == pytest.approx(0.928, abs=1e-3)
         assert abs(rep.global_rate - rep.global_rate_power) <= 1e-9
 
+    def test_close_leading_eigenvalues(self):
+        # the two largest eigenvalues of R on the zero-sum subspace, 0.993336
+        # and 0.993428, are 1e-4 apart: 10,000 steps left the power route
+        # 1.7e-6 off, the default budget of 100,000 separates them
+        w = np.array([[0.34183, 0.26444, 0.20462, 0.18911],
+                      [0.26444, 0.34183, 0.20462, 0.18911],
+                      [0.29512, 0.29512, 0.26663, 0.14313]])
+        ch = sa.validate_channel(w / w.sum(axis=1, keepdims=True))
+        res = solve_tight(ch)
+        assert res.converged
+        params = sa.build_squeeze_params(ch, np.zeros(3), np.zeros(4))
+        p_star = sa.polish_fixed_point(params, res.p_hat.probs)
+        rep = sa.matrix_rate(params, p_star)
+        assert rep.global_rate == pytest.approx(0.993428, abs=1e-6)
+        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-6
+
 
 class TestGoldenRates:
     def test_plain_rate_matrix(self, golden):

@@ -47,6 +47,12 @@ class TestSteps:
     def test_alg1_out_of_range_gain(self, golden):
         with pytest.raises(sa.LambdaRangeError):
             sa.alg1_step(golden, 3.0, [0.5, 0.5])
+        with pytest.raises(sa.LambdaRangeError):
+            sa.alg1_step(golden, 1.0 - 1e-9, [0.5, 0.5])
+        # the same check as params_from_r_lambda: forced, it warns and steps
+        with pytest.warns(RuntimeWarning, match="outside feasible interval"):
+            p = sa.alg1_step(golden, 3.0, [0.4, 0.6], force=True)
+        assert p.probs.sum() == pytest.approx(1.0)
         with pytest.warns(RuntimeWarning):
             # forced mode still computes (no convergence guarantee)
             sa.solve(golden, "alg1", lam=3.0, force=True,
