@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelMatrix, uniform, validate_channel
 from .errors import SqueezeAbaError, ValidationError
-from .solvers import SolverConfig, solve
+from .solvers import METHODS, SolverConfig, solve
 from .squeeze_select import heuristic_r, lambda_upper_bound, optimal_r_m2
 
 DEFAULT_METHODS = ("aba", "alg1", "alg2")
@@ -45,10 +46,22 @@ class BenchConfig:
     max_iters: int = 1_000_000
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError(f"replications must be >= 1, got {self.replications}")
+        for name, least in (("m", 2), ("n", 1), ("replications", 1), ("max_iters", 1)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
         if not (self.epsilon > 0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValidationError(f"unknown benchmark method(s) {unknown}; "
+                                  f"expected some of {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValidationError(f"methods must not repeat, got {tuple(self.methods)}")
         if "aba" not in self.methods:
             raise ValidationError("methods must include the 'aba' baseline")
 
@@ -97,12 +110,10 @@ def _run_one(config: BenchConfig, k: int) -> BenchRecord:
             elif method == "alg1":
                 res = solve(channel, "alg1", lam=lambda_upper_bound(channel),
                             config=solver_cfg)
-            elif method in ("alg2", "alg3"):
+            else:  # alg2, alg3
                 r = optimal_r_m2(channel) if config.m == 2 else heuristic_r(channel, uniform(config.m))
                 res = solve(channel, method, r=r, lam=lambda_upper_bound(channel),
                             config=solver_cfg)
-            else:
-                raise ValidationError(f"unknown benchmark method {method!r}")
             counts[method] = res.iterations if res.converged else None
             if not res.converged:
                 errors[method] = f"not converged within {config.max_iters} iterations"

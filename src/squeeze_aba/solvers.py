@@ -11,12 +11,22 @@ max_i z_i is a capacity upper bound, and the stopping rule is
 
     max_i z_i - sum_i q_i z_i <= epsilon.
 
-The update reuses the same z:
+The update reuses the same z and its maximum:
 
-    p'_i = max(r_i, delta p_i exp(lambda z_i))
+    x_i = p_i exp(lambda (z_i - max z)),    p'_i = max(r_i, delta x_i)
 
 with delta by waterfilling for the floored methods (alg2, alg3) and
-p' = p exp(lambda z) / sum for the plain ones (aba, alg1, where r = 0).
+p' = x / sum(x) for the plain ones (aba, alg1, where r = 0).  Every
+exponent is <= 0, so x cannot overflow, and sum(x) is at least the mass of
+the arg-max input.
+
+An output letter j with zero mass (qW)_j = 0 leaves the divergences
+undefined.  The loop does not test for it: it runs with numpy's divide and
+invalid warnings off, so ln 0 = -inf turns every z_i into +inf or NaN, and
+the one compare on max z that the bracket needs anyway catches it.  Only
+then is the letter located, and the solve raises NumericalBreakdownError
+naming it.
+
 The method name only chooses the parameters:
 
     aba    lambda = 1, r = 0
@@ -133,34 +143,48 @@ class SolveResult:
 # -- shared kernels -------------------------------------------------------------
 
 
-def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """z_i = D(W_i || qW); raises on zero output mass under any column."""
-    s = q @ w
-    if s.min() <= 0.0:  # one reduction; a NaN mass compares False and passes
+def _divergences(w: np.ndarray, row_loglikes: np.ndarray,
+                 q: np.ndarray) -> tuple[np.ndarray, float]:
+    """(z, max z) with z_i = D(W_i || qW).
+
+    Call under ``np.errstate(divide="ignore", invalid="ignore")``: a zero
+    output mass s_j makes ln s_j = -inf, so every row gets z_i = +inf or NaN
+    and max z is not finite.  One compare finds that; only then is the
+    output letter located, for the error."""
+    s = q.dot(w)
+    z = row_loglikes - w.dot(np.log(s))
+    zmax = z.max()
+    if not zmax < np.inf:  # +inf or NaN
         j = int(np.argmin(s))
-        raise NumericalBreakdownError(
-            f"output letter {j} has zero probability under the current iterate; "
-            "the divergence update is undefined there"
-        )
-    return row_loglikes - w @ np.log(s)
+        if s[j] <= 0.0:
+            raise NumericalBreakdownError(
+                f"output letter {j} has zero probability under the current iterate; "
+                "the divergence update is undefined there"
+            )
+        raise NumericalBreakdownError("the divergences at the current iterate are not finite")
+    return z, zmax
 
 
 def _divergences_at(w: np.ndarray, row_loglikes: np.ndarray, p: np.ndarray,
-                    r: np.ndarray | None, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(q, z) at iterate p: q = max((p - r)/scale, 0), or p itself when r is None
-    (the plain update never makes p negative, so the clamp would be the identity)."""
+                    r: np.ndarray | None, scale: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(q, z, max z) at iterate p: q = max((p - r)/scale, 0), or p itself when r
+    is None (the plain update never makes p negative, so the clamp would be the
+    identity)."""
     q = p if r is None else np.maximum((p - r) / scale, 0.0)
-    return q, _divergences(w, row_loglikes, q)
+    return (q, *_divergences(w, row_loglikes, q))
 
 
-def _update(p: np.ndarray, z: np.ndarray, lam: float, r: np.ndarray | None) -> np.ndarray:
-    """The one update kernel: p_i exp(lambda z_i), normalised by its sum when
-    r is None and by waterfilling onto Omega(r) otherwise.  Works in place on
-    the fresh buffer from np.log, never on the caller's p."""
-    x = np.log(p)
-    x += lam * z
-    x -= x.max()  # shifted by the max for overflow safety
+def _update(p: np.ndarray, z: np.ndarray, zmax: float, lam: float,
+            r: np.ndarray | None) -> np.ndarray:
+    """The one update kernel: x_i = p_i exp(lambda (z_i - max z)), normalised
+    by its sum when r is None and by waterfilling onto Omega(r) otherwise.
+    Every exponent is <= 0, so nothing overflows, and the sum is at least the
+    mass of the arg-max input.  Works in place on its own buffer, never on the
+    caller's p."""
+    x = z - zmax
+    x *= lam
     np.exp(x, out=x)
+    x *= p
     if r is not None:
         return waterfill(r, x).p
     x /= x.sum()
@@ -171,7 +195,10 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     if p.shape != (m,):
         raise DimensionMismatchError(f"start must have length {m}, got shape {p.shape}")
-    if np.any(p <= 0.0):
+    # False on a NaN too; the loop's errstate would let a non-finite start through
+    if not 0.0 < p.min() <= p.max() < np.inf:
+        if not np.isfinite(p).all():
+            raise ValidationError(f"start must be finite, got {p}")
         raise NonInteriorStartError("start must have all components strictly positive")
     if r is not None and np.any(p < r - 1e-12):
         raise NonInteriorStartError("start must dominate the floor vector elementwise")
@@ -184,8 +211,10 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
     p = _check_start(p, r, channel.m)
     scale = 1.0 - float(r.sum()) if r is not None else 1.0
-    _, z = _divergences_at(channel.w, -row_entropies(channel.w), p, r, scale)
-    return make_distribution(_update(p, z, lam, r), floor=r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, z, zmax = _divergences_at(channel.w, -row_entropies(channel.w), p, r, scale)
+        x = _update(p, z, zmax, lam, r)
+    return make_distribution(x, floor=r)
 
 
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
@@ -308,36 +337,38 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     converged = False
     iterations = config.max_iters
 
-    for t in range(config.max_iters + 1):
-        q, z = _divergences_at(w, row_ll, p, rvec, scale)
-        objective = float(q @ z)
-        gap = float(z.max()) - objective
+    # a zero output mass shows up as a non-finite max z (see _divergences)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(config.max_iters + 1):
+            q, z, zmax = _divergences_at(w, row_ll, p, rvec, scale)
+            objective = float(q.dot(z))
+            gap = zmax - objective
 
-        if objective < prev_objective - MONOTONE_TOL:
-            msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
-                   f"at iteration {t}")
-            if forced:
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
-            else:
-                raise NumericalBreakdownError(msg + "; monotone ascent lost")
-        prev_objective = max(prev_objective, objective)
+            if objective < prev_objective - MONOTONE_TOL:
+                msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
+                       f"at iteration {t}")
+                if forced:
+                    warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                else:
+                    raise NumericalBreakdownError(msg + "; monotone ascent lost")
+            prev_objective = max(prev_objective, objective)
 
-        if config.record_trace:
-            trace.append(IterationRecord(t, p.copy(), objective, gap, z.copy()))
+            if config.record_trace:
+                trace.append(IterationRecord(t, p.copy(), objective, float(gap), z.copy()))
 
-        if gap <= config.epsilon:
-            converged = True
-            iterations = t
-            break
-        if t == config.max_iters:
-            break
+            if gap <= config.epsilon:
+                converged = True
+                iterations = t
+                break
+            if t == config.max_iters:
+                break
 
-        p = _update(p, z, sp.lam, rvec)
+            p = _update(p, z, zmax, sp.lam, rvec)
 
     # the loop ends on an iterate whose q and z it has just evaluated
     p_hat = make_distribution(q / q.sum())
     lower = objective
-    upper = float(z.max())
+    upper = float(zmax)
     return SolveResult(p_hat, lower, lower, upper, iterations, converged,
                        method, sp, tuple(trace))
 

@@ -117,6 +117,39 @@ def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:
     return np.maximum(params.r, bisect_waterfill_delta(params.r, x) * x)
 
 
+def log_domain_step(channel: sa.ChannelMatrix, lam: float, r, p) -> np.ndarray:
+    """Independent oracle: one update in the log-domain form
+
+        x_i = exp(ln p_i + lam z_i - max_k (ln p_k + lam z_k)),
+
+    normalised by its sum when ``r`` is None and waterfilled onto Omega(r) by
+    bisection otherwise, with z_i = D(W_i || qW) from its definition (0 ln 0 = 0)
+    at q = max((p - r)/(1 - r_+), 0)."""
+    p = np.asarray(p, dtype=float)
+    w = channel.w
+    q = p if r is None else np.maximum((p - r) / (1.0 - r.sum()), 0.0)
+    s = q @ w
+    pos = w > 0
+    z = np.where(pos, w * np.log(np.where(pos, w, 1.0) / s), 0.0).sum(axis=1)
+    logits = np.log(p) + lam * z
+    x = np.exp(logits - logits.max())
+    if r is None:
+        return x / x.sum()
+    return np.maximum(r, bisect_waterfill_delta(r, x) * x)
+
+
+def heavy_overlap_channel(rng: np.random.Generator, spread: float = 0.012) -> sa.ChannelMatrix:
+    """(1 - s) b + s N on 3x8, N's rows on disjoint thirds of the outputs: rows
+    that nearly coincide, with an optimum a fixed distance from the uniform
+    start, so plain iteration needs tens of thousands of steps."""
+    b = 0.9 + 0.2 * rng.random(8)
+    noise = np.zeros((3, 8))
+    for i, part in enumerate(np.array_split(np.arange(8), 3)):
+        noise[i, part] = 0.9 + 0.2 * rng.random(len(part))
+    return sa.validate_channel((1.0 - spread) * b / b.sum()
+                               + spread * noise / noise.sum(axis=1, keepdims=True))
+
+
 def golden_section_capacity(channel: sa.ChannelMatrix, tol: float = 1e-14):
     """Independent oracle for binary-input capacity: golden-section search
     of the mutual information over p_1."""

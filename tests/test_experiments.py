@@ -50,6 +50,31 @@ def test_bench_config_validation():
         sa.BenchConfig(methods=("alg1",))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"methods": ("aba", "alg9")}, "unknown benchmark method"),
+    ({"methods": ("aba", "auto")}, "unknown benchmark method"),
+    ({"methods": ("aba", "alg2", "aba")}, "must not repeat"),
+    ({"m": 1}, "m must be >= 2"),
+    ({"n": 0}, "n must be >= 1"),
+    ({"replications": 2.5}, "replications must be an integer"),
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+    ({"max_iters": 1e6}, "max_iters must be an integer"),
+    ({"m": 2.0}, "m must be an integer"),
+    ({"n": "8"}, "n must be an integer"),
+])
+def test_bench_config_rejects_at_construction(kwargs, match):
+    # rejected at construction, not by every replication at run time
+    with pytest.raises(sa.ValidationError, match=match):
+        sa.BenchConfig(**kwargs)
+
+
+def test_bench_config_normalises_integers():
+    cfg = sa.BenchConfig(m=np.int64(3), n=np.int32(4), replications=np.int64(2),
+                         max_iters=np.int64(10))
+    assert (cfg.m, cfg.n, cfg.replications, cfg.max_iters) == (3, 4, 2, 10)
+    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications, cfg.max_iters))
+
+
 def test_single_replication_deterministic():
     cfg = sa.BenchConfig(m=2, n=8, replications=1, seed=5, epsilon=1e-8)
     rec1, _ = sa.run_benchmark(cfg)

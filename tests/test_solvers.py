@@ -11,6 +11,8 @@ from helpers import (
     GOLDEN_R_OPT,
     alg3_posterior_step,
     golden_section_capacity,
+    heavy_overlap_channel,
+    log_domain_step,
     random_channel,
     random_floor,
     random_offset,
@@ -36,6 +38,13 @@ class TestSteps:
     def test_aba_requires_interior(self, golden):
         with pytest.raises(sa.NonInteriorStartError):
             sa.aba_step(golden, [1.0, 0.0])
+
+    def test_steps_and_solve_reject_non_finite_start(self, golden):
+        for bad in ([np.nan, 0.5], [np.inf, 0.5]):
+            with pytest.raises(sa.ValidationError, match="finite"):
+                sa.aba_step(golden, bad)
+        with pytest.raises(sa.ValidationError, match="finite"):
+            sa.solve(golden, "aba", config=sa.SolverConfig(initial=[np.nan, np.nan]))
 
     def test_alg1_unit_gain_equals_aba(self, golden, rng):
         for _ in range(20):
@@ -255,6 +264,23 @@ class TestSolve:
         with pytest.raises(sa.NumericalBreakdownError):
             sa.alg2_step(ch, params, [0.2, 0.8])
 
+    def test_zero_output_mass_breaks_loudly_in_solve(self):
+        # the same breakdown reached inside the solve loop, where the check is
+        # a non-finite max z under the loop's own errstate
+        ch = sa.validate_channel([[0.5, 0.5], [1.0, 0.0]])
+        with pytest.warns(RuntimeWarning):
+            params = sa.params_from_r_lambda(ch, [0.2, 0.0], 50.0, force=True)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sa.NumericalBreakdownError,
+                               match="output letter 1 has zero probability"):
+                sa.solve(ch, "alg2", params=params, force=True)
+        assert np.geterr() == before
+        sa.solve(ch, "aba")
+        sa.alg2_step(ch, params, [0.6, 0.4])
+        assert np.geterr() == before
+
     def test_methods_agree_on_capacity(self, rng):
         for _ in range(15):
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(3, 9)))
@@ -381,3 +407,46 @@ class TestSolve:
         with pytest.raises(sa.ValidationError, match="record_trace=True"):
             sa.write_trace_csv(res, path)
         assert not path.exists()
+
+
+class TestUpdateKernel:
+    """The kernel p_i exp(lambda (z_i - max z)) against the log-domain form
+    exp(ln p_i + lambda z_i - max), which it replaced, and the iteration counts
+    that form gave."""
+
+    def test_steps_match_log_domain_form(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            ch = random_channel(rng, m, int(rng.integers(m, 12)))
+            p = rng.dirichlet(np.ones(m))
+            np.testing.assert_allclose(sa.aba_step(ch, p).probs,
+                                       log_domain_step(ch, 1.0, None, p), rtol=1e-13)
+            lam = sa.lambda_upper_bound(ch)
+            np.testing.assert_allclose(sa.alg1_step(ch, lam, p).probs,
+                                       log_domain_step(ch, lam, None, p), rtol=1e-13)
+            r = random_floor(rng, ch)
+            pf = (1.0 - r.sum()) * p + r
+            floored = sa.params_from_r_lambda(ch, r, sa.lambda_bounds(ch, r)[1])
+            np.testing.assert_allclose(sa.alg2_step(ch, floored, pf).probs,
+                                       log_domain_step(ch, floored.lam, r, pf), rtol=1e-13)
+            offset = sa.build_squeeze_params(ch, r, random_offset(rng, ch, r))
+            np.testing.assert_allclose(sa.alg3_step(offset, pf).probs,
+                                       log_domain_step(ch, offset.lam, r, pf), rtol=1e-13)
+
+    @pytest.mark.parametrize("name, make, expected", [
+        ("2x8", lambda: sa.random_channel(2, 8, sa.replication_rng(0, 0)),
+         {"aba": 36, "alg1": 16, "alg2": 10, "alg3": 10}),
+        ("8x32", lambda: sa.random_channel(8, 32, sa.replication_rng(0, 0)),
+         {"aba": 1399, "alg1": 1127, "alg2": 1092, "alg3": 1092}),
+        ("3x8 s=0.012", lambda: heavy_overlap_channel(sa.replication_rng(0, 4000)),
+         {"aba": 43576, "alg1": 522, "alg2": 5, "alg3": 5}),
+    ])
+    def test_iteration_counts_pinned(self, name, make, expected):
+        ch = make()
+        lam = sa.lambda_upper_bound(ch)
+        r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
+        results = {"aba": sa.solve(ch, "aba"), "alg1": sa.solve(ch, "alg1", lam=lam)}
+        for method in ("alg2", "alg3"):
+            results[method] = sa.solve(ch, method, r=r, lam=lam)
+        assert all(res.converged for res in results.values())
+        assert {m: res.iterations for m, res in results.items()} == expected
