@@ -20,6 +20,7 @@ from .errors import (
     EmptyMatrixError,
     NegativeEntryError,
     RowSumToleranceError,
+    ValidationError,
     ZeroColumnError,
 )
 
@@ -143,7 +144,9 @@ def make_distribution(p, floor=None, tol: float = PROB_SUM_TOL) -> Distribution:
     if np.any(p < 0):
         raise NegativeEntryError(f"negative probability (min {p.min():.3e})")
     s = p.sum()
-    if abs(s - 1.0) > tol:
+    if not abs(s - 1.0) <= tol:  # also True on a NaN or infinite sum
+        if not np.isfinite(p).all():
+            raise ValidationError(f"probabilities must be finite, got {p}")
         raise DimensionMismatchError(f"probabilities sum to {s:.15g}, not 1 +/- {tol:g}")
     if floor is not None:
         floor = np.asarray(floor, dtype=float)

@@ -153,7 +153,7 @@ def _divergences(w: np.ndarray, row_loglikes: np.ndarray,
     output letter located, for the error."""
     s = q.dot(w)
     z = row_loglikes - w.dot(np.log(s))
-    zmax = z.max()
+    zmax = z[z.argmax()]  # argmax finds the first NaN, like max, at a third of its cost
     if not zmax < np.inf:  # +inf or NaN
         j = int(np.argmin(s))
         if s[j] <= 0.0:
@@ -163,15 +163,6 @@ def _divergences(w: np.ndarray, row_loglikes: np.ndarray,
             )
         raise NumericalBreakdownError("the divergences at the current iterate are not finite")
     return z, zmax
-
-
-def _divergences_at(w: np.ndarray, row_loglikes: np.ndarray, p: np.ndarray,
-                    r: np.ndarray | None, scale: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(q, z, max z) at iterate p: q = max((p - r)/scale, 0), or p itself when r
-    is None (the plain update never makes p negative, so the clamp would be the
-    identity)."""
-    q = p if r is None else np.maximum((p - r) / scale, 0.0)
-    return (q, *_divergences(w, row_loglikes, q))
 
 
 def _update(p: np.ndarray, z: np.ndarray, zmax: float, lam: float,
@@ -211,8 +202,10 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
     p = _check_start(p, r, channel.m)
     scale = 1.0 - float(r.sum()) if r is not None else 1.0
+    # the clamp matters here: _check_start lets p fall up to 1e-12 below r
+    q = p if r is None else np.maximum((p - r) / scale, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, z, zmax = _divergences_at(channel.w, -row_entropies(channel.w), p, r, scale)
+        z, zmax = _divergences(channel.w, -row_entropies(channel.w), q)
         x = _update(p, z, zmax, lam, r)
     return make_distribution(x, floor=r)
 
@@ -340,7 +333,11 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     # a zero output mass shows up as a non-finite max z (see _divergences)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(config.max_iters + 1):
-            q, z, zmax = _divergences_at(w, row_ll, p, rvec, scale)
+            # every iterate has p >= r exactly (the start adds r to a
+            # nonnegative vector, waterfill returns max(r, delta x)), so q
+            # needs no clamp; the plain update keeps p positive
+            q = p if rvec is None else (p - rvec) / scale
+            z, zmax = _divergences(w, row_ll, q)
             objective = float(q.dot(z))
             gap = zmax - objective
 

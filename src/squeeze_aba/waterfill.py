@@ -11,6 +11,12 @@ no floor exceeds delta * x_i, none binds and that is the answer, in O(m).
 Otherwise sort indices by r_i / x_i ascending; below the pivot the
 weights scale, above it the floors bind.  O(m log m) from the sort.
 
+Each input reduction is one cheap numpy call: the weights are checked at
+their two ends (argmin and argmax find a NaN, like min and max, at a
+third of their cost) before anything adds them up, and the strict test
+r_i > delta x_i runs only when the mask r_i >= delta x_i, which the result
+returns anyway, has a nonzero count.
+
 delta is scale-invariant in x up to the obvious factor: waterfill(r, c*x)
 returns delta/c with the same p.  Callers that build x from exponentials
 should shift exponents by their maximum first.
@@ -53,11 +59,12 @@ def waterfill(r, x) -> WaterfillResult:
     x = np.asarray(x, dtype=float)
     if r.shape != x.shape or r.ndim != 1 or r.size == 0:
         raise DimensionMismatchError(f"r and x must be equal-length vectors, got {r.shape} and {x.shape}")
-    if not r.min() >= 0.0:  # also rejects NaN
-        raise InfeasibleFloorError(f"floors must be nonnegative (min {r.min():.3e})")
+    r_min = r[r.argmin()]
+    if not r_min >= 0.0:  # also rejects NaN
+        raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
     if r.sum() >= 1.0:
         raise InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
-    if not (x.min() > 0.0 and x.max() < np.inf):  # min > 0 also rejects NaN
+    if not (x[x.argmin()] > 0.0 and x[x.argmax()] < np.inf):  # also rejects NaN
         raise NonpositiveWeightError("weights must be finite and strictly positive")
 
     # no floor binds at plain normalization: that is the answer
@@ -65,8 +72,10 @@ def waterfill(r, x) -> WaterfillResult:
     if delta == 0.0:  # finite weights, so the sum overflowed
         raise NonpositiveWeightError("weights overflow the float range when summed; scale them down")
     p = delta * x
-    if not (r > p).any():
-        return WaterfillResult(float(delta), r >= p, p)
+    active = r >= p
+    # a tie r_i == delta x_i is active but does not bind
+    if not (np.count_nonzero(active) and (r > p).any()):
+        return WaterfillResult(float(delta), active, p)
 
     order = np.argsort(r / x, kind="stable")
     rs = r[order]

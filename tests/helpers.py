@@ -98,6 +98,43 @@ def bisect_waterfill_delta(r: np.ndarray, x: np.ndarray, iters: int = 200) -> fl
     return (lo + hi) / 2.0
 
 
+def reference_waterfill(r, x) -> sa.WaterfillResult:
+    """Independent oracle: ``waterfill`` as it was before its weights were
+    checked through their sum, with every input reduction taken in full."""
+    r = np.asarray(r, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if r.shape != x.shape or r.ndim != 1 or r.size == 0:
+        raise sa.DimensionMismatchError(f"r and x must be equal-length vectors, got {r.shape} and {x.shape}")
+    if not r.min() >= 0.0:  # also rejects NaN
+        raise sa.InfeasibleFloorError(f"floors must be nonnegative (min {r.min():.3e})")
+    if r.sum() >= 1.0:
+        raise sa.InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
+    if not (x.min() > 0.0 and x.max() < np.inf):  # min > 0 also rejects NaN
+        raise sa.NonpositiveWeightError("weights must be finite and strictly positive")
+
+    # no floor binds at plain normalization: that is the answer
+    delta = 1.0 / x.sum()
+    if delta == 0.0:  # finite weights, so the sum overflowed
+        raise sa.NonpositiveWeightError("weights overflow the float range when summed; scale them down")
+    p = delta * x
+    if not (r > p).any():
+        return sa.WaterfillResult(float(delta), r >= p, p)
+
+    order = np.argsort(r / x, kind="stable")
+    rs = r[order]
+    xs = x[order]
+    x_prefix = np.cumsum(xs)
+    r_suffix = np.concatenate([np.cumsum(rs[::-1])[::-1], [0.0]])
+    feas = (rs / xs) * x_prefix + r_suffix[1:] <= 1.0
+    k = int(np.nonzero(feas)[0][-1])
+    head = float(xs[: k + 1].sum())
+    tail = float(rs[k + 1:].sum())
+    delta = (1.0 - tail) / head
+
+    p = np.maximum(r, delta * x)
+    return sa.WaterfillResult(float(delta), r >= delta * x, p)
+
+
 def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:
     """Independent oracle: one step of Algorithm 3 in its literal posterior form,
 

@@ -70,6 +70,10 @@ def test_make_distribution_checks():
         sa.make_distribution([1.25, -0.25])
     with pytest.raises(sa.DimensionMismatchError):
         sa.make_distribution([0.5, 0.6])
+    # a NaN sum passes both the sign and the sum test unless the compare is negated
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(sa.ValidationError, match="probabilities must be finite"):
+            sa.make_distribution(bad)
 
 
 def test_distribution_floor_membership():

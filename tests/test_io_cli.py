@@ -213,6 +213,11 @@ class TestInterfaceStability:
         doc = json.loads(capsys.readouterr().out)
         assert np.allclose(doc["r"], [0.125, 0.125], atol=1e-12)
 
+    def test_params_non_finite_q_rejected(self, channel_csv, capsys):
+        assert main(["params", channel_csv, "--strategy", "heuristic",
+                     "--q", "nan,1"]) == 2
+        assert "probabilities must be finite" in capsys.readouterr().err
+
 
 class TestCliBench:
     def test_bench_outputs_and_determinism(self, tmp_path, capsys):

@@ -409,6 +409,16 @@ class TestSolve:
         assert not path.exists()
 
 
+PINNED = [
+    ("2x8", lambda: sa.random_channel(2, 8, sa.replication_rng(0, 0)),
+     {"aba": 36, "alg1": 16, "alg2": 10, "alg3": 10}),
+    ("8x32", lambda: sa.random_channel(8, 32, sa.replication_rng(0, 0)),
+     {"aba": 1399, "alg1": 1127, "alg2": 1092, "alg3": 1092}),
+    ("3x8 s=0.012", lambda: heavy_overlap_channel(sa.replication_rng(0, 4000)),
+     {"aba": 43576, "alg1": 522, "alg2": 5, "alg3": 5}),
+]
+
+
 class TestUpdateKernel:
     """The kernel p_i exp(lambda (z_i - max z)) against the log-domain form
     exp(ln p_i + lambda z_i - max), which it replaced, and the iteration counts
@@ -433,14 +443,7 @@ class TestUpdateKernel:
             np.testing.assert_allclose(sa.alg3_step(offset, pf).probs,
                                        log_domain_step(ch, offset.lam, r, pf), rtol=1e-13)
 
-    @pytest.mark.parametrize("name, make, expected", [
-        ("2x8", lambda: sa.random_channel(2, 8, sa.replication_rng(0, 0)),
-         {"aba": 36, "alg1": 16, "alg2": 10, "alg3": 10}),
-        ("8x32", lambda: sa.random_channel(8, 32, sa.replication_rng(0, 0)),
-         {"aba": 1399, "alg1": 1127, "alg2": 1092, "alg3": 1092}),
-        ("3x8 s=0.012", lambda: heavy_overlap_channel(sa.replication_rng(0, 4000)),
-         {"aba": 43576, "alg1": 522, "alg2": 5, "alg3": 5}),
-    ])
+    @pytest.mark.parametrize("name, make, expected", PINNED)
     def test_iteration_counts_pinned(self, name, make, expected):
         ch = make()
         lam = sa.lambda_upper_bound(ch)
@@ -450,3 +453,25 @@ class TestUpdateKernel:
             results[method] = sa.solve(ch, method, r=r, lam=lam)
         assert all(res.converged for res in results.values())
         assert {m: res.iterations for m, res in results.items()} == expected
+
+    @pytest.mark.parametrize("name, make, expected", PINNED)
+    def test_floored_iterates_dominate_the_floor(self, name, make, expected):
+        # p >= r holds exactly on every iterate, so solve forms q = (p - r)/(1 - r_+)
+        # without clamping it at 0
+        ch = make()
+        r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
+        for method in ("alg2", "alg3"):
+            res = sa.solve(ch, method, r=r, lam=sa.lambda_upper_bound(ch),
+                           config=sa.SolverConfig(record_trace=True))
+            assert res.iterations == expected[method]
+            assert len(res.trace) == res.iterations + 1
+            assert all(np.all(rec.p >= res.params.r) for rec in res.trace)
+
+    def test_divergence_max_finds_a_nan(self):
+        # the loop takes max z as z[z.argmax()]: argmax returns the first NaN,
+        # so a NaN beside a larger finite z is still a breakdown
+        w = np.eye(3)
+        q = np.full(3, 1.0 / 3.0)
+        for row_ll in ([np.nan, 5.0, 0.0], [5.0, 0.0, np.nan], [0.0, np.nan, 5.0]):
+            with pytest.raises(sa.NumericalBreakdownError, match="not finite"):
+                sa.solvers._divergences(w, np.array(row_ll), q)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import squeeze_aba as sa
-from helpers import bisect_waterfill_delta
+from helpers import bisect_waterfill_delta, reference_waterfill
 
 
 def test_zero_floor_is_plain_normalization():
@@ -131,3 +133,91 @@ def test_monotone_in_weights(rng):
         p1 = sa.waterfill(r, x).p
         p2 = sa.waterfill(r, x2).p
         assert p2[i] >= p1[i] - 1e-12
+
+
+def _outcome(fn, r, x, strict):
+    """What ``fn(r, x)`` gives: its exception's class and message, or the
+    bytes of delta, active_floor and p.  ``strict`` turns numpy's warnings
+    into errors, so they must match too; otherwise overflow is ignored."""
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error")
+        try:
+            with np.errstate(over="warn" if strict else "ignore"):
+                res = fn(r, x)
+        except (sa.SqueezeAbaError, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+    return float(res.delta).hex(), res.active_floor.tobytes(), res.p.tobytes()
+
+
+class TestMatchesReference:
+    """``waterfill`` against its form before the cheap input reductions
+    (``helpers.reference_waterfill``): bytewise the same delta, active_floor
+    and p, and the same exception class and message on every invalid input."""
+
+    def _same(self, r, x):
+        for strict in (False, True):
+            expected = _outcome(reference_waterfill, r, x, strict)
+            assert _outcome(sa.waterfill, r, x, strict) == expected, (r, x, strict)
+        return expected
+
+    def test_no_floor_binds(self, rng):
+        for trial in range(500):
+            m = int(rng.integers(1, 80))
+            x = rng.uniform(1e-3, 10.0, m)
+            r = rng.uniform(0.0, 1.0, m) * x / x.sum()
+            if trial % 2:
+                r[rng.uniform(size=m) < 0.5] = 0.0
+            assert not any(self._same(r, x)[1])
+
+    def test_binding_floors(self, rng):
+        for _ in range(500):
+            m = int(rng.integers(2, 50))
+            x = np.exp(rng.uniform(-20.0, 0.0, m))
+            r = rng.uniform(0.0, 1.0, m)
+            r *= rng.uniform(0.0, 0.98) / r.sum()
+            self._same(r, x)
+
+    def test_exact_ties(self, rng):
+        for _ in range(300):
+            m = int(rng.integers(2, 30))
+            x = rng.uniform(0.1, 10.0, m)
+            share = (1.0 / x.sum()) * x
+            r = rng.uniform(0.0, 0.5) * share
+            tie = rng.uniform(size=m) < 0.3
+            r[tie] = share[tie]
+            if r.sum() < 1.0:
+                self._same(r, x)
+
+    def test_weight_underflowing_to_zero(self, rng):
+        # delta x_i underflows to 0, so a zero floor touches: active, not binding
+        for _ in range(100):
+            m = int(rng.integers(3, 20))
+            x = rng.uniform(0.5, 2.0, m)
+            x[0] = 1e300
+            x[1:3] = 1e-30
+            r = np.where(rng.uniform(size=m) < 0.5, 0.0, 1e-9)
+            r[1:3] = 0.0
+            res = self._same(r, x)
+            assert np.frombuffer(res[1], dtype=bool)[1]
+        # a subnormal sum makes delta infinite (numpy warns on the overflow)
+        self._same([0.0, 0.0], [1e-320, 1e-320])
+
+    @pytest.mark.parametrize("r", [[0.0, 0.0], [0.1, 0.1], [0.6, 0.0], [0.0, 0.6]])
+    def test_invalid_weights(self, r):
+        # the inputs of test_feasibility_errors and test_weight_sum_overflow_rejected,
+        # under floors that would bind and floors that would not, and weights
+        # whose sum alone looks valid
+        for x in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [np.nan, np.inf],
+                  [1e308, 1e308], [0.0, 0.0], [-1.0, 3.0], [1e-320, 0.0], [np.inf, -np.inf],
+                  [1e10, -1e10, 1e-300], [1e308, 1e308, -1.0], [1e308, 1e308, np.inf]):
+            r_full = np.resize(r, len(x)) * (2 / len(x))
+            outcome = self._same(r_full, x)
+            assert outcome[0] in (sa.NonpositiveWeightError, RuntimeWarning), (r, x)
+
+    def test_invalid_floors(self):
+        for x in ([1.0, 1.0], [1.0, 9.0], [1.0, 0.0], [1e308, 1e308]):
+            for r in ([0.7, 0.4], [0.5, 0.5], [-0.1, 0.2], [-1e-300, 0.0], [np.nan, 0.1],
+                      [0.1, np.inf]):
+                assert self._same(r, x)[0] is sa.InfeasibleFloorError, (r, x)
+        assert self._same([0.1, 0.1], [1.0, 1.0, 1.0])[0] is sa.DimensionMismatchError
