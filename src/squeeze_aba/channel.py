@@ -141,9 +141,10 @@ def make_distribution(p, floor=None, tol: float = PROB_SUM_TOL) -> Distribution:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
-    if np.any(p < 0):
+    if not p[p.argmin()] >= 0.0 and np.any(p < 0):  # argmin finds a NaN, like min
         raise NegativeEntryError(f"negative probability (min {p.min():.3e})")
-    s = p.sum()
+    with np.errstate(over="ignore"):  # a sum past the float range fails below as inf
+        s = np.add.reduce(p)
     if not abs(s - 1.0) <= tol:  # also True on a NaN or infinite sum
         if not np.isfinite(p).all():
             raise ValidationError(f"probabilities must be finite, got {p}")

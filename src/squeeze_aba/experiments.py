@@ -121,16 +121,9 @@ def _run_one(config: BenchConfig, k: int) -> BenchRecord:
             counts[method] = None
             errors[method] = str(exc)
 
-    base = counts.get("aba")
-    ratios: dict[str, float | None] = {}
-    for method in config.methods:
-        if method == "aba":
-            continue
-        cnt = counts.get(method)
-        if base and cnt:
-            ratios[method] = math.log2(base / cnt)
-        else:
-            ratios[method] = None
+    base = counts["aba"]  # BenchConfig requires the baseline
+    ratios = {method: math.log2(base / counts[method]) if base and counts[method] else None
+              for method in config.methods if method != "aba"}
     return BenchRecord(k, counts, ratios, errors)
 
 

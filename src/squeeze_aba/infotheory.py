@@ -38,9 +38,10 @@ def row_entropies(w) -> np.ndarray:
         raise DimensionMismatchError(f"w must be a 2-d matrix, got shape {w.shape}")
     if w.size and w.min() < 0:
         raise NegativeEntryError(f"w has a negative entry (min {w.min():.3e})")
-    wlogw = np.log(w, out=np.zeros_like(w), where=w > 0)  # 0 ln 0 = 0
+    wlogw = w + (w == 0)  # 0 ln 1 = 0 stands for 0 ln 0 = 0
+    np.log(wlogw, out=wlogw)
     wlogw *= w
-    return -wlogw.sum(axis=1)
+    return -np.add.reduce(wlogw, axis=1)
 
 
 def kl_divergence(q, s) -> float:

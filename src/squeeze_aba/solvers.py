@@ -178,7 +178,7 @@ def _update(p: np.ndarray, z: np.ndarray, zmax: float, lam: float,
     x *= p
     if r is not None:
         return waterfill(r, x).p
-    x /= x.sum()
+    x /= np.add.reduce(x)
     return x
 
 
@@ -186,8 +186,8 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     if p.shape != (m,):
         raise DimensionMismatchError(f"start must have length {m}, got shape {p.shape}")
-    # False on a NaN too; the loop's errstate would let a non-finite start through
-    if not 0.0 < p.min() <= p.max() < np.inf:
+    # False on a NaN too (argmin finds it, like min); the loop's errstate would let it through
+    if not 0.0 < p[p.argmin()] <= p[p.argmax()] < np.inf:
         if not np.isfinite(p).all():
             raise ValidationError(f"start must be finite, got {p}")
         raise NonInteriorStartError("start must have all components strictly positive")
@@ -222,7 +222,7 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
     turns a violation into a warning (convergence is then no longer
     guaranteed).
     """
-    _check_lambda(channel, np.zeros(channel.m), lam, force)
+    _check_lambda(lam, *lambda_bounds(channel, np.zeros(channel.m)), force)
     return _step(channel, lam, None, p)
 
 
@@ -314,16 +314,12 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
 
     m = channel.m
     rvec = sp.r if method in ("alg2", "alg3") else None
-    start = config.initial if config.initial is not None else uniform(m)
-    q0 = _check_start(start, None, m)
-    if rvec is not None:
-        p = (1.0 - sp.r_plus) * q0 + rvec
-    else:
-        p = q0.copy()
+    q0 = np.full(m, 1.0 / m) if config.initial is None else _check_start(config.initial, None, m)
+    scale = 1.0 - sp.r_plus if rvec is not None else 1.0
+    p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to p
 
     w = channel.w
     row_ll = -row_entropies(w)
-    scale = 1.0 - sp.r_plus if rvec is not None else 1.0
 
     trace: list[IterationRecord] = []
     prev_objective = -np.inf
@@ -363,10 +359,8 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
             p = _update(p, z, zmax, sp.lam, rvec)
 
     # the loop ends on an iterate whose q and z it has just evaluated
-    p_hat = make_distribution(q / q.sum())
-    lower = objective
-    upper = float(zmax)
-    return SolveResult(p_hat, lower, lower, upper, iterations, converged,
+    p_hat = make_distribution(q / np.add.reduce(q))
+    return SolveResult(p_hat, objective, objective, float(zmax), iterations, converged,
                        method, sp, tuple(trace))
 
 

@@ -13,6 +13,8 @@ r_+ < 1, W >= 1_m rW and W~ >= 0.  Both matrix conditions are column
 tests, since W* and W~ grow with W_ij down a column: with room_j =
 min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
 entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
+Resolution is a single pass: each builder checks r and f once and forms
+room once, and ``params_from_r_lambda`` draws its offset from that room.
 ``SqueezeParams`` keeps (r, f, lambda) and derives W*, W~ and c on demand.
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
@@ -98,18 +100,26 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
         v = np.full(length, float(v))
     if v.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} must be finite")
-    if np.any(v < 0):
+    # argmin and argmax find a NaN, like min and max; the full checks only pick the error
+    if not (v[v.argmin()] >= 0.0 and v[v.argmax()] < np.inf):
+        if not np.isfinite(v).all():
+            raise ValidationError(f"{name} must be finite")
         raise NegativeEntryError(f"{name} must be nonnegative (min {v.min():.3e})")
     return v
 
 
+def _floor_mass(r: np.ndarray) -> float:
+    r_plus = float(np.add.reduce(r))
+    if r_plus >= 1.0:
+        raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
+    return r_plus
+
+
 def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
-    """Raise ``error``, or under ``force`` warn at the checking function's caller."""
+    """Raise ``error``, or under ``force`` warn at the caller of the public function."""
     if not force:
         raise error(msg)
-    warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
 def _worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
@@ -120,6 +130,11 @@ def _worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
     return int(rows.min()), int(cols[np.argmin(rows)])
 
 
+def _bounds(r_plus: float, col_min: np.ndarray) -> tuple[float, float]:
+    overlap = float(np.add.reduce(col_min))
+    return 1.0 / (1.0 - r_plus), float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
+
+
 def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
     """Feasible interval for the exponent gain at floor r.
 
@@ -127,21 +142,38 @@ def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
     does not depend on r.  The upper bound is infinite for a channel whose
     rows are all equal.
     """
-    r = _check_vector(r, channel.m, "r")
-    r_plus = float(r.sum())
-    if r_plus >= 1.0:
-        raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
-    overlap = float(channel.column_minima().sum())
-    hi = float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
-    return 1.0 / (1.0 - r_plus), hi
+    return _bounds(_floor_mass(_check_vector(r, channel.m, "r")), channel.column_minima())
 
 
-def _check_lambda(channel: ChannelMatrix, r, lam: float, force: bool) -> None:
-    """LambdaRangeError (a warning under ``force``) unless lam is in lambda_bounds."""
-    lo, hi = lambda_bounds(channel, r)
+def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
+    """LambdaRangeError (a warning under ``force``) unless lo <= lam <= hi."""
     if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
         _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
                    f"interval [{lo:.15g}, {hi:.15g}]", force)
+
+
+def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.ndarray,
+                  room: np.ndarray, force: bool) -> SqueezeParams:
+    """SqueezeParams from a checked floor r (mass r_plus < 1) and offset f,
+    given room = min_i W_ij - (rW)_j, after both column tests."""
+    w = channel.w
+    f_plus = float(np.add.reduce(f))
+    feasible = True
+    if room[room.argmin()] < -CONSTRAINT_TOL:
+        i, j = _worst_entry(w, room)
+        _violation(FloorConstraintError,
+                   f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
+                   f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}", force)
+        feasible = False
+    tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
+    if tilde_min[tilde_min.argmin()] < -CONSTRAINT_TOL:
+        i, j = _worst_entry(w, tilde_min)
+        _violation(SqueezeConstraintError,
+                   f"offset constraint violated: squeezed entry ({i},{j}) = "
+                   f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
+        feasible = False
+    return SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
+                         feasible)
 
 
 def build_squeeze_params(channel: ChannelMatrix, r, f, *,
@@ -153,33 +185,10 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
     ``force=True`` violations warn instead, the result is marked
     infeasible, and its derived W* and W~ clamp negative entries to 0.
     """
-    w = channel.w
     r = _check_vector(r, channel.m, "r")
     f = _check_vector(f, channel.n, "f")
-    r_plus = float(r.sum())
-    f_plus = float(f.sum())
-    if r_plus >= 1.0:
-        raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
-
-    feasible = True
-    rw = r @ w
-    room = channel.column_minima() - rw
-    if room.min() < -CONSTRAINT_TOL:
-        i, j = _worst_entry(w, room)
-        _violation(FloorConstraintError,
-                   f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
-                   f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-room[j]:.3e}", force)
-        feasible = False
-
-    tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
-    if tilde_min.min() < -CONSTRAINT_TOL:
-        i, j = _worst_entry(w, tilde_min)
-        _violation(SqueezeConstraintError,
-                   f"offset constraint violated: squeezed entry ({i},{j}) = "
-                   f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
-        feasible = False
-    return SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
-                         feasible)
+    r_plus = _floor_mass(r)
+    return _column_tests(channel, r, r_plus, f, channel.column_minima() - r @ channel.w, force)
 
 
 def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
@@ -196,16 +205,18 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
     """
     r = _check_vector(r, channel.m, "r")
     lam = float(lam)
-    _check_lambda(channel, r, lam, force)
-    r_plus = float(r.sum())
+    r_plus = _floor_mass(r)
+    col_min = channel.column_minima()
+    _check_lambda(lam, *_bounds(r_plus, col_min), force)
+    room = col_min - r @ channel.w
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:
         f = np.zeros(channel.n)
     else:
-        col_min = np.maximum(channel.column_minima() - r @ channel.w, 0.0) / (1.0 - r_plus)
-        total = col_min.sum()
+        star_min = np.maximum(room, 0.0) / (1.0 - r_plus)
+        total = np.add.reduce(star_min)
         if total <= 0.0:
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
-        f = mult * col_min / total
-    return build_squeeze_params(channel, r, f, force=force)
+        f = _check_vector(mult * star_min / total, channel.n, "f")
+    return _column_tests(channel, r, r_plus, f, room, force)

@@ -68,8 +68,7 @@ def lambda_upper_bound(channel: ChannelMatrix) -> float:
     """1 / (1 - sum_j min_i W_ij), the largest provably safe exponent gain."""
     if channel.all_rows_equal:
         raise DegenerateChannelError("all rows equal: the exponent-gain bound is infinite")
-    overlap = float(channel.column_minima().sum())
-    return 1.0 / (1.0 - overlap)
+    return 1.0 / (1.0 - float(np.add.reduce(channel.column_minima())))
 
 
 def optimal_g(channel: ChannelMatrix) -> np.ndarray:
@@ -77,7 +76,7 @@ def optimal_g(channel: ChannelMatrix) -> np.ndarray:
     if channel.all_rows_equal:
         raise DegenerateChannelError("all rows equal: no finite optimal squeeze")
     col_min = channel.column_minima()
-    return col_min / (1.0 - col_min.sum())
+    return col_min / (1.0 - np.add.reduce(col_min))
 
 
 def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
@@ -91,16 +90,16 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
         raise NotTwoByNError(f"optimal floor formula needs 2 rows, channel has {channel.m}")
     if channel.all_rows_equal:
         raise DegenerateChannelError("rows are equal: floor is unconstrained and useless")
-    w1, w2 = channel.w[0], channel.w[1]
-    up = w1 > w2
-    dn = w2 > w1
+    w1, w2 = channel.w
+    d = w1 - w2  # d_j > 0 exactly where W_1j > W_2j, and -d is W_2 - W_1 exactly
+    up, dn = d > 0.0, d < 0.0
     # For distinct stochastic rows both sets are nonempty (the rows must
     # cross); an empty set can only come from inconsistent rounding.
-    if not up.any() or not dn.any():
+    if not (np.count_nonzero(up) and np.count_nonzero(dn)):
         raise NoStrictColumnError("one row dominates the other elementwise; "
                                   "rows cannot both sum to 1")
-    a = float(np.min(w2[up] / (w1 - w2)[up]))
-    b = float(np.min(w1[dn] / (w2 - w1)[dn]))
+    a = float(np.minimum.reduce(w2[up] / d[up]))
+    b = float(np.minimum.reduce(w1[dn] / -d[dn]))
     return np.array([a, b]) / (1.0 + a + b)
 
 
@@ -128,11 +127,11 @@ def offset_from_g(channel: ChannelMatrix, g, r) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     r = np.asarray(r, dtype=float)
-    f = g - (1.0 + g.sum()) * (r @ channel.w)
-    if f.min() < -CONSTRAINT_TOL:
+    f = g - (1.0 + np.add.reduce(g)) * (r @ channel.w)
+    f_min = f[f.argmin()]
+    if f_min < -CONSTRAINT_TOL:
         raise SqueezeConstraintError(
-            f"combined squeeze g is infeasible at this floor (min offset {f.min():.3e})"
-        )
+            f"combined squeeze g is infeasible at this floor (min offset {f_min:.3e})")
     return np.maximum(f, 0.0)
 
 
@@ -152,7 +151,7 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
         return SqueezePlan(np.zeros(m), np.zeros(n), np.zeros(n), 1.0, strategy)
 
     g = optimal_g(channel)
-    lam = 1.0 + float(g.sum())
+    lam = 1.0 + float(np.add.reduce(g))
     if lam <= 1.0 + CONSTRAINT_TOL:
         warnings.warn("channel not squeezable: rows have no overlap, so the "
                       "plan reduces to the plain iteration", RuntimeWarning, stacklevel=2)

@@ -11,9 +11,10 @@ no floor exceeds delta * x_i, none binds and that is the answer, in O(m).
 Otherwise sort indices by r_i / x_i ascending; below the pivot the
 weights scale, above it the floors bind.  O(m log m) from the sort.
 
-Each input reduction is one cheap numpy call: the weights are checked at
-their two ends (argmin and argmax find a NaN, like min and max, at a
-third of their cost) before anything adds them up, and the strict test
+Each input reduction is one cheap numpy call (sums are np.add.reduce,
+ndarray.sum without its Python wrapper): the weights are checked at their
+two ends (argmin and argmax find a NaN, like min and max, at a third of
+their cost) before anything adds them up, and the strict test
 r_i > delta x_i runs only when the mask r_i >= delta x_i, which the result
 returns anyway, has a nonzero count.
 
@@ -28,23 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _readonly
 from .errors import DimensionMismatchError, InfeasibleFloorError, NonpositiveWeightError
 
 
 @dataclass(frozen=True)
 class WaterfillResult:
-    """delta, the floor-active mask, and the normalized vector p."""
+    """delta, the floor-active mask, and the normalized vector p, set read-only in place."""
 
     delta: float
     active_floor: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _readonly(self.p))
-        a = np.ascontiguousarray(self.active_floor, dtype=bool)
-        a.setflags(write=False)
-        object.__setattr__(self, "active_floor", a)
+        self.p.setflags(write=False)
+        self.active_floor.setflags(write=False)
 
 
 def waterfill(r, x) -> WaterfillResult:
@@ -62,20 +60,23 @@ def waterfill(r, x) -> WaterfillResult:
     r_min = r[r.argmin()]
     if not r_min >= 0.0:  # also rejects NaN
         raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
-    if r.sum() >= 1.0:
+    if np.add.reduce(r) >= 1.0:
         raise InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
     if not (x[x.argmin()] > 0.0 and x[x.argmax()] < np.inf):  # also rejects NaN
         raise NonpositiveWeightError("weights must be finite and strictly positive")
 
-    # no floor binds at plain normalization: that is the answer
-    delta = 1.0 / x.sum()
-    if delta == 0.0:  # finite weights, so the sum overflowed
+    # no floor binds at plain normalization: that is the answer.  A Python float
+    # divides without numpy's warning; delta 0 or inf means the sum over- or underflowed
+    delta = 1.0 / float(np.add.reduce(x))
+    if delta == 0.0:
         raise NonpositiveWeightError("weights overflow the float range when summed; scale them down")
+    if delta == np.inf:
+        raise NonpositiveWeightError("weights underflow the float range when summed; scale them up")
     p = delta * x
     active = r >= p
     # a tie r_i == delta x_i is active but does not bind
     if not (np.count_nonzero(active) and (r > p).any()):
-        return WaterfillResult(float(delta), active, p)
+        return WaterfillResult(delta, active, p)
 
     order = np.argsort(r / x, kind="stable")
     rs = r[order]
@@ -90,9 +91,9 @@ def waterfill(r, x) -> WaterfillResult:
 
     # recompute the two sums at the pivot with fresh pairwise summation;
     # cumsum error at large m could otherwise leak into delta
-    head = float(xs[: k + 1].sum())
-    tail = float(rs[k + 1:].sum())
+    head = float(np.add.reduce(xs[: k + 1]))
+    tail = float(np.add.reduce(rs[k + 1:]))
     delta = (1.0 - tail) / head
 
     p = np.maximum(r, delta * x)
-    return WaterfillResult(float(delta), r >= delta * x, p)
+    return WaterfillResult(delta, r >= delta * x, p)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 import squeeze_aba as sa
+from squeeze_aba.squeeze import CONSTRAINT_TOL
 
 # The 2x3 reference channel used across golden tests.  Its optimal input is
 # (1/2, 1/2) by symmetry and its capacity equals D(row1 || (0.4, 0.2, 0.4)).
@@ -133,6 +136,99 @@ def reference_waterfill(r, x) -> sa.WaterfillResult:
 
     p = np.maximum(r, delta * x)
     return sa.WaterfillResult(float(delta), r >= delta * x, p)
+
+
+def _reference_check_vector(v, length: int, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        v = np.full(length, float(v))
+    if v.shape != (length,):
+        raise sa.DimensionMismatchError(f"{name} must have length {length}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise sa.ValidationError(f"{name} must be finite")
+    if np.any(v < 0):
+        raise sa.NegativeEntryError(f"{name} must be nonnegative (min {v.min():.3e})")
+    return v
+
+
+def _reference_violation(error, msg: str, force: bool) -> None:
+    if not force:
+        raise error(msg)
+    warnings.warn(msg, RuntimeWarning, stacklevel=3)
+
+
+def _reference_worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
+    cols = np.flatnonzero(col_worst == col_worst.min())
+    rows = w[:, cols].argmin(axis=0)
+    return int(rows.min()), int(cols[np.argmin(rows)])
+
+
+def _reference_lambda_bounds(channel: sa.ChannelMatrix, r) -> tuple[float, float]:
+    r = _reference_check_vector(r, channel.m, "r")
+    r_plus = float(r.sum())
+    if r_plus >= 1.0:
+        raise sa.InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
+    overlap = float(channel.column_minima().sum())
+    hi = float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
+    return 1.0 / (1.0 - r_plus), hi
+
+
+def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
+                                   force: bool = False) -> sa.SqueezeParams:
+    """Independent oracle: ``build_squeeze_params`` as it was before parameter
+    resolution became a single pass, with every input check taken in full."""
+    w = channel.w
+    r = _reference_check_vector(r, channel.m, "r")
+    f = _reference_check_vector(f, channel.n, "f")
+    r_plus = float(r.sum())
+    f_plus = float(f.sum())
+    if r_plus >= 1.0:
+        raise sa.InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
+
+    feasible = True
+    rw = r @ w
+    room = channel.column_minima() - rw
+    if room.min() < -CONSTRAINT_TOL:
+        i, j = _reference_worst_entry(w, room)
+        _reference_violation(sa.FloorConstraintError,
+                             f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
+                             f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-room[j]:.3e}", force)
+        feasible = False
+
+    tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
+    if tilde_min.min() < -CONSTRAINT_TOL:
+        i, j = _reference_worst_entry(w, tilde_min)
+        _reference_violation(sa.SqueezeConstraintError,
+                             f"offset constraint violated: squeezed entry ({i},{j}) = "
+                             f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
+        feasible = False
+    return sa.SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
+                            feasible)
+
+
+def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
+                                   force: bool = False) -> sa.SqueezeParams:
+    """Independent oracle: ``params_from_r_lambda`` as it was before parameter
+    resolution became a single pass: it checked r three times, took the
+    column minima three times and formed rW twice."""
+    r = _reference_check_vector(r, channel.m, "r")
+    lam = float(lam)
+    lo, hi = _reference_lambda_bounds(channel, r)
+    if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
+        _reference_violation(sa.LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
+                             f"interval [{lo:.15g}, {hi:.15g}]", force)
+    r_plus = float(r.sum())
+    mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
+    if mult == 0.0:
+        f = np.zeros(channel.n)
+    else:
+        col_min = np.maximum(channel.column_minima() - r @ channel.w, 0.0) / (1.0 - r_plus)
+        total = col_min.sum()
+        if total <= 0.0:
+            raise sa.LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
+                                      f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
+        f = mult * col_min / total
+    return reference_build_squeeze_params(channel, r, f, force=force)
 
 
 def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ def test_make_distribution_checks():
     for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(sa.ValidationError, match="probabilities must be finite"):
             sa.make_distribution(bad)
+    # a NaN does not hide a negative entry from the sign test
+    with pytest.raises(sa.NegativeEntryError, match="negative probability"):
+        sa.make_distribution([np.nan, -1.0])
+    # a sum past the float range is an error about the sum, with no numpy warning
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(sa.DimensionMismatchError,
+                           match=r"^probabilities sum to inf, not 1 \+/- 1e-12$"):
+            sa.make_distribution([1e308, 1e308])
 
 
 def test_distribution_floor_membership():

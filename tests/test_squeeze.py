@@ -14,6 +14,8 @@ from helpers import (
     random_channel,
     random_floor,
     random_offset,
+    reference_build_squeeze_params,
+    reference_params_from_r_lambda,
 )
 
 
@@ -189,3 +191,129 @@ class TestParamsFromRLambda:
         with pytest.warns(RuntimeWarning):
             params = sa.params_from_r_lambda(golden, [0, 0], 2.5, force=True)
         assert not params.feasible
+
+
+def _resolution(fn, channel, *args, force):
+    """What ``fn(channel, *args, force=force)`` gives: the params' bytes, or
+    its exception's class and message; and every warning's class and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sp = fn(channel, *args, force=force)
+            out = (sp.r.tobytes(), sp.f.tobytes(), float(sp.lam).hex(), float(sp.r_plus).hex(),
+                   float(sp.f_plus).hex(), sp.feasible, sp.channel is channel)
+        except (sa.SqueezeAbaError, TypeError, ValueError) as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+BAD_VECTORS = ([np.nan, 0.1], [np.inf, 0.1], [-np.inf, 0.1], [0.1, -0.1], [np.nan, -1.0],
+               [-1.0, np.inf], [0.1, 0.1, 0.1], [[0.1, 0.1]], np.nan, -0.1)
+
+
+class TestResolutionMatchesReference:
+    """Single-pass parameter resolution against its form before it
+    (``helpers.reference_params_from_r_lambda`` and
+    ``reference_build_squeeze_params``): bytewise the same r, f, lambda,
+    r_+, f_+ and verdict, and the same exception and warnings, forced or not."""
+
+    def _same(self, channel, *args):
+        outcomes = []
+        fn, ref = ((sa.params_from_r_lambda, reference_params_from_r_lambda)
+                   if np.ndim(args[1]) == 0 or isinstance(args[1], str)
+                   else (sa.build_squeeze_params, reference_build_squeeze_params))
+        for force in (False, True):
+            expected = _resolution(ref, channel, *args, force=force)
+            assert _resolution(fn, channel, *args, force=force) == expected, (args, force)
+            outcomes.append(expected)
+        return outcomes
+
+    def test_seeded_floors_and_gains(self, rng):
+        verdicts = set()
+        for _ in range(300):
+            ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 10)))
+            # a scale above 1 can break the floor constraint
+            r = random_floor(rng, ch, float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+            if r.sum() >= 1.0:
+                self._same(ch, r, 1.5)
+                continue
+            lo, hi = sa.lambda_bounds(ch, r)
+            for lam in (lo, hi, rng.uniform(lo, max(lo, hi)), lo * (1 - 1e-10), hi * (1 + 1e-10),
+                        lo - 2e-12, hi + 2e-12):
+                for out, caught in self._same(ch, r, lam):
+                    verdicts.add((out[0] if isinstance(out[0], type) else out[5],
+                                  tuple(c for c, _ in caught)))
+            f = random_offset(rng, ch, np.zeros(ch.m), float(rng.choice([0.5, 1.0, 1.5])))
+            for out, caught in self._same(ch, r, f):
+                verdicts.add((out[0] if isinstance(out[0], type) else out[5],
+                              tuple(c for c, _ in caught)))
+        # every error, warnings, and feasible and infeasible results all occur
+        assert {v[0] for v in verdicts} >= {True, False, sa.LambdaRangeError,
+                                            sa.FloorConstraintError, sa.SqueezeConstraintError}
+        assert any(v[1] for v in verdicts)
+
+    def test_invalid_vectors(self, golden):
+        for bad in BAD_VECTORS:
+            self._same(golden, bad, 1.2)
+            self._same(golden, bad, [0.0, 0.0, 0.0])
+            self._same(golden, [0.0, 0.0], bad)
+            self._same(golden, [0.0, 0.0], [0.0, 0.0, bad] if np.ndim(bad) == 0 else bad)
+        # the first bad input wins, and r is checked before lambda is converted
+        for lam in ("abc", None, np.nan, np.inf):
+            self._same(golden, [np.nan, 0.0], lam)
+            self._same(golden, [0.6, 0.6], lam)
+            self._same(golden, [0.0, 0.0], lam)
+
+    def test_floor_mass_at_least_one(self, golden):
+        for r in ([0.5, 0.5], [0.7, 0.6], [1.0, 0.0]):
+            for outcome in self._same(golden, r, 1.2) + self._same(golden, r, [0.0, 0.0, 0.0]):
+                assert outcome[0][0] is sa.InfeasibleFloorError
+
+    def test_gain_just_outside_its_interval(self, golden):
+        for r in ([0.0, 0.0], [0.1, 0.05]):
+            lo, hi = sa.lambda_bounds(golden, r)
+            edges = (lo - 1e-12, hi + 1e-12)  # the slack
+            outside = [np.nextafter(edges[0], 0.0), np.nextafter(edges[1], np.inf), lo - 1e-9, hi + 1e-9]
+            for lam in outside:
+                plain, forced = self._same(golden, r, lam)
+                assert plain[0][0] is sa.LambdaRangeError
+                assert "outside feasible interval" in forced[1][0][1]
+            for lam in edges:
+                assert not self._same(golden, r, lam)[0][1]
+
+    def test_channel_without_squeezing_room(self):
+        # no overlap, and an overlap that the floor takes up exactly: lo = hi
+        for entries, r in (([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                           ([[0.75, 0.25], [0.25, 0.75]], [0.25, 0.25])):
+            ch = sa.validate_channel(entries)
+            lo, hi = sa.lambda_bounds(ch, r)
+            assert lo == hi
+            # inside the slack the gain asks for an offset there is no room for
+            for outcome in self._same(ch, r, lo + 5e-13):
+                assert outcome[0][0] is sa.LambdaRangeError and "no squeezing room" in outcome[0][1]
+            plain, forced = self._same(ch, r, 1.5 * lo)
+            assert "outside feasible interval" in plain[0][1]
+            assert "no squeezing room" in forced[0][1] and forced[1]
+            assert self._same(ch, r, lo)[0][0][5]
+
+    def test_all_rows_equal_channel(self):
+        ch = sa.validate_channel([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+        assert ch.all_rows_equal
+        for r in ([0.0, 0.0], [0.1, 0.3]):
+            for lam in (1.0, 1.5, 1e6, 1e308, np.inf, np.nan):
+                self._same(ch, r, lam)
+            self._same(ch, r, [0.1, 0.0, 0.2])
+        assert self._same(ch, [0.0, 0.0], np.inf)[0][0] == (sa.ValidationError, "f must be finite")
+
+
+def test_forced_violations_warn_at_the_caller(golden):
+    """A forced violation is reported at the line that called the public
+    function, not inside the package."""
+    calls = (lambda: sa.build_squeeze_params(golden, [0, 0], [0.5, 0.5, 0.5], force=True),
+             lambda: sa.params_from_r_lambda(golden, [0.2, 0.0], 1.5, force=True),
+             lambda: sa.params_from_r_lambda(golden, [0, 0], 2.5, force=True),
+             lambda: sa.alg1_step(golden, 2.5, [0.5, 0.5], force=True))
+    for call in calls:
+        with pytest.warns(RuntimeWarning) as caught:
+            call()
+        assert {w.filename for w in caught} == {__file__}

@@ -200,8 +200,12 @@ class TestMatchesReference:
             r[1:3] = 0.0
             res = self._same(r, x)
             assert np.frombuffer(res[1], dtype=bool)[1]
-        # a subnormal sum makes delta infinite (numpy warns on the overflow)
-        self._same([0.0, 0.0], [1e-320, 1e-320])
+        # a subnormal sum would make delta infinite: the one input where waterfill
+        # departs from the reference, which returns p = [inf, inf] with a warning
+        for strict in (False, True):
+            assert _outcome(sa.waterfill, [0.0, 0.0], [1e-320, 1e-320], strict) == (
+                sa.NonpositiveWeightError,
+                "weights underflow the float range when summed; scale them up")
 
     @pytest.mark.parametrize("r", [[0.0, 0.0], [0.1, 0.1], [0.6, 0.0], [0.0, 0.6]])
     def test_invalid_weights(self, r):
