@@ -59,13 +59,10 @@ from .infotheory import (
 from .io import load_channel, load_params_json, save_params_json
 from .rate_analysis import (
     RateReport,
-    compare_floor_rates,
-    compare_shift_rates,
     fixed_point_on_floor,
     iteration_jacobian,
     jacobi_eigh,
     matrix_rate,
-    overlap_rate_bound,
     polish_fixed_point,
     power_rate,
 )

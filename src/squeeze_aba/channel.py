@@ -31,10 +31,14 @@ ROW_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _readonly(a) -> np.ndarray:
+    """A read-only float64 array of a's values.  A writeable array that needs
+    no conversion is the caller's own, so it is copied, not frozen."""
+    b = np.ascontiguousarray(a, dtype=float)
+    if b is a and b.flags.writeable:
+        b = b.copy()
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,10 @@ EXIT_BOUNDARY = 4
 def _parse_vector(text: str | None):
     if text is None:
         return None
-    return np.array([float(cell) for cell in text.split(",")])
+    try:
+        return np.array([float(cell) for cell in text.split(",")])
+    except ValueError:
+        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _resolve_method(args, channel):

@@ -27,11 +27,17 @@ Two independent routes compute the global rate:
     A = R - (row means of R), rescaled after each squaring, so one round
     advances 64 steps of the iteration at the cost of one product.
 
-The report carries both values; they agree to numerical accuracy.  Useful
-facts that follow and are exposed as comparison records: the rate is
-affine in the total offset mass (rate(r, f) = (1 + f_+) rate(r, 0) - f_+),
-it never increases when the offset or the scaled floor grows, and the
-plain iteration's rate is at least the row-overlap mass sum_j min_i W_ij.
+The report carries both values; they agree to numerical accuracy.  The
+rate guarantees are statements about this one number, so two parameter
+sets are compared through one report each at the same optimizer,
+``matrix_rate(params, fixed_point_on_floor(params, p_hat))``:
+
+  * the rate is affine in the total offset mass, rate(r, f) =
+    (1 + f_+) rate(r, 0) - f_+ (``rate_r0``, ``shift_identity_residual``);
+  * at a fixed floor, more offset mass is never slower, and at a fixed
+    combined squeeze, a larger scaled floor r/(1 - r_+) is never slower;
+  * the plain iteration's rate is at least the row-overlap mass
+    sum_j min_i W_ij, which every report carries as ``aba_lower_bound``.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, Distribution, make_distribution
+from .channel import Distribution, make_distribution
 from .errors import (
     BoundaryFixedPointError,
     DimensionMismatchError,
@@ -48,8 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .solvers import alg3_step
-from .squeeze import SqueezeParams, build_squeeze_params
-from .squeeze_select import offset_from_g
+from .squeeze import SqueezeParams
 
 #: tolerance on one-step displacement when certifying a fixed point
 FIXED_POINT_TOL = 1e-7
@@ -155,8 +160,6 @@ class RateReport:
     R: np.ndarray
     global_rate: float
     global_rate_power: float
-    Psi: np.ndarray
-    s: np.ndarray
     rate_r0: float
     aba_lower_bound: float
     f_plus: float
@@ -264,7 +267,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
             "run the solver to a tighter gap first"
         )
 
-    R, psi = iteration_jacobian(params, p)
+    R, _ = iteration_jacobian(params, p)
 
     w_star = params.w_star
     s = p @ w_star
@@ -289,105 +292,8 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
         R=R,
         global_rate=global_rate,
         global_rate_power=rate_power,
-        Psi=psi,
-        s=s,
         rate_r0=rate_r0,
         aba_lower_bound=float(params.channel.column_minima().sum()),
         f_plus=params.f_plus,
         gamma_spectrum=d_gamma,
-    )
-
-
-# -- comparison records --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftRateComparison:
-    """Global rates for two offsets at the same floor, with the affine check."""
-
-    rate: float
-    rate_alt: float
-    f_plus: float
-    f_alt_plus: float
-    affine_residual: float
-    affine_residual_alt: float
-    ordering_ok: bool
-
-
-def compare_shift_rates(channel: ChannelMatrix, r, f, f_alt, p_hat) -> ShiftRateComparison:
-    """Rates at (r, f) and (r, f_alt) sharing the optimizer p_hat.
-
-    The rate is affine in the offset mass, so the larger of f_+ and
-    f_alt_+ can never give the slower rate; ``ordering_ok`` records that.
-    """
-    pr = build_squeeze_params(channel, r, f)
-    pa = build_squeeze_params(channel, r, f_alt)
-    p_star = fixed_point_on_floor(pr, p_hat)
-    rep = matrix_rate(pr, p_star)
-    rep_alt = matrix_rate(pa, p_star)
-    if pr.f_plus >= pa.f_plus:
-        ordering = rep.global_rate <= rep_alt.global_rate + 1e-9
-    else:
-        ordering = rep_alt.global_rate <= rep.global_rate + 1e-9
-    return ShiftRateComparison(
-        rate=rep.global_rate,
-        rate_alt=rep_alt.global_rate,
-        f_plus=pr.f_plus,
-        f_alt_plus=pa.f_plus,
-        affine_residual=rep.shift_identity_residual(),
-        affine_residual_alt=rep_alt.shift_identity_residual(),
-        ordering_ok=bool(ordering),
-    )
-
-
-@dataclass(frozen=True)
-class OverlapBoundRecord:
-    """Plain-iteration rate against the row-overlap lower bound."""
-
-    rate: float
-    overlap: float
-    margin: float
-    ok: bool
-
-
-def overlap_rate_bound(channel: ChannelMatrix, p_hat) -> OverlapBoundRecord:
-    """Check rate(0, 0) >= sum_j min_i W_ij at the optimizer p_hat."""
-    params = build_squeeze_params(channel, np.zeros(channel.m), np.zeros(channel.n))
-    rep = matrix_rate(params, fixed_point_on_floor(params, p_hat))
-    overlap = rep.aba_lower_bound
-    margin = rep.global_rate - overlap
-    return OverlapBoundRecord(rep.global_rate, overlap, margin, bool(margin >= -1e-9))
-
-
-@dataclass(frozen=True)
-class FloorRateComparison:
-    """Global rates for two floors at the same combined squeeze g."""
-
-    rate: float
-    rate_alt: float
-    ok: bool
-
-
-def compare_floor_rates(channel: ChannelMatrix, g, r, r_alt, p_hat) -> FloorRateComparison:
-    """Rates at floors r and r_alt under a fixed combined squeeze g.
-
-    Requires r/(1 - r_+) >= r_alt/(1 - r_alt_+) elementwise; the larger
-    scaled floor can never be slower, and ``ok`` records that.
-    """
-    r = np.asarray(r, dtype=float)
-    r_alt = np.asarray(r_alt, dtype=float)
-    scaled = r / (1.0 - r.sum())
-    scaled_alt = r_alt / (1.0 - r_alt.sum())
-    if np.any(scaled < scaled_alt - 1e-12):
-        raise DimensionMismatchError(
-            "floor comparison requires r/(1 - r_+) >= r_alt/(1 - r_alt_+) elementwise"
-        )
-    pr = build_squeeze_params(channel, r, offset_from_g(channel, g, r))
-    pa = build_squeeze_params(channel, r_alt, offset_from_g(channel, g, r_alt))
-    rep = matrix_rate(pr, fixed_point_on_floor(pr, p_hat))
-    rep_alt = matrix_rate(pa, fixed_point_on_floor(pa, p_hat))
-    return FloorRateComparison(
-        rate=rep.global_rate,
-        rate_alt=rep_alt.global_rate,
-        ok=bool(rep.global_rate <= rep_alt.global_rate + 1e-9),
     )

@@ -227,7 +227,13 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
 
 
 def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
-    """One floored update on Omega(r) with waterfilling normalization."""
+    """One floored update on Omega(r) with waterfilling normalization.
+
+    Raises ValidationError when ``params`` were built for another channel.
+    """
+    # identity first: the usual caller passes params built on this very channel
+    if params.channel is not channel and not np.array_equal(params.channel.w, channel.w):
+        raise ValidationError("params were built for a different channel")
     return _step(channel, params.lam, params.r, p)
 
 
@@ -267,13 +273,8 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
             raise ValidationError("method 'alg3' takes f or lambda, not both: "
                                   "lambda = (1 + f_+)/(1 - r_+)")
         return build_squeeze_params(channel, r, f, force=force)
-    if lam is None:
-        if method == "alg3":
-            raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
-        # the upper bound is infinite when all rows are equal; capacity is
-        # then 0, so take the finite lower bound (no offset)
-        lo, hi = lambda_bounds(channel, r)
-        lam = hi if np.isfinite(hi) else lo
+    if lam is None and method == "alg3":
+        raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
     return params_from_r_lambda(channel, r, lam, force=force)
 
 

@@ -22,6 +22,7 @@ overlap between rows, which is what accelerates the capacity iteration.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ from .infotheory import row_entropies
 
 #: constraint slack: exact-arithmetic feasibility may bind at 0
 CONSTRAINT_TOL = 1e-12
+
+_PACKAGE = __package__ + "."
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,13 @@ def _floor_mass(r: np.ndarray) -> float:
 
 
 def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
-    """Raise ``error``, or under ``force`` warn at the caller of the public function."""
+    """Raise ``error``, or under ``force`` warn at the first caller outside the package."""
     if not force:
         raise error(msg)
-    warnings.warn(msg, RuntimeWarning, stacklevel=4)
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(msg, RuntimeWarning, stacklevel=level)
 
 
 def _worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
@@ -191,7 +197,7 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
     return _column_tests(channel, r, r_plus, f, channel.column_minima() - r @ channel.w, force)
 
 
-def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
+def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
                          force: bool = False) -> SqueezeParams:
     """Build SqueezeParams from a floor r and exponent gain lambda.
 
@@ -202,12 +208,17 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float, *,
 
     which is the unique scaling with total mass f_+ = lambda (1 - r_+) - 1,
     so the returned params satisfy lambda = (1 + f_+)/(1 - r_+) exactly.
+    ``lam=None`` takes the upper bound of ``lambda_bounds``, or the lower
+    bound when the upper one is infinite (all rows equal, capacity 0).
     """
     r = _check_vector(r, channel.m, "r")
-    lam = float(lam)
+    lam = lam if lam is None else float(lam)
     r_plus = _floor_mass(r)
     col_min = channel.column_minima()
-    _check_lambda(lam, *_bounds(r_plus, col_min), force)
+    lo, hi = _bounds(r_plus, col_min)
+    if lam is None:
+        lam = hi if hi < float("inf") else lo
+    _check_lambda(lam, lo, hi, force)
     room = col_min - r @ channel.w
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:

@@ -68,6 +68,12 @@ def solve_tight(channel: sa.ChannelMatrix, gap: float = 1e-13,
                                            record_trace=False))
 
 
+def rate_at(channel: sa.ChannelMatrix, r, f, p_hat) -> sa.RateReport:
+    """matrix_rate at (r, f), at the fixed point on Omega(r) that maps to p_hat."""
+    params = sa.build_squeeze_params(channel, r, f)
+    return sa.matrix_rate(params, sa.fixed_point_on_floor(params, p_hat))
+
+
 def draw_interior_channel(rng: np.random.Generator, m_choices=(2, 3, 4),
                           n_lo: int = 3, n_hi: int = 10, margin: float = 1e-3,
                           max_tries: int = 200):
@@ -210,7 +216,11 @@ def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
                                    force: bool = False) -> sa.SqueezeParams:
     """Independent oracle: ``params_from_r_lambda`` as it was before parameter
     resolution became a single pass: it checked r three times, took the
-    column minima three times and formed rW twice."""
+    column minima three times and formed rW twice.  ``lam=None`` takes the
+    default in a separate first pass, as ``solve`` then did."""
+    if lam is None:
+        lo, hi = _reference_lambda_bounds(channel, r)
+        lam = hi if np.isfinite(hi) else lo
     r = _reference_check_vector(r, channel.m, "r")
     lam = float(lam)
     lo, hi = _reference_lambda_bounds(channel, r)

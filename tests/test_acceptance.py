@@ -22,6 +22,7 @@ from helpers import (
     random_channel,
     random_floor,
     random_offset,
+    rate_at,
     solve_tight,
 )
 
@@ -133,9 +134,8 @@ def test_c03_shift_rate_affine_identity(shared_channels):
 def test_c04_overlap_lower_bound(shared_channels):
     worst_margin = np.inf
     for channel, p_hat, _, _ in shared_channels:
-        record = sa.overlap_rate_bound(channel, p_hat)
-        assert record.ok
-        worst_margin = min(worst_margin, record.margin)
+        plain = rate_at(channel, np.zeros(channel.m), np.zeros(channel.n), p_hat)
+        worst_margin = min(worst_margin, plain.global_rate - plain.aba_lower_bound)
     assert worst_margin >= -1e-9
     _report(4, f"plain rate >= row-overlap mass on 200 channels, "
                f"smallest margin {worst_margin:.3e}")
@@ -151,11 +151,10 @@ def test_c05_floor_rate_ordering():
             continue
         g = sa.optimal_g(channel)
         r = sa.optimal_r_m2(channel)
-        first = sa.compare_floor_rates(channel, g, r, r / 2, p_hat)
-        second = sa.compare_floor_rates(channel, g, r / 2, np.zeros(2), p_hat)
-        assert first.ok and second.ok
-        assert first.rate <= first.rate_alt + 1e-9
-        assert second.rate <= second.rate_alt + 1e-9
+        rates = [rate_at(channel, floor, sa.offset_from_g(channel, g, floor), p_hat).global_rate
+                 for floor in (r, r / 2, np.zeros(2))]
+        assert rates[0] <= rates[1] + 1e-9
+        assert rates[1] <= rates[2] + 1e-9
         checked += 1
     _report(5, "rate(r, g) <= rate(r/2, g) <= rate(0, g) on 100 binary-input channels")
 

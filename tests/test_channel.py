@@ -65,6 +65,28 @@ def test_channel_is_immutable():
         ch.w[0, 0] = 0.9
 
 
+def test_caller_arrays_stay_writeable():
+    """Results hold frozen copies: the caller's arrays stay writeable, and
+    writing to them afterwards changes no result."""
+    ch = sa.validate_channel(GOLDEN)
+    r, f = np.array([0.125, 0.125]), np.array([0.0, 0.25, 0.0])
+    p, start = np.array([0.25, 0.75]), np.array([0.3, 0.7])
+    built = sa.build_squeeze_params(ch, r, f)
+    from_gain = sa.params_from_r_lambda(ch, r, 5 / 3)
+    solved = sa.solve(ch, "alg2", r=r)
+    dist = sa.make_distribution(p)
+    config = sa.SolverConfig(initial=start)
+    held = [built.r, built.f, from_gain.r, from_gain.f, solved.params.r, solved.p_hat.probs,
+            dist.probs, config.initial.probs]
+    values = [a.copy() for a in held]
+    for a in (r, f, p, start):
+        assert a.flags.writeable
+        a[:] = 0.5
+    for a, v in zip(held, values):
+        assert not a.flags.writeable
+        assert np.array_equal(a, v)
+
+
 def test_make_distribution_checks():
     d = sa.make_distribution([0.25, 0.75])
     assert d.m == 2

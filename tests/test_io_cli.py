@@ -98,6 +98,12 @@ class TestCliSolve:
         bad.write_text("0.9,0.3\n0.5,0.5\n")
         assert main(["solve", str(bad)]) == 2
 
+    def test_malformed_vector_exit_code(self, channel_csv, capsys):
+        for argv in (["solve", channel_csv, "--method", "alg2", "--r", "0.1,abc"],
+                     ["params", channel_csv, "--q", "0.5,,0.5"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: expected comma-separated numbers")
+
     def test_not_converged_exit_code(self, tmp_path):
         path = tmp_path / "skew.csv"
         path.write_text("0.8,0.15,0.05\n0.1,0.3,0.6\n")

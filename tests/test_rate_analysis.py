@@ -10,6 +10,7 @@ from helpers import (
     random_channel,
     random_floor,
     random_offset,
+    rate_at,
     solve_tight,
 )
 
@@ -247,7 +248,7 @@ class TestStructure:
             p = p_star.probs
             half = np.sqrt(p)
             B = params.w_star * half[:, None]
-            M = (B / rep.s[None, :]) @ B.T
+            M = (B / (p @ params.w_star)[None, :]) @ B.T
             vals, vecs = sa.jacobi_eigh(M)
             K = (vecs * vals) @ vecs.T
             R_rebuilt = np.eye(ch.m) - (K / half[:, None]) * half[None, :]
@@ -295,20 +296,15 @@ class TestStructure:
 
 
 class TestComparisons:
-    def test_shift_comparison_golden(self, golden):
-        cmp = sa.compare_shift_rates(golden, [0, 0], [1 / 6, 1 / 3, 1 / 6],
-                                     [0, 0, 0], [0.5, 0.5])
-        assert cmp.rate == pytest.approx(0.25, abs=1e-9)
-        assert cmp.rate_alt == pytest.approx(0.55, abs=1e-9)
-        # affine identity: 0.25 = (5/3) 0.55 - 2/3
-        assert cmp.affine_residual < 1e-9
-        assert cmp.ordering_ok
+    """The rate guarantees, stated through one matrix_rate report per parameter set."""
 
-    def test_shift_comparison_equal_offsets(self, golden):
-        f = np.array([1 / 6, 1 / 3, 1 / 6])
-        cmp = sa.compare_shift_rates(golden, [0, 0], f, f, [0.5, 0.5])
-        assert cmp.rate == pytest.approx(cmp.rate_alt, abs=1e-12)
-        assert cmp.affine_residual < 1e-12
+    def test_shift_comparison_golden(self, golden):
+        rep = rate_at(golden, [0, 0], [1 / 6, 1 / 3, 1 / 6], [0.5, 0.5])
+        rep_alt = rate_at(golden, [0, 0], [0, 0, 0], [0.5, 0.5])
+        assert rep.global_rate == pytest.approx(0.25, abs=1e-9)
+        assert rep_alt.global_rate == pytest.approx(0.55, abs=1e-9)
+        # affine identity: 0.25 = (5/3) 0.55 - 2/3
+        assert rep.shift_identity_residual() < 1e-9
 
     def test_shift_ordering_randomized(self, rng):
         for _ in range(15):
@@ -316,48 +312,47 @@ class TestComparisons:
             r = random_floor(rng, ch)
             f_hi = random_offset(rng, ch, r, scale=float(rng.uniform(0.5, 1.0)))
             f_lo = f_hi * float(rng.uniform(0.0, 1.0))
-            cmp = sa.compare_shift_rates(ch, r, f_hi, f_lo, p_hat)
-            assert cmp.ordering_ok
-            assert cmp.rate <= cmp.rate_alt + 1e-9
-            assert max(cmp.affine_residual, cmp.affine_residual_alt) < 1e-7
+            rep_hi = rate_at(ch, r, f_hi, p_hat)
+            rep_lo = rate_at(ch, r, f_lo, p_hat)
+            assert rep_hi.global_rate <= rep_lo.global_rate + 1e-9
+            assert max(rep_hi.shift_identity_residual(),
+                       rep_lo.shift_identity_residual()) < 1e-7
 
     def test_overlap_bound_golden(self, golden):
-        rec = sa.overlap_rate_bound(golden, [0.5, 0.5])
-        assert rec.rate == pytest.approx(0.55, abs=1e-9)
-        assert rec.overlap == pytest.approx(0.4, abs=1e-12)
-        assert rec.ok
+        rep = rate_at(golden, [0, 0], [0, 0, 0], [0.5, 0.5])
+        assert rep.global_rate == pytest.approx(0.55, abs=1e-9)
+        assert rep.aba_lower_bound == pytest.approx(0.4, abs=1e-12)
 
     def test_overlap_bound_identity(self):
         ch = sa.validate_channel(np.eye(3))
-        rec = sa.overlap_rate_bound(ch, np.full(3, 1 / 3))
-        assert rec.rate == pytest.approx(0.0, abs=1e-12)
-        assert rec.overlap == 0.0
-        assert rec.ok
+        rep = rate_at(ch, np.zeros(3), np.zeros(3), np.full(3, 1 / 3))
+        assert rep.global_rate == pytest.approx(0.0, abs=1e-12)
+        assert rep.aba_lower_bound == 0.0
 
     def test_overlap_bound_randomized(self, rng):
         for _ in range(20):
             ch, p_hat = draw_interior_channel(rng)
-            assert sa.overlap_rate_bound(ch, p_hat).ok
+            rep = rate_at(ch, np.zeros(ch.m), np.zeros(ch.n), p_hat)
+            assert rep.global_rate >= rep.aba_lower_bound - 1e-9
 
     def test_floor_comparison_golden(self, golden):
-        cmp = sa.compare_floor_rates(golden, GOLDEN_G_OPT, GOLDEN_R_OPT,
-                                     np.zeros(2), [0.5, 0.5])
-        assert cmp.rate <= 1e-9
-        assert cmp.rate_alt == pytest.approx(0.25, abs=1e-9)
-        assert cmp.ok
-
-    def test_floor_comparison_equal_floors(self, golden):
-        cmp = sa.compare_floor_rates(golden, GOLDEN_G_OPT, GOLDEN_R_OPT,
-                                     GOLDEN_R_OPT, [0.5, 0.5])
-        assert cmp.rate == pytest.approx(cmp.rate_alt, abs=1e-12)
+        # at the optimal combined squeeze, the optimal floor against no floor
+        rep = rate_at(golden, GOLDEN_R_OPT,
+                      sa.offset_from_g(golden, GOLDEN_G_OPT, GOLDEN_R_OPT), [0.5, 0.5])
+        rep_alt = rate_at(golden, np.zeros(2),
+                          sa.offset_from_g(golden, GOLDEN_G_OPT, np.zeros(2)), [0.5, 0.5])
+        assert rep.global_rate <= 1e-9
+        assert rep_alt.global_rate == pytest.approx(0.25, abs=1e-9)
 
     def test_floor_ordering_randomized(self, rng):
         for _ in range(15):
             ch, p_hat = draw_interior_channel(rng, m_choices=(2,))
             g = sa.optimal_g(ch)
             r = sa.optimal_r_m2(ch)
-            assert sa.compare_floor_rates(ch, g, r, r / 2, p_hat).ok
-            assert sa.compare_floor_rates(ch, g, r / 2, np.zeros(2), p_hat).ok
+            rates = [rate_at(ch, floor, sa.offset_from_g(ch, g, floor), p_hat).global_rate
+                     for floor in (r, r / 2, np.zeros(2))]
+            assert rates[0] <= rates[1] + 1e-9
+            assert rates[1] <= rates[2] + 1e-9
 
     def test_rate_decreases_in_combined_squeeze_mass(self, rng):
         # at a fixed floor, moving the combined squeeze down from its
@@ -370,9 +365,7 @@ class TestComparisons:
             prev = None
             for t in (1.0, 0.6, 0.3, 0.0):
                 g = g_lo + t * (g_full - g_lo)
-                f = sa.offset_from_g(ch, g, r)
-                params = sa.build_squeeze_params(ch, r, f)
-                rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, p_hat))
+                rep = rate_at(ch, r, sa.offset_from_g(ch, g, r), p_hat)
                 if prev is not None:
                     assert prev <= rep.global_rate + 1e-9
                 prev = rep.global_rate

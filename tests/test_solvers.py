@@ -10,6 +10,7 @@ from helpers import (
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
     alg3_posterior_step,
+    golden_channel,
     golden_section_capacity,
     heavy_overlap_channel,
     log_domain_step,
@@ -52,6 +53,17 @@ class TestSteps:
             a = sa.aba_step(golden, p).probs
             b = sa.alg1_step(golden, 1.0, p).probs
             assert np.allclose(a, b, atol=1e-15)
+
+    def test_alg2_step_rejects_params_of_another_channel(self, golden):
+        params = sa.params_from_r_lambda(golden, GOLDEN_R_OPT, GOLDEN_LAMBDA)
+        other = sa.validate_channel([[0.2, 0.7, 0.1], [0.1, 0.7, 0.2]])
+        with pytest.raises(sa.ValidationError, match="different channel"):
+            sa.alg2_step(other, params, [0.5, 0.5])
+        # an equal matrix in another object is the same channel
+        same = golden_channel()
+        assert same is not golden
+        assert np.array_equal(sa.alg2_step(same, params, [0.3, 0.7]).probs,
+                              sa.alg2_step(golden, params, [0.3, 0.7]).probs)
 
     def test_alg1_out_of_range_gain(self, golden):
         with pytest.raises(sa.LambdaRangeError):

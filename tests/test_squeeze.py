@@ -1,9 +1,11 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import squeeze_aba as sa
+from squeeze_aba import squeeze
 from helpers import (
     GOLDEN_F_OPT,
     GOLDEN_G_OPT,
@@ -300,19 +302,47 @@ class TestResolutionMatchesReference:
         ch = sa.validate_channel([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
         assert ch.all_rows_equal
         for r in ([0.0, 0.0], [0.1, 0.3]):
-            for lam in (1.0, 1.5, 1e6, 1e308, np.inf, np.nan):
+            for lam in (None, 1.0, 1.5, 1e6, 1e308, np.inf, np.nan):
                 self._same(ch, r, lam)
             self._same(ch, r, [0.1, 0.0, 0.2])
         assert self._same(ch, [0.0, 0.0], np.inf)[0][0] == (sa.ValidationError, "f must be finite")
 
 
+def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
+    """Without lambda, alg2 checks r and f once each and takes the column
+    minima once; its params are those of the explicit upper bound."""
+    _, hi = sa.lambda_bounds(golden, GOLDEN_R_OPT)
+    explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
+    assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
+                       force=False) == explicit
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(squeeze, "_check_vector", counted("check", squeeze._check_vector))
+    monkeypatch.setattr(sa.ChannelMatrix, "column_minima",
+                        counted("colmin", sa.ChannelMatrix.column_minima))
+    resolved = _resolution(lambda ch, r, force: sa.solve(ch, "alg2", r=r, force=force).params,
+                           golden, GOLDEN_R_OPT, force=False)
+    assert (counts["check"], counts["colmin"]) == (2, 1)
+    assert resolved == explicit
+
+
 def test_forced_violations_warn_at_the_caller(golden):
     """A forced violation is reported at the line that called the public
     function, not inside the package."""
+    short = sa.SolverConfig(max_iters=20)
     calls = (lambda: sa.build_squeeze_params(golden, [0, 0], [0.5, 0.5, 0.5], force=True),
              lambda: sa.params_from_r_lambda(golden, [0.2, 0.0], 1.5, force=True),
              lambda: sa.params_from_r_lambda(golden, [0, 0], 2.5, force=True),
-             lambda: sa.alg1_step(golden, 2.5, [0.5, 0.5], force=True))
+             lambda: sa.alg1_step(golden, 2.5, [0.5, 0.5], force=True),
+             lambda: sa.solve(golden, "alg1", lam=3.0, config=short, force=True),
+             lambda: sa.solve(golden, "alg3", r=[0, 0], f=[0.5, 0.5, 0.5], config=short,
+                              force=True))
     for call in calls:
         with pytest.warns(RuntimeWarning) as caught:
             call()
