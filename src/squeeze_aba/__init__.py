@@ -49,8 +49,6 @@ from .experiments import (
 from .infotheory import (
     LN2,
     entropy,
-    generalized_objective,
-    generalized_objective_kl_form,
     kl_divergence,
     mutual_information,
     nats_to_bits,

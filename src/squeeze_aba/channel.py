@@ -113,6 +113,7 @@ def validate_channel(entries, tolerance: float = ROW_SUM_TOL, *,
             f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {tolerance:g}"
         )
     w = w / sums[:, None]
+    w.setflags(write=False)  # made here, so the ChannelMatrix shares it
 
     rows_equal = bool(np.ptp(w, axis=0).max() <= tolerance)
     return ChannelMatrix(w, all_rows_equal=rows_equal, dropped_columns=dropped)

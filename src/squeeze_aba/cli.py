@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_method_flags(p, with_rate_gap=False):
+    def add_method_flags(p):
         p.add_argument("channel", help="channel matrix file (CSV rows or JSON)")
         p.add_argument("--method", default="aba",
                        choices=["aba", "alg1", "alg2", "alg3", "auto"])

@@ -76,41 +76,5 @@ def mutual_information(channel, p) -> float:
     return float(total)
 
 
-def generalized_objective(v, f, c, p) -> float:
-    """Shifted capacity objective H(pV + f) + sum_i p_i (c_i - H(V_i)) - H(f).
-
-    With f = 0 and c = 0 this is exactly ``mutual_information(v, p)``.
-    """
-    w = np.asarray(getattr(v, "w", v), dtype=float)
-    f = _as_weights(f, "f")
-    c = np.asarray(c, dtype=float)
-    pv = np.asarray(getattr(p, "probs", p), dtype=float)
-    m, n = w.shape
-    if f.shape[0] != n or c.shape[0] != m or pv.shape[0] != m:
-        raise DimensionMismatchError(
-            f"inconsistent shapes: V {w.shape}, f {f.shape}, c {c.shape}, p {pv.shape}"
-        )
-    return float(entropy(pv @ w + f) + pv @ (c - row_entropies(w)) - entropy(f))
-
-
-def generalized_objective_kl_form(v, f, c, p) -> float:
-    """Equivalent divergence form of :func:`generalized_objective`.
-
-    Computes sum_i p_i (D(V_i || f + pV) + c_i) + D(f || f + pV).  Kept as
-    an independent cross-check of the entropy form; the two agree to
-    roundoff on valid inputs.
-    """
-    w = np.asarray(getattr(v, "w", v), dtype=float)
-    f = _as_weights(f, "f")
-    c = np.asarray(c, dtype=float)
-    pv = np.asarray(getattr(p, "probs", p), dtype=float)
-    mix = f + pv @ w
-    total = kl_divergence(f, mix)
-    for i in range(w.shape[0]):
-        if pv[i] != 0:
-            total += pv[i] * (kl_divergence(w[i], mix) + c[i])
-    return float(total)
-
-
 def nats_to_bits(x: float) -> float:
     return x / LN2

@@ -8,6 +8,7 @@ serialize as ``{"r": [...], "f": [...], "lambda": x}``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ def load_channel(path, *, tolerance: float = 1e-9,
             entries = np.asarray([[float(cell) for cell in line.split(",")] for line in rows])
     except ChannelFileError:
         raise
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ChannelFileError(f"{path}: could not parse channel matrix: {exc}") from exc
     try:
         return validate_channel(entries, tolerance, drop_zero_columns=drop_zero_columns)
@@ -58,7 +59,8 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
     """Rebuild validated squeeze parameters for ``channel`` from a JSON file.
 
     The file's "lambda", when present, is cross-checked against the value
-    implied by (r, f); a mismatch is an error rather than a silent pick.
+    implied by (r, f); a mismatch, or a lambda that is not a finite number,
+    is an error rather than a silent pick.
     """
     path = Path(path)
     if not path.exists():
@@ -69,10 +71,16 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
         raise ChannelFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "r" not in doc or "f" not in doc:
         raise ChannelFileError(f'{path}: params JSON needs "r" and "f" keys')
-    params = build_squeeze_params(channel, np.asarray(doc["r"], dtype=float),
-                                  np.asarray(doc["f"], dtype=float))
-    if "lambda" in doc and doc["lambda"] is not None:
-        stated = float(doc["lambda"])
+    try:
+        r = np.asarray(doc["r"], dtype=float)
+        f = np.asarray(doc["f"], dtype=float)
+        stated = None if doc.get("lambda") is None else float(doc["lambda"])
+    except (TypeError, ValueError) as exc:
+        raise ChannelFileError(f"{path}: could not parse squeeze parameters: {exc}") from exc
+    params = build_squeeze_params(channel, r, f)
+    if stated is not None:
+        if not math.isfinite(stated):
+            raise ChannelFileError(f"{path}: stated lambda {stated} is not a finite number")
         if abs(stated - params.lam) > 1e-9 * max(1.0, abs(stated)):
             raise ChannelFileError(
                 f"{path}: stated lambda {stated:.15g} is inconsistent with "

@@ -2,23 +2,24 @@
 
 Near a fixed point p* of the iteration map M, errors contract linearly:
 p_next - p* is approximately (p - p*) R(p*), where R(p*) is the Jacobian
+of the update.  The paper states it through the posterior matrix of the
+squeezed channel W~; since f + pW~ = (1 + f_+) pW* on Omega(r), it depends
+on W* alone:
 
-    R(p*) = I_m - W~ Psi,    Psi_ji = Phi_ji(p*) + p*_i Phi_j0(p*),
+    R(p) = I_m - (1 + f_+) G D_p + 1_m v,   G = (W*/s) W*^T,   v = p (W*/s) f,
 
-with Phi the posterior matrix of the update.  The global rate is the
-spectral radius of R(p*) restricted to the zero-sum subspace
-Gamma = {gamma : gamma 1 = 0}; iteration errors live in Gamma, and the
-restriction drops only the trivial direction.  Smaller is faster.
+with s = pW* and D_p = diag(p).  The rank-one 1_m v vanishes on the
+zero-sum subspace Gamma = {gamma : gamma 1 = 0}.  The global rate is the
+spectral radius of R(p*) restricted to Gamma; iteration errors live in
+Gamma, and the restriction drops only the trivial direction.  Smaller is
+faster.
 
 Two independent routes compute the global rate:
 
-  * spectral route: Psi = D_s^{-1} W*^T D_{p*} gives
-    R = I - (1 + f_+) K + L with K = W* D_s^{-1} W*^T D_{p*} and L a
-    rank-one term that vanishes on Gamma.  D^{1/2} K D^{-1/2} is symmetric
-    positive semidefinite with eigenvalues in [0, 1], so a symmetric
-    eigensolve on it (numpy's LAPACK ``eigh``) yields the whole spectrum;
-    the rate is the largest 1 - (1 + f_+) mu over the nontrivial
-    eigenvalues mu.
+  * spectral route: G D_{p*} is similar to M = D_{p*}^{1/2} G D_{p*}^{1/2},
+    which is symmetric positive semidefinite with eigenvalues in [0, 1], so
+    numpy's LAPACK ``eigh`` on M yields the whole spectrum; the rate is
+    the largest 1 - (1 + f_+) mu over the nontrivial eigenvalues mu.
 
   * power route: left power iteration directly on R from a fixed, seeded,
     generic zero-sum start, using the D_{p*}^{-1}-weighted Rayleigh
@@ -188,20 +189,19 @@ def fixed_point_on_floor(params: SqueezeParams, p_hat) -> Distribution:
     return make_distribution((1.0 - params.r_plus) * q + params.r, floor=params.r)
 
 
-def iteration_jacobian(params: SqueezeParams, p) -> tuple[np.ndarray, np.ndarray]:
-    """(R, Psi) at the point p: R(p) = I - W~ Psi(p).
+def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
+    """R(p) = I - (1 + f_+) G D_p + 1_m v with G = (W*/s) W*^T, s = pW* and
+    v = p (W*/s) f.
 
     R is the exact error-contraction matrix at a fixed point and a
     first-order approximation of it nearby.
     """
     p = np.asarray(getattr(p, "probs", p), dtype=float)
-    wt = params.w_tilde
-    denom = params.f + p @ wt
-    safe = np.where(denom > 0, denom, 1.0)
-    phi = (wt * p[:, None]).T / safe[:, None]
-    phi0 = np.where(denom > 0, params.f / safe, 0.0)
-    psi = phi + np.outer(phi0, p)
-    return np.eye(params.m) - wt @ psi, psi
+    w_star = params.w_star
+    a = w_star / (p @ w_star)
+    R = np.eye(params.m) - (1.0 + params.f_plus) * (a @ w_star.T) * p
+    R += p * (a @ params.f)
+    return R
 
 
 def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14) -> np.ndarray:
@@ -223,7 +223,7 @@ def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14) -> np.nd
             best, best_disp = p.copy(), disp
         if disp <= tol:
             return p
-        R, _ = iteration_jacobian(params, p)
+        R = iteration_jacobian(params, p)
         try:
             delta = np.linalg.solve((eye - R).T, g)
         except np.linalg.LinAlgError:
@@ -267,7 +267,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
             "run the solver to a tighter gap first"
         )
 
-    R, _ = iteration_jacobian(params, p)
+    R = iteration_jacobian(params, p)
 
     w_star = params.w_star
     s = p @ w_star

@@ -66,9 +66,9 @@ from .errors import (
 from .infotheory import row_entropies
 from .squeeze import (
     SqueezeParams,
+    _bounds,
     _check_lambda,
     build_squeeze_params,
-    lambda_bounds,
     params_from_r_lambda,
 )
 from .waterfill import waterfill
@@ -88,7 +88,7 @@ class SolverConfig:
     is a certificate only for iterates on the simplex.
 
     The trace is opt-in: with ``record_trace=True`` every iteration stores
-    an ``IterationRecord`` holding copies of p and z, so memory grows with
+    an ``IterationRecord`` holding a copy of p, so memory grows with
     iterations x m.  Without it the result's ``trace`` is empty.
     """
 
@@ -117,7 +117,6 @@ class IterationRecord:
     p: np.ndarray
     objective: float
     gap: float
-    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,13 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
     with np.errstate(divide="ignore", invalid="ignore"):
         z, zmax = _divergences(channel.w, -row_entropies(channel.w), q)
         x = _update(p, z, zmax, lam, r)
+    x.setflags(write=False)  # made here, so the Distribution shares it
     return make_distribution(x, floor=r)
 
 
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
     """One plain Arimoto-Blahut update from an interior point of the simplex."""
-    return alg1_step(channel, 1.0, p)
+    return _step(channel, 1.0, None, p)  # lambda = 1 is always feasible
 
 
 def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> Distribution:
@@ -222,7 +222,7 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
     turns a violation into a warning (convergence is then no longer
     guaranteed).
     """
-    _check_lambda(lam, *lambda_bounds(channel, np.zeros(channel.m)), force)
+    _check_lambda(lam, *_bounds(0.0, channel.column_minima()), force)
     return _step(channel, lam, None, p)
 
 
@@ -264,6 +264,7 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
         if r is not None or f is not None:
             raise ValidationError("method 'alg1' takes only lambda")
         r = np.zeros(channel.m)
+        r.setflags(write=False)  # made here, so SqueezeParams shares it
     if r is None:
         raise ValidationError(f"method {method!r} requires the floor vector r")
     if f is not None:
@@ -281,11 +282,10 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
 def _degenerate_result(channel: ChannelMatrix, method: str, params: SqueezeParams,
                        config: SolverConfig) -> SolveResult:
     # all rows equal: capacity is 0 and any input achieves it; report uniform
-    m = channel.m
-    p_hat = uniform(m)
+    p_hat = uniform(channel.m)
     trace = ()
     if config.record_trace:
-        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0, np.zeros(m)),)
+        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),)
     return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, params, trace)
 
 
@@ -348,7 +348,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
             prev_objective = max(prev_objective, objective)
 
             if config.record_trace:
-                trace.append(IterationRecord(t, p.copy(), objective, float(gap), z.copy()))
+                trace.append(IterationRecord(t, p.copy(), objective, float(gap)))
 
             if gap <= config.epsilon:
                 converged = True
@@ -360,7 +360,9 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
             p = _update(p, z, zmax, sp.lam, rvec)
 
     # the loop ends on an iterate whose q and z it has just evaluated
-    p_hat = make_distribution(q / np.add.reduce(q))
+    probs = q / np.add.reduce(q)
+    probs.setflags(write=False)  # made here, so the Distribution shares it
+    p_hat = make_distribution(probs)
     return SolveResult(p_hat, objective, objective, float(zmax), iterations, converged,
                        method, sp, tuple(trace))
 

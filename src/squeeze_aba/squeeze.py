@@ -6,7 +6,6 @@ nonnegative output offset f (length n), the squeezed representation is
     W*      = (W - 1_m rW) / (1 - r_+)          (floor-adjusted channel)
     W~      = (1 + f_+) W* - 1_m f              (squeezed channel)
     lambda  = (1 + f_+) / (1 - r_+)             (exponent gain)
-    c_i     = H(W~_i) - lambda H(W_i)           (row entropy offsets)
 
 where r_+ and f_+ are the total masses of r and f.  Feasibility requires
 r_+ < 1, W >= 1_m rW and W~ >= 0.  Both matrix conditions are column
@@ -15,7 +14,7 @@ min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
 entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
 Resolution is a single pass: each builder checks r and f once and forms
 room once, and ``params_from_r_lambda`` draws its offset from that room.
-``SqueezeParams`` keeps (r, f, lambda) and derives W*, W~ and c on demand.
+``SqueezeParams`` keeps (r, f, lambda) and derives W* and W~ on demand.
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -38,7 +37,6 @@ from .errors import (
     SqueezeConstraintError,
     ValidationError,
 )
-from .infotheory import row_entropies
 
 #: constraint slack: exact-arithmetic feasibility may bind at 0
 CONSTRAINT_TOL = 1e-12
@@ -48,7 +46,7 @@ _PACKAGE = __package__ + "."
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Immutable squeeze parameters; W*, W~ and c are derived on each access.
+    """Immutable squeeze parameters; W* and W~ are derived on each access.
 
     ``feasible`` is False only when constructed with ``force=True`` over a
     constraint violation; the solvers then lose their monotonicity
@@ -85,12 +83,6 @@ class SqueezeParams:
     def w_tilde(self) -> np.ndarray:
         """Squeezed channel max((1 + f_+) W* - 1_m f, 0)."""
         return np.maximum((1.0 + self.f_plus) * self.w_star - self.f, 0.0)
-
-    @property
-    def c(self) -> np.ndarray:
-        """Row entropy offsets c_i = H(W~_i) - lambda H(W_i)."""
-        ent = row_entropies(np.vstack((self.channel.w, self.w_tilde)))
-        return ent[self.m:] - self.lam * ent[:self.m]
 
     def is_plain(self) -> bool:
         """True when r = 0 and f = 0 (no squeezing at all)."""
@@ -230,4 +222,5 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = _check_vector(mult * star_min / total, channel.n, "f")
+    f.setflags(write=False)  # made here, so SqueezeParams shares it
     return _column_tests(channel, r, r_plus, f, room, force)

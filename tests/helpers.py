@@ -241,6 +241,51 @@ def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
     return reference_build_squeeze_params(channel, r, f, force=force)
 
 
+def entropy_offsets(params: sa.SqueezeParams) -> np.ndarray:
+    """Row entropy offsets c_i = H(W~_i) - lambda H(W_i) of the paper's
+    squeezed objective."""
+    return sa.row_entropies(params.w_tilde) - params.lam * sa.row_entropies(params.channel.w)
+
+
+def generalized_objective(v, f, c, p) -> float:
+    """Independent oracle: the shifted capacity objective
+    H(pV + f) + sum_i p_i (c_i - H(V_i)) - H(f); with f = 0 and c = 0 it is
+    the mutual information."""
+    w = np.asarray(getattr(v, "w", v), dtype=float)
+    f = np.asarray(f, dtype=float)
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    return float(sa.entropy(p @ w + f) + p @ (np.asarray(c) - sa.row_entropies(w))
+                 - sa.entropy(f))
+
+
+def generalized_objective_kl_form(v, f, c, p) -> float:
+    """Independent oracle: the divergence form of ``generalized_objective``,
+    sum_i p_i (D(V_i || f + pV) + c_i) + D(f || f + pV)."""
+    w = np.asarray(getattr(v, "w", v), dtype=float)
+    f = np.asarray(f, dtype=float)
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    mix = f + p @ w
+    total = sa.kl_divergence(f, mix)
+    for i in range(w.shape[0]):
+        if p[i] != 0:
+            total += p[i] * (sa.kl_divergence(w[i], mix) + c[i])
+    return float(total)
+
+
+def posterior_jacobian(params: sa.SqueezeParams, p) -> np.ndarray:
+    """Independent oracle: the Jacobian in the paper's posterior form,
+
+        R(p) = I - W~ Psi(p),    Psi_ji = Phi_ji + p_i Phi_j0,
+        Phi_ji = p_i W~_ij / (f_j + (pW~)_j),    Phi_j0 = f_j / (f_j + (pW~)_j)."""
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    wt = params.w_tilde
+    denom = params.f + p @ wt
+    safe = np.where(denom > 0, denom, 1.0)
+    phi = (wt * p[:, None]).T / safe[:, None]
+    phi0 = np.where(denom > 0, params.f / safe, 0.0)
+    return np.eye(params.m) - wt @ (phi + np.outer(phi0, p))
+
+
 def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:
     """Independent oracle: one step of Algorithm 3 in its literal posterior form,
 
@@ -255,7 +300,7 @@ def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:
     log_wt = np.log(np.where(pos, wt, 1.0))
     log_denom = np.log(np.where(denom > 0, denom, 1.0))
     contrib = wt * (np.log(p)[:, None] + log_wt - log_denom[None, :])
-    logits = params.c + np.where(pos, contrib, 0.0).sum(axis=1)
+    logits = entropy_offsets(params) + np.where(pos, contrib, 0.0).sum(axis=1)
     x = np.exp(logits - logits.max())
     return np.maximum(params.r, bisect_waterfill_delta(params.r, x) * x)
 

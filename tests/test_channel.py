@@ -87,6 +87,30 @@ def test_caller_arrays_stay_writeable():
         assert np.array_equal(a, v)
 
 
+def test_package_made_arrays_are_shared_not_copied(monkeypatch):
+    """Arrays the package makes are frozen where they are made, so the
+    frozen results share them: no call of ``_readonly`` copies."""
+    copies = []
+    readonly = sa.channel._readonly
+
+    def spy(a):
+        b = readonly(a)
+        if b is not a:
+            copies.append(np.shape(a))
+        return b
+
+    monkeypatch.setattr(sa.channel, "_readonly", spy)
+    monkeypatch.setattr(sa.squeeze, "_readonly", spy)
+    ch = sa.validate_channel(np.array(GOLDEN))
+    r = np.array([0.125, 0.125])
+    r.setflags(write=False)
+    assert copies == []
+    for run in (lambda: sa.solve(ch, "aba"), lambda: sa.solve(ch, "alg2", r=r),
+                lambda: sa.aba_step(ch, [0.3, 0.7])):
+        run()
+        assert copies == []
+
+
 def test_make_distribution_checks():
     d = sa.make_distribution([0.25, 0.75])
     assert d.m == 2

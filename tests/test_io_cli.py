@@ -236,3 +236,29 @@ class TestCliBench:
                  "--out", str(tmp_path / "b2")]
         assert main(args2) == 0
         assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("doc", [
+        {"r": "abc", "f": [0, 0, 0]},
+        {"r": {"a": 1}, "f": [0, 0, 0]},
+        {"r": [0, 0], "f": [0, 0, 0], "lambda": "abc"},
+        {"r": [0, 0], "f": [0, 0, 0], "lambda": [1]},
+        {"r": [0, 0], "f": [0, 0, 0], "lambda": float("nan")},
+        {"r": [0, 0], "f": [0, 0, 0], "lambda": float("inf")},
+    ])
+    def test_params_file_exits_2(self, channel_csv, golden, tmp_path, capsys, doc):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity as JSON extensions
+        assert main(["solve", channel_csv, "--method", "alg3", "--params", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(sa.ChannelFileError):
+            sa.load_params_json(golden, path)
+
+    def test_channel_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"matrix": {"a": 1}}))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(sa.ChannelFileError):
+            sa.load_channel(path)

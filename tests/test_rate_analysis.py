@@ -7,6 +7,7 @@ from helpers import (
     GOLDEN_R_OPT,
     draw_interior_channel,
     golden_channel,
+    posterior_jacobian,
     random_channel,
     random_floor,
     random_offset,
@@ -90,7 +91,7 @@ class TestPowerRate:
         # the golden double squeeze has R = 0 up to roundoff (entries <= 3e-16)
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
         p_star = sa.fixed_point_on_floor(params, [0.5, 0.5]).probs
-        R, _ = sa.iteration_jacobian(params, p_star)
+        R = sa.iteration_jacobian(params, p_star)
         assert 0.0 <= sa.power_rate(R, p_star) <= 1e-15
         # an exactly nilpotent zero-sum map: A @ A == 0, so the first squaring
         # leaves nothing to normalise
@@ -235,6 +236,24 @@ class TestStructure:
         assert rep.gamma_spectrum.shape == (31,)
         assert 0.0 <= rep.gamma_spectrum.min() and rep.gamma_spectrum.max() <= 1.0
         assert rep.shift_identity_residual() <= 1e-7
+
+    def test_jacobian_matches_posterior_form(self):
+        # the W* form of R equals the paper's I - W~ Psi at every point of
+        # Omega(r): at the fixed point and at random points off it
+        rng = np.random.default_rng(515)
+        for _ in range(40):
+            ch = random_channel(rng, int(rng.integers(2, 6)), int(rng.integers(2, 10)))
+            res = solve_tight(ch)
+            r = random_floor(rng, ch)
+            params = sa.build_squeeze_params(ch, r, random_offset(rng, ch, r))
+            assert params.r_plus > 0 and params.f_plus > 0
+            points = [sa.fixed_point_on_floor(params, res.p_hat).probs]
+            points += [params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(ch.m))
+                       for _ in range(5)]
+            for p in points:
+                R = sa.iteration_jacobian(params, p)
+                assert isinstance(R, np.ndarray) and R.shape == (ch.m, ch.m)
+                assert np.abs(R - posterior_jacobian(params, p)).max() <= 1e-13
 
     def test_zero_offset_diagonalizable_real(self, rng):
         # reconstruct R from the symmetric eigendecomposition through the

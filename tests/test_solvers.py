@@ -36,6 +36,30 @@ class TestSteps:
         p = np.array([0.3, 0.7])
         assert np.allclose(sa.aba_step(ch, p).probs, p, atol=1e-15)
 
+    def test_plain_steps_check_the_zero_floor_once_at_most(self, golden, monkeypatch):
+        # lambda = 1 is always feasible, so aba_step checks nothing; alg1_step
+        # takes the column minima once and checks no floor vector
+        p = np.array([0.3, 0.7])
+        plain = sa.aba_step(golden, p).probs.tobytes()
+        gained = sa.alg1_step(golden, 1.5, p).probs.tobytes()
+        calls = {"column_minima": 0, "_check_vector": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sa.ChannelMatrix, "column_minima",
+                            counted("column_minima", sa.ChannelMatrix.column_minima))
+        monkeypatch.setattr(sa.squeeze, "_check_vector",
+                            counted("_check_vector", sa.squeeze._check_vector))
+        assert sa.aba_step(golden, p).probs.tobytes() == plain
+        assert calls == {"column_minima": 0, "_check_vector": 0}
+        assert sa.alg1_step(golden, 1.5, p).probs.tobytes() == gained
+        assert calls == {"column_minima": 1, "_check_vector": 0}
+        assert sa.alg1_step(golden, 1.0, p).probs.tobytes() == plain
+
     def test_aba_requires_interior(self, golden):
         with pytest.raises(sa.NonInteriorStartError):
             sa.aba_step(golden, [1.0, 0.0])

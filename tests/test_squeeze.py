@@ -12,6 +12,7 @@ from helpers import (
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
     GOLDEN_WTILDE,
+    entropy_offsets,
     golden_channel,
     random_channel,
     random_floor,
@@ -31,7 +32,7 @@ class TestBuildSqueezeParams:
     def test_trivial_params_recover_channel(self, golden):
         params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])
         assert np.allclose(params.w_tilde, golden.w)
-        assert np.allclose(params.c, 0.0)
+        assert np.allclose(entropy_offsets(params), 0.0)
         assert params.lam == 1.0
         assert params.is_plain()
 
