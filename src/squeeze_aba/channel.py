@@ -5,12 +5,19 @@ A discrete memoryless channel is an m x n row-stochastic matrix W:
 letter i.  Input distributions live on the probability simplex, optionally
 floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 
+Every stored value is an input or worked out from the inputs: a channel
+derives its all-rows-equal flag from W, and a floor is checked by
+``make_distribution`` rather than stored.  Tolerances are the module
+constants, not options.  A channel with an identically zero column is
+rejected; deleting that output letter is left to the caller.
+
 All types are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +31,8 @@ from .errors import (
     ZeroColumnError,
 )
 
-#: default renormalization window for channel row sums
+#: renormalization window for channel row sums, and the span under which
+#: a column counts as constant (all rows equal)
 ROW_SUM_TOL = 1e-9
 
 #: tolerance on distribution normalization
@@ -41,22 +49,34 @@ def _readonly(a) -> np.ndarray:
     return b
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int of at least ``least``, or ValidationError.
+    Integer-like values pass (numpy integers); floats do not, even integral ones."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return count
+
+
 @dataclass(frozen=True)
 class ChannelMatrix:
     """A validated m x n transition matrix.
 
-    ``all_rows_equal`` flags the degenerate channel whose capacity is 0;
-    it is accepted here and short-circuited by the solvers.
-    ``dropped_columns`` records original indices removed in
-    drop-zero-columns mode.
+    ``all_rows_equal`` flags the degenerate channel whose capacity is 0:
+    every column spans at most ``ROW_SUM_TOL``.  It is worked out from
+    ``w``, not passed in, and the solvers short-circuit on it.
     """
 
     w: np.ndarray
-    all_rows_equal: bool = False
-    dropped_columns: tuple[int, ...] = ()
+    all_rows_equal: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(self.w))
+        rows_equal = bool(np.ptp(self.w, axis=0).max() <= ROW_SUM_TOL)
+        object.__setattr__(self, "all_rows_equal", rows_equal)
 
     @property
     def m(self) -> int:
@@ -71,14 +91,12 @@ class ChannelMatrix:
         return self.w.min(axis=0)
 
 
-def validate_channel(entries, tolerance: float = ROW_SUM_TOL, *,
-                     drop_zero_columns: bool = False) -> ChannelMatrix:
+def validate_channel(entries) -> ChannelMatrix:
     """Validate raw entries and return an immutable ChannelMatrix.
 
-    Rows whose sums deviate from 1 by less than ``tolerance`` are
-    renormalized; larger deviations raise.  Columns that are identically
-    zero raise unless ``drop_zero_columns`` is set, in which case they are
-    removed and their original indices recorded on the result.
+    Rows whose sums deviate from 1 by less than ``ROW_SUM_TOL`` are
+    renormalized; larger deviations raise.  A column that is identically
+    zero raises ZeroColumnError: no input reaches that output letter.
     """
     w = np.asarray(entries, dtype=float)
     if w.ndim != 2 or w.size == 0:
@@ -91,32 +109,20 @@ def validate_channel(entries, tolerance: float = ROW_SUM_TOL, *,
     if np.any(w < 0):
         i, j = np.unravel_index(np.argmin(w), w.shape)
         raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
-
-    dropped: tuple[int, ...] = ()
     zero_cols = np.nonzero(w.sum(axis=0) == 0)[0]
     if zero_cols.size:
-        if not drop_zero_columns:
-            raise ZeroColumnError(
-                f"column(s) {zero_cols.tolist()} are identically zero; "
-                "pass drop_zero_columns=True to remove them"
-            )
-        dropped = tuple(int(j) for j in zero_cols)
-        w = np.delete(w, zero_cols, axis=1)
-        if w.shape[1] == 0:
-            raise EmptyMatrixError("all columns were zero")
+        raise ZeroColumnError(f"column(s) {zero_cols.tolist()} are identically zero")
 
     sums = w.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tolerance
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise RowSumToleranceError(
-            f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {tolerance:g}"
+            f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {ROW_SUM_TOL:g}"
         )
     w = w / sums[:, None]
     w.setflags(write=False)  # made here, so the ChannelMatrix shares it
-
-    rows_equal = bool(np.ptp(w, axis=0).max() <= tolerance)
-    return ChannelMatrix(w, all_rows_equal=rows_equal, dropped_columns=dropped)
+    return ChannelMatrix(w)
 
 
 @dataclass(frozen=True)
@@ -124,25 +130,18 @@ class Distribution:
     """A point of the simplex, or of the floored simplex Omega(r)."""
 
     probs: np.ndarray
-    floor: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _readonly(self.probs))
-        if self.floor is not None:
-            object.__setattr__(self, "floor", _readonly(self.floor))
 
     @property
     def m(self) -> int:
         return self.probs.shape[0]
 
-    def is_interior(self, margin: float = 0.0) -> bool:
-        """True when every component clears its floor (or 0) by ``margin``."""
-        base = self.floor if self.floor is not None else 0.0
-        return bool(np.all(self.probs > base + margin))
 
-
-def make_distribution(p, floor=None, tol: float = PROB_SUM_TOL) -> Distribution:
-    """Validate a probability vector (optionally floored) without renormalizing."""
+def make_distribution(p, floor=None) -> Distribution:
+    """Validate a probability vector without renormalizing; with ``floor``,
+    also check that it lies on Omega(floor)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
@@ -150,20 +149,20 @@ def make_distribution(p, floor=None, tol: float = PROB_SUM_TOL) -> Distribution:
         raise NegativeEntryError(f"negative probability (min {p.min():.3e})")
     with np.errstate(over="ignore"):  # a sum past the float range fails below as inf
         s = np.add.reduce(p)
-    if not abs(s - 1.0) <= tol:  # also True on a NaN or infinite sum
+    if not abs(s - 1.0) <= PROB_SUM_TOL:  # also True on a NaN or infinite sum
         if not np.isfinite(p).all():
             raise ValidationError(f"probabilities must be finite, got {p}")
-        raise DimensionMismatchError(f"probabilities sum to {s:.15g}, not 1 +/- {tol:g}")
+        raise DimensionMismatchError(f"probabilities sum to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
     if floor is not None:
         floor = np.asarray(floor, dtype=float)
         if floor.shape != p.shape:
             raise DimensionMismatchError("floor and probs have different lengths")
-        if np.any(p < floor - tol):
+        if np.any(p < floor - PROB_SUM_TOL):
             i = int(np.argmin(p - floor))
             raise NegativeEntryError(
                 f"component {i} is {p[i]:.15g}, below its floor {floor[i]:.15g}"
             )
-    return Distribution(p, floor)
+    return Distribution(p)
 
 
 def uniform(m: int) -> Distribution:
@@ -173,5 +172,4 @@ def uniform(m: int) -> Distribution:
 def floored_uniform(r) -> Distribution:
     """The point (1 - r_+) * uniform + r, the default start on Omega(r)."""
     r = np.asarray(r, dtype=float)
-    m = r.shape[0]
-    return Distribution((1.0 - r.sum()) / m + r, floor=r)
+    return Distribution((1.0 - r.sum()) / r.shape[0] + r)

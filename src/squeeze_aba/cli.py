@@ -54,24 +54,23 @@ def _parse_vector(text: str | None):
 
 
 def _resolve_method(args, channel):
-    """Map CLI flags to (method, solve kwargs); 'auto' plans the squeeze."""
+    """Map CLI flags to (method, solve kwargs).  A params file overrides the
+    flags; 'auto' plans the squeeze and takes none; every other method gets
+    the flags as given, so ``solve`` applies its own rules to them."""
     method = args.method
-    kwargs: dict = {}
-    if getattr(args, "params", None):
+    if args.params:
         params = sio.load_params_json(channel, args.params)
         return ("alg3" if method in ("auto", "alg3", "alg2") else method), {"params": params}
-    if method == "auto":
-        chosen = plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
-        log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.lam)
-        return "alg3", {"params": chosen.build(channel)}
-    if method in ("alg1", "alg2", "alg3"):
-        if args.lam is not None:
-            kwargs["lam"] = args.lam
-        if args.r is not None:
-            kwargs["r"] = _parse_vector(args.r)
-        if args.f is not None:
-            kwargs["f"] = _parse_vector(args.f)
-    return method, kwargs
+    flags = {"lam": args.lam, "r": _parse_vector(args.r), "f": _parse_vector(args.f)}
+    kwargs = {name: value for name, value in flags.items() if value is not None}
+    if method != "auto":
+        return method, kwargs
+    if kwargs:
+        raise ValidationError("--method auto plans its own squeeze; "
+                              "it takes no --lambda, --r or --f")
+    chosen = plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
+    log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.lam)
+    return "alg3", {"params": chosen.build(channel)}
 
 
 def _scale(value: float, units: str) -> float:
@@ -182,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", default="aba",
                        choices=["aba", "alg1", "alg2", "alg3", "auto"])
         p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="exponent gain (alg1/alg2/alg3)")
-        p.add_argument("--r", default=None, help="floor vector, comma-separated")
-        p.add_argument("--f", default=None, help="offset vector, comma-separated")
+                       help="exponent gain (alg1/alg2/alg3; not auto)")
+        p.add_argument("--r", default=None, help="floor vector, comma-separated (alg2/alg3)")
+        p.add_argument("--f", default=None, help="offset vector, comma-separated (alg3)")
         p.add_argument("--params", default=None,
                        help="JSON file with r, f, lambda (overrides the flags)")
         p.add_argument("--max-iters", type=int, default=1_000_000)

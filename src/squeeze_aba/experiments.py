@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, uniform, validate_channel
+from .channel import ChannelMatrix, _integer, uniform, validate_channel
 from .errors import SqueezeAbaError, ValidationError
 from .solvers import METHODS, SolverConfig, solve
 from .squeeze_select import heuristic_r, lambda_upper_bound, optimal_r_m2
@@ -43,17 +42,10 @@ class BenchConfig:
     seed: int = 0
     epsilon: float = 1e-8
     methods: tuple[str, ...] = DEFAULT_METHODS
-    max_iters: int = 1_000_000
 
     def __post_init__(self):
-        for name, least in (("m", 2), ("n", 1), ("replications", 1), ("max_iters", 1)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
+        for name, least in (("m", 2), ("n", 1), ("replications", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not (self.epsilon > 0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -100,7 +92,7 @@ def random_channel(m: int, n: int, rng: np.random.Generator) -> ChannelMatrix:
 def _run_one(config: BenchConfig, k: int) -> BenchRecord:
     rng = replication_rng(config.seed, k)
     channel = random_channel(config.m, config.n, rng)
-    solver_cfg = SolverConfig(epsilon=config.epsilon, max_iters=config.max_iters)
+    solver_cfg = SolverConfig(epsilon=config.epsilon)
     counts: dict[str, int | None] = {}
     errors: dict[str, str] = {}
     for method in config.methods:
@@ -116,7 +108,7 @@ def _run_one(config: BenchConfig, k: int) -> BenchRecord:
                             config=solver_cfg)
             counts[method] = res.iterations if res.converged else None
             if not res.converged:
-                errors[method] = f"not converged within {config.max_iters} iterations"
+                errors[method] = f"not converged within {solver_cfg.max_iters} iterations"
         except SqueezeAbaError as exc:
             counts[method] = None
             errors[method] = str(exc)

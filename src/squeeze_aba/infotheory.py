@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NegativeEntryError
+from .channel import make_distribution
+from .errors import DimensionMismatchError, NegativeEntryError, ValidationError
 
 LN2 = float(np.log(2.0))
 
@@ -19,6 +20,8 @@ def _as_weights(q, name: str) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a 1-d vector, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValidationError(f"{name} must be finite, got {q}")
     if np.any(q < 0):
         raise NegativeEntryError(f"{name} has a negative entry (min {q.min():.3e})")
     return q
@@ -60,11 +63,11 @@ def mutual_information(channel, p) -> float:
     """Mutual information sum_i p_i D(W_i || pW) for input distribution p.
 
     ``channel`` is a ChannelMatrix or a row-stochastic array; ``p`` is a
-    Distribution or a length-m vector.  Always finite for a channel with
-    no identically-zero column.
+    Distribution or a length-m vector, checked by ``make_distribution``.
+    Always finite for a channel with no identically-zero column.
     """
     w = np.asarray(getattr(channel, "w", channel), dtype=float)
-    pv = np.asarray(getattr(p, "probs", p), dtype=float)
+    pv = make_distribution(getattr(p, "probs", p)).probs
     if w.ndim != 2 or pv.shape[0] != w.shape[0]:
         raise DimensionMismatchError(
             f"channel is {getattr(w, 'shape', None)}, p has length {pv.shape[0]}"

@@ -2,13 +2,14 @@
 
 Channel CSV has one row per input letter, plain numbers, no header.
 Channel JSON is ``{"matrix": [[...], ...]}``.  Squeeze parameters
-serialize as ``{"r": [...], "f": [...], "lambda": x}``.
+serialize as ``{"r": [...], "f": [...], "lambda": x}``.  JSON fields hold
+JSON numbers: a string or boolean where a number belongs makes the file
+malformed (ChannelFileError naming the field), not a value to convert.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,22 @@ from .errors import ChannelFileError, SqueezeAbaError
 from .squeeze import SqueezeParams, build_squeeze_params
 
 
-def load_channel(path, *, tolerance: float = 1e-9,
-                 drop_zero_columns: bool = False) -> ChannelMatrix:
+def _numeric(value) -> bool:
+    """True for a JSON number or nested lists of them; a bool is not one."""
+    return all(map(_numeric, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+def _json_floats(value, name: str, path: Path) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array."""
+    if not _numeric(value):
+        raise ChannelFileError(f'{path}: "{name}" must hold JSON numbers only')
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an integer past the float range
+        raise ChannelFileError(f'{path}: could not parse "{name}": {exc}') from exc
+
+
+def load_channel(path) -> ChannelMatrix:
     """Read and validate a channel matrix from a CSV or JSON file."""
     path = Path(path)
     if not path.exists():
@@ -32,7 +47,7 @@ def load_channel(path, *, tolerance: float = 1e-9,
             doc = json.loads(text)
             if not isinstance(doc, dict) or "matrix" not in doc:
                 raise ChannelFileError(f'{path}: JSON channel needs a "matrix" key')
-            entries = np.asarray(doc["matrix"], dtype=float)
+            entries = _json_floats(doc["matrix"], "matrix", path)
         else:
             rows = [line for line in text.splitlines() if line.strip()]
             entries = np.asarray([[float(cell) for cell in line.split(",")] for line in rows])
@@ -41,7 +56,7 @@ def load_channel(path, *, tolerance: float = 1e-9,
     except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ChannelFileError(f"{path}: could not parse channel matrix: {exc}") from exc
     try:
-        return validate_channel(entries, tolerance, drop_zero_columns=drop_zero_columns)
+        return validate_channel(entries)
     except SqueezeAbaError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -71,16 +86,14 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
         raise ChannelFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "r" not in doc or "f" not in doc:
         raise ChannelFileError(f'{path}: params JSON needs "r" and "f" keys')
-    try:
-        r = np.asarray(doc["r"], dtype=float)
-        f = np.asarray(doc["f"], dtype=float)
-        stated = None if doc.get("lambda") is None else float(doc["lambda"])
-    except (TypeError, ValueError) as exc:
-        raise ChannelFileError(f"{path}: could not parse squeeze parameters: {exc}") from exc
+    r = _json_floats(doc["r"], "r", path)
+    f = _json_floats(doc["f"], "f", path)
     params = build_squeeze_params(channel, r, f)
-    if stated is not None:
-        if not math.isfinite(stated):
+    if doc.get("lambda") is not None:
+        stated = _json_floats(doc["lambda"], "lambda", path)
+        if stated.ndim or not np.isfinite(stated):
             raise ChannelFileError(f"{path}: stated lambda {stated} is not a finite number")
+        stated = float(stated)
         if abs(stated - params.lam) > 1e-9 * max(1.0, abs(stated)):
             raise ChannelFileError(
                 f"{path}: stated lambda {stated:.15g} is inconsistent with "

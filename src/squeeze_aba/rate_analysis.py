@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Distribution, make_distribution
+from .channel import Distribution, _integer, make_distribution
 from .errors import (
     BoundaryFixedPointError,
     DimensionMismatchError,
@@ -93,9 +93,11 @@ def jacobi_eigh(a):
 #: squarings of the centred map per power-iteration round (2**6 = 64 steps)
 POWER_SQUARINGS = 6
 
+#: change between successive power-iteration rounds at which the estimate stops
+POWER_TOL = 1e-10
 
-def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000,
-               tol: float = 1e-10) -> float:
+
+def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000) -> float:
     """Spectral radius of R on the zero-sum subspace by left power iteration.
 
     One step is gamma <- gamma R re-centred to stay in Gamma, which is
@@ -107,17 +109,16 @@ def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000,
     than 64 the map is squared fewer times, and no more than ``max_iters``
     steps run in all.  The estimate is the Rayleigh quotient of R weighted
     by 1/p*, under which the restricted map is self-adjoint; iteration
-    stops once two successive rounds agree to ``tol``.  The start is a
+    stops once two successive rounds agree to ``POWER_TOL``.  The start is a
     fixed, seeded, generic zero-sum vector: a structured start such as
     e_1 - e_2 is an exact eigenvector of R on channels symmetric under
     swapping inputs 1 and 2, and would return a subdominant eigenvalue.
     """
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    max_iters = _integer("max_iters", max_iters, 1)
     m = R.shape[0]
     dinv = 1.0 / np.asarray(p_star, dtype=float)
     A = R - R.mean(axis=1, keepdims=True)
-    squarings = min(POWER_SQUARINGS, int(max_iters).bit_length() - 1)
+    squarings = min(POWER_SQUARINGS, max_iters.bit_length() - 1)
     for _ in range(squarings):
         A = A @ A
         scale = float(np.abs(A).max())
@@ -135,7 +136,7 @@ def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000,
             return 0.0
         y /= norm
         new = float((y @ R) @ (dinv * y) / (y @ (dinv * y)))
-        if abs(new - est) <= tol:
+        if abs(new - est) <= POWER_TOL:
             est = new
             break
         est = new
@@ -249,7 +250,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     and NotAFixedPointError when one iteration step moves p* by more than
     FIXED_POINT_TOL.
     """
-    m, n = params.m, params.n
+    m = params.m
     p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
     if p.shape != (m,):
         raise DimensionMismatchError(f"p_star must have length {m}, got shape {p.shape}")

@@ -50,13 +50,19 @@ p_hat = (p - r)/(1 - r_+).
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, Distribution, make_distribution, uniform
+from .channel import (
+    PROB_SUM_TOL,
+    ChannelMatrix,
+    Distribution,
+    _integer,
+    make_distribution,
+    uniform,
+)
 from .errors import (
     DimensionMismatchError,
     NonInteriorStartError,
@@ -100,12 +106,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        try:
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValidationError(f"max_iters must be an integer, got {self.max_iters!r}") from None
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
             start = make_distribution(getattr(self.initial, "probs", self.initial))
             object.__setattr__(self, "initial", start)
@@ -190,6 +191,9 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
         if not np.isfinite(p).all():
             raise ValidationError(f"start must be finite, got {p}")
         raise NonInteriorStartError("start must have all components strictly positive")
+    s = np.add.reduce(p)
+    if not abs(s - 1.0) <= PROB_SUM_TOL:
+        raise DimensionMismatchError(f"start sums to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
     if r is not None and np.any(p < r - 1e-12):
         raise NonInteriorStartError("start must dominate the floor vector elementwise")
     return p
@@ -200,9 +204,8 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 
 def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
     p = _check_start(p, r, channel.m)
-    scale = 1.0 - float(r.sum()) if r is not None else 1.0
     # the clamp matters here: _check_start lets p fall up to 1e-12 below r
-    q = p if r is None else np.maximum((p - r) / scale, 0.0)
+    q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         z, zmax = _divergences(channel.w, -row_entropies(channel.w), q)
         x = _update(p, z, zmax, lam, r)
@@ -219,8 +222,8 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
     """One exponent-gain update p'_i proportional to p_i exp(lambda z_i).
 
     ``lam`` must lie in the feasible interval for the channel; ``force``
-    turns a violation into a warning (convergence is then no longer
-    guaranteed).
+    turns a gain above the interval into a warning (convergence is then no
+    longer guaranteed).  A gain below 1 is always an error.
     """
     _check_lambda(lam, *_bounds(0.0, channel.column_minima()), force)
     return _step(channel, lam, None, p)
@@ -318,6 +321,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     q0 = np.full(m, 1.0 / m) if config.initial is None else _check_start(config.initial, None, m)
     scale = 1.0 - sp.r_plus if rvec is not None else 1.0
     p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to p
+    lam = sp.lam  # a local: the loop reads it every iteration
 
     w = channel.w
     row_ll = -row_entropies(w)
@@ -357,7 +361,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
             if t == config.max_iters:
                 break
 
-            p = _update(p, z, zmax, sp.lam, rvec)
+            p = _update(p, z, zmax, lam, rvec)
 
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)

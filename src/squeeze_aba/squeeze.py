@@ -14,7 +14,9 @@ min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
 entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
 Resolution is a single pass: each builder checks r and f once and forms
 room once, and ``params_from_r_lambda`` draws its offset from that room.
-``SqueezeParams`` keeps (r, f, lambda) and derives W* and W~ on demand.
+``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict;
+r_+, f_+ and lambda are derived from (r, f) once, on first access, and W*
+and W~ on each access, so no stored value can disagree with (r, f).
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +49,9 @@ _PACKAGE = __package__ + "."
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Immutable squeeze parameters; W* and W~ are derived on each access.
+    """Immutable squeeze parameters (r, f); everything else is derived.
 
-    ``feasible`` is False only when constructed with ``force=True`` over a
+    ``feasible`` is False only when built with ``force=True`` over a
     constraint violation; the solvers then lose their monotonicity
     guarantee and downgrade related checks to warnings.
     """
@@ -56,14 +59,26 @@ class SqueezeParams:
     channel: ChannelMatrix
     r: np.ndarray
     f: np.ndarray
-    lam: float
-    r_plus: float
-    f_plus: float
     feasible: bool = True
 
     def __post_init__(self):
         for name in ("r", "f"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def r_plus(self) -> float:
+        """Floor mass sum_i r_i."""
+        return float(np.add.reduce(self.r))
+
+    @cached_property
+    def f_plus(self) -> float:
+        """Offset mass sum_j f_j."""
+        return float(np.add.reduce(self.f))
+
+    @cached_property
+    def lam(self) -> float:
+        """Exponent gain (1 + f_+)/(1 - r_+)."""
+        return (1.0 + self.f_plus) / (1.0 - self.r_plus)
 
     @property
     def m(self) -> int:
@@ -90,17 +105,22 @@ class SqueezeParams:
 
 
 def _check_vector(v, length: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        v = np.full(length, float(v))
-    if v.shape != (length,):
-        raise DimensionMismatchError(f"{name} must have length {length}, got shape {v.shape}")
+    """v as a finite nonnegative float vector of the given length (a scalar
+    fills it).  An array made here from a list or scalar is frozen, so
+    SqueezeParams shares it rather than copying it."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim == 0:
+        a = np.full(length, float(a))
+    if a.shape != (length,):
+        raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
     # argmin and argmax find a NaN, like min and max; the full checks only pick the error
-    if not (v[v.argmin()] >= 0.0 and v[v.argmax()] < np.inf):
-        if not np.isfinite(v).all():
+    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
+        if not np.isfinite(a).all():
             raise ValidationError(f"{name} must be finite")
-        raise NegativeEntryError(f"{name} must be nonnegative (min {v.min():.3e})")
-    return v
+        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
+    if a is not v:
+        a.setflags(write=False)
+    return a
 
 
 def _floor_mass(r: np.ndarray) -> float:
@@ -144,10 +164,11 @@ def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
 
 
 def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
-    """LambdaRangeError (a warning under ``force``) unless lo <= lam <= hi."""
+    """LambdaRangeError unless lo <= lam <= hi.  ``force`` turns only a gain
+    above hi into a warning: no offset f >= 0 gives lambda < 1/(1 - r_+)."""
     if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
         _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
-                   f"interval [{lo:.15g}, {hi:.15g}]", force)
+                   f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
 
 
 def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.ndarray,
@@ -155,7 +176,7 @@ def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.nd
     """SqueezeParams from a checked floor r (mass r_plus < 1) and offset f,
     given room = min_i W_ij - (rW)_j, after both column tests."""
     w = channel.w
-    f_plus = float(np.add.reduce(f))
+    f_plus = float(np.add.reduce(f))  # the reduction SqueezeParams.f_plus takes
     feasible = True
     if room[room.argmin()] < -CONSTRAINT_TOL:
         i, j = _worst_entry(w, room)
@@ -170,8 +191,7 @@ def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.nd
                    f"offset constraint violated: squeezed entry ({i},{j}) = "
                    f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
         feasible = False
-    return SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
-                         feasible)
+    return SqueezeParams(channel, r, f, feasible)
 
 
 def build_squeeze_params(channel: ChannelMatrix, r, f, *,

@@ -29,13 +29,12 @@ import numpy as np
 from .channel import ChannelMatrix, uniform
 from .errors import (
     DegenerateChannelError,
-    DimensionMismatchError,
     NoStrictColumnError,
     NotTwoByNError,
     SqueezeConstraintError,
     ValidationError,
 )
-from .squeeze import CONSTRAINT_TOL, SqueezeParams, build_squeeze_params
+from .squeeze import CONSTRAINT_TOL, SqueezeParams, _check_vector, build_squeeze_params
 
 STRATEGIES = ("none", "lambda-only", "optimal-m2", "heuristic")
 
@@ -109,9 +108,7 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
 
     Any zero channel entry forces delta = 0 (and r = 0).
     """
-    qv = np.asarray(getattr(q, "probs", q), dtype=float)
-    if qv.shape != (channel.m,):
-        raise DimensionMismatchError(f"q must have length {channel.m}, got shape {qv.shape}")
+    qv = _check_vector(getattr(q, "probs", q), channel.m, "q")
     s = qv @ channel.w
     if np.any(s <= 0):
         raise ValidationError("reference distribution gives zero output mass")
@@ -125,8 +122,8 @@ def offset_from_g(channel: ChannelMatrix, g, r) -> np.ndarray:
     Components that come out negative by rounding (tiny, from the tight
     optimal choices) are clamped to zero; material negativity raises.
     """
-    g = np.asarray(g, dtype=float)
-    r = np.asarray(r, dtype=float)
+    g = _check_vector(g, channel.n, "g")
+    r = _check_vector(r, channel.m, "r")
     f = g - (1.0 + np.add.reduce(g)) * (r @ channel.w)
     f_min = f[f.argmin()]
     if f_min < -CONSTRAINT_TOL:

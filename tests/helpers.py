@@ -88,7 +88,7 @@ def draw_interior_channel(rng: np.random.Generator, m_choices=(2, 3, 4),
         n = int(rng.integers(max(m, n_lo), n_hi + 1))
         channel = random_channel(rng, m, n)
         result = solve_tight(channel)
-        if result.converged and result.p_hat.is_interior(margin):
+        if result.converged and result.p_hat.probs.min() > margin:
             return channel, result.p_hat
     raise AssertionError("could not draw an interior-optimum channel")
 
@@ -208,8 +208,7 @@ def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
                              f"offset constraint violated: squeezed entry ({i},{j}) = "
                              f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
         feasible = False
-    return sa.SqueezeParams(channel, r, f, (1.0 + f_plus) / (1.0 - r_plus), r_plus, f_plus,
-                            feasible)
+    return sa.SqueezeParams(channel, r, f, feasible)
 
 
 def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,

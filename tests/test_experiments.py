@@ -57,8 +57,8 @@ def test_bench_config_validation():
     ({"m": 1}, "m must be >= 2"),
     ({"n": 0}, "n must be >= 1"),
     ({"replications": 2.5}, "replications must be an integer"),
-    ({"max_iters": 0}, "max_iters must be >= 1"),
-    ({"max_iters": 1e6}, "max_iters must be an integer"),
+    ({"epsilon": 0.0}, "epsilon must be positive"),
+    ({"epsilon": float("nan")}, "epsilon must be positive"),
     ({"m": 2.0}, "m must be an integer"),
     ({"n": "8"}, "n must be an integer"),
 ])
@@ -69,10 +69,9 @@ def test_bench_config_rejects_at_construction(kwargs, match):
 
 
 def test_bench_config_normalises_integers():
-    cfg = sa.BenchConfig(m=np.int64(3), n=np.int32(4), replications=np.int64(2),
-                         max_iters=np.int64(10))
-    assert (cfg.m, cfg.n, cfg.replications, cfg.max_iters) == (3, 4, 2, 10)
-    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications, cfg.max_iters))
+    cfg = sa.BenchConfig(m=np.int64(3), n=np.int32(4), replications=np.int64(2))
+    assert (cfg.m, cfg.n, cfg.replications) == (3, 4, 2)
+    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications))
 
 
 def test_single_replication_deterministic():

@@ -34,6 +34,11 @@ def test_entropy_rejects_negative():
         sa.entropy([0.5, -0.1])
 
 
+def test_entropy_rejects_non_finite():
+    with pytest.raises(sa.ValidationError, match="finite"):
+        sa.entropy([np.nan, 1.0])
+
+
 def test_row_entropies_match_per_row_entropy(rng):
     for _ in range(50):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
@@ -95,6 +100,11 @@ def test_mutual_information_noiseless():
 def test_mutual_information_golden_value():
     ch = golden_channel()
     assert sa.mutual_information(ch, [0.5, 0.5]) == pytest.approx(GOLDEN_CAPACITY, abs=1e-14)
+
+
+def test_mutual_information_checks_the_distribution():
+    with pytest.raises(sa.DimensionMismatchError, match="sum to 6"):
+        sa.mutual_information(golden_channel(), [3.0, 3.0])
 
 
 def test_mutual_information_degenerate_rows():

@@ -104,6 +104,15 @@ class TestCliSolve:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error: expected comma-separated numbers")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "aba", "--lambda", "3"], "method 'aba' takes no squeeze parameters"),
+        (["--method", "auto", "--r", "0.1,0.1"], "--method auto plans its own squeeze"),
+    ])
+    def test_flags_are_never_dropped(self, channel_csv, capsys, flags, message):
+        # a flag reaches the method, whose own rules then apply; auto takes none
+        assert main(["solve", channel_csv, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_not_converged_exit_code(self, tmp_path):
         path = tmp_path / "skew.csv"
         path.write_text("0.8,0.15,0.05\n0.1,0.3,0.6\n")
@@ -254,6 +263,24 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith("error: ")
         with pytest.raises(sa.ChannelFileError):
             sa.load_params_json(golden, path)
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"r": [0.125, 0.125], "f": [0, 0.25, 0], "lambda": "1.6666666666666667"}, "lambda"),
+        ({"r": ["0.125", "0.125"], "f": [0, 0.25, 0]}, "r"),
+        ({"r": [True, False], "f": [0, 0, 0]}, "r"),
+        ({"r": [0.125, 0.125], "f": [0, 0.25, None]}, "f"),
+    ])
+    def test_params_file_holds_numbers(self, channel_csv, tmp_path, capsys, doc, name):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", channel_csv, "--method", "alg3", "--params", str(path)]) == 2
+        assert f'"{name}" must hold JSON numbers' in capsys.readouterr().err
+
+    def test_channel_file_holds_numbers(self, tmp_path, capsys):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"matrix": [[str(v) for v in row] for row in GOLDEN]}))
+        assert main(["solve", str(path)]) == 2
+        assert '"matrix" must hold JSON numbers' in capsys.readouterr().err
 
     def test_channel_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "channel.json"

@@ -127,6 +127,8 @@ class TestPowerRate:
         assert abs(sa.power_rate(rep.R, p_star, max_iters=1) - rep.global_rate) > 1e-6
         with pytest.raises(sa.ValidationError, match="max_iters"):
             sa.power_rate(rep.R, p_star, max_iters=0)
+        with pytest.raises(sa.ValidationError, match="max_iters must be an integer"):
+            sa.power_rate(rep.R, p_star, max_iters=1.5)
 
     def test_symmetric_channel_regression(self):
         # inputs 1 and 2 are swapped by permuting outputs 1 and 2, so e_1 - e_2

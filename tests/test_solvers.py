@@ -329,7 +329,7 @@ class TestSolve:
                 caps.append(res.capacity)
                 phats.append(res.p_hat.probs)
             assert max(caps) - min(caps) <= 2 * eps
-            if sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-11)).p_hat.is_interior(1e-3):
+            if sa.solve(ch, "aba", config=sa.SolverConfig(epsilon=1e-11)).p_hat.probs.min() > 1e-3:
                 for other in phats[1:]:
                     assert np.allclose(phats[0], other, atol=1e-4)
 
@@ -387,6 +387,14 @@ class TestSolve:
         res = sa.solve(golden, "aba", config=sa.SolverConfig(initial=np.array([0.5, 0.5])))
         assert res.converged
         assert res.capacity_lower - 1e-12 <= GOLDEN_CAPACITY <= res.capacity_upper + 1e-12
+        # the single steps check the sum too
+        params = sa.params_from_r_lambda(golden, GOLDEN_R_OPT, GOLDEN_LAMBDA)
+        for step, p in ((lambda p: sa.aba_step(golden, p), [0.5, 0.6]),
+                        (lambda p: sa.alg1_step(golden, 1.2, p), [0.5, 0.6]),
+                        (lambda p: sa.alg2_step(golden, params, p), [0.3, 0.3]),
+                        (lambda p: sa.alg3_step(params, p), [0.3, 0.3])):
+            with pytest.raises(sa.DimensionMismatchError, match="start sums to"):
+                step(p)
 
     def test_method_parameter_validation(self, golden):
         with pytest.raises(sa.ValidationError):
@@ -406,8 +414,8 @@ class TestSolve:
 
     def test_degenerate_channel_default_lambda_is_finite(self):
         w = [[0.5, 0.5], [0.5, 0.5]]
-        # built directly, a ChannelMatrix keeps all_rows_equal=False, so the
-        # default must come from the bound itself, not from the flag
+        # built directly or validated, the channel flags its equal rows, and
+        # the default gain is the finite lower bound
         for ch in (sa.validate_channel(w), sa.ChannelMatrix(np.array(w))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

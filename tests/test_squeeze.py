@@ -210,6 +210,16 @@ def _resolution(fn, channel, *args, force):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
+def _refused_under_force(channel, args, plain) -> bool:
+    """Whether a forced ``params_from_r_lambda(channel, *args)`` refuses its gain
+    where the reference replaced it: the unforced call found the gain out of
+    range, and it is not above the upper bound (below the lower bound, or NaN).
+    No offset f >= 0 gives a gain below 1/(1 - r_+)."""
+    out = plain[0]
+    return (out[0] is sa.LambdaRangeError and "outside feasible interval" in out[1]
+            and not float(args[1]) > sa.lambda_bounds(channel, args[0])[1])
+
+
 BAD_VECTORS = ([np.nan, 0.1], [np.inf, 0.1], [-np.inf, 0.1], [0.1, -0.1], [np.nan, -1.0],
                [-1.0, np.inf], [0.1, 0.1, 0.1], [[0.1, 0.1]], np.nan, -0.1)
 
@@ -218,7 +228,10 @@ class TestResolutionMatchesReference:
     """Single-pass parameter resolution against its form before it
     (``helpers.reference_params_from_r_lambda`` and
     ``reference_build_squeeze_params``): bytewise the same r, f, lambda,
-    r_+, f_+ and verdict, and the same exception and warnings, forced or not."""
+    r_+, f_+ and verdict, and the same exception and warnings, forced or not.
+    One departure is deliberate: a forced gain below the lower bound, or NaN,
+    is refused with the unforced error, where the reference warned and ran
+    the lower bound (or failed later on a NaN offset) instead."""
 
     def _same(self, channel, *args):
         outcomes = []
@@ -227,6 +240,9 @@ class TestResolutionMatchesReference:
                    else (sa.build_squeeze_params, reference_build_squeeze_params))
         for force in (False, True):
             expected = _resolution(ref, channel, *args, force=force)
+            if force and fn is sa.params_from_r_lambda and _refused_under_force(
+                    channel, args, outcomes[0]):
+                expected = outcomes[0]
             assert _resolution(fn, channel, *args, force=force) == expected, (args, force)
             outcomes.append(expected)
         return outcomes
@@ -280,7 +296,10 @@ class TestResolutionMatchesReference:
             for lam in outside:
                 plain, forced = self._same(golden, r, lam)
                 assert plain[0][0] is sa.LambdaRangeError
-                assert "outside feasible interval" in forced[1][0][1]
+                if lam > hi:
+                    assert "outside feasible interval" in forced[1][0][1]
+                else:  # below the lower bound, force does not help
+                    assert forced == plain and not forced[1]
             for lam in edges:
                 assert not self._same(golden, r, lam)[0][1]
 
@@ -331,6 +350,30 @@ def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
                            golden, GOLDEN_R_OPT, force=False)
     assert (counts["check"], counts["colmin"]) == (2, 1)
     assert resolved == explicit
+
+
+def test_directly_built_params_derive_the_gain(golden):
+    """SqueezeParams keeps (r, f); r_+, f_+ and lambda follow from them,
+    bitwise as the builders compute them."""
+    params = sa.SqueezeParams(golden, GOLDEN_R_OPT, GOLDEN_F_OPT)
+    built = sa.build_squeeze_params(golden, GOLDEN_R_OPT, GOLDEN_F_OPT)
+    assert params.lam == (1.0 + params.f_plus) / (1.0 - params.r_plus)
+    assert (params.lam, params.r_plus, params.f_plus) == (built.lam, built.r_plus, built.f_plus)
+    assert params.lam == pytest.approx(GOLDEN_LAMBDA, abs=1e-15)
+    np.testing.assert_allclose(sa.alg3_step(params, [0.2, 0.8]).probs, [0.5, 0.5], atol=1e-12)
+
+
+def test_forced_gain_below_lower_bound_refused(golden):
+    """No offset f >= 0 gives lambda < 1/(1 - r_+), so force does not turn
+    such a gain into a warning: every path refuses it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: sa.solve(golden, "alg1", lam=0.5, force=True),
+                     lambda: sa.alg1_step(golden, 0.5, [0.5, 0.5], force=True),
+                     lambda: sa.params_from_r_lambda(golden, [0.1, 0.1], 1.2, force=True),
+                     lambda: sa.solve(golden, "alg2", r=[0.1, 0.1], lam=np.nan, force=True)):
+            with pytest.raises(sa.LambdaRangeError, match="outside feasible interval"):
+                call()
 
 
 def test_forced_violations_warn_at_the_caller(golden):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,15 @@ def test_lambda_upper_bound_identity():
 
 
 def test_lambda_upper_bound_degenerate():
-    ch = sa.validate_channel([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(sa.DegenerateChannelError):
-        sa.lambda_upper_bound(ch)
+    # validated or built directly, with no numpy warning on the way
+    w = [[0.5, 0.5], [0.5, 0.5]]
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        for ch in (sa.validate_channel(w), sa.ChannelMatrix(np.array(w))):
+            for call in (lambda: sa.lambda_upper_bound(ch), lambda: sa.plan(ch, "optimal-m2"),
+                         lambda: sa.plan(ch, "heuristic")):
+                with pytest.raises(sa.DegenerateChannelError):
+                    call()
 
 
 def test_lambda_upper_bound_recomputation(rng):
@@ -84,6 +92,19 @@ def test_optimal_r_m2_shape_guards(golden, rng):
 def test_heuristic_r_golden(golden):
     r = sa.heuristic_r(golden, [0.5, 0.5])
     assert np.allclose(r, GOLDEN_R_OPT, atol=1e-15)
+
+
+def test_heuristic_r_rejects_non_finite_reference(golden):
+    with pytest.raises(sa.ValidationError, match="q must be finite"):
+        sa.heuristic_r(golden, [np.nan, 1.0])
+
+
+def test_offset_from_g_checks_its_vectors(golden):
+    for g, r, error in (([np.nan, 0.0, 0.0], [0.0, 0.0], sa.ValidationError),
+                        (GOLDEN_G_OPT, [-0.5, 0.0], sa.NegativeEntryError),
+                        ([0.1, 0.1], [0.0, 0.0], sa.DimensionMismatchError)):
+        with pytest.raises(error):
+            sa.offset_from_g(golden, g, r)
 
 
 def test_heuristic_r_zero_entry_forces_zero():
