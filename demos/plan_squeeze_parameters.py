@@ -19,9 +19,9 @@ W = sa.validate_channel([[0.7, 0.2, 0.1],
 # overlapping rows allow a large gain (and need it most).
 print("lambda upper bound:", sa.lambda_upper_bound(W))
 
-# The combined squeeze g bundles floor and offset; its best value depends
-# only on the channel, and its total mass equals lambda - 1.
-g = sa.optimal_g(W)
+# The combined squeeze g = lambda rW + f bundles floor and offset; at the
+# largest gain it depends only on the channel, and 1 + g_+ equals lambda.
+g = np.array(sa.plan(W, "lambda-only").to_dict()["g"])
 print("optimal combined squeeze g:", g, " (1 + g_+ =", 1 + g.sum(), ")")
 
 # For binary-input channels the best floor has a closed form.
@@ -33,15 +33,15 @@ W3 = sa.validate_channel([[0.6, 0.25, 0.1, 0.05],
                           [0.05, 0.15, 0.4, 0.4]])
 print("heuristic floor (uniform direction):", sa.heuristic_r(W3, sa.uniform(3)))
 
-# plan() assembles a full strategy; every plan passes feasibility validation.
+# plan() picks the floor; the offset and the gain are params_from_r_lambda's,
+# so every plan holds validated parameters.
 for strategy in ("none", "lambda-only", "optimal-m2"):
     pl = sa.plan(W, strategy)
     print(f"\nstrategy {strategy!r}:")
     print(json.dumps(pl.to_dict(), indent=2))
 
-# Plans materialize into validated parameter bundles for the solver.
-pl = sa.plan(W, "optimal-m2")
-params = pl.build(W)
+# A plan holds the validated parameter bundle the solver takes.
+params = sa.plan(W, "optimal-m2").params
 print("\nsqueezed rows overlap after planning:",
       float(np.abs(params.w_tilde[0] * params.w_tilde[1]).max()))
 
@@ -56,4 +56,4 @@ import warnings
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     flat = sa.plan(sa.validate_channel(np.eye(3)), "lambda-only")
-print("\nidentity channel plan: lambda =", flat.lam, "-", caught[0].message)
+print("\nidentity channel plan: lambda =", flat.params.lam, "-", caught[0].message)

@@ -86,8 +86,6 @@ from .squeeze_select import (
     SqueezePlan,
     heuristic_r,
     lambda_upper_bound,
-    offset_from_g,
-    optimal_g,
     optimal_r_m2,
     plan,
 )

@@ -5,8 +5,9 @@ A discrete memoryless channel is an m x n row-stochastic matrix W:
 letter i.  Input distributions live on the probability simplex, optionally
 floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 
-Every stored value is an input or worked out from the inputs: a channel
-derives its all-rows-equal flag from W, and a floor is checked by
+A channel validates its entries when it is constructed, however it is
+built.  Every stored value is an input or worked out from the inputs: a
+channel derives its all-rows-equal flag from W, and a floor is checked by
 ``make_distribution`` rather than stored.  Tolerances are the module
 constants, not options.  A channel with an identically zero column is
 rejected; deleting that output letter is left to the caller.
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyMatrixError,
+    InfeasibleFloorError,
     NegativeEntryError,
     RowSumToleranceError,
     ValidationError,
@@ -61,21 +63,73 @@ def _integer(name: str, value, least: int) -> int:
     return count
 
 
+def _check_vector(v, length: int, name: str) -> np.ndarray:
+    """v as a finite nonnegative float vector of the given length (a scalar
+    fills it).  An array made here from a list or scalar is frozen, so
+    SqueezeParams shares it rather than copying it."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim == 0:
+        a = np.full(length, float(a))
+    if a.shape != (length,):
+        raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
+    # argmin and argmax find a NaN, like min and max; the full checks only pick the error
+    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} must be finite")
+        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
+    if a is not v:
+        a.setflags(write=False)
+    return a
+
+
+def _floor_mass(r: np.ndarray) -> float:
+    r_plus = float(np.add.reduce(r))
+    if r_plus >= 1.0:
+        raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
+    return r_plus
+
+
 @dataclass(frozen=True)
 class ChannelMatrix:
     """A validated m x n transition matrix.
 
-    ``all_rows_equal`` flags the degenerate channel whose capacity is 0:
-    every column spans at most ``ROW_SUM_TOL``.  It is worked out from
-    ``w``, not passed in, and the solvers short-circuit on it.
+    Construction validates the entries: rows whose sums deviate from 1 by
+    less than ``ROW_SUM_TOL`` are renormalized, and larger deviations
+    raise.  A column that is identically zero raises ZeroColumnError: no
+    input reaches that output letter.  ``all_rows_equal`` flags the
+    degenerate channel whose capacity is 0: every column spans at most
+    ``ROW_SUM_TOL``.  It is worked out from ``w``, not passed in, and the
+    solvers short-circuit on it.
     """
 
     w: np.ndarray
     all_rows_equal: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _readonly(self.w))
-        rows_equal = bool(np.ptp(self.w, axis=0).max() <= ROW_SUM_TOL)
+        w = np.asarray(self.w, dtype=float)
+        if w.ndim != 2 or w.size == 0:
+            raise EmptyMatrixError(f"expected a nonempty 2-d matrix, got shape {w.shape}")
+        if w.shape[0] < 2:
+            raise EmptyMatrixError(f"need at least 2 input letters, got {w.shape[0]}")
+        if not np.all(np.isfinite(w)):
+            raise NegativeEntryError("channel entries must be finite")
+        if np.any(w < 0):
+            i, j = np.unravel_index(np.argmin(w), w.shape)
+            raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
+        zero_cols = np.nonzero(w.sum(axis=0) == 0)[0]
+        if zero_cols.size:
+            raise ZeroColumnError(f"column(s) {zero_cols.tolist()} are identically zero")
+        sums = w.sum(axis=1)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if np.any(bad):
+            i = int(np.nonzero(bad)[0][0])
+            raise RowSumToleranceError(
+                f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {ROW_SUM_TOL:g}"
+            )
+        w = np.ascontiguousarray(w / sums[:, None])
+        w.setflags(write=False)  # made here, so no caller holds it
+        object.__setattr__(self, "w", w)
+        rows_equal = bool(np.ptp(w, axis=0).max() <= ROW_SUM_TOL)
         object.__setattr__(self, "all_rows_equal", rows_equal)
 
     @property
@@ -92,37 +146,9 @@ class ChannelMatrix:
 
 
 def validate_channel(entries) -> ChannelMatrix:
-    """Validate raw entries and return an immutable ChannelMatrix.
-
-    Rows whose sums deviate from 1 by less than ``ROW_SUM_TOL`` are
-    renormalized; larger deviations raise.  A column that is identically
-    zero raises ZeroColumnError: no input reaches that output letter.
-    """
-    w = np.asarray(entries, dtype=float)
-    if w.ndim != 2 or w.size == 0:
-        raise EmptyMatrixError(f"expected a nonempty 2-d matrix, got shape {w.shape}")
-    m, n = w.shape
-    if m < 2:
-        raise EmptyMatrixError(f"need at least 2 input letters, got {m}")
-    if not np.all(np.isfinite(w)):
-        raise NegativeEntryError("channel entries must be finite")
-    if np.any(w < 0):
-        i, j = np.unravel_index(np.argmin(w), w.shape)
-        raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
-    zero_cols = np.nonzero(w.sum(axis=0) == 0)[0]
-    if zero_cols.size:
-        raise ZeroColumnError(f"column(s) {zero_cols.tolist()} are identically zero")
-
-    sums = w.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise RowSumToleranceError(
-            f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {ROW_SUM_TOL:g}"
-        )
-    w = w / sums[:, None]
-    w.setflags(write=False)  # made here, so the ChannelMatrix shares it
-    return ChannelMatrix(w)
+    """``ChannelMatrix(entries)``: validate raw entries, renormalizing rows
+    within ``ROW_SUM_TOL`` of summing to 1, into an immutable channel."""
+    return ChannelMatrix(entries)
 
 
 @dataclass(frozen=True)
@@ -170,6 +196,10 @@ def uniform(m: int) -> Distribution:
 
 
 def floored_uniform(r) -> Distribution:
-    """The point (1 - r_+) * uniform + r, the default start on Omega(r)."""
+    """The point (1 - r_+) * uniform + r, the default start on Omega(r).
+    The floor r must be a nonempty finite nonnegative vector of mass < 1."""
     r = np.asarray(r, dtype=float)
-    return Distribution((1.0 - r.sum()) / r.shape[0] + r)
+    if r.ndim != 1 or r.size == 0:
+        raise DimensionMismatchError(f"r must be a nonempty vector, got shape {r.shape}")
+    r = _check_vector(r, r.size, "r")
+    return Distribution((1.0 - _floor_mass(r)) / r.size + r)

@@ -69,8 +69,8 @@ def _resolve_method(args, channel):
         raise ValidationError("--method auto plans its own squeeze; "
                               "it takes no --lambda, --r or --f")
     chosen = plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
-    log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.lam)
-    return "alg3", {"params": chosen.build(channel)}
+    log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.params.lam)
+    return "alg3", {"params": chosen.params}
 
 
 def _scale(value: float, units: str) -> float:
@@ -119,9 +119,7 @@ def cmd_params(args) -> int:
     q = None
     if args.q and args.q != "uniform":
         q = make_distribution(_parse_vector(args.q))
-    chosen = plan(channel, args.strategy, q=q)
-    chosen.build(channel)  # validate before emitting
-    print(json.dumps(chosen.to_dict(), indent=2))
+    print(json.dumps(plan(channel, args.strategy, q=q).to_dict(), indent=2))
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
 Resolution is a single pass: each builder checks r and f once and forms
 room once, and ``params_from_r_lambda`` draws its offset from that room.
 ``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict;
-r_+, f_+ and lambda are derived from (r, f) once, on first access, and W*
-and W~ on each access, so no stored value can disagree with (r, f).
+r_+, f_+ and lambda are derived from (r, f) once (a builder's column
+tests take r_+ and f_+ and leave them cached), and W* and W~ on each
+access, so no stored value can disagree with (r, f).
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -25,18 +26,15 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelMatrix, _readonly
+from .channel import ChannelMatrix, _check_vector, _floor_mass, _readonly
 from .errors import (
-    DimensionMismatchError,
     FloorConstraintError,
-    InfeasibleFloorError,
     LambdaRangeError,
-    NegativeEntryError,
     SqueezeConstraintError,
     ValidationError,
 )
@@ -104,32 +102,6 @@ class SqueezeParams:
         return not (self.r.any() or self.f.any())
 
 
-def _check_vector(v, length: int, name: str) -> np.ndarray:
-    """v as a finite nonnegative float vector of the given length (a scalar
-    fills it).  An array made here from a list or scalar is frozen, so
-    SqueezeParams shares it rather than copying it."""
-    a = np.asarray(v, dtype=float)
-    if a.ndim == 0:
-        a = np.full(length, float(a))
-    if a.shape != (length,):
-        raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
-    # argmin and argmax find a NaN, like min and max; the full checks only pick the error
-    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
-        if not np.isfinite(a).all():
-            raise ValidationError(f"{name} must be finite")
-        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
-    if a is not v:
-        a.setflags(write=False)
-    return a
-
-
-def _floor_mass(r: np.ndarray) -> float:
-    r_plus = float(np.add.reduce(r))
-    if r_plus >= 1.0:
-        raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
-    return r_plus
-
-
 def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
     """Raise ``error``, or under ``force`` warn at the first caller outside the package."""
     if not force:
@@ -174,9 +146,11 @@ def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
 def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.ndarray,
                   room: np.ndarray, force: bool) -> SqueezeParams:
     """SqueezeParams from a checked floor r (mass r_plus < 1) and offset f,
-    given room = min_i W_ij - (rW)_j, after both column tests."""
+    given room = min_i W_ij - (rW)_j, after both column tests.  The tests
+    read the params' own masses, so each mass is reduced once."""
+    sp = SqueezeParams(channel, r, f)
+    vars(sp)["r_plus"] = r_plus  # _floor_mass's reduction, the one the property takes
     w = channel.w
-    f_plus = float(np.add.reduce(f))  # the reduction SqueezeParams.f_plus takes
     feasible = True
     if room[room.argmin()] < -CONSTRAINT_TOL:
         i, j = _worst_entry(w, room)
@@ -184,14 +158,14 @@ def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.nd
                    f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
                    f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}", force)
         feasible = False
-    tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
+    tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
     if tilde_min[tilde_min.argmin()] < -CONSTRAINT_TOL:
         i, j = _worst_entry(w, tilde_min)
         _violation(SqueezeConstraintError,
                    f"offset constraint violated: squeezed entry ({i},{j}) = "
                    f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
         feasible = False
-    return SqueezeParams(channel, r, f, feasible)
+    return sp if feasible else replace(sp, feasible=False)
 
 
 def build_squeeze_params(channel: ChannelMatrix, r, f, *,

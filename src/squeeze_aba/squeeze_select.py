@@ -1,12 +1,13 @@
 """Automatic selection of squeeze parameters.
 
-The combined squeeze vector g ties the floor and the offset together:
+A plan chooses the floor r; the offset f and the gain lambda come from
+``params_from_r_lambda`` at the largest gain, lambda = 1/(1 - o) with
+o = sum_j min_i W_ij the row overlap.  In combined form that is the one
+squeeze g_j = min_i W_ij / (1 - o), which does not depend on the floor:
 
-    g = (1 + f_+)/(1 - r_+) * rW + f,        f = g - (1 + g_+) rW,
+    g = lambda rW + f,        f = lambda (min_i W_ij - (rW)_j),
 
-and 1 + g_+ equals the exponent gain lambda.  The best g never depends on
-the floor: take g_j = min_i W_ij / (1 - sum_k min_i W_ik), which drives
-lambda to its upper bound.  The floor r is then chosen by strategy:
+and 1 + g_+ equals lambda.  The floor r is chosen by strategy:
 
     none         r = 0, f = 0, lambda = 1 (plain iteration)
     lambda-only  r = 0, f = g (exponent gain only)
@@ -26,39 +27,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, uniform
+from .channel import ChannelMatrix, _check_vector, uniform
 from .errors import (
     DegenerateChannelError,
     NoStrictColumnError,
     NotTwoByNError,
-    SqueezeConstraintError,
     ValidationError,
 )
-from .squeeze import CONSTRAINT_TOL, SqueezeParams, _check_vector, build_squeeze_params
+from .squeeze import CONSTRAINT_TOL, SqueezeParams, _bounds, params_from_r_lambda
 
 STRATEGIES = ("none", "lambda-only", "optimal-m2", "heuristic")
 
 
 @dataclass(frozen=True)
 class SqueezePlan:
-    """A chosen (r, g, f, lambda) bundle plus the strategy that produced it."""
+    """Validated squeeze parameters plus the strategy that chose their floor."""
 
-    r: np.ndarray
-    g: np.ndarray
-    f: np.ndarray
-    lam: float
+    params: SqueezeParams
     strategy: str
 
     def build(self, channel: ChannelMatrix) -> SqueezeParams:
-        """Materialize and validate the plan against its channel."""
-        return build_squeeze_params(channel, self.r, self.f)
+        """The plan's parameters; ValidationError for a channel other than the plan's."""
+        planned = self.params.channel
+        # identity first: the usual caller passes the channel the plan was made on
+        if planned is not channel and not np.array_equal(planned.w, channel.w):
+            raise ValidationError("plan was made for a different channel")
+        return self.params
 
     def to_dict(self) -> dict:
+        sp = self.params
         return {
-            "r": self.r.tolist(),
-            "g": self.g.tolist(),
-            "f": self.f.tolist(),
-            "lambda": self.lam,
+            "r": sp.r.tolist(),
+            "g": (sp.lam * (sp.r @ sp.channel.w) + sp.f).tolist(),
+            "f": sp.f.tolist(),
+            "lambda": sp.lam,
             "strategy": self.strategy,
         }
 
@@ -67,15 +69,7 @@ def lambda_upper_bound(channel: ChannelMatrix) -> float:
     """1 / (1 - sum_j min_i W_ij), the largest provably safe exponent gain."""
     if channel.all_rows_equal:
         raise DegenerateChannelError("all rows equal: the exponent-gain bound is infinite")
-    return 1.0 / (1.0 - float(np.add.reduce(channel.column_minima())))
-
-
-def optimal_g(channel: ChannelMatrix) -> np.ndarray:
-    """Rate-optimal combined squeeze g_j = min_i W_ij / (1 - sum_k min_i W_ik)."""
-    if channel.all_rows_equal:
-        raise DegenerateChannelError("all rows equal: no finite optimal squeeze")
-    col_min = channel.column_minima()
-    return col_min / (1.0 - np.add.reduce(col_min))
+    return _bounds(0.0, channel.column_minima())[1]
 
 
 def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
@@ -116,42 +110,20 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     return delta * qv
 
 
-def offset_from_g(channel: ChannelMatrix, g, r) -> np.ndarray:
-    """Recover the output offset f = g - (1 + g_+) rW for a combined squeeze g.
-
-    Components that come out negative by rounding (tiny, from the tight
-    optimal choices) are clamped to zero; material negativity raises.
-    """
-    g = _check_vector(g, channel.n, "g")
-    r = _check_vector(r, channel.m, "r")
-    f = g - (1.0 + np.add.reduce(g)) * (r @ channel.w)
-    f_min = f[f.argmin()]
-    if f_min < -CONSTRAINT_TOL:
-        raise SqueezeConstraintError(
-            f"combined squeeze g is infeasible at this floor (min offset {f_min:.3e})")
-    return np.maximum(f, 0.0)
-
-
 def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> SqueezePlan:
-    """Assemble (r, g, f, lambda) for the requested strategy.
+    """Choose the floor r for the requested strategy and build its params.
 
-    The returned plan always passes ``build_squeeze_params`` validation;
-    f comes from ``offset_from_g``, which raises when the floor is
-    infeasible for the squeeze.
+    The offset and the gain are ``params_from_r_lambda(channel, r)``'s, at
+    the largest gain; the builder raises when the floor is infeasible.
     """
     strategy = str(strategy).lower()
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    m, n = channel.m, channel.n
-
+    m = channel.m
     if strategy == "none":
-        return SqueezePlan(np.zeros(m), np.zeros(n), np.zeros(n), 1.0, strategy)
-
-    g = optimal_g(channel)
-    lam = 1.0 + float(np.add.reduce(g))
-    if lam <= 1.0 + CONSTRAINT_TOL:
-        warnings.warn("channel not squeezable: rows have no overlap, so the "
-                      "plan reduces to the plain iteration", RuntimeWarning, stacklevel=2)
+        return SqueezePlan(params_from_r_lambda(channel, np.zeros(m), 1.0), strategy)
+    if channel.all_rows_equal:
+        raise DegenerateChannelError("all rows equal: no finite optimal squeeze")
 
     if strategy == "lambda-only":
         r = np.zeros(m)
@@ -160,4 +132,8 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
     else:
         r = heuristic_r(channel, uniform(m) if q is None else q)
 
-    return SqueezePlan(r, g, offset_from_g(channel, g, r), lam, strategy)
+    params = params_from_r_lambda(channel, r)
+    if params.lam <= 1.0 + CONSTRAINT_TOL:
+        warnings.warn("channel not squeezable: rows have no overlap, so the "
+                      "plan reduces to the plain iteration", RuntimeWarning, stacklevel=2)
+    return SqueezePlan(params, strategy)

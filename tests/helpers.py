@@ -63,7 +63,7 @@ def solve_tight(channel: sa.ChannelMatrix, gap: float = 1e-13,
                 max_iters: int = 100_000) -> sa.SolveResult:
     """Drive the fastest planned method to a tiny gap (for fixed points)."""
     chosen = sa.plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
-    return sa.solve(channel, "alg3", params=chosen.build(channel),
+    return sa.solve(channel, "alg3", params=chosen.params,
                     config=sa.SolverConfig(epsilon=gap, max_iters=max_iters,
                                            record_trace=False))
 
@@ -238,6 +238,22 @@ def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
                                       f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * col_min / total
     return reference_build_squeeze_params(channel, r, f, force=force)
+
+
+def optimal_g(channel: sa.ChannelMatrix) -> np.ndarray:
+    """Independent oracle: the rate-optimal combined squeeze
+    g_j = min_i W_ij / (1 - sum_k min_i W_ik), whose 1 + g_+ is the largest gain."""
+    col_min = channel.column_minima()
+    return col_min / (1.0 - col_min.sum())
+
+
+def offset_from_g(channel: sa.ChannelMatrix, g, r) -> np.ndarray:
+    """Independent oracle: the offset f = g - (1 + g_+) rW of the combined
+    squeeze g at floor r, with negatives from rounding clamped to zero."""
+    g = np.asarray(g, dtype=float)
+    f = g - (1.0 + g.sum()) * (np.asarray(r, dtype=float) @ channel.w)
+    assert f.min() >= -CONSTRAINT_TOL, f"g is infeasible at this floor (min offset {f.min():.3e})"
+    return np.maximum(f, 0.0)
 
 
 def entropy_offsets(params: sa.SqueezeParams) -> np.ndarray:

@@ -149,9 +149,10 @@ def test_c05_floor_rate_ordering():
             channel, p_hat = draw_interior_channel(rng, m_choices=(2,), n_lo=3, n_hi=10)
         except AssertionError:
             continue
-        g = sa.optimal_g(channel)
         r = sa.optimal_r_m2(channel)
-        rates = [rate_at(channel, floor, sa.offset_from_g(channel, g, floor), p_hat).global_rate
+        # at the top gain the builder's offset is that of the one combined squeeze g
+        rates = [rate_at(channel, floor, sa.params_from_r_lambda(channel, floor).f,
+                         p_hat).global_rate
                  for floor in (r, r / 2, np.zeros(2))]
         assert rates[0] <= rates[1] + 1e-9
         assert rates[1] <= rates[2] + 1e-9

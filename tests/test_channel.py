@@ -56,6 +56,21 @@ def test_empty_and_single_row_rejected():
         sa.validate_channel([[0.5, 0.5]])
 
 
+def test_direct_construction_rejects_a_vector():
+    with pytest.raises(sa.EmptyMatrixError, match="2-d"):
+        sa.ChannelMatrix(np.array([0.5, 0.5]))
+
+
+def test_direct_construction_rejects_an_empty_matrix():
+    with pytest.raises(sa.EmptyMatrixError):
+        sa.ChannelMatrix(np.empty((0, 3)))
+
+
+def test_direct_construction_rejects_a_non_stochastic_matrix():
+    with pytest.raises(sa.RowSumToleranceError, match="row 0 sums to 1.1"):
+        sa.ChannelMatrix(np.array([[0.5, 0.6], [0.1, 0.9]]))
+
+
 def test_channel_is_immutable():
     ch = sa.validate_channel(GOLDEN)
     with pytest.raises(ValueError):
@@ -141,3 +156,13 @@ def test_floored_uniform_layout():
     d = sa.floored_uniform([0.125, 0.125])
     assert np.allclose(d.probs, [0.5, 0.5])
     assert d.probs.min() > 0.125
+
+
+def test_floored_uniform_rejects_floors_outside_omega():
+    # [0.6, 0.6] used to give [0.5, 0.5], below its own floor
+    for r, error in (([0.6, 0.6], sa.InfeasibleFloorError), ([0.5, 0.5], sa.InfeasibleFloorError),
+                     ([-0.1, 0.2], sa.NegativeEntryError), ([np.nan, 0.1], sa.ValidationError),
+                     ([np.inf, 0.1], sa.ValidationError), ([[0.1, 0.1]], sa.DimensionMismatchError),
+                     ([], sa.DimensionMismatchError)):
+        with pytest.raises(error):
+            sa.floored_uniform(r)

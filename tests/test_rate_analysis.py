@@ -3,10 +3,11 @@ import pytest
 
 import squeeze_aba as sa
 from helpers import (
-    GOLDEN_G_OPT,
     GOLDEN_R_OPT,
     draw_interior_channel,
     golden_channel,
+    offset_from_g,
+    optimal_g,
     posterior_jacobian,
     random_channel,
     random_floor,
@@ -359,18 +360,17 @@ class TestComparisons:
     def test_floor_comparison_golden(self, golden):
         # at the optimal combined squeeze, the optimal floor against no floor
         rep = rate_at(golden, GOLDEN_R_OPT,
-                      sa.offset_from_g(golden, GOLDEN_G_OPT, GOLDEN_R_OPT), [0.5, 0.5])
+                      sa.params_from_r_lambda(golden, GOLDEN_R_OPT).f, [0.5, 0.5])
         rep_alt = rate_at(golden, np.zeros(2),
-                          sa.offset_from_g(golden, GOLDEN_G_OPT, np.zeros(2)), [0.5, 0.5])
+                          sa.params_from_r_lambda(golden, np.zeros(2)).f, [0.5, 0.5])
         assert rep.global_rate <= 1e-9
         assert rep_alt.global_rate == pytest.approx(0.25, abs=1e-9)
 
     def test_floor_ordering_randomized(self, rng):
         for _ in range(15):
             ch, p_hat = draw_interior_channel(rng, m_choices=(2,))
-            g = sa.optimal_g(ch)
             r = sa.optimal_r_m2(ch)
-            rates = [rate_at(ch, floor, sa.offset_from_g(ch, g, floor), p_hat).global_rate
+            rates = [rate_at(ch, floor, sa.params_from_r_lambda(ch, floor).f, p_hat).global_rate
                      for floor in (r, r / 2, np.zeros(2))]
             assert rates[0] <= rates[1] + 1e-9
             assert rates[1] <= rates[2] + 1e-9
@@ -381,12 +381,12 @@ class TestComparisons:
         for _ in range(10):
             ch, p_hat = draw_interior_channel(rng, m_choices=(2,))
             r = sa.optimal_r_m2(ch) * 0.5
-            g_full = sa.optimal_g(ch)
+            g_full = optimal_g(ch)
             g_lo = (r @ ch.w) / (1.0 - r.sum())  # smallest feasible: zero offset
             prev = None
             for t in (1.0, 0.6, 0.3, 0.0):
                 g = g_lo + t * (g_full - g_lo)
-                rep = rate_at(ch, r, sa.offset_from_g(ch, g, r), p_hat)
+                rep = rate_at(ch, r, offset_from_g(ch, g, r), p_hat)
                 if prev is not None:
                     assert prev <= rep.global_rate + 1e-9
                 prev = rep.global_rate

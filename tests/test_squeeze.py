@@ -363,6 +363,15 @@ def test_directly_built_params_derive_the_gain(golden):
     np.testing.assert_allclose(sa.alg3_step(params, [0.2, 0.8]).probs, [0.5, 0.5], atol=1e-12)
 
 
+def test_builders_take_each_mass_once(golden):
+    """The column tests read the params' own r_+ and f_+, so a returned params
+    holds both already, bitwise the reductions of r and f."""
+    for sp in (sa.build_squeeze_params(golden, GOLDEN_R_OPT, GOLDEN_F_OPT),
+               sa.params_from_r_lambda(golden, GOLDEN_R_OPT)):
+        assert {"r_plus", "f_plus"} <= vars(sp).keys()
+        assert (sp.r_plus, sp.f_plus) == (float(np.add.reduce(sp.r)), float(np.add.reduce(sp.f)))
+
+
 def test_forced_gain_below_lower_bound_refused(golden):
     """No offset f >= 0 gives lambda < 1/(1 - r_+), so force does not turn
     such a gain into a warning: every path refuses it."""

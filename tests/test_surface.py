@@ -11,7 +11,7 @@ FIELDS = {
     "ChannelMatrix": ("w",),
     "Distribution": ("probs",),
     "SqueezeParams": ("channel", "r", "f", "feasible"),
-    "SqueezePlan": ("r", "g", "f", "lam", "strategy"),
+    "SqueezePlan": ("params", "strategy"),
     "SolverConfig": ("epsilon", "max_iters", "initial", "record_trace"),
     "SolveResult": ("p_hat", "capacity", "capacity_lower", "capacity_upper", "iterations",
                     "converged", "method", "params", "trace"),
@@ -44,8 +44,6 @@ PARAMETERS = {
     "matrix_rate": ("params", "p_star"),
     "mutual_information": ("channel", "p"),
     "nats_to_bits": ("x",),
-    "offset_from_g": ("channel", "g", "r"),
-    "optimal_g": ("channel",),
     "optimal_r_m2": ("channel",),
     "params_from_r_lambda": ("channel", "r", "lam", "force"),
     "plan": ("channel", "strategy", "q"),
