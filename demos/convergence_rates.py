@@ -20,7 +20,7 @@ plain = sa.build_squeeze_params(W, [0, 0], [0, 0, 0])
 rep0 = sa.matrix_rate(plain, sa.fixed_point_on_floor(plain, p_hat))
 print("plain contraction matrix:\n", rep0.R)
 print("global rate:", rep0.global_rate,
-      " (power-iteration cross-check:", round(rep0.global_rate_power, 12), ")")
+      " (cross-check from R on zero-sum vectors:", round(rep0.global_rate_power, 12), ")")
 
 # Offset only (exponent gain 5/3): rate drops to 0.25.
 shifted = sa.build_squeeze_params(W, [0, 0], [1 / 6, 1 / 3, 1 / 6])

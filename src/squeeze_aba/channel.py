@@ -145,6 +145,14 @@ class ChannelMatrix:
         return self.w.min(axis=0)
 
 
+def _require_same_channel(built_on: ChannelMatrix, channel: ChannelMatrix, what: str) -> None:
+    """ValidationError unless ``channel`` is ``built_on`` or has bitwise its
+    matrix.  Identity is tested first: the usual caller passes the very
+    channel its params or plan were made on."""
+    if built_on is not channel and not np.array_equal(built_on.w, channel.w):
+        raise ValidationError(f"{what} for a different channel")
+
+
 def validate_channel(entries) -> ChannelMatrix:
     """``ChannelMatrix(entries)``: validate raw entries, renormalizing rows
     within ``ROW_SUM_TOL`` of summing to 1, into an immutable channel."""

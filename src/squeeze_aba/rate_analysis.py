@@ -21,12 +21,10 @@ Two independent routes compute the global rate:
     numpy's LAPACK ``eigh`` on M yields the whole spectrum; the rate is
     the largest 1 - (1 + f_+) mu over the nontrivial eigenvalues mu.
 
-  * power route: left power iteration directly on R from a fixed, seeded,
-    generic zero-sum start, using the D_{p*}^{-1}-weighted Rayleigh
-    quotient (R restricted to Gamma is self-adjoint under that inner
-    product).  Each round applies the squared map A**64 of the centred
-    A = R - (row means of R), rescaled after each squaring, so one round
-    advances 64 steps of the iteration at the cost of one product.
+  * power route: numpy's general (nonsymmetric) eigensolver on R itself,
+    restricted to Gamma in the basis e_k - e_1; the rate is the real part
+    of the eigenvalue of largest modulus, the value power iteration on R
+    would converge to.  It is named for that iteration, which it replaced.
 
 The report carries both values; they agree to numerical accuracy.  The
 rate guarantees are statements about this one number, so two parameter
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Distribution, _integer, make_distribution
+from .channel import Distribution, make_distribution
 from .errors import (
     BoundaryFixedPointError,
     DimensionMismatchError,
@@ -70,78 +68,57 @@ POLISH_ROUNDS = 50
 # -- symmetric eigensolver --------------------------------------------------------
 
 
+def _finite_square(a) -> np.ndarray:
+    """``a`` as a float matrix: DimensionMismatchError unless it is nonempty
+    and square, ValidationError on a non-finite entry (LAPACK would return
+    NaN eigenvalues without an error)."""
+    A = np.asarray(a, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError("matrix has a non-finite entry")
+    return A
+
+
 def jacobi_eigh(a):
     """Eigendecomposition of a small dense symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns) from
     ``numpy.linalg.eigh`` on the symmetrised input.  Raises ValidationError
     on non-finite entries and DimensionMismatchError when the input is not
-    square and symmetric.  The name is historical; it stays because it is
-    public and callers look it up by name.
+    nonempty, square and symmetric.  The name is historical; it stays
+    because it is public and callers look it up by name.
     """
-    A = np.array(a, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n):
-        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValidationError("matrix has a non-finite entry")
+    A = _finite_square(a)
     if not np.allclose(A, A.T, atol=1e-10):
         raise DimensionMismatchError("matrix is not symmetric")
     return np.linalg.eigh((A + A.T) / 2.0)
 
 
-#: squarings of the centred map per power-iteration round (2**6 = 64 steps)
-POWER_SQUARINGS = 6
+def power_rate(R) -> float:
+    """Spectral radius of R on the zero-sum subspace, from numpy's general
+    eigensolver.
 
-#: change between successive power-iteration rounds at which the estimate stops
-POWER_TOL = 1e-10
-
-
-def power_rate(R: np.ndarray, p_star: np.ndarray, *, max_iters: int = 100_000) -> float:
-    """Spectral radius of R on the zero-sum subspace by left power iteration.
-
-    One step is gamma <- gamma R re-centred to stay in Gamma, which is
-    gamma A with the centred map A = R - (row means of R).  Each round
-    advances 64 steps at once through A**64, formed by squaring A six times
-    and dividing by its largest entry after each squaring, so that nothing
-    underflows when the radius is small; a map that squares to below 1e-300
-    has radius 0.  ``max_iters`` is a budget of single steps: with fewer
-    than 64 the map is squared fewer times, and no more than ``max_iters``
-    steps run in all.  The estimate is the Rayleigh quotient of R weighted
-    by 1/p*, under which the restricted map is self-adjoint; iteration
-    stops once two successive rounds agree to ``POWER_TOL``.  The start is a
-    fixed, seeded, generic zero-sum vector: a structured start such as
-    e_1 - e_2 is an exact eigenvector of R on channels symmetric under
-    swapping inputs 1 and 2, and would return a subdominant eigenvalue.
+    In the basis e_k - e_1 (k = 2..m) of Gamma, the map gamma -> gamma R
+    is T = R[1:, 1:] - R[0, 1:], since (e_k - e_1) R = R[k] - R[0] and a
+    zero-sum vector's coordinates in that basis are its last m - 1
+    entries.  Returns the real part of T's eigenvalue of largest modulus,
+    clamped at 0: the value left power iteration on R converges to.  At a
+    fixed point the eigenvalues are real (the restriction is self-adjoint
+    under the 1/p* inner product), so the real part drops only roundoff.  It
+    works on R, not on the symmetric M of ``matrix_rate``, and with a
+    nonsymmetric LAPACK routine, so it stays an independent cross-check.
+    A 1 x 1 R has a trivial Gamma and rate 0.  Raises ValidationError on
+    non-finite entries and DimensionMismatchError unless R is a nonempty
+    square matrix.
+    The name is historical, from when this was power iteration; it stays
+    because it is public and callers look it up by name.
     """
-    max_iters = _integer("max_iters", max_iters, 1)
-    m = R.shape[0]
-    dinv = 1.0 / np.asarray(p_star, dtype=float)
-    A = R - R.mean(axis=1, keepdims=True)
-    squarings = min(POWER_SQUARINGS, max_iters.bit_length() - 1)
-    for _ in range(squarings):
-        A = A @ A
-        scale = float(np.abs(A).max())
-        if scale < 1e-300:
-            return 0.0
-        A /= scale
-    gamma = np.random.default_rng(0).standard_normal(m)
-    gamma -= gamma.mean()
-    gamma /= np.linalg.norm(gamma)
-    est = np.inf
-    for _ in range(max_iters >> squarings):
-        y = gamma @ A
-        norm = np.linalg.norm(y)
-        if norm < 1e-300:
-            return 0.0
-        y /= norm
-        new = float((y @ R) @ (dinv * y) / (y @ (dinv * y)))
-        if abs(new - est) <= POWER_TOL:
-            est = new
-            break
-        est = new
-        gamma = y
-    return max(float(est), 0.0)
+    R = _finite_square(R)
+    if R.shape[0] == 1:
+        return 0.0
+    eig = np.linalg.eigvals(R[1:, 1:] - R[0, 1:])
+    return max(float(eig[np.argmax(np.abs(eig))].real), 0.0)
 
 
 # -- the rate report ----------------------------------------------------------------
@@ -286,13 +263,12 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
 
     global_rate = max(float(d_gamma.max()), 0.0) if d_gamma.size else 0.0
     rate_r0 = max(float((1.0 - mu[keep]).max()), 0.0) if d_gamma.size else 0.0
-    rate_power = power_rate(R, p)
 
     return RateReport(
-        p_star=make_distribution(p, floor=params.r),
+        p_star=Distribution(p),  # checked above: p clears r, and alg3_step checked its sum
         R=R,
         global_rate=global_rate,
-        global_rate_power=rate_power,
+        global_rate_power=power_rate(R),
         rate_r0=rate_r0,
         aba_lower_bound=float(params.channel.column_minima().sum()),
         f_plus=params.f_plus,

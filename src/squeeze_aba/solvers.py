@@ -60,6 +60,7 @@ from .channel import (
     ChannelMatrix,
     Distribution,
     _integer,
+    _require_same_channel,
     make_distribution,
     uniform,
 )
@@ -90,8 +91,9 @@ class SolverConfig:
     """Stopping threshold (nats), iteration cap, optional start, tracing.
 
     ``initial`` always lives on the plain simplex; floored methods start
-    from (1 - r_+) * initial + r.  It is validated here, since the bracket
-    is a certificate only for iterates on the simplex.
+    from (1 - r_+) * initial + r.  It is validated here, once, since the
+    bracket is a certificate only for iterates on the simplex and the
+    update cannot move a zero entry off zero.
 
     The trace is opt-in: with ``record_trace=True`` every iteration stores
     an ``IterationRecord`` holding a copy of p, so memory grows with
@@ -109,6 +111,8 @@ class SolverConfig:
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
             start = make_distribution(getattr(self.initial, "probs", self.initial))
+            if not start.probs.min() > 0.0:
+                raise NonInteriorStartError("start must have all components strictly positive")
             object.__setattr__(self, "initial", start)
 
 
@@ -210,7 +214,7 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
         z, zmax = _divergences(channel.w, -row_entropies(channel.w), q)
         x = _update(p, z, zmax, lam, r)
     x.setflags(write=False)  # made here, so the Distribution shares it
-    return make_distribution(x, floor=r)
+    return Distribution(x)
 
 
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
@@ -234,9 +238,7 @@ def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
 
     Raises ValidationError when ``params`` were built for another channel.
     """
-    # identity first: the usual caller passes params built on this very channel
-    if params.channel is not channel and not np.array_equal(params.channel.w, channel.w):
-        raise ValidationError("params were built for a different channel")
+    _require_same_channel(params.channel, channel, "params were built")
     return _step(channel, params.lam, params.r, p)
 
 
@@ -258,6 +260,7 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if params is not None:
         if method not in ("alg2", "alg3"):
             raise ValidationError(f"method {method!r} does not accept prebuilt params")
+        _require_same_channel(params.channel, channel, "params were built")
         return params
     if method == "aba":
         if lam is not None or r is not None or f is not None:
@@ -302,9 +305,10 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
 
     method: "aba" | "alg1" (needs lambda, defaults to its upper bound) |
     "alg2" (needs r; lambda defaults to its upper bound) | "alg3" (needs
-    r and f, or r and lambda but not both, or prebuilt ``params``).  On a
-    channel whose rows are all equal the upper bound is infinite, so
-    lambda defaults to its lower bound; the solve returns capacity 0.
+    r and f, or r and lambda but not both, or prebuilt ``params``, which
+    must have been built for this channel).  On a channel whose rows are
+    all equal the upper bound is infinite, so lambda defaults to its lower
+    bound; the solve returns capacity 0.
 
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).
@@ -318,7 +322,12 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
 
     m = channel.m
     rvec = sp.r if method in ("alg2", "alg3") else None
-    q0 = np.full(m, 1.0 / m) if config.initial is None else _check_start(config.initial, None, m)
+    if config.initial is None:
+        q0 = np.full(m, 1.0 / m)
+    else:
+        q0 = config.initial.probs  # validated by SolverConfig
+        if q0.shape != (m,):
+            raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
     scale = 1.0 - sp.r_plus if rvec is not None else 1.0
     p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to p
     lam = sp.lam  # a local: the loop reads it every iteration
@@ -366,7 +375,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)
     probs.setflags(write=False)  # made here, so the Distribution shares it
-    p_hat = make_distribution(probs)
+    p_hat = Distribution(probs)
     return SolveResult(p_hat, objective, objective, float(zmax), iterations, converged,
                        method, sp, tuple(trace))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _check_vector, uniform
+from .channel import ChannelMatrix, _check_vector, _require_same_channel, uniform
 from .errors import (
     DegenerateChannelError,
     NoStrictColumnError,
@@ -48,10 +48,7 @@ class SqueezePlan:
 
     def build(self, channel: ChannelMatrix) -> SqueezeParams:
         """The plan's parameters; ValidationError for a channel other than the plan's."""
-        planned = self.params.channel
-        # identity first: the usual caller passes the channel the plan was made on
-        if planned is not channel and not np.array_equal(planned.w, channel.w):
-            raise ValidationError("plan was made for a different channel")
+        _require_same_channel(self.params.channel, channel, "plan was made")
         return self.params
 
     def to_dict(self) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -57,6 +58,23 @@ def random_offset(rng: np.random.Generator, channel: sa.ChannelMatrix,
     if scale is None:
         scale = rng.uniform(0.0, 1.0)
     return scale * col_min / (1.0 - total)
+
+
+def spy_calls(monkeypatch, name: str) -> list:
+    """Record every call of the package function ``name``: it is replaced
+    in each package module that holds it, so calls through any import of
+    it count.  Returns the list the calls' arguments are appended to."""
+    original = getattr(sa.channel, name, None) or getattr(sa.solvers, name)
+    calls: list = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "squeeze_aba" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def solve_tight(channel: sa.ChannelMatrix, gap: float = 1e-13,

@@ -14,6 +14,7 @@ from helpers import (
     random_offset,
     rate_at,
     solve_tight,
+    spy_calls,
 )
 
 FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -37,6 +38,10 @@ class TestJacobiEigh:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(sa.DimensionMismatchError):
             sa.jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
+        # and what is not a square matrix at all (a scalar raised IndexError)
+        for bad in (1.0, np.ones(3), np.ones((2, 3)), np.ones((0, 0))):
+            with pytest.raises(sa.DimensionMismatchError, match="square"):
+                sa.jacobi_eigh(bad)
 
     def test_rejects_nonfinite(self):
         # LAPACK would return NaN eigenvalues here without an error
@@ -56,8 +61,9 @@ def near_diagonal_channel(rng, m, n):
 
 
 def stepwise_power_rate(R, p_star, steps):
-    """Reference: the Rayleigh quotient after ``steps`` single re-centred
-    steps of gamma <- gamma R from power_rate's seeded start."""
+    """Reference: the 1/p*-weighted Rayleigh quotient after ``steps``
+    single re-centred steps of gamma <- gamma R from a seeded generic
+    zero-sum start, i.e. plain left power iteration on R."""
     dinv = 1.0 / p_star
     y = np.random.default_rng(0).standard_normal(R.shape[0])
     y -= y.mean()
@@ -86,23 +92,24 @@ class TestPowerRate:
             for rr, ff in ((np.zeros(m), np.zeros(n)), (r, np.zeros(n)), (r, f)):
                 params = sa.build_squeeze_params(ch, rr, ff)
                 rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, p_hat))
-                assert abs(rep.global_rate - rep.global_rate_power) <= 1e-9
+                assert abs(rep.global_rate - rep.global_rate_power) <= 1e-12
 
     def test_zero_spectrum(self, golden):
         # the golden double squeeze has R = 0 up to roundoff (entries <= 3e-16)
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
         p_star = sa.fixed_point_on_floor(params, [0.5, 0.5]).probs
         R = sa.iteration_jacobian(params, p_star)
-        assert 0.0 <= sa.power_rate(R, p_star) <= 1e-15
-        # an exactly nilpotent zero-sum map: A @ A == 0, so the first squaring
-        # leaves nothing to normalise
+        assert 0.0 <= sa.power_rate(R) <= 1e-15
+        # an exactly nilpotent zero-sum map: in the basis e_k - e_1 its
+        # restriction is [[0, 0], [-4, 0]], triangular with a zero diagonal
         u, v = np.array([1.0, 1.0, 5.0]), np.array([1.0, -1.0, 0.0])
-        assert sa.power_rate(np.outer(u, v), np.full(3, 1 / 3)) == 0.0
+        assert sa.power_rate(np.outer(u, v)) == 0.0
 
     def test_small_radius_does_not_underflow(self):
         # R = D^{-1/2} S D^{1/2} with S symmetric and S sqrt(p) = 0 is
         # self-adjoint under 1/p, has zero row sums, and its spectrum on the
-        # zero-sum subspace is that of S on sqrt(p)-perp; (1e-6)**64 underflows
+        # zero-sum subspace is that of S on sqrt(p)-perp; a radius of 1e-6
+        # must come back as itself, not as 0
         rng = np.random.default_rng(77)
         m = 6
         p = rng.dirichlet(np.ones(m))
@@ -112,24 +119,28 @@ class TestPowerRate:
         S = (Q * (1e-6 * np.array([1.0, 0.7, -0.5, 0.3, 0.1]))) @ Q.T
         R = (S / half[:, None]) * half[None, :]
         assert np.abs(R.sum(axis=1)).max() < 1e-20
-        assert sa.power_rate(R, p) == pytest.approx(1e-6, abs=1e-9)
+        assert sa.power_rate(R) == pytest.approx(1e-6, abs=1e-12)
 
-    def test_step_budget(self):
+    def test_matches_stepwise_power_iteration(self):
         rng = np.random.default_rng(5)
         ch = near_diagonal_channel(rng, 8, 32)
         res = solve_tight(ch)
         params = sa.build_squeeze_params(ch, np.zeros(8), np.zeros(32))
         p_star = sa.fixed_point_on_floor(params, res.p_hat).probs
-        rep = sa.matrix_rate(params, p_star)
-        # max_iters single steps buy the largest power of two of them that fits
-        for max_iters, steps in ((1, 1), (3, 2), (100, 64)):
-            got = sa.power_rate(rep.R, p_star, max_iters=max_iters)
-            assert got == pytest.approx(stepwise_power_rate(rep.R, p_star, steps), rel=1e-10)
-        assert abs(sa.power_rate(rep.R, p_star, max_iters=1) - rep.global_rate) > 1e-6
-        with pytest.raises(sa.ValidationError, match="max_iters"):
-            sa.power_rate(rep.R, p_star, max_iters=0)
-        with pytest.raises(sa.ValidationError, match="max_iters must be an integer"):
-            sa.power_rate(rep.R, p_star, max_iters=1.5)
+        R = sa.matrix_rate(params, p_star).R
+        # the eigenvalue power iteration converges to, and not another one
+        assert abs(sa.power_rate(R) - stepwise_power_rate(R, p_star, 2000)) <= 1e-12
+        assert abs(sa.power_rate(R) - stepwise_power_rate(R, p_star, 1)) > 1e-6
+
+    def test_input_checks(self):
+        for bad in (1.0, np.ones(3), np.ones((2, 3)), np.ones((0, 0))):
+            with pytest.raises(sa.DimensionMismatchError, match="square"):
+                sa.power_rate(bad)
+        for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [np.inf, 1.0]]):
+            with pytest.raises(sa.ValidationError, match="non-finite"):
+                sa.power_rate(bad)
+        # a single input has no zero-sum direction to contract
+        assert sa.power_rate([[0.5]]) == 0.0
 
     def test_symmetric_channel_regression(self):
         # inputs 1 and 2 are swapped by permuting outputs 1 and 2, so e_1 - e_2
@@ -142,12 +153,12 @@ class TestPowerRate:
         params = sa.build_squeeze_params(ch, np.zeros(3), np.zeros(4))
         rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, res.p_hat))
         assert rep.global_rate == pytest.approx(0.928, abs=1e-3)
-        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-9
+        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-12
 
     def test_close_leading_eigenvalues(self):
         # the two largest eigenvalues of R on the zero-sum subspace, 0.993336
-        # and 0.993428, are 1e-4 apart: 10,000 steps left the power route
-        # 1.7e-6 off, the default budget of 100,000 separates them
+        # and 0.993428, are 1e-4 apart: 10,000 steps of power iteration were
+        # 1.7e-6 off, while an eigensolve does not depend on the gap
         w = np.array([[0.34183, 0.26444, 0.20462, 0.18911],
                       [0.26444, 0.34183, 0.20462, 0.18911],
                       [0.29512, 0.29512, 0.26663, 0.14313]])
@@ -158,7 +169,7 @@ class TestPowerRate:
         p_star = sa.polish_fixed_point(params, res.p_hat.probs)
         rep = sa.matrix_rate(params, p_star)
         assert rep.global_rate == pytest.approx(0.993428, abs=1e-6)
-        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-6
+        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-12
 
 
 class TestGoldenRates:
@@ -167,7 +178,7 @@ class TestGoldenRates:
         rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, [0.5, 0.5]))
         assert np.allclose(rep.R, 0.275 * FLIP, atol=1e-12)
         assert rep.global_rate == pytest.approx(0.55, abs=1e-12)
-        assert rep.global_rate_power == pytest.approx(0.55, abs=1e-9)
+        assert rep.global_rate_power == pytest.approx(0.55, abs=1e-12)
         assert rep.aba_lower_bound == pytest.approx(0.4, abs=1e-12)
 
     def test_offset_only_rate_matrix(self, golden):
@@ -183,7 +194,7 @@ class TestGoldenRates:
         rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, [0.5, 0.5]))
         assert np.abs(rep.R).max() < 1e-12
         assert rep.global_rate <= 1e-12
-        assert rep.global_rate_power <= 1e-9
+        assert rep.global_rate_power <= 1e-12
 
     def test_identity_channel_rate_zero(self):
         ch = sa.validate_channel(np.eye(3))
@@ -194,6 +205,17 @@ class TestGoldenRates:
 
 
 class TestGuards:
+    def test_fixed_point_validated_once(self, golden, monkeypatch):
+        # fixed_point_on_floor checks the point, alg3_step checks it as a
+        # start, and the step's output and the report's p* are not re-checked
+        params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
+        made = spy_calls(monkeypatch, "make_distribution")
+        checked = spy_calls(monkeypatch, "_check_start")
+        rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, [0.5, 0.5]))
+        assert (len(made), len(checked)) == (1, 1)
+        assert np.allclose(rep.p_star.probs, [0.5, 0.5], atol=1e-15)
+        assert not rep.p_star.probs.flags.writeable
+
     def test_boundary_fixed_point_refused(self, golden):
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
         with pytest.raises(sa.BoundaryFixedPointError):

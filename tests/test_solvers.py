@@ -17,6 +17,7 @@ from helpers import (
     random_channel,
     random_floor,
     random_offset,
+    spy_calls,
 )
 
 
@@ -88,6 +89,22 @@ class TestSteps:
         assert same is not golden
         assert np.array_equal(sa.alg2_step(same, params, [0.3, 0.7]).probs,
                               sa.alg2_step(golden, params, [0.3, 0.7]).probs)
+
+    def test_solve_rejects_params_of_another_channel(self, golden):
+        other = sa.validate_channel([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
+        params = sa.plan(other, "optimal-m2").params
+        for method in ("alg2", "alg3"):
+            with pytest.raises(sa.ValidationError, match="different channel"):
+                sa.solve(golden, method, params=params)
+        # an equal matrix in another object is the same channel
+        res = sa.solve(golden_channel(), "alg3", params=sa.plan(golden, "optimal-m2").params)
+        assert res.converged
+        # equal means bitwise: a re-validated copy can differ in the last bit
+        rng = np.random.default_rng(3)
+        ch = next(c for c in (random_channel(rng, 4, 8) for _ in range(200))
+                  if not np.array_equal(sa.ChannelMatrix(c.w).w, c.w))
+        with pytest.raises(sa.ValidationError, match="different channel"):
+            sa.solve(sa.ChannelMatrix(ch.w), "alg2", params=sa.plan(ch, "heuristic").params)
 
     def test_alg1_out_of_range_gain(self, golden):
         with pytest.raises(sa.LambdaRangeError):
@@ -377,6 +394,19 @@ class TestSolve:
             with pytest.raises(sa.ValidationError, match="integer"):
                 sa.SolverConfig(max_iters=bad)
         assert sa.SolverConfig(max_iters=np.int64(7)).max_iters == 7
+        # the update cannot move a zero entry off zero, so the config refuses it
+        with pytest.raises(sa.NonInteriorStartError):
+            sa.SolverConfig(initial=[0.0, 1.0])
+
+    def test_config_start_is_validated_once(self, golden, monkeypatch):
+        config = sa.SolverConfig(initial=[0.3, 0.7])
+        checked = spy_calls(monkeypatch, "_check_start")
+        made = spy_calls(monkeypatch, "make_distribution")
+        for method, kw in (("aba", {}), ("alg2", {"r": GOLDEN_R_OPT})):
+            assert sa.solve(golden, method, config=config, **kw).converged
+        assert (checked, made) == ([], [])
+        with pytest.raises(sa.DimensionMismatchError, match="start must have length 3"):
+            sa.solve(sa.validate_channel(np.eye(3)), "aba", config=config)
 
     def test_unnormalized_start_rejected(self, golden):
         # a start off the simplex would shift both bounds of the bracket:

@@ -48,7 +48,7 @@ PARAMETERS = {
     "params_from_r_lambda": ("channel", "r", "lam", "force"),
     "plan": ("channel", "strategy", "q"),
     "polish_fixed_point": ("params", "p", "tol"),
-    "power_rate": ("R", "p_star", "max_iters"),
+    "power_rate": ("R",),
     "random_channel": ("m", "n", "rng"),
     "replication_rng": ("master_seed", "replication"),
     "row_entropies": ("w",),
