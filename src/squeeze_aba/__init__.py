@@ -54,14 +54,13 @@ from .infotheory import (
     nats_to_bits,
     row_entropies,
 )
-from .io import load_channel, load_params_json, save_params_json
+from .io import load_channel, load_params_json
 from .rate_analysis import (
     RateReport,
     fixed_point_on_floor,
     iteration_jacobian,
     jacobi_eigh,
     matrix_rate,
-    polish_fixed_point,
     power_rate,
 )
 from .solvers import (
@@ -79,7 +78,6 @@ from .solvers import (
 from .squeeze import (
     SqueezeParams,
     build_squeeze_params,
-    lambda_bounds,
     params_from_r_lambda,
 )
 from .squeeze_select import (

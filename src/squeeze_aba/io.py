@@ -65,11 +65,6 @@ def params_to_dict(params: SqueezeParams) -> dict:
     return {"r": params.r.tolist(), "f": params.f.tolist(), "lambda": params.lam}
 
 
-def save_params_json(params: SqueezeParams, path) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params), indent=2) + "\n",
-                          encoding="utf-8")
-
-
 def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
     """Rebuild validated squeeze parameters for ``channel`` from a JSON file.
 

@@ -37,6 +37,11 @@ sets are compared through one report each at the same optimizer,
     combined squeeze, a larger scaled floor r/(1 - r_+) is never slower;
   * the plain iteration's rate is at least the row-overlap mass
     sum_j min_i W_ij, which every report carries as ``aba_lower_bound``.
+
+The module analyses the fixed point it is given and refines none:
+``matrix_rate`` certifies p* by the displacement of one step of the map
+(``FIXED_POINT_TOL``), so p* comes from a solve run to a small gap, as
+``squeeze-aba rate`` does.
 """
 
 from __future__ import annotations
@@ -61,9 +66,6 @@ FIXED_POINT_TOL = 1e-7
 #: minimum clearance above the floor for the local rate formula to apply
 INTERIOR_MARGIN = 1e-9
 
-#: Newton rounds of polish_fixed_point before it returns its best point
-POLISH_ROUNDS = 50
-
 
 # -- symmetric eigensolver --------------------------------------------------------
 
@@ -86,11 +88,12 @@ def jacobi_eigh(a):
     Returns (eigenvalues ascending, eigenvectors as columns) from
     ``numpy.linalg.eigh`` on the symmetrised input.  Raises ValidationError
     on non-finite entries and DimensionMismatchError when the input is not
-    nonempty, square and symmetric.  The name is historical; it stays
+    nonempty, square and symmetric, that is when some |A_ij - A_ji| exceeds
+    the absolute tolerance 1e-10.  The name is historical; it stays
     because it is public and callers look it up by name.
     """
     A = _finite_square(a)
-    if not np.allclose(A, A.T, atol=1e-10):
+    if np.abs(A - A.T).max() > 1e-10:
         raise DimensionMismatchError("matrix is not symmetric")
     return np.linalg.eigh((A + A.T) / 2.0)
 
@@ -180,43 +183,6 @@ def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
     R = np.eye(params.m) - (1.0 + params.f_plus) * (a @ w_star.T) * p
     R += p * (a @ params.f)
     return R
-
-
-def polish_fixed_point(params: SqueezeParams, p, *, tol: float = 1e-14) -> np.ndarray:
-    """Newton-refine a near-fixed point of the iteration map to ~machine precision.
-
-    Solves M(p) - p = 0 with the analytic Jacobian; one-step displacement
-    ends below ``tol`` (or as small as the map's own roundoff allows).
-    Needed because plain iteration stalls when the contraction factor is
-    close to 1: the solver then cannot push the fixed-point error far
-    below gap/(1 - rate) on its own.
-    """
-    p = np.asarray(getattr(p, "probs", p), dtype=float).copy()
-    eye = np.eye(params.m)
-    best, best_disp = p.copy(), np.inf
-    for _ in range(POLISH_ROUNDS):
-        g = alg3_step(params, p).probs - p
-        disp = float(np.abs(g).max())
-        if disp < best_disp:
-            best, best_disp = p.copy(), disp
-        if disp <= tol:
-            return p
-        R = iteration_jacobian(params, p)
-        try:
-            delta = np.linalg.solve((eye - R).T, g)
-        except np.linalg.LinAlgError:
-            break
-        delta = delta - delta.mean()
-        step = 1.0
-        while step > 1e-4:
-            cand = p + step * delta
-            if np.all(cand > params.r):
-                p = cand / cand.sum()
-                break
-            step /= 2.0
-        else:
-            p = alg3_step(params, p).probs
-    return best
 
 
 def matrix_rate(params: SqueezeParams, p_star) -> RateReport:

@@ -125,16 +125,6 @@ def _bounds(r_plus: float, col_min: np.ndarray) -> tuple[float, float]:
     return 1.0 / (1.0 - r_plus), float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
 
 
-def lambda_bounds(channel: ChannelMatrix, r) -> tuple[float, float]:
-    """Feasible interval for the exponent gain at floor r.
-
-    Lower bound 1/(1 - r_+); upper bound 1/(1 - sum_j min_i W_ij), which
-    does not depend on r.  The upper bound is infinite for a channel whose
-    rows are all equal.
-    """
-    return _bounds(_floor_mass(_check_vector(r, channel.m, "r")), channel.column_minima())
-
-
 def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
     """LambdaRangeError unless lo <= lam <= hi.  ``force`` turns only a gain
     above hi into a warning: no offset f >= 0 gives lambda < 1/(1 - r_+)."""
@@ -194,8 +184,9 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
 
     which is the unique scaling with total mass f_+ = lambda (1 - r_+) - 1,
     so the returned params satisfy lambda = (1 + f_+)/(1 - r_+) exactly.
-    ``lam=None`` takes the upper bound of ``lambda_bounds``, or the lower
-    bound when the upper one is infinite (all rows equal, capacity 0).
+    The feasible gains run from 1/(1 - r_+) to 1/(1 - sum_j min_i W_ij);
+    ``lam=None`` takes that upper bound, or the lower one when the upper
+    one is infinite (all rows equal, capacity 0).
     """
     r = _check_vector(r, channel.m, "r")
     lam = lam if lam is None else float(lam)

@@ -86,6 +86,47 @@ def solve_tight(channel: sa.ChannelMatrix, gap: float = 1e-13,
                                            record_trace=False))
 
 
+#: Newton rounds of polish_fixed_point before it returns its best point
+POLISH_ROUNDS = 50
+
+
+def polish_fixed_point(params: sa.SqueezeParams, p, *, tol: float = 1e-14) -> np.ndarray:
+    """Test oracle: Newton-refine a near-fixed point of the iteration map to ~machine precision.
+
+    Solves M(p) - p = 0 with the analytic Jacobian; one-step displacement
+    ends below ``tol`` (or as small as the map's own roundoff allows).
+    Needed because plain iteration stalls when the contraction factor is
+    close to 1: the solver then cannot push the fixed-point error far
+    below gap/(1 - rate) on its own.
+    """
+    p = np.asarray(getattr(p, "probs", p), dtype=float).copy()
+    eye = np.eye(params.m)
+    best, best_disp = p.copy(), np.inf
+    for _ in range(POLISH_ROUNDS):
+        g = sa.alg3_step(params, p).probs - p
+        disp = float(np.abs(g).max())
+        if disp < best_disp:
+            best, best_disp = p.copy(), disp
+        if disp <= tol:
+            return p
+        R = sa.iteration_jacobian(params, p)
+        try:
+            delta = np.linalg.solve((eye - R).T, g)
+        except np.linalg.LinAlgError:
+            break
+        delta = delta - delta.mean()
+        step = 1.0
+        while step > 1e-4:
+            cand = p + step * delta
+            if np.all(cand > params.r):
+                p = cand / cand.sum()
+                break
+            step /= 2.0
+        else:
+            p = sa.alg3_step(params, p).probs
+    return best
+
+
 def rate_at(channel: sa.ChannelMatrix, r, f, p_hat) -> sa.RateReport:
     """matrix_rate at (r, f), at the fixed point on Omega(r) that maps to p_hat."""
     params = sa.build_squeeze_params(channel, r, f)
@@ -187,7 +228,10 @@ def _reference_worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, i
     return int(rows.min()), int(cols[np.argmin(rows)])
 
 
-def _reference_lambda_bounds(channel: sa.ChannelMatrix, r) -> tuple[float, float]:
+def reference_lambda_bounds(channel: sa.ChannelMatrix, r) -> tuple[float, float]:
+    """Independent oracle: the feasible interval of the exponent gain at floor r,
+    [1/(1 - r_+), 1/(1 - sum_j min_i W_ij)]; the upper end is infinite when
+    all rows are equal."""
     r = _reference_check_vector(r, channel.m, "r")
     r_plus = float(r.sum())
     if r_plus >= 1.0:
@@ -236,11 +280,11 @@ def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
     column minima three times and formed rW twice.  ``lam=None`` takes the
     default in a separate first pass, as ``solve`` then did."""
     if lam is None:
-        lo, hi = _reference_lambda_bounds(channel, r)
+        lo, hi = reference_lambda_bounds(channel, r)
         lam = hi if np.isfinite(hi) else lo
     r = _reference_check_vector(r, channel.m, "r")
     lam = float(lam)
-    lo, hi = _reference_lambda_bounds(channel, r)
+    lo, hi = reference_lambda_bounds(channel, r)
     if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
         _reference_violation(sa.LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
                              f"interval [{lo:.15g}, {hi:.15g}]", force)

@@ -19,10 +19,12 @@ from helpers import (
     draw_interior_channel,
     golden_channel,
     golden_section_capacity,
+    polish_fixed_point,
     random_channel,
     random_floor,
     random_offset,
     rate_at,
+    reference_lambda_bounds,
     solve_tight,
 )
 
@@ -173,7 +175,7 @@ def test_c06_monotone_ascent_500_draws():
             kwargs["lam"] = float(rng.uniform(1.0, sa.lambda_upper_bound(channel)))
         elif method in ("alg2", "alg3"):
             r = random_floor(rng, channel)
-            lo, hi = sa.lambda_bounds(channel, r)
+            lo, hi = reference_lambda_bounds(channel, r)
             kwargs = {"r": r, "lam": float(rng.uniform(lo, hi))}
         start = sa.make_distribution(rng.dirichlet(np.ones(m)))
         result = sa.solve(
@@ -234,7 +236,7 @@ def test_c08_floored_step_equivalence():
         n = int(rng.integers(2, 9))
         channel = random_channel(rng, m, n)
         r = random_floor(rng, channel)
-        lo, hi = sa.lambda_bounds(channel, r)
+        lo, hi = reference_lambda_bounds(channel, r)
         params = sa.params_from_r_lambda(channel, r, float(rng.uniform(lo, hi)))
         for _ in range(20):
             p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(m))
@@ -286,7 +288,7 @@ def test_c10_empirical_rate_matches_theory():
         report = sa.matrix_rate(params, sa.fixed_point_on_floor(params, result.p_hat))
         if report.global_rate <= 0.05:
             continue
-        p_star = sa.polish_fixed_point(params, result.p_hat.probs)
+        p_star = polish_fixed_point(params, result.p_hat.probs)
         dists = np.array([np.linalg.norm(rec.p - p_star) for rec in result.trace])
         usable = np.nonzero((dists > 1e-8) & (dists < 1e-4))[0]
         if len(usable) < 4:
@@ -312,7 +314,7 @@ def test_c11_linearization_residual_decay():
             continue
         params = sa.build_squeeze_params(channel, np.zeros(channel.m),
                                          np.zeros(channel.n))
-        p_star = sa.polish_fixed_point(params, p_hat.probs, tol=1e-16)
+        p_star = polish_fixed_point(params, p_hat.probs, tol=1e-16)
         if np.abs(sa.alg3_step(params, p_star).probs - p_star).max() > 2e-15:
             continue
         report = sa.matrix_rate(params, p_star)

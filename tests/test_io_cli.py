@@ -38,12 +38,16 @@ class TestChannelFiles:
         with pytest.raises(sa.ChannelFileError):
             sa.load_channel(path)
 
-    def test_params_roundtrip(self, tmp_path, golden):
+    def test_params_roundtrip(self, channel_csv, tmp_path, golden):
+        # the params file users have is the "params" object of solve --json
         params = sa.params_from_r_lambda(golden, [1 / 8, 1 / 8], 5 / 3)
-        path = tmp_path / "params.json"
-        sa.save_params_json(params, path)
-        doc = json.loads(path.read_text())
+        out = tmp_path / "res.json"
+        assert main(["solve", channel_csv, "--method", "alg2", "--r", "0.125,0.125",
+                     "--lambda", repr(5 / 3), "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())["params"]
         assert set(doc) == {"r", "f", "lambda"}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
         back = sa.load_params_json(golden, path)
         assert np.allclose(back.r, params.r)
         assert np.allclose(back.f, params.f)
@@ -120,9 +124,10 @@ class TestCliSolve:
                      "--epsilon", "1e-12", "--max-iters", "2"])
         assert code == 3
 
-    def test_params_file_overrides_flags(self, channel_csv, tmp_path, golden):
+    def test_params_file_overrides_flags(self, channel_csv, tmp_path, capsys):
+        assert main(["params", channel_csv, "--strategy", "optimal-m2"]) == 0
         pfile = tmp_path / "p.json"
-        sa.save_params_json(sa.params_from_r_lambda(golden, [1 / 8, 1 / 8], 5 / 3), pfile)
+        pfile.write_text(capsys.readouterr().out)
         out = tmp_path / "res.json"
         code = main(["solve", channel_csv, "--method", "alg3", "--r", "0,0",
                      "--params", str(pfile), "--json", str(out)])

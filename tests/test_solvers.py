@@ -17,6 +17,7 @@ from helpers import (
     random_channel,
     random_floor,
     random_offset,
+    reference_lambda_bounds,
     spy_calls,
 )
 
@@ -180,7 +181,7 @@ class TestSteps:
             if trial % 2:
                 params = sa.build_squeeze_params(ch, r, random_offset(rng, ch, r))
             else:
-                lo, hi = sa.lambda_bounds(ch, r)
+                lo, hi = reference_lambda_bounds(ch, r)
                 params = sa.params_from_r_lambda(ch, r, float(rng.uniform(lo, hi)))
             for _ in range(20):
                 p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(ch.m))
@@ -194,7 +195,7 @@ class TestSteps:
         for _ in range(10):
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 9)))
             r = random_floor(rng, ch)
-            params = sa.params_from_r_lambda(ch, r, sa.lambda_bounds(ch, r)[1])
+            params = sa.params_from_r_lambda(ch, r, reference_lambda_bounds(ch, r)[1])
             p = params.r + (1 - params.r_plus) * rng.dirichlet(np.ones(ch.m))
             before = p.copy()
             for step in (sa.aba_step(ch, p), sa.alg2_step(ch, params, p)):
@@ -369,7 +370,7 @@ class TestSolve:
             kw = {}
             if method in ("alg2", "alg3"):
                 r = random_floor(rng, ch)
-                lo, hi = sa.lambda_bounds(ch, r)
+                lo, hi = reference_lambda_bounds(ch, r)
                 kw = {"r": r, "lam": float(rng.uniform(lo, hi))}
             elif method == "alg1":
                 kw = {"lam": float(rng.uniform(1.0, sa.lambda_upper_bound(ch)))}
@@ -510,7 +511,7 @@ class TestUpdateKernel:
                                        log_domain_step(ch, lam, None, p), rtol=1e-13)
             r = random_floor(rng, ch)
             pf = (1.0 - r.sum()) * p + r
-            floored = sa.params_from_r_lambda(ch, r, sa.lambda_bounds(ch, r)[1])
+            floored = sa.params_from_r_lambda(ch, r, reference_lambda_bounds(ch, r)[1])
             np.testing.assert_allclose(sa.alg2_step(ch, floored, pf).probs,
                                        log_domain_step(ch, floored.lam, r, pf), rtol=1e-13)
             offset = sa.build_squeeze_params(ch, r, random_offset(rng, ch, r))

@@ -18,6 +18,7 @@ from helpers import (
     random_floor,
     random_offset,
     reference_build_squeeze_params,
+    reference_lambda_bounds,
     reference_params_from_r_lambda,
 )
 
@@ -145,7 +146,7 @@ class TestBuildSqueezeParams:
             r = random_floor(rng, ch)
             f = random_offset(rng, ch, r)
             params = sa.build_squeeze_params(ch, r, f)
-            lo, hi = sa.lambda_bounds(ch, r)
+            lo, hi = reference_lambda_bounds(ch, r)
             assert lo - 1e-9 <= params.lam <= hi + 1e-9
             # floor mass never exceeds the row-overlap mass
             assert params.r_plus <= ch.column_minima().sum() + 1e-12 < 1.0
@@ -170,7 +171,7 @@ class TestParamsFromRLambda:
         for _ in range(50):
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 8)))
             r = random_floor(rng, ch)
-            lo, hi = sa.lambda_bounds(ch, r)
+            lo, hi = reference_lambda_bounds(ch, r)
             lam = float(rng.uniform(lo, hi))
             params = sa.params_from_r_lambda(ch, r, lam)
             assert params.lam == pytest.approx(lam, abs=1e-12)
@@ -217,7 +218,7 @@ def _refused_under_force(channel, args, plain) -> bool:
     No offset f >= 0 gives a gain below 1/(1 - r_+)."""
     out = plain[0]
     return (out[0] is sa.LambdaRangeError and "outside feasible interval" in out[1]
-            and not float(args[1]) > sa.lambda_bounds(channel, args[0])[1])
+            and not float(args[1]) > reference_lambda_bounds(channel, args[0])[1])
 
 
 BAD_VECTORS = ([np.nan, 0.1], [np.inf, 0.1], [-np.inf, 0.1], [0.1, -0.1], [np.nan, -1.0],
@@ -256,7 +257,7 @@ class TestResolutionMatchesReference:
             if r.sum() >= 1.0:
                 self._same(ch, r, 1.5)
                 continue
-            lo, hi = sa.lambda_bounds(ch, r)
+            lo, hi = reference_lambda_bounds(ch, r)
             for lam in (lo, hi, rng.uniform(lo, max(lo, hi)), lo * (1 - 1e-10), hi * (1 + 1e-10),
                         lo - 2e-12, hi + 2e-12):
                 for out, caught in self._same(ch, r, lam):
@@ -290,7 +291,7 @@ class TestResolutionMatchesReference:
 
     def test_gain_just_outside_its_interval(self, golden):
         for r in ([0.0, 0.0], [0.1, 0.05]):
-            lo, hi = sa.lambda_bounds(golden, r)
+            lo, hi = reference_lambda_bounds(golden, r)
             edges = (lo - 1e-12, hi + 1e-12)  # the slack
             outside = [np.nextafter(edges[0], 0.0), np.nextafter(edges[1], np.inf), lo - 1e-9, hi + 1e-9]
             for lam in outside:
@@ -308,7 +309,7 @@ class TestResolutionMatchesReference:
         for entries, r in (([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
                            ([[0.75, 0.25], [0.25, 0.75]], [0.25, 0.25])):
             ch = sa.validate_channel(entries)
-            lo, hi = sa.lambda_bounds(ch, r)
+            lo, hi = reference_lambda_bounds(ch, r)
             assert lo == hi
             # inside the slack the gain asks for an offset there is no room for
             for outcome in self._same(ch, r, lo + 5e-13):
@@ -331,7 +332,7 @@ class TestResolutionMatchesReference:
 def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
     """Without lambda, alg2 checks r and f once each and takes the column
     minima once; its params are those of the explicit upper bound."""
-    _, hi = sa.lambda_bounds(golden, GOLDEN_R_OPT)
+    _, hi = reference_lambda_bounds(golden, GOLDEN_R_OPT)
     explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
     assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
                        force=False) == explicit

@@ -36,7 +36,6 @@ PARAMETERS = {
     "iteration_jacobian": ("params", "p"),
     "jacobi_eigh": ("a",),
     "kl_divergence": ("q", "s"),
-    "lambda_bounds": ("channel", "r"),
     "lambda_upper_bound": ("channel",),
     "load_channel": ("path",),
     "load_params_json": ("channel", "path"),
@@ -47,13 +46,11 @@ PARAMETERS = {
     "optimal_r_m2": ("channel",),
     "params_from_r_lambda": ("channel", "r", "lam", "force"),
     "plan": ("channel", "strategy", "q"),
-    "polish_fixed_point": ("params", "p", "tol"),
     "power_rate": ("R",),
     "random_channel": ("m", "n", "rng"),
     "replication_rng": ("master_seed", "replication"),
     "row_entropies": ("w",),
     "run_benchmark": ("config",),
-    "save_params_json": ("params", "path"),
     "solve": ("channel", "method", "lam", "r", "f", "params", "config", "force"),
     "trace_csv_rows": ("result",),
     "uniform": ("m",),
