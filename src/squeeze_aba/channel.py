@@ -7,7 +7,8 @@ floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 
 A channel validates its entries when it is constructed, however it is
 built.  Every stored value is an input or worked out from the inputs: a
-channel derives its all-rows-equal flag from W, and a floor is checked by
+channel derives its column minima, its row log-likelihoods and its
+all-rows-equal flag from W once, there, and a floor is checked by
 ``make_distribution`` rather than stored.  Tolerances are the module
 constants, not options.  A channel with an identically zero column is
 rejected; deleting that output letter is left to the caller.
@@ -82,6 +83,14 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
     return a
 
 
+def _row_log_likelihoods(w: np.ndarray) -> np.ndarray:
+    """sum_j W_ij ln W_ij of each row of a nonnegative matrix, with 0 ln 0 = 0."""
+    wlogw = w + (w == 0)  # 0 ln 1 = 0 stands for 0 ln 0 = 0
+    np.log(wlogw, out=wlogw)
+    wlogw *= w
+    return np.add.reduce(wlogw, axis=1)
+
+
 def _floor_mass(r: np.ndarray) -> float:
     r_plus = float(np.add.reduce(r))
     if r_plus >= 1.0:
@@ -99,11 +108,16 @@ class ChannelMatrix:
     input reaches that output letter.  ``all_rows_equal`` flags the
     degenerate channel whose capacity is 0: every column spans at most
     ``ROW_SUM_TOL``.  It is worked out from ``w``, not passed in, and the
-    solvers short-circuit on it.
+    solvers short-circuit on it.  Construction also keeps, read-only, the
+    column minima min_i W_ij (``column_minima()``; their sum is the row
+    overlap) and the row log-likelihoods sum_j W_ij ln W_ij that every
+    divergence evaluation reads.
     """
 
     w: np.ndarray
     all_rows_equal: bool = field(init=False)
+    _col_min: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_loglikes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -127,9 +141,14 @@ class ChannelMatrix:
                 f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {ROW_SUM_TOL:g}"
             )
         w = np.ascontiguousarray(w / sums[:, None])
-        w.setflags(write=False)  # made here, so no caller holds it
+        col_min = w.min(axis=0)
+        row_loglikes = _row_log_likelihoods(w)
+        for a in (w, col_min, row_loglikes):
+            a.setflags(write=False)  # made here, so no caller holds it
         object.__setattr__(self, "w", w)
-        rows_equal = bool(np.ptp(w, axis=0).max() <= ROW_SUM_TOL)
+        object.__setattr__(self, "_col_min", col_min)
+        object.__setattr__(self, "_row_loglikes", row_loglikes)
+        rows_equal = bool((w.max(axis=0) - col_min).max() <= ROW_SUM_TOL)
         object.__setattr__(self, "all_rows_equal", rows_equal)
 
     @property
@@ -141,8 +160,9 @@ class ChannelMatrix:
         return self.w.shape[1]
 
     def column_minima(self) -> np.ndarray:
-        """Vector of per-output minima min_i W[i, j] (row-overlap profile)."""
-        return self.w.min(axis=0)
+        """Vector of per-output minima min_i W[i, j] (row-overlap profile),
+        taken at construction; the array is read-only."""
+        return self._col_min
 
 
 def _require_same_channel(built_on: ChannelMatrix, channel: ChannelMatrix, what: str) -> None:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .channel import make_distribution, uniform
+from .channel import make_distribution
 from .errors import (
     BoundaryFixedPointError,
     NotAFixedPointError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import make_distribution
+from .channel import _row_log_likelihoods, make_distribution
 from .errors import DimensionMismatchError, NegativeEntryError, ValidationError
 
 LN2 = float(np.log(2.0))
@@ -35,16 +35,16 @@ def entropy(q) -> float:
 
 
 def row_entropies(w) -> np.ndarray:
-    """Entropies -sum_j W_ij ln W_ij of the rows of a nonnegative weight matrix."""
+    """Entropies -sum_j W_ij ln W_ij of the rows of a nonnegative weight matrix.
+
+    A ``ChannelMatrix`` takes the same row sums, negated, once at
+    construction; the solvers read those and never call this."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise DimensionMismatchError(f"w must be a 2-d matrix, got shape {w.shape}")
     if w.size and w.min() < 0:
         raise NegativeEntryError(f"w has a negative entry (min {w.min():.3e})")
-    wlogw = w + (w == 0)  # 0 ln 1 = 0 stands for 0 ln 0 = 0
-    np.log(wlogw, out=wlogw)
-    wlogw *= w
-    return -np.add.reduce(wlogw, axis=1)
+    return -_row_log_likelihoods(w)
 
 
 def kl_divergence(q, s) -> float:

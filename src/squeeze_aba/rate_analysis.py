@@ -180,7 +180,7 @@ def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     w_star = params.w_star
     a = w_star / (p @ w_star)
-    R = np.eye(params.m) - (1.0 + params.f_plus) * (a @ w_star.T) * p
+    R = np.eye(params.channel.m) - (1.0 + params.f_plus) * (a @ w_star.T) * p
     R += p * (a @ params.f)
     return R
 
@@ -193,7 +193,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     and NotAFixedPointError when one iteration step moves p* by more than
     FIXED_POINT_TOL.
     """
-    m = params.m
+    m = params.channel.m
     p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
     if p.shape != (m,):
         raise DimensionMismatchError(f"p_star must have length {m}, got shape {p.shape}")

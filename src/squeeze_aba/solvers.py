@@ -70,7 +70,6 @@ from .errors import (
     NumericalBreakdownError,
     ValidationError,
 )
-from .infotheory import row_entropies
 from .squeeze import (
     SqueezeParams,
     _bounds,
@@ -211,7 +210,7 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
     # the clamp matters here: _check_start lets p fall up to 1e-12 below r
     q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z, zmax = _divergences(channel.w, -row_entropies(channel.w), q)
+        z, zmax = _divergences(channel.w, channel._row_loglikes, q)
         x = _update(p, z, zmax, lam, r)
     x.setflags(write=False)  # made here, so the Distribution shares it
     return Distribution(x)
@@ -333,7 +332,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     lam = sp.lam  # a local: the loop reads it every iteration
 
     w = channel.w
-    row_ll = -row_entropies(w)
+    row_ll = channel._row_loglikes
 
     trace: list[IterationRecord] = []
     prev_objective = -np.inf

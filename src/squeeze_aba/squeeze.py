@@ -15,9 +15,8 @@ entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
 Resolution is a single pass: each builder checks r and f once and forms
 room once, and ``params_from_r_lambda`` draws its offset from that room.
 ``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict;
-r_+, f_+ and lambda are derived from (r, f) once (a builder's column
-tests take r_+ and f_+ and leave them cached), and W* and W~ on each
-access, so no stored value can disagree with (r, f).
+it derives r_+, f_+ and lambda from (r, f) once, at construction, and
+W* and W~ on each access, so no stored value can disagree with (r, f).
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -26,8 +25,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +47,9 @@ _PACKAGE = __package__ + "."
 class SqueezeParams:
     """Immutable squeeze parameters (r, f); everything else is derived.
 
+    Construction derives the floor mass ``r_plus`` = sum_i r_i, the offset
+    mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
+    (1 + f_+)/(1 - r_+), and raises InfeasibleFloorError when r_+ >= 1.
     ``feasible`` is False only when built with ``force=True`` over a
     constraint violation; the solvers then lose their monotonicity
     guarantee and downgrade related checks to warnings.
@@ -58,33 +59,18 @@ class SqueezeParams:
     r: np.ndarray
     f: np.ndarray
     feasible: bool = True
+    r_plus: float = field(init=False)
+    f_plus: float = field(init=False)
+    lam: float = field(init=False)
 
     def __post_init__(self):
         for name in ("r", "f"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @cached_property
-    def r_plus(self) -> float:
-        """Floor mass sum_i r_i."""
-        return float(np.add.reduce(self.r))
-
-    @cached_property
-    def f_plus(self) -> float:
-        """Offset mass sum_j f_j."""
-        return float(np.add.reduce(self.f))
-
-    @cached_property
-    def lam(self) -> float:
-        """Exponent gain (1 + f_+)/(1 - r_+)."""
-        return (1.0 + self.f_plus) / (1.0 - self.r_plus)
-
-    @property
-    def m(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.f.shape[0]
+        r_plus = _floor_mass(self.r)
+        f_plus = float(np.add.reduce(self.f))
+        object.__setattr__(self, "r_plus", r_plus)
+        object.__setattr__(self, "f_plus", f_plus)
+        object.__setattr__(self, "lam", (1.0 + f_plus) / (1.0 - r_plus))
 
     @property
     def w_star(self) -> np.ndarray:
@@ -133,14 +119,10 @@ def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
                    f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
 
 
-def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.ndarray,
-                  room: np.ndarray, force: bool) -> SqueezeParams:
-    """SqueezeParams from a checked floor r (mass r_plus < 1) and offset f,
-    given room = min_i W_ij - (rW)_j, after both column tests.  The tests
-    read the params' own masses, so each mass is reduced once."""
-    sp = SqueezeParams(channel, r, f)
-    vars(sp)["r_plus"] = r_plus  # _floor_mass's reduction, the one the property takes
-    w = channel.w
+def _column_tests(sp: SqueezeParams, room: np.ndarray, force: bool) -> SqueezeParams:
+    """``sp`` after both column tests, given room = min_i W_ij - (rW)_j;
+    marked infeasible if ``force`` let a violation through."""
+    r, f, w = sp.r, sp.f, sp.channel.w
     feasible = True
     if room[room.argmin()] < -CONSTRAINT_TOL:
         i, j = _worst_entry(w, room)
@@ -148,7 +130,7 @@ def _column_tests(channel: ChannelMatrix, r: np.ndarray, r_plus: float, f: np.nd
                    f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
                    f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}", force)
         feasible = False
-    tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
+    tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
     if tilde_min[tilde_min.argmin()] < -CONSTRAINT_TOL:
         i, j = _worst_entry(w, tilde_min)
         _violation(SqueezeConstraintError,
@@ -168,9 +150,8 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
     infeasible, and its derived W* and W~ clamp negative entries to 0.
     """
     r = _check_vector(r, channel.m, "r")
-    f = _check_vector(f, channel.n, "f")
-    r_plus = _floor_mass(r)
-    return _column_tests(channel, r, r_plus, f, channel.column_minima() - r @ channel.w, force)
+    sp = SqueezeParams(channel, r, _check_vector(f, channel.n, "f"))
+    return _column_tests(sp, channel.column_minima() - r @ channel.w, force)
 
 
 def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
@@ -208,4 +189,4 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = _check_vector(mult * star_min / total, channel.n, "f")
     f.setflags(write=False)  # made here, so SqueezeParams shares it
-    return _column_tests(channel, r, r_plus, f, room, force)
+    return _column_tests(SqueezeParams(channel, r, f), room, force)

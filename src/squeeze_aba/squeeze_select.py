@@ -103,7 +103,8 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     s = qv @ channel.w
     if np.any(s <= 0):
         raise ValidationError("reference distribution gives zero output mass")
-    delta = float((channel.w / s[None, :]).min())
+    # dividing column j by s_j > 0 keeps its order, so its minimum stays in place
+    delta = float((channel.column_minima() / s).min())
     return delta * qv
 
 

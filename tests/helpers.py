@@ -100,7 +100,7 @@ def polish_fixed_point(params: sa.SqueezeParams, p, *, tol: float = 1e-14) -> np
     below gap/(1 - rate) on its own.
     """
     p = np.asarray(getattr(p, "probs", p), dtype=float).copy()
-    eye = np.eye(params.m)
+    eye = np.eye(params.channel.m)
     best, best_disp = p.copy(), np.inf
     for _ in range(POLISH_ROUNDS):
         g = sa.alg3_step(params, p).probs - p
@@ -360,7 +360,7 @@ def posterior_jacobian(params: sa.SqueezeParams, p) -> np.ndarray:
     safe = np.where(denom > 0, denom, 1.0)
     phi = (wt * p[:, None]).T / safe[:, None]
     phi0 = np.where(denom > 0, params.f / safe, 0.0)
-    return np.eye(params.m) - wt @ (phi + np.outer(phi0, p))
+    return np.eye(params.channel.m) - wt @ (phi + np.outer(phi0, p))
 
 
 def alg3_posterior_step(params: sa.SqueezeParams, p) -> np.ndarray:

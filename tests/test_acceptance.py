@@ -25,7 +25,6 @@ from helpers import (
     random_offset,
     rate_at,
     reference_lambda_bounds,
-    solve_tight,
 )
 
 FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -5,7 +5,6 @@ import squeeze_aba as sa
 from helpers import (
     GOLDEN_R_OPT,
     draw_interior_channel,
-    golden_channel,
     offset_from_g,
     optimal_g,
     polish_fixed_point,

@@ -13,7 +13,6 @@ from helpers import (
     GOLDEN_R_OPT,
     GOLDEN_WTILDE,
     entropy_offsets,
-    golden_channel,
     random_channel,
     random_floor,
     random_offset,
