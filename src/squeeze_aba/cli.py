@@ -19,13 +19,7 @@ import numpy as np
 
 from . import io as sio
 from .channel import make_distribution
-from .errors import (
-    BoundaryFixedPointError,
-    NotAFixedPointError,
-    NumericalBreakdownError,
-    SqueezeAbaError,
-    ValidationError,
-)
+from .errors import BoundaryFixedPointError, SqueezeAbaError, ValidationError
 from .experiments import BenchConfig, run_benchmark, write_bench_outputs
 from .infotheory import LN2
 from .rate_analysis import fixed_point_on_floor, matrix_rate
@@ -184,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", default=None, help="offset vector, comma-separated (alg3)")
         p.add_argument("--params", default=None,
                        help="JSON file with r, f, lambda (overrides the flags)")
-        p.add_argument("--max-iters", type=int, default=1_000_000)
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
         p.add_argument("--json", default=None, help="write result JSON here")
 
     p_solve = sub.add_parser("solve", help="compute capacity and the optimal input")
     add_method_flags(p_solve)
-    p_solve.add_argument("--epsilon", type=float, default=1e-8,
+    p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                          help="stopping threshold on the capacity gap, nats")
     p_solve.add_argument("--units", choices=["nats", "bits"], default="nats")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
@@ -211,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(func=cmd_rate)
 
     p_bench = sub.add_parser("bench", help="seeded multi-method iteration benchmark")
-    p_bench.add_argument("--m", type=int, default=2)
-    p_bench.add_argument("--n", type=int, default=8)
-    p_bench.add_argument("--reps", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--epsilon", type=float, default=1e-8)
+    p_bench.add_argument("--m", type=int, default=BenchConfig.m)
+    p_bench.add_argument("--n", type=int, default=BenchConfig.n)
+    p_bench.add_argument("--reps", type=int, default=BenchConfig.replications)
+    p_bench.add_argument("--seed", type=int, default=BenchConfig.seed)
+    p_bench.add_argument("--epsilon", type=float, default=BenchConfig.epsilon)
     p_bench.add_argument("--out", default=None, help="output prefix for CSV/JSON")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -234,7 +228,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalBreakdownError, NotAFixedPointError, SqueezeAbaError, OSError) as exc:
+    except (SqueezeAbaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,13 +18,16 @@ Two independent routes compute the global rate:
 
   * spectral route: G D_{p*} is similar to M = D_{p*}^{1/2} G D_{p*}^{1/2},
     which is symmetric positive semidefinite with eigenvalues in [0, 1], so
-    numpy's LAPACK ``eigh`` on M yields the whole spectrum; the rate is
-    the largest 1 - (1 + f_+) mu over the nontrivial eigenvalues mu.
+    numpy's LAPACK ``eigh`` on M yields the whole spectrum.  The rows of
+    W* sum to 1, so G D_{p*} is row-stochastic: its largest eigenvalue is
+    exactly 1, on 1_m, and M's is 1 on sqrt(p*).  That is the trivial
+    direction; M's other eigenvalues mu are the spectrum on Gamma, and the
+    rate is the largest 1 - (1 + f_+) mu among them.
 
   * power route: numpy's general (nonsymmetric) eigensolver on R itself,
     restricted to Gamma in the basis e_k - e_1; the rate is the real part
     of the eigenvalue of largest modulus, the value power iteration on R
-    would converge to.  It is named for that iteration, which it replaced.
+    would converge to.
 
 The report carries both values; they agree to numerical accuracy.  The
 rate guarantees are statements about this one number, so two parameter
@@ -89,8 +92,8 @@ def jacobi_eigh(a):
     ``numpy.linalg.eigh`` on the symmetrised input.  Raises ValidationError
     on non-finite entries and DimensionMismatchError when the input is not
     nonempty, square and symmetric, that is when some |A_ij - A_ji| exceeds
-    the absolute tolerance 1e-10.  The name is historical; it stays
-    because it is public and callers look it up by name.
+    the absolute tolerance 1e-10.  The name stays because the layer
+    timings in ``perfbench/tracing.py`` look it up by name (``TARGETS``).
     """
     A = _finite_square(a)
     if np.abs(A - A.T).max() > 1e-10:
@@ -113,9 +116,8 @@ def power_rate(R) -> float:
     nonsymmetric LAPACK routine, so it stays an independent cross-check.
     A 1 x 1 R has a trivial Gamma and rate 0.  Raises ValidationError on
     non-finite entries and DimensionMismatchError unless R is a nonempty
-    square matrix.
-    The name is historical, from when this was power iteration; it stays
-    because it is public and callers look it up by name.
+    square matrix.  The name stays because the layer timings in
+    ``perfbench/tracing.py`` look it up by name (``TARGETS``).
     """
     R = _finite_square(R)
     if R.shape[0] == 1:
@@ -188,6 +190,13 @@ def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
 def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     """Build the full RateReport at a fixed point p* on Omega(r).
 
+    The spectrum on Gamma is that of M = D_p^{1/2} G D_p^{1/2} without its
+    largest eigenvalue: G D_p is row-stochastic, so that one is exactly 1,
+    on the trivial direction sqrt(p*), and ``eigh`` sorts it last.  Params
+    forced over a floor violation clamp W*, whose rows may then sum above
+    1; the report still drops M's largest eigenvalue, and the formula does
+    not hold there.
+
     Raises BoundaryFixedPointError when p* does not clear the floor by
     INTERIOR_MARGIN (the formula only holds at interior fixed points)
     and NotAFixedPointError when one iteration step moves p* by more than
@@ -218,17 +227,14 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     half = np.sqrt(p)
     B = w_star * half[:, None]
     M = (B / s[None, :]) @ B.T
-    mu, vecs = jacobi_eigh(M)
+    # the rows of W* sum to 1, so G D_p is row-stochastic: M's largest
+    # eigenvalue is 1, on sqrt(p), eigh sorts it last, and the rest are the
+    # spectrum on Gamma
+    mu = jacobi_eigh(M)[0][:-1]
+    d_gamma = np.sort(1.0 - (1.0 + params.f_plus) * mu)
 
-    u = half / np.linalg.norm(half)
-    trivial = int(np.argmax(np.abs(vecs.T @ u)))
-    keep = np.ones(m, dtype=bool)
-    keep[trivial] = False
-    d_gamma = 1.0 - (1.0 + params.f_plus) * mu[keep]
-    d_gamma.sort()
-
-    global_rate = max(float(d_gamma.max()), 0.0) if d_gamma.size else 0.0
-    rate_r0 = max(float((1.0 - mu[keep]).max()), 0.0) if d_gamma.size else 0.0
+    global_rate = max(float(d_gamma[-1]), 0.0)
+    rate_r0 = max(float(1.0 - mu[0]), 0.0)
 
     return RateReport(
         p_star=Distribution(p),  # checked above: p clears r, and alg3_step checked its sum

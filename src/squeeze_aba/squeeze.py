@@ -31,6 +31,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, _check_vector, _floor_mass, _readonly
 from .errors import (
+    DimensionMismatchError,
     FloorConstraintError,
     LambdaRangeError,
     SqueezeConstraintError,
@@ -47,12 +48,16 @@ _PACKAGE = __package__ + "."
 class SqueezeParams:
     """Immutable squeeze parameters (r, f); everything else is derived.
 
-    Construction derives the floor mass ``r_plus`` = sum_i r_i, the offset
+    Construction checks the shapes, raising DimensionMismatchError unless r
+    has the channel's m entries and f its n, and InfeasibleFloorError when
+    r_+ >= 1.  It derives the floor mass ``r_plus`` = sum_i r_i, the offset
     mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
-    (1 + f_+)/(1 - r_+), and raises InfeasibleFloorError when r_+ >= 1.
-    ``feasible`` is False only when built with ``force=True`` over a
-    constraint violation; the solvers then lose their monotonicity
-    guarantee and downgrade related checks to warnings.
+    (1 + f_+)/(1 - r_+).  Only the builders check the values (finite and
+    nonnegative) and the two column constraints: a directly built params
+    reports ``feasible=True`` unchecked.  A builder's ``feasible`` is False
+    only when built with ``force=True`` over a constraint violation; the
+    solvers then lose their monotonicity guarantee and downgrade related
+    checks to warnings.
     """
 
     channel: ChannelMatrix
@@ -66,6 +71,10 @@ class SqueezeParams:
     def __post_init__(self):
         for name in ("r", "f"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        if (self.r.shape, self.f.shape) != ((self.channel.m,), (self.channel.n,)):
+            raise DimensionMismatchError(
+                f"r and f must have lengths {self.channel.m} and {self.channel.n}, "
+                f"got shapes {self.r.shape} and {self.f.shape}")
         r_plus = _floor_mass(self.r)
         f_plus = float(np.add.reduce(self.f))
         object.__setattr__(self, "r_plus", r_plus)

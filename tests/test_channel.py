@@ -166,3 +166,16 @@ def test_floored_uniform_rejects_floors_outside_omega():
                      ([], sa.DimensionMismatchError)):
         with pytest.raises(error):
             sa.floored_uniform(r)
+
+
+def test_non_finite_entry_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(sa.NegativeEntryError, match="must be finite"):
+            sa.validate_channel([[0.5, 0.5], [bad, 0.5]])
+
+
+def test_make_distribution_shape_checks():
+    with pytest.raises(sa.DimensionMismatchError, match="nonempty vector"):
+        sa.make_distribution(np.full((2, 2), 0.25))
+    with pytest.raises(sa.DimensionMismatchError, match="different lengths"):
+        sa.make_distribution([0.5, 0.5], floor=[0.1, 0.1, 0.1])

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import squeeze_aba as sa
+from squeeze_aba import experiments
 
 
 def test_random_channel_deterministic_across_calls():
@@ -132,3 +134,30 @@ def test_bench_outputs(tmp_path):
     # byte-identical rerun
     write_bench_outputs(cfg, *sa.run_benchmark(cfg), str(tmp_path / "bench2"))
     assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "bench2.csv").read_bytes()
+
+
+def test_failed_and_unconverged_methods_are_recorded(monkeypatch):
+    """A method that raises or stops at the cap records None and its reason,
+    and a method that failed on every replication summarises as empty."""
+    real = experiments.solve
+
+    def flaky(channel, method, **kwargs):
+        if method == "alg1":
+            raise sa.NumericalBreakdownError("monotone ascent lost")
+        res = real(channel, method, **kwargs)
+        return dataclasses.replace(res, converged=False) if method == "alg2" else res
+
+    monkeypatch.setattr(experiments, "solve", flaky)
+    records, summary = sa.run_benchmark(sa.BenchConfig(replications=2))
+    cap = sa.SolverConfig().max_iters
+    for rec in records:
+        assert rec.iterations["aba"] > 0
+        assert (rec.iterations["alg1"], rec.iterations["alg2"]) == (None, None)
+        assert rec.errors == {"alg1": "monotone ascent lost",
+                              "alg2": f"not converged within {cap} iterations"}
+        assert rec.log2_ratios == {"alg1": None, "alg2": None}
+    empty = {"count": 0, "median": None, "min": None, "max": None}
+    for method in ("alg1", "alg2"):
+        assert summary["iterations"][method] == empty
+        assert summary["log2_ratios"][method] == empty
+    assert summary["failures"] == 2

@@ -177,3 +177,10 @@ def test_objective_affine_relation_under_squeeze(rng):
 def test_nats_to_bits():
     assert sa.nats_to_bits(np.log(2.0)) == pytest.approx(1.0, abs=1e-15)
     assert sa.nats_to_bits(np.log(8.0)) == pytest.approx(3.0, abs=1e-13)
+
+
+def test_shape_errors():
+    with pytest.raises(sa.DimensionMismatchError, match="q must be a 1-d vector"):
+        sa.entropy(np.full((2, 2), 0.25))
+    with pytest.raises(sa.DimensionMismatchError, match=r"channel is \(2, 3\), p has length 3"):
+        sa.mutual_information(golden_channel(), [0.2, 0.3, 0.5])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squeeze_aba as sa
-from squeeze_aba.cli import main
+from squeeze_aba.cli import build_parser, main
 from helpers import GOLDEN, GOLDEN_CAPACITY
 
 
@@ -294,3 +294,58 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith("error: ")
         with pytest.raises(sa.ChannelFileError):
             sa.load_channel(path)
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("name, text, match", [
+        ("empty.csv", "  \n", "channel file is empty"),
+        ("nomatrix.json", json.dumps({"rows": GOLDEN}), 'needs a "matrix" key'),
+        ("ragged.json", json.dumps({"matrix": [[0.5, 0.5], [1.0]]}), 'could not parse "matrix"'),
+    ])
+    def test_channel_file(self, tmp_path, name, text, match):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(sa.ChannelFileError, match=match):
+            sa.load_channel(path)
+
+    @pytest.mark.parametrize("text, match", [
+        (None, "params file not found"),
+        ('{"r": [0, 0],', "invalid JSON"),
+        (json.dumps({"r": [0, 0], "lambda": 1.0}), 'needs "r" and "f" keys'),
+        (json.dumps([[0, 0], [0, 0, 0]]), 'needs "r" and "f" keys'),
+    ])
+    def test_params_file(self, golden, tmp_path, text, match):
+        path = tmp_path / "params.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(sa.ChannelFileError, match=match):
+            sa.load_params_json(golden, path)
+
+
+class TestCliRateFailures:
+    """A channel whose p* one step still moves by 7.0e-4 at gap 1e-3."""
+
+    @pytest.fixture
+    def near_channel(self, tmp_path):
+        path = tmp_path / "near.csv"
+        path.write_text("0.5,0.3,0.2\n0.45,0.35,0.2\n0.1,0.1,0.8\n")
+        return str(path)
+
+    def test_unconverged_solve_exits_3(self, near_channel, capsys):
+        assert main(["rate", near_channel, "--max-iters", "1"]) == 3
+        assert "did not reach gap 1e-13 within 1 iterations" in capsys.readouterr().err
+
+    def test_unfixed_point_exits_1(self, near_channel, capsys):
+        assert main(["rate", near_channel, "--gap", "1e-3"]) == 1
+        assert "one step moves p* by 6.993e-04" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parser = build_parser()
+    solver, bench = sa.SolverConfig(), sa.BenchConfig()
+    solve_args = parser.parse_args(["solve", "channel.csv"])
+    assert (solve_args.epsilon, solve_args.max_iters) == (solver.epsilon, solver.max_iters)
+    assert parser.parse_args(["rate", "channel.csv"]).max_iters == solver.max_iters
+    bench_args = parser.parse_args(["bench"])
+    assert ((bench_args.m, bench_args.n, bench_args.reps, bench_args.seed, bench_args.epsilon)
+            == (bench.m, bench.n, bench.replications, bench.seed, bench.epsilon))

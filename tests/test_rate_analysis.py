@@ -414,3 +414,9 @@ class TestComparisons:
                 if prev is not None:
                     assert prev <= rep.global_rate + 1e-9
                 prev = rep.global_rate
+
+
+def test_matrix_rate_refuses_a_fixed_point_of_another_length(golden):
+    params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])
+    with pytest.raises(sa.DimensionMismatchError, match="p_star must have length 2"):
+        sa.matrix_rate(params, [0.2, 0.3, 0.5])

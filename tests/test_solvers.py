@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -550,3 +551,50 @@ class TestUpdateKernel:
         for row_ll in ([np.nan, 5.0, 0.0], [5.0, 0.0, np.nan], [0.0, np.nan, 5.0]):
             with pytest.raises(sa.NumericalBreakdownError, match="not finite"):
                 sa.solvers._divergences(w, np.array(row_ll), q)
+
+
+class TestMonotoneAscentCheck:
+    """An infeasible gain makes the objective fall; the loop warns under
+    force and raises otherwise."""
+
+    @staticmethod
+    def _overdriven():
+        ch = sa.random_channel(2, 4, np.random.default_rng(0))
+        return ch, 10 * sa.lambda_upper_bound(ch)
+
+    def test_forced_solve_warns_at_the_caller(self):
+        ch, lam = self._overdriven()
+        with pytest.warns(RuntimeWarning) as caught:
+            sa.solve(ch, "alg1", lam=lam, force=True, config=sa.SolverConfig(max_iters=200))
+        first = [w for w in caught if "objective decreased" in str(w.message)][0]
+        assert "objective decreased from 0.12801616446244096" in str(first.message)
+        assert str(first.message).endswith("at iteration 1")
+        assert first.filename == __file__
+
+    def test_directly_built_params_raise(self):
+        # a direct build checks no constraint and reports feasible=True, so
+        # the loop is not forced and the lost ascent is a breakdown
+        ch, lam = self._overdriven()
+        params = sa.SqueezeParams(ch, np.zeros(2), np.full(4, (lam - 1) / 4))
+        assert params.feasible
+        with pytest.raises(sa.NumericalBreakdownError, match="monotone ascent lost"):
+            sa.solve(ch, "alg3", params=params)
+
+
+def test_parameter_resolution_refusals(golden):
+    prebuilt = sa.plan(golden, "heuristic").params
+    cases = ((lambda: sa.solve(golden, "alg1", params=prebuilt), "does not accept prebuilt"),
+             (lambda: sa.solve(golden, "alg1", r=[0, 0]), "'alg1' takes only lambda"),
+             (lambda: sa.solve(golden, "alg2", r=[0, 0], f=[0, 0, 0]), "'alg2' takes (r, lambda)"),
+             (lambda: sa.solve(golden, "alg3", r=[0, 0]), "requires the offset vector f"))
+    for call, match in cases:
+        with pytest.raises(sa.ValidationError, match=re.escape(match)):
+            call()
+
+
+def test_step_start_checks(golden):
+    with pytest.raises(sa.DimensionMismatchError, match="start must have length 2"):
+        sa.aba_step(golden, [1 / 3, 1 / 3, 1 / 3])
+    params = sa.params_from_r_lambda(golden, GOLDEN_R_OPT, GOLDEN_LAMBDA)
+    with pytest.raises(sa.NonInteriorStartError, match="must dominate the floor"):
+        sa.alg2_step(golden, params, [0.05, 0.95])

@@ -400,3 +400,12 @@ def test_forced_violations_warn_at_the_caller(golden):
         with pytest.warns(RuntimeWarning) as caught:
             call()
         assert {w.filename for w in caught} == {__file__}
+
+
+def test_direct_construction_checks_the_lengths(golden):
+    """SqueezeParams refuses an r or f whose length is not the channel's m
+    or n, before any solve can broadcast or silently accept it."""
+    for r, f in ((np.zeros(2), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                 (0.0, np.zeros(3)), (np.zeros(2), np.zeros((1, 3)))):
+        with pytest.raises(sa.DimensionMismatchError, match="must have lengths 2 and 3"):
+            sa.SqueezeParams(golden, r, f)

@@ -233,3 +233,13 @@ class TestPlan:
         assert doc["strategy"] == "optimal-m2"
         assert doc["lambda"] == pytest.approx(GOLDEN_LAMBDA, abs=1e-12)
         assert np.allclose(doc["g"], GOLDEN_G_OPT, atol=1e-14)
+
+
+def test_heuristic_r_rejects_a_zero_reference(golden):
+    with pytest.raises(sa.ValidationError, match="zero output mass"):
+        sa.heuristic_r(golden, [0.0, 0.0])
+
+
+def test_plan_rejects_an_unknown_strategy(golden):
+    with pytest.raises(sa.ValidationError, match="unknown strategy 'newton'"):
+        sa.plan(golden, "newton")
