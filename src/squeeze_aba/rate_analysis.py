@@ -192,16 +192,19 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
 
     The spectrum on Gamma is that of M = D_p^{1/2} G D_p^{1/2} without its
     largest eigenvalue: G D_p is row-stochastic, so that one is exactly 1,
-    on the trivial direction sqrt(p*), and ``eigh`` sorts it last.  Params
-    forced over a floor violation clamp W*, whose rows may then sum above
-    1; the report still drops M's largest eigenvalue, and the formula does
-    not hold there.
+    on the trivial direction sqrt(p*), and ``eigh`` sorts it last.
 
-    Raises BoundaryFixedPointError when p* does not clear the floor by
+    Raises ValidationError for params that ``force=True`` let past a
+    violated constraint (``feasible=False``): their W* is clamped, its rows
+    may sum above 1, and R is not the map's Jacobian.  Raises
+    BoundaryFixedPointError when p* does not clear the floor by
     INTERIOR_MARGIN (the formula only holds at interior fixed points)
     and NotAFixedPointError when one iteration step moves p* by more than
     FIXED_POINT_TOL.
     """
+    if not params.feasible:
+        raise ValidationError("the rate formulas hold only for feasible params; these were "
+                              "forced past a violated constraint")
     m = params.channel.m
     p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
     if p.shape != (m,):

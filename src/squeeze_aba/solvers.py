@@ -20,12 +20,16 @@ p' = x / sum(x) for the plain ones (aba, alg1, where r = 0).  Every
 exponent is <= 0, so x cannot overflow, and sum(x) is at least the mass of
 the arg-max input.
 
+No array is allocated per step but waterfill's result and a trace's copy:
+the kernels write into buffers the caller owns, with numpy's positional
+``out``, the plain iterate alternates between two of them, and a unit gain
+skips its multiply.  The public steps run the same kernels on fresh buffers.
+
 An output letter j with zero mass (qW)_j = 0 leaves the divergences
 undefined.  The loop does not test for it: it runs with numpy's divide and
 invalid warnings off, so ln 0 = -inf turns every z_i into +inf or NaN, and
 the one compare on max z that the bracket needs anyway catches it.  Only
-then is the letter located, and the solve raises NumericalBreakdownError
-naming it.
+then is the letter located, and the solve raises NumericalBreakdownError.
 
 The method name only chooses the parameters:
 
@@ -34,18 +38,13 @@ The method name only chooses the parameters:
     alg2   floor r and gain lambda; offset f_+ = lambda (1 - r_+) - 1
     alg3   floor r and offset f; lambda = (1 + f_+)/(1 - r_+)
 
-alg3 is the (r, f) parametrisation of the paper, whose posterior form
-p'_i = max(r_i, alpha exp(c_i + sum_j W~_ij ln Phi_ji)) with
-Phi_ji = p_i W~_ij / (f_j + (p W~)_j) is the same map: f + pW~ = (1 + f_+) qW
-and the rows of a feasible W~ sum to 1, so its logits are ln p_i + lambda z_i
-plus a constant that normalisation removes.  The test suite keeps the
-posterior form as an independent oracle.  Under the feasibility
-constraints the objective ascends monotonically; the solver verifies this
-per step and treats a violation as numerical breakdown (a warning instead
-under ``force=True``).
-
-The final output is mapped back to the plain simplex:
-p_hat = (p - r)/(1 - r_+).
+alg3 is the paper's (r, f) parametrisation.  Its posterior form, which the
+tests keep as an oracle, is the same map: f + pW~ = (1 + f_+) qW and the
+rows of a feasible W~ sum to 1, so its logits are ln p_i + lambda z_i plus a
+constant.  Under the feasibility constraints the objective ascends
+monotonically; the solver checks this per step and treats a violation as
+numerical breakdown (a warning under ``force=True``).  The output maps back
+to the plain simplex: p_hat = (p - r)/(1 - r_+).
 """
 
 from __future__ import annotations
@@ -146,43 +145,48 @@ class SolveResult:
 # -- shared kernels -------------------------------------------------------------
 
 
-def _divergences(w: np.ndarray, row_loglikes: np.ndarray,
-                 q: np.ndarray) -> tuple[np.ndarray, float]:
-    """(z, max z) with z_i = D(W_i || qW).
+def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray,
+                 s: np.ndarray, z: np.ndarray) -> float:
+    """max z, after writing z_i = D(W_i || qW) into the buffer z and ln qW
+    into the buffer s (lengths m and n, both the caller's).
 
     Call under ``np.errstate(divide="ignore", invalid="ignore")``: a zero
-    output mass s_j makes ln s_j = -inf, so every row gets z_i = +inf or NaN
-    and max z is not finite.  One compare finds that; only then is the
-    output letter located, for the error."""
-    s = q.dot(w)
-    z = row_loglikes - w.dot(np.log(s))
-    zmax = z[z.argmax()]  # argmax finds the first NaN, like max, at a third of its cost
+    output mass makes ln s_j = -inf, so every row gets z_i = +inf or NaN and
+    max z is not finite.  One compare finds that; only then is the output
+    letter located, as the -inf in s, for the error."""
+    np.dot(q, w, s)
+    np.log(s, s)
+    np.dot(w, s, z)
+    np.subtract(row_loglikes, z, z)
+    zmax = float(z[z.argmax()])  # argmax finds the first NaN, like max, at a third of its cost
     if not zmax < np.inf:  # +inf or NaN
-        j = int(np.argmin(s))
-        if s[j] <= 0.0:
+        j = int(s.argmin())
+        if s[j] == -np.inf:
             raise NumericalBreakdownError(
                 f"output letter {j} has zero probability under the current iterate; "
                 "the divergence update is undefined there"
             )
         raise NumericalBreakdownError("the divergences at the current iterate are not finite")
-    return z, zmax
+    return zmax
 
 
 def _update(p: np.ndarray, z: np.ndarray, zmax: float, lam: float,
-            r: np.ndarray | None) -> np.ndarray:
-    """The one update kernel: x_i = p_i exp(lambda (z_i - max z)), normalised
-    by its sum when r is None and by waterfilling onto Omega(r) otherwise.
-    Every exponent is <= 0, so nothing overflows, and the sum is at least the
-    mass of the arg-max input.  Works in place on its own buffer, never on the
-    caller's p."""
-    x = z - zmax
-    x *= lam
-    np.exp(x, out=x)
-    x *= p
+            r: np.ndarray | None, total: np.ndarray) -> np.ndarray:
+    """The one update kernel: x_i = p_i exp(lambda (z_i - max z)) in the buffer
+    z, normalised by its sum when r is None (returns z), else waterfilled onto
+    Omega(r) (returns waterfill's array).  Every exponent is <= 0, so nothing
+    overflows, and the sum is at least the arg-max input's mass.  The 0-d
+    buffer ``total`` holds max z, then the sum: ufuncs take it unconverted."""
+    total[()] = zmax
+    np.subtract(z, total, z)
+    if lam != 1.0:
+        np.multiply(z, lam, z)
+    np.exp(z, z)
+    np.multiply(z, p, z)
     if r is not None:
-        return waterfill(r, x).p
-    x /= np.add.reduce(x)
-    return x
+        return waterfill(r, z).p
+    np.divide(z, np.add.reduce(z, None, None, total), z)
+    return z
 
 
 def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
@@ -209,10 +213,11 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
     p = _check_start(p, r, channel.m)
     # the clamp matters here: _check_start lets p fall up to 1e-12 below r
     q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
+    z = np.empty(channel.m)  # fresh buffers, so the Distribution shares the result
     with np.errstate(divide="ignore", invalid="ignore"):
-        z, zmax = _divergences(channel.w, channel._row_loglikes, q)
-        x = _update(p, z, zmax, lam, r)
-    x.setflags(write=False)  # made here, so the Distribution shares it
+        zmax = _divergences(channel.w, channel._row_loglikes, q, np.empty(channel.n), z)
+        x = _update(p, z, zmax, lam, r, np.empty(()))
+    x.setflags(write=False)
     return Distribution(x)
 
 
@@ -284,16 +289,6 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     return params_from_r_lambda(channel, r, lam, force=force)
 
 
-def _degenerate_result(channel: ChannelMatrix, method: str, params: SqueezeParams,
-                       config: SolverConfig) -> SolveResult:
-    # all rows equal: capacity is 0 and any input achieves it; report uniform
-    p_hat = uniform(channel.m)
-    trace = ()
-    if config.record_trace:
-        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),)
-    return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, params, trace)
-
-
 # -- the solver -------------------------------------------------------------------
 
 
@@ -315,8 +310,10 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     method = str(method).lower()
     config = config or SolverConfig()
     sp = _resolve_params(channel, method, lam, r, f, params, force)
-    if channel.all_rows_equal:
-        return _degenerate_result(channel, method, sp, config)
+    if channel.all_rows_equal:  # capacity 0, which any input achieves: report uniform
+        p_hat = uniform(channel.m)
+        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),) if config.record_trace else ()
+        return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, sp, trace)
     forced = force or not sp.feasible
 
     m = channel.m
@@ -327,26 +324,23 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         q0 = config.initial.probs  # validated by SolverConfig
         if q0.shape != (m,):
             raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
-    scale = 1.0 - sp.r_plus if rvec is not None else 1.0
-    p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to p
-    lam = sp.lam  # a local: the loop reads it every iteration
-
-    w = channel.w
-    row_ll = channel._row_loglikes
-
+    scale = np.array(1.0 - sp.r_plus)  # 0-d: a ufunc takes it without converting a scalar
+    p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to the start
+    lam, eps, max_iters, record = sp.lam, config.epsilon, config.max_iters, config.record_trace
+    w, row_ll = channel.w, channel._row_loglikes
+    # s holds qW, qf the floored q; the plain update overwrites z, so z and x swap
+    s, z, x, qf, total = np.empty(channel.n), np.empty(m), np.empty(m), np.empty(m), np.empty(())
     trace: list[IterationRecord] = []
     prev_objective = -np.inf
-    converged = False
-    iterations = config.max_iters
 
     # a zero output mass shows up as a non-finite max z (see _divergences)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(config.max_iters + 1):
+        for t in range(max_iters + 1):
             # every iterate has p >= r exactly (the start adds r to a
             # nonnegative vector, waterfill returns max(r, delta x)), so q
             # needs no clamp; the plain update keeps p positive
-            q = p if rvec is None else (p - rvec) / scale
-            z, zmax = _divergences(w, row_ll, q)
+            q = p if rvec is None else np.divide(np.subtract(p, rvec, qf), scale, qf)
+            zmax = _divergences(w, row_ll, q, s, z)
             objective = float(q.dot(z))
             gap = zmax - objective
 
@@ -357,25 +351,23 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
                     warnings.warn(msg, RuntimeWarning, stacklevel=2)
                 else:
                     raise NumericalBreakdownError(msg + "; monotone ascent lost")
-            prev_objective = max(prev_objective, objective)
+            if objective > prev_objective:
+                prev_objective = objective
 
-            if config.record_trace:
-                trace.append(IterationRecord(t, p.copy(), objective, float(gap)))
+            if record:
+                trace.append(IterationRecord(t, p.copy(), objective, gap))
 
-            if gap <= config.epsilon:
-                converged = True
-                iterations = t
-                break
-            if t == config.max_iters:
+            if gap <= eps or t == max_iters:
                 break
 
-            p = _update(p, z, zmax, lam, rvec)
+            p = _update(p, z, zmax, lam, rvec, total)
+            z, x = x, z
 
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)
     probs.setflags(write=False)  # made here, so the Distribution shares it
     p_hat = Distribution(probs)
-    return SolveResult(p_hat, objective, objective, float(zmax), iterations, converged,
+    return SolveResult(p_hat, objective, objective, zmax, t, gap <= eps,
                        method, sp, tuple(trace))
 
 

@@ -13,10 +13,9 @@ weights scale, above it the floors bind.  O(m log m) from the sort.
 
 Each input reduction is one cheap numpy call (sums are np.add.reduce,
 ndarray.sum without its Python wrapper): the weights are checked at their
-two ends (argmin and argmax find a NaN, like min and max, at a third of
-their cost) before anything adds them up, and the strict test
-r_i > delta x_i runs only when the mask r_i >= delta x_i, which the result
-returns anyway, has a nonzero count.
+smallest (argmin finds a NaN, like min) and through their sum, and the
+strict test r_i > delta x_i runs only when the mask r_i >= delta x_i, which
+the result returns anyway, has a nonzero count.
 
 delta is scale-invariant in x up to the obvious factor: waterfill(r, c*x)
 returns delta/c with the same p.  Callers that build x from exponentials
@@ -62,14 +61,20 @@ def waterfill(r, x) -> WaterfillResult:
         raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
     if np.add.reduce(r) >= 1.0:
         raise InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
-    if not (x[x.argmin()] > 0.0 and x[x.argmax()] < np.inf):  # also rejects NaN
-        raise NonpositiveWeightError("weights must be finite and strictly positive")
+    try:  # argmin finds a NaN, like min
+        total = float(np.add.reduce(x)) if x[x.argmin()] > 0.0 else np.nan
+    except RuntimeWarning:  # numpy's overflow warning as an error: it stands unless a weight is inf
+        if x[x.argmax()] < np.inf:
+            raise
+        total = np.nan
+    if not total < np.inf:  # a weight <= 0, NaN or inf, or a sum past the float range
+        if total != np.inf or x[x.argmax()] == np.inf:
+            raise NonpositiveWeightError("weights must be finite and strictly positive")
+        raise NonpositiveWeightError("weights overflow the float range when summed; scale them down")
 
     # no floor binds at plain normalization: that is the answer.  A Python float
-    # divides without numpy's warning; delta 0 or inf means the sum over- or underflowed
-    delta = 1.0 / float(np.add.reduce(x))
-    if delta == 0.0:
-        raise NonpositiveWeightError("weights overflow the float range when summed; scale them down")
+    # divides without numpy's warning; delta inf means the sum underflowed
+    delta = 1.0 / total
     if delta == np.inf:
         raise NonpositiveWeightError("weights underflow the float range when summed; scale them up")
     p = delta * x

@@ -336,6 +336,22 @@ class TestSolve:
         sa.alg2_step(ch, params, [0.6, 0.4])
         assert np.geterr() == before
 
+    def test_zero_output_mass_names_an_inner_letter(self):
+        # only input 1 reaches output 2, so q_1 = 0 zeroes that letter alone; the
+        # locator reads ln s in place, where the zero mass is the one -inf
+        ch = sa.validate_channel([[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.5, 0.25],
+                                  [0.2, 0.2, 0.0, 0.6]])
+        r = [0.0, 0.2, 0.0]
+        with pytest.warns(RuntimeWarning):
+            params = sa.params_from_r_lambda(ch, r, 50.0, force=True)
+        match = "output letter 2 has zero probability"
+        with pytest.raises(sa.NumericalBreakdownError, match=match):
+            sa.alg2_step(ch, params, [0.4, 0.2, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sa.NumericalBreakdownError, match=match):
+                sa.solve(ch, "alg2", params=params, force=True)
+
     def test_methods_agree_on_capacity(self, rng):
         for _ in range(15):
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(3, 9)))
@@ -550,7 +566,44 @@ class TestUpdateKernel:
         q = np.full(3, 1.0 / 3.0)
         for row_ll in ([np.nan, 5.0, 0.0], [5.0, 0.0, np.nan], [0.0, np.nan, 5.0]):
             with pytest.raises(sa.NumericalBreakdownError, match="not finite"):
-                sa.solvers._divergences(w, np.array(row_ll), q)
+                sa.solvers._divergences(w, np.array(row_ll), q, np.empty(3), np.empty(3))
+
+    @pytest.mark.parametrize("shape", ["2x8", "3x8", "64x256"])
+    def test_solve_buffers_alias_nothing(self, shape):
+        # the loop reuses its buffers and swaps the plain iterate between two
+        # of them; every record must still be the public step's iterate, bit
+        # for bit, and nothing it returned or was given may change later.  The
+        # gain is the params' own, which round-trips lam through f to an ulp
+        rng = np.random.default_rng(7)
+        if shape == "2x8":
+            ch = sa.random_channel(2, 8, sa.replication_rng(0, 0))
+        elif shape == "3x8":
+            ch = heavy_overlap_channel(sa.replication_rng(0, 4000))
+        else:  # the benchmark's block channel: input i owns four outputs, plus noise
+            noise = rng.random((64, 256))
+            ch = sa.validate_channel(0.4 * np.kron(np.eye(64), np.full(4, 0.25))
+                                     + 0.6 * noise / noise.sum(axis=1, keepdims=True))
+        lam = sa.lambda_upper_bound(ch)
+        r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
+        config = sa.SolverConfig(max_iters=25, record_trace=True,
+                                 initial=rng.dirichlet(np.ones(ch.m)))
+        start = config.initial.probs.copy()
+        runs = {"aba": ({}, lambda res, p: sa.aba_step(ch, p)),
+                "alg1": ({"lam": lam}, lambda res, p: sa.alg1_step(ch, res.params.lam, p)),
+                "alg2": ({"r": r, "lam": lam}, lambda res, p: sa.alg2_step(ch, res.params, p)),
+                "alg3": ({"r": r, "lam": lam}, lambda res, p: sa.alg3_step(res.params, p))}
+        for method, (kw, step) in runs.items():
+            res = sa.solve(ch, method, config=config, **kw)
+            assert len(res.trace) == res.iterations + 1 >= 2
+            p = res.trace[0].p
+            for rec in res.trace[1:]:
+                p = step(res, p).probs
+                assert p.tobytes() == rec.p.tobytes(), (method, rec.iter)
+            kept = [res.p_hat.probs.tobytes()] + [rec.p.tobytes() for rec in res.trace]
+            for _ in range(2):
+                sa.solve(ch, method, config=config, **kw)
+            assert kept == [res.p_hat.probs.tobytes()] + [rec.p.tobytes() for rec in res.trace]
+            assert config.initial.probs.tobytes() == start.tobytes()
 
 
 class TestMonotoneAscentCheck:
