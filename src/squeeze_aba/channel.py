@@ -195,7 +195,8 @@ class Distribution:
 
 def make_distribution(p, floor=None) -> Distribution:
     """Validate a probability vector without renormalizing; with ``floor``,
-    also check that it lies on Omega(floor)."""
+    also check the floor (finite, nonnegative, mass < 1) and that the
+    vector lies on Omega(floor)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
@@ -211,6 +212,7 @@ def make_distribution(p, floor=None) -> Distribution:
         floor = np.asarray(floor, dtype=float)
         if floor.shape != p.shape:
             raise DimensionMismatchError("floor and probs have different lengths")
+        _floor_mass(_check_vector(floor, p.size, "floor"))  # as floored_uniform checks r
         if np.any(p < floor - PROB_SUM_TOL):
             i = int(np.argmin(p - floor))
             raise NegativeEntryError(

@@ -1,7 +1,8 @@
 """Capacity solvers: plain Arimoto-Blahut and its squeezed accelerations.
 
-All four methods run one loop and one update kernel.  At iterate p on
-the floored simplex Omega(r), let q = (p - r)/(1 - r_+) and
+All four methods run one loop, ``_iterate``, and its body holds the only
+copy of the divergence and update arithmetic.  At iterate p on the
+floored simplex Omega(r), let q = (p - r)/(1 - r_+) and
 
     z_i = D(W_i || qW),
 
@@ -21,9 +22,13 @@ exponent is <= 0, so x cannot overflow, and sum(x) is at least the mass of
 the arg-max input.
 
 No array is allocated per step but waterfill's result and a trace's copy:
-the kernels write into buffers the caller owns, with numpy's positional
-``out``, the plain iterate alternates between two of them, and a unit gain
-skips its multiply.  The public steps run the same kernels on fresh buffers.
+the body writes into buffers the loop allocates once, with numpy's
+positional ``out`` and ufuncs bound to locals once per call, the plain
+iterate alternates between two of them, and a unit gain skips its
+multiply.  A public step runs the same body once, on fresh buffers: one
+update from its validated start, without evaluating the new iterate.
+``aba``'s parameters are built directly as (r, f) = (0, 0), bitwise what
+``params_from_r_lambda`` returns for r = 0 and lambda = 1.
 
 An output letter j with zero mass (qW)_j = 0 leaves the divergences
 undefined.  The loop does not test for it: it runs with numpy's divide and
@@ -142,51 +147,93 @@ class SolveResult:
     trace: tuple[IterationRecord, ...] = field(default=(), repr=False)
 
 
-# -- shared kernels -------------------------------------------------------------
+# -- the map ---------------------------------------------------------------------
 
 
-def _divergences(w: np.ndarray, row_loglikes: np.ndarray, q: np.ndarray,
-                 s: np.ndarray, z: np.ndarray) -> float:
-    """max z, after writing z_i = D(W_i || qW) into the buffer z and ln qW
-    into the buffer s (lengths m and n, both the caller's).
+def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None,
+             p: np.ndarray, q: np.ndarray, scale: np.ndarray | None = None,
+             eps: float = 0.0, max_iters: int = 0, forced: bool = False,
+             trace: list | None = None, step: bool = True):
+    """The one loop of every method, from the iterate p whose plain-simplex
+    image is q (p itself when r is None, else (p - r)/scale).
+
+    Each pass writes s = ln qW, z_i = D(W_i || qW) and max z, checks the
+    bracket, and then updates in place: x_i = p_i exp(lambda (z_i - max z)),
+    normalised by its sum when r is None, else waterfilled onto Omega(r).
+    The defaults are one public step: the first update's iterate is
+    returned, in fresh memory, with no bracket check and no evaluation of
+    its own.  A solve passes its stopping rule and ``step=False`` and gets
+    (q, objective, max z, iterations, gap) at the iterate it stops on.
 
     Call under ``np.errstate(divide="ignore", invalid="ignore")``: a zero
     output mass makes ln s_j = -inf, so every row gets z_i = +inf or NaN and
     max z is not finite.  One compare finds that; only then is the output
     letter located, as the -inf in s, for the error."""
-    np.dot(q, w, s)
-    np.log(s, s)
-    np.dot(w, s, z)
-    np.subtract(row_loglikes, z, z)
-    zmax = float(z[z.argmax()])  # argmax finds the first NaN, like max, at a third of its cost
-    if not zmax < np.inf:  # +inf or NaN
-        j = int(s.argmin())
-        if s[j] == -np.inf:
-            raise NumericalBreakdownError(
-                f"output letter {j} has zero probability under the current iterate; "
-                "the divergence update is undefined there"
-            )
-        raise NumericalBreakdownError("the divergences at the current iterate are not finite")
-    return zmax
+    dot, log, exp = np.dot, np.log, np.exp
+    subtract, multiply, divide, add_reduce = np.subtract, np.multiply, np.divide, np.add.reduce
+    inf, tol = np.inf, MONOTONE_TOL
+    m = w.shape[0]
+    # the plain update overwrites z, so z and x swap; qf holds the floored q; a
+    # step needs neither.  The 0-d buffer holds max z, then the sum: ufuncs
+    # take it unconverted
+    s, z, total = np.empty(w.shape[1]), np.empty(m), np.empty(())
+    x, qf = (None, None) if step else (np.empty(m), np.empty(m))
+    gain = None if lam == 1.0 else np.array(lam)  # a unit gain skips its multiply
+    prev_objective = -inf
+    for t in range(max_iters + 1):
+        dot(q, w, s)
+        log(s, s)
+        dot(w, s, z)
+        subtract(row_ll, z, z)
+        zmax = float(z[z.argmax()])  # argmax finds the first NaN, like max, at a third of its cost
+        if not zmax < inf:  # +inf or NaN
+            j = int(s.argmin())
+            if s[j] == -inf:
+                raise NumericalBreakdownError(
+                    f"output letter {j} has zero probability under the current iterate; "
+                    "the divergence update is undefined there"
+                )
+            raise NumericalBreakdownError("the divergences at the current iterate are not finite")
+        if not step:  # a step returns the update unchecked
+            objective = float(dot(q, z))
+            gap = zmax - objective
 
+            if objective > prev_objective:
+                prev_objective = objective
+            elif objective < prev_objective - tol:
+                msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
+                       f"at iteration {t}")
+                if forced:
+                    warnings.warn(msg, RuntimeWarning, stacklevel=3)
+                else:
+                    raise NumericalBreakdownError(msg + "; monotone ascent lost")
 
-def _update(p: np.ndarray, z: np.ndarray, zmax: float, lam: float,
-            r: np.ndarray | None, total: np.ndarray) -> np.ndarray:
-    """The one update kernel: x_i = p_i exp(lambda (z_i - max z)) in the buffer
-    z, normalised by its sum when r is None (returns z), else waterfilled onto
-    Omega(r) (returns waterfill's array).  Every exponent is <= 0, so nothing
-    overflows, and the sum is at least the arg-max input's mass.  The 0-d
-    buffer ``total`` holds max z, then the sum: ufuncs take it unconverted."""
-    total[()] = zmax
-    np.subtract(z, total, z)
-    if lam != 1.0:
-        np.multiply(z, lam, z)
-    np.exp(z, z)
-    np.multiply(z, p, z)
-    if r is not None:
-        return waterfill(r, z).p
-    np.divide(z, np.add.reduce(z, None, None, total), z)
-    return z
+            if trace is not None:
+                trace.append(IterationRecord(t, p.copy(), objective, gap))
+
+            if gap <= eps or t == max_iters:
+                break
+
+        # every exponent is <= 0, so nothing overflows, and the sum is at
+        # least the arg-max input's mass
+        total[()] = zmax
+        subtract(z, total, z)
+        if gain is not None:
+            multiply(z, gain, z)
+        exp(z, z)
+        multiply(z, p, z)
+        if r is None:
+            divide(z, add_reduce(z, None, None, total), z)
+            p, z, x = z, x, z
+        else:
+            p = waterfill(r, z).p  # the module global, which the traced benchmark shims
+        if step:
+            return p
+        # every iterate has p >= r exactly (the start adds r to a nonnegative
+        # vector, waterfill returns max(r, delta x)), so q needs no clamp; the
+        # plain update keeps p positive
+        q = p if r is None else divide(subtract(p, r, qf), scale, qf)
+    return q, objective, zmax, t, gap
 
 
 def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
@@ -213,11 +260,9 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
     p = _check_start(p, r, channel.m)
     # the clamp matters here: _check_start lets p fall up to 1e-12 below r
     q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
-    z = np.empty(channel.m)  # fresh buffers, so the Distribution shares the result
     with np.errstate(divide="ignore", invalid="ignore"):
-        zmax = _divergences(channel.w, channel._row_loglikes, q, np.empty(channel.n), z)
-        x = _update(p, z, zmax, lam, r, np.empty(()))
-    x.setflags(write=False)
+        x = _iterate(channel.w, channel._row_loglikes, lam, r, p, q)
+    x.setflags(write=False)  # fresh memory, so the Distribution shares it
     return Distribution(x)
 
 
@@ -255,10 +300,18 @@ def alg3_step(params: SqueezeParams, p) -> Distribution:
 # -- parameter resolution ---------------------------------------------------------
 
 
+def _frozen_zeros(k: int) -> np.ndarray:
+    z = np.zeros(k)
+    z.setflags(write=False)  # made here, so SqueezeParams shares it
+    return z
+
+
 def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
                     params: SqueezeParams | None, force: bool) -> SqueezeParams:
     """aba is alg1 with lambda = 1, alg1 is alg2 with r = 0, and alg2 is alg3
-    with the offset that ``params_from_r_lambda`` picks."""
+    with the offset that ``params_from_r_lambda`` picks.  aba's params are
+    built directly: r = 0, f = 0 and lambda = 1 pass every check, and
+    ``params_from_r_lambda(channel, 0, 1.0)`` returns bitwise the same."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if params is not None:
@@ -269,12 +322,11 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if method == "aba":
         if lam is not None or r is not None or f is not None:
             raise ValidationError("method 'aba' takes no squeeze parameters")
-        lam = 1.0
-    if method in ("aba", "alg1"):
+        return SqueezeParams(channel, _frozen_zeros(channel.m), _frozen_zeros(channel.n))
+    if method == "alg1":
         if r is not None or f is not None:
             raise ValidationError("method 'alg1' takes only lambda")
-        r = np.zeros(channel.m)
-        r.setflags(write=False)  # made here, so SqueezeParams shares it
+        r = _frozen_zeros(channel.m)
     if r is None:
         raise ValidationError(f"method {method!r} requires the floor vector r")
     if f is not None:
@@ -314,7 +366,6 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         p_hat = uniform(channel.m)
         trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),) if config.record_trace else ()
         return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, sp, trace)
-    forced = force or not sp.feasible
 
     m = channel.m
     rvec = sp.r if method in ("alg2", "alg3") else None
@@ -325,50 +376,25 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         if q0.shape != (m,):
             raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
     scale = np.array(1.0 - sp.r_plus)  # 0-d: a ufunc takes it without converting a scalar
-    p = q0 if rvec is None else scale * q0 + rvec  # the loop never writes to the start
-    lam, eps, max_iters, record = sp.lam, config.epsilon, config.max_iters, config.record_trace
-    w, row_ll = channel.w, channel._row_loglikes
-    # s holds qW, qf the floored q; the plain update overwrites z, so z and x swap
-    s, z, x, qf, total = np.empty(channel.n), np.empty(m), np.empty(m), np.empty(m), np.empty(())
-    trace: list[IterationRecord] = []
-    prev_objective = -np.inf
-
-    # a zero output mass shows up as a non-finite max z (see _divergences)
+    if rvec is None:
+        p = q = q0  # the loop never writes to the start
+    else:
+        p = scale * q0 + rvec
+        q = (p - rvec) / scale
+    eps = config.epsilon
+    trace = [] if config.record_trace else None
+    # a zero output mass shows up as a non-finite max z (see _iterate)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(max_iters + 1):
-            # every iterate has p >= r exactly (the start adds r to a
-            # nonnegative vector, waterfill returns max(r, delta x)), so q
-            # needs no clamp; the plain update keeps p positive
-            q = p if rvec is None else np.divide(np.subtract(p, rvec, qf), scale, qf)
-            zmax = _divergences(w, row_ll, q, s, z)
-            objective = float(q.dot(z))
-            gap = zmax - objective
-
-            if objective < prev_objective - MONOTONE_TOL:
-                msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
-                       f"at iteration {t}")
-                if forced:
-                    warnings.warn(msg, RuntimeWarning, stacklevel=2)
-                else:
-                    raise NumericalBreakdownError(msg + "; monotone ascent lost")
-            if objective > prev_objective:
-                prev_objective = objective
-
-            if record:
-                trace.append(IterationRecord(t, p.copy(), objective, gap))
-
-            if gap <= eps or t == max_iters:
-                break
-
-            p = _update(p, z, zmax, lam, rvec, total)
-            z, x = x, z
+        q, objective, zmax, t, gap = _iterate(
+            channel.w, channel._row_loglikes, sp.lam, rvec, p, q, scale, eps,
+            config.max_iters, force or not sp.feasible, trace, False)
 
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)
     probs.setflags(write=False)  # made here, so the Distribution shares it
     p_hat = Distribution(probs)
     return SolveResult(p_hat, objective, objective, zmax, t, gap <= eps,
-                       method, sp, tuple(trace))
+                       method, sp, () if trace is None else tuple(trace))
 
 
 def _require_trace(result: SolveResult) -> None:

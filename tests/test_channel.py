@@ -150,6 +150,18 @@ def test_distribution_floor_membership():
     sa.make_distribution([0.3, 0.7], floor=[0.2, 0.1])
     with pytest.raises(sa.NegativeEntryError):
         sa.make_distribution([0.15, 0.85], floor=[0.2, 0.0])
+    # the floor is checked as floored_uniform checks r: a NaN or negative
+    # floor would make the Omega(floor) test vacuous
+    for floor, error, match in (([np.nan, 0.1], sa.ValidationError, "floor must be finite"),
+                                ([np.inf, 0.1], sa.ValidationError, "floor must be finite"),
+                                ([-3.0, 0.1], sa.NegativeEntryError, "floor must be nonnegative"),
+                                ([0.5, 0.5], sa.InfeasibleFloorError, "floor mass"),
+                                ([0.2, 0.9], sa.InfeasibleFloorError, "floor mass")):
+        with pytest.raises(error, match=match):
+            sa.make_distribution([0.5, 0.5], floor=floor)
+    floor = np.array([0.2, 0.1])
+    sa.make_distribution([0.5, 0.5], floor=floor)
+    assert floor.flags.writeable  # the caller's floor is not frozen
 
 
 def test_floored_uniform_layout():

@@ -566,7 +566,7 @@ class TestUpdateKernel:
         q = np.full(3, 1.0 / 3.0)
         for row_ll in ([np.nan, 5.0, 0.0], [5.0, 0.0, np.nan], [0.0, np.nan, 5.0]):
             with pytest.raises(sa.NumericalBreakdownError, match="not finite"):
-                sa.solvers._divergences(w, np.array(row_ll), q, np.empty(3), np.empty(3))
+                sa.solvers._iterate(w, np.array(row_ll), 1.0, None, q, q)
 
     @pytest.mark.parametrize("shape", ["2x8", "3x8", "64x256"])
     def test_solve_buffers_alias_nothing(self, shape):
@@ -643,6 +643,30 @@ def test_parameter_resolution_refusals(golden):
     for call, match in cases:
         with pytest.raises(sa.ValidationError, match=re.escape(match)):
             call()
+
+
+@pytest.mark.parametrize("shape", ["2x8", "3x8", "8x32", "rows-equal"])
+def test_aba_params_are_the_trivial_build(shape):
+    # solve builds aba's params directly; they must be bitwise what the
+    # general builder gives for r = 0 and lambda = 1
+    if shape == "2x8":
+        ch = sa.random_channel(2, 8, sa.replication_rng(0, 3))
+    elif shape == "3x8":
+        ch = heavy_overlap_channel(sa.replication_rng(0, 4000))
+    elif shape == "8x32":
+        ch = sa.random_channel(8, 32, np.random.default_rng(11))
+    else:
+        ch = sa.validate_channel(np.full((3, 4), 0.25))
+        assert ch.all_rows_equal
+    got = sa.solve(ch, "aba").params
+    want = sa.params_from_r_lambda(ch, np.zeros(ch.m), 1.0)
+    assert got.channel is ch
+    for name in ("r", "f"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+    for name in ("r_plus", "f_plus", "lam", "feasible"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.is_plain()
 
 
 def test_step_start_checks(golden):
