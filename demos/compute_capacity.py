@@ -55,4 +55,4 @@ print(f"  ... converged after {res.iterations} iterations")
 
 # Everything is in nats internally; bits are one division away.
 print(f"\ncapacity: {plain.capacity:.9f} nats = "
-      f"{sa.nats_to_bits(plain.capacity):.9f} bits")
+      f"{plain.capacity / np.log(2.0):.9f} bits")

@@ -46,14 +46,6 @@ from .experiments import (
     replication_rng,
     run_benchmark,
 )
-from .infotheory import (
-    LN2,
-    entropy,
-    kl_divergence,
-    mutual_information,
-    nats_to_bits,
-    row_entropies,
-)
 from .io import load_channel, load_params_json
 from .rate_analysis import (
     RateReport,

@@ -21,7 +21,6 @@ from . import io as sio
 from .channel import make_distribution
 from .errors import BoundaryFixedPointError, SqueezeAbaError, ValidationError
 from .experiments import BenchConfig, run_benchmark, write_bench_outputs
-from .infotheory import LN2
 from .rate_analysis import fixed_point_on_floor, matrix_rate
 from .solvers import SolverConfig, solve, write_trace_csv
 from .squeeze import build_squeeze_params
@@ -31,6 +30,8 @@ log = logging.getLogger("squeeze_aba")
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
+
+LN2 = float(np.log(2.0))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

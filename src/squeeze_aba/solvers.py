@@ -65,7 +65,6 @@ from .channel import (
     Distribution,
     _integer,
     _require_same_channel,
-    make_distribution,
     uniform,
 )
 from .errors import (
@@ -113,10 +112,7 @@ class SolverConfig:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
-            start = make_distribution(getattr(self.initial, "probs", self.initial))
-            if not start.probs.min() > 0.0:
-                raise NonInteriorStartError("start must have all components strictly positive")
-            object.__setattr__(self, "initial", start)
+            object.__setattr__(self, "initial", Distribution(_check_start(self.initial)))
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,13 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
     return q, objective, zmax, t, gap
 
 
-def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
+def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.ndarray:
+    """p as a positive vector on the simplex, of length m when given, that
+    dominates the floor r when given, or the error that says why not."""
     p = np.asarray(getattr(p, "probs", p), dtype=float)
-    if p.shape != (m,):
+    if m is None and (p.ndim != 1 or p.size == 0):
+        raise DimensionMismatchError(f"start must be a nonempty vector, got shape {p.shape}")
+    if m is not None and p.shape != (m,):
         raise DimensionMismatchError(f"start must have length {m}, got shape {p.shape}")
     # False on a NaN too (argmin finds it, like min); the loop's errstate would let it through
     if not 0.0 < p[p.argmin()] <= p[p.argmax()] < np.inf:
@@ -248,7 +248,7 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
     s = np.add.reduce(p)
     if not abs(s - 1.0) <= PROB_SUM_TOL:
         raise DimensionMismatchError(f"start sums to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
-    if r is not None and np.any(p < r - 1e-12):
+    if r is not None and np.any(p < r - PROB_SUM_TOL):
         raise NonInteriorStartError("start must dominate the floor vector elementwise")
     return p
 
@@ -258,7 +258,7 @@ def _check_start(p: np.ndarray, r: np.ndarray | None, m: int) -> np.ndarray:
 
 def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
     p = _check_start(p, r, channel.m)
-    # the clamp matters here: _check_start lets p fall up to 1e-12 below r
+    # the clamp matters here: _check_start lets p fall up to PROB_SUM_TOL below r
     q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _iterate(channel.w, channel._row_loglikes, lam, r, p, q)

@@ -318,10 +318,80 @@ def offset_from_g(channel: sa.ChannelMatrix, g, r) -> np.ndarray:
     return np.maximum(f, 0.0)
 
 
+def entropy(q) -> float:
+    """Independent oracle: the Shannon entropy -sum q_i ln q_i (nats) of a
+    nonnegative weight vector, with 0 ln 0 = 0."""
+    q = np.asarray(q, dtype=float)
+    pos = q > 0
+    return float(-np.sum(q[pos] * np.log(q[pos])))
+
+
+def row_entropies(w) -> np.ndarray:
+    """Independent oracle: the entropy of each row of a nonnegative matrix,
+    -sum_j W_ij ln W_ij with 0 ln 0 = 0."""
+    w = np.asarray(w, dtype=float)
+    return -np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0).sum(axis=1)
+
+
+def kl_divergence(q, s) -> float:
+    """Independent oracle: the relative entropy sum q_i ln(q_i / s_i); +inf
+    where q puts mass that s does not."""
+    q = np.asarray(q, dtype=float)
+    s = np.asarray(s, dtype=float)
+    pos = q > 0
+    if np.any(s[pos] == 0):
+        return float("inf")
+    return float(np.sum(q[pos] * np.log(q[pos] / s[pos])))
+
+
+def mutual_information(channel, p) -> float:
+    """Independent oracle: the mutual information sum_i p_i D(W_i || pW) of a
+    channel (a ChannelMatrix or a row-stochastic array) at the input p."""
+    w = np.asarray(getattr(channel, "w", channel), dtype=float)
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    s = p @ w
+    return float(sum(p[i] * kl_divergence(w[i], s) for i in np.flatnonzero(p > 0)))
+
+
+def reference_divergences(channel: sa.ChannelMatrix, q) -> np.ndarray:
+    """Independent oracle: z_i = D(W_i || qW), formed as the solve loop forms
+    it, sum_j W_ij ln W_ij - sum_j W_ij ln (qW)_j."""
+    return -row_entropies(channel.w) - np.dot(channel.w, np.log(np.dot(q, channel.w)))
+
+
+def reference_update(lam: float, r, p, z) -> np.ndarray:
+    """Independent oracle: the update from p, given its divergences z:
+    x_i = p_i exp(lambda (z_i - max z)), normalised by its sum when ``r`` is
+    None and waterfilled onto Omega(r) otherwise."""
+    x = np.exp((z - z.max()) * lam) * p
+    return x / np.add.reduce(x) if r is None else sa.waterfill(r, x).p
+
+
+def reference_solve(channel: sa.ChannelMatrix, lam: float, r=None):
+    """Independent oracle: ``solve`` with the default config, restated plainly
+    with the loop's arithmetic in the loop's order, so that it agrees with
+    ``solve`` bit for bit.  ``r`` is None for the plain methods.  Returns
+    (p_hat, lower bound, upper bound, iterations)."""
+    epsilon, max_iters = 1e-8, 1_000_000
+    p = q = np.full(channel.m, 1.0 / channel.m)
+    if r is not None:
+        scale = 1.0 - float(np.add.reduce(r))
+        p = scale * q + r
+        q = (p - r) / scale
+    for t in range(max_iters + 1):
+        z = reference_divergences(channel, q)
+        lower, upper = float(np.dot(q, z)), float(z.max())
+        if upper - lower <= epsilon or t == max_iters:
+            break
+        p = reference_update(lam, r, p, z)
+        q = p if r is None else (p - r) / scale
+    return q / np.add.reduce(q), lower, upper, t
+
+
 def entropy_offsets(params: sa.SqueezeParams) -> np.ndarray:
     """Row entropy offsets c_i = H(W~_i) - lambda H(W_i) of the paper's
     squeezed objective."""
-    return sa.row_entropies(params.w_tilde) - params.lam * sa.row_entropies(params.channel.w)
+    return row_entropies(params.w_tilde) - params.lam * row_entropies(params.channel.w)
 
 
 def generalized_objective(v, f, c, p) -> float:
@@ -331,8 +401,7 @@ def generalized_objective(v, f, c, p) -> float:
     w = np.asarray(getattr(v, "w", v), dtype=float)
     f = np.asarray(f, dtype=float)
     p = np.asarray(getattr(p, "probs", p), dtype=float)
-    return float(sa.entropy(p @ w + f) + p @ (np.asarray(c) - sa.row_entropies(w))
-                 - sa.entropy(f))
+    return float(entropy(p @ w + f) + p @ (np.asarray(c) - row_entropies(w)) - entropy(f))
 
 
 def generalized_objective_kl_form(v, f, c, p) -> float:
@@ -342,10 +411,10 @@ def generalized_objective_kl_form(v, f, c, p) -> float:
     f = np.asarray(f, dtype=float)
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     mix = f + p @ w
-    total = sa.kl_divergence(f, mix)
+    total = kl_divergence(f, mix)
     for i in range(w.shape[0]):
         if p[i] != 0:
-            total += p[i] * (sa.kl_divergence(w[i], mix) + c[i])
+            total += p[i] * (kl_divergence(w[i], mix) + c[i])
     return float(total)
 
 
@@ -415,6 +484,13 @@ def heavy_overlap_channel(rng: np.random.Generator, spread: float = 0.012) -> sa
                                + spread * noise / noise.sum(axis=1, keepdims=True))
 
 
+def block_channel(rng: np.random.Generator) -> sa.ChannelMatrix:
+    """64x256 with an interior optimum: input i owns four outputs, plus noise."""
+    noise = rng.random((64, 256))
+    return sa.validate_channel(0.4 * np.kron(np.eye(64), np.full(4, 0.25))
+                               + 0.6 * noise / noise.sum(axis=1, keepdims=True))
+
+
 def golden_section_capacity(channel: sa.ChannelMatrix, tol: float = 1e-14):
     """Independent oracle for binary-input capacity: golden-section search
     of the mutual information over p_1."""
@@ -422,7 +498,7 @@ def golden_section_capacity(channel: sa.ChannelMatrix, tol: float = 1e-14):
     phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def mi(p1: float) -> float:
-        return sa.mutual_information(channel, np.array([p1, 1.0 - p1]))
+        return mutual_information(channel, np.array([p1, 1.0 - p1]))
 
     a, b = 1e-9, 1.0 - 1e-9
     c, d = b - phi * (b - a), a + phi * (b - a)

@@ -9,6 +9,7 @@ import pytest
 
 import squeeze_aba as sa
 from squeeze_aba.channel import ROW_SUM_TOL
+from helpers import row_entropies
 
 
 def seeded_channels():
@@ -42,7 +43,7 @@ def test_the_channels_cover_both_flags_and_zero_entries():
 
 def test_channel_derivations_match_the_per_call_forms():
     for ch in CHANNELS:
-        assert ch._row_loglikes.tobytes() == (-sa.row_entropies(ch.w)).tobytes()
+        assert ch._row_loglikes.tobytes() == (-row_entropies(ch.w)).tobytes()
         assert ch.column_minima().tobytes() == ch.w.min(axis=0).tobytes()
         assert ch.all_rows_equal == bool(np.ptp(ch.w, axis=0).max() <= ROW_SUM_TOL)
 

@@ -11,14 +11,19 @@ from helpers import (
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
     alg3_posterior_step,
+    block_channel,
     golden_channel,
     golden_section_capacity,
     heavy_overlap_channel,
     log_domain_step,
+    mutual_information,
     random_channel,
     random_floor,
     random_offset,
+    reference_divergences,
     reference_lambda_bounds,
+    reference_solve,
+    reference_update,
     spy_calls,
 )
 
@@ -73,6 +78,16 @@ class TestSteps:
                 sa.aba_step(golden, bad)
         with pytest.raises(sa.ValidationError, match="finite"):
             sa.solve(golden, "aba", config=sa.SolverConfig(initial=[np.nan, np.nan]))
+
+    def test_config_and_steps_refuse_the_same_starts(self, golden):
+        # one validator checks a start wherever it enters, so each bad start
+        # raises the same class from the config as from a step
+        for bad in ([-0.5, 1.5], [0.0, 1.0], [np.nan, 0.5], [0.3, 0.3], [[0.5, 0.5]]):
+            with pytest.raises(sa.ValidationError) as from_config:
+                sa.SolverConfig(initial=bad)
+            with pytest.raises(sa.ValidationError) as from_step:
+                sa.aba_step(golden, bad)
+            assert from_config.type is from_step.type, bad
 
     def test_alg1_unit_gain_equals_aba(self, golden, rng):
         for _ in range(20):
@@ -287,7 +302,7 @@ class TestSolve:
         res = sa.solve(golden, "aba", config=sa.SolverConfig(epsilon=1e-4))
         assert res.capacity_lower <= res.capacity_upper
         assert res.capacity_upper - res.capacity_lower <= 1e-4
-        mi = sa.mutual_information(golden, res.p_hat)
+        mi = mutual_information(golden, res.p_hat)
         assert res.capacity_lower - 1e-9 <= mi <= res.capacity_upper + 1e-9
 
     def test_not_converged_reported_not_raised(self, rng):
@@ -579,10 +594,8 @@ class TestUpdateKernel:
             ch = sa.random_channel(2, 8, sa.replication_rng(0, 0))
         elif shape == "3x8":
             ch = heavy_overlap_channel(sa.replication_rng(0, 4000))
-        else:  # the benchmark's block channel: input i owns four outputs, plus noise
-            noise = rng.random((64, 256))
-            ch = sa.validate_channel(0.4 * np.kron(np.eye(64), np.full(4, 0.25))
-                                     + 0.6 * noise / noise.sum(axis=1, keepdims=True))
+        else:  # the benchmark's block channel
+            ch = block_channel(rng)
         lam = sa.lambda_upper_bound(ch)
         r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
         config = sa.SolverConfig(max_iters=25, record_trace=True,
@@ -675,3 +688,58 @@ def test_step_start_checks(golden):
     params = sa.params_from_r_lambda(golden, GOLDEN_R_OPT, GOLDEN_LAMBDA)
     with pytest.raises(sa.NonInteriorStartError, match="must dominate the floor"):
         sa.alg2_step(golden, params, [0.05, 0.95])
+
+
+def oracle_channels(family: str) -> list:
+    if family == "2x8":
+        return [sa.random_channel(2, 8, sa.replication_rng(0, k)) for k in range(100)]
+    if family == "8x32":
+        return [sa.random_channel(8, 32, np.random.default_rng(k)) for k in range(5)]
+    if family == "3x8":
+        return [heavy_overlap_channel(sa.replication_rng(0, k)) for k in (4000, 4001)]
+    return [block_channel(np.random.default_rng(7))]
+
+
+def oracle_kwargs(ch: sa.ChannelMatrix) -> dict:
+    """alg1 and alg2 at the pinned tests' gain and floor; alg3 with the plan
+    that ``--method auto`` builds."""
+    lam = sa.lambda_upper_bound(ch)
+    r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
+    chosen = sa.plan(ch, "optimal-m2" if ch.m == 2 else "heuristic")
+    return {"aba": {}, "alg1": {"lam": lam}, "alg2": {"r": r, "lam": lam},
+            "alg3": {"params": chosen.params}}
+
+
+@pytest.mark.parametrize("family", ["2x8", "8x32", "3x8", "64x256"])
+def test_solve_matches_the_reference_bitwise(family):
+    # a plain restatement of the map, in the loop's order of numpy calls, must
+    # give every p_hat, bound and count bit for bit: a change to the loop's
+    # arithmetic, even in the last bit, fails here rather than passing unseen
+    mismatched = []
+    for k, ch in enumerate(oracle_channels(family)):
+        for method, kw in oracle_kwargs(ch).items():
+            res = sa.solve(ch, method, **kw)
+            r = res.params.r if method in ("alg2", "alg3") else None
+            p_hat, lower, upper, t = reference_solve(ch, res.params.lam, r)
+            got = (res.p_hat.probs.tobytes(), res.capacity_lower.hex(),
+                   res.capacity_upper.hex(), res.iterations)
+            if got != (p_hat.tobytes(), lower.hex(), upper.hex(), t):
+                mismatched.append((k, method))
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("family", ["2x8", "8x32", "3x8", "64x256"])
+def test_steps_match_the_reference_update(family):
+    rng = np.random.default_rng(3)
+    for ch in oracle_channels(family)[:5]:
+        q = rng.dirichlet(np.ones(ch.m))
+        kw = oracle_kwargs(ch)
+        lam, params = kw["alg1"]["lam"], kw["alg3"]["params"]
+        r, scale = params.r, 1.0 - params.r_plus
+        p = scale * q + r
+        z, z_floored = reference_divergences(ch, q), reference_divergences(ch, (p - r) / scale)
+        assert sa.aba_step(ch, q).probs.tobytes() == reference_update(1.0, None, q, z).tobytes()
+        assert sa.alg1_step(ch, lam, q).probs.tobytes() == reference_update(lam, None, q, z).tobytes()
+        floored = reference_update(params.lam, r, p, z_floored).tobytes()
+        assert sa.alg2_step(ch, params, p).probs.tobytes() == floored
+        assert sa.alg3_step(params, p).probs.tobytes() == floored

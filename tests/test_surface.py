@@ -1,6 +1,6 @@
-"""The public surface, pinned: every init field of the public dataclasses
-and every parameter of the public functions.  A new option or stored value
-then shows up as a one-line change here."""
+"""The public surface, pinned: every exported name, every init field of the
+public dataclasses and every parameter of the public functions.  A new
+export, option or stored value then shows up as a one-line change here."""
 
 import dataclasses
 import inspect
@@ -29,27 +29,22 @@ PARAMETERS = {
     "alg2_step": ("channel", "params", "p"),
     "alg3_step": ("params", "p"),
     "build_squeeze_params": ("channel", "r", "f", "force"),
-    "entropy": ("q",),
     "fixed_point_on_floor": ("params", "p_hat"),
     "floored_uniform": ("r",),
     "heuristic_r": ("channel", "q"),
     "iteration_jacobian": ("params", "p"),
     "jacobi_eigh": ("a",),
-    "kl_divergence": ("q", "s"),
     "lambda_upper_bound": ("channel",),
     "load_channel": ("path",),
     "load_params_json": ("channel", "path"),
     "make_distribution": ("p", "floor"),
     "matrix_rate": ("params", "p_star"),
-    "mutual_information": ("channel", "p"),
-    "nats_to_bits": ("x",),
     "optimal_r_m2": ("channel",),
     "params_from_r_lambda": ("channel", "r", "lam", "force"),
     "plan": ("channel", "strategy", "q"),
     "power_rate": ("R",),
     "random_channel": ("m", "n", "rng"),
     "replication_rng": ("master_seed", "replication"),
-    "row_entropies": ("w",),
     "run_benchmark": ("config",),
     "solve": ("channel", "method", "lam", "r", "f", "params", "config", "force"),
     "trace_csv_rows": ("result",),
@@ -58,6 +53,36 @@ PARAMETERS = {
     "waterfill": ("r", "x"),
     "write_trace_csv": ("result", "path"),
 }
+
+ERRORS = (
+    "BoundaryFixedPointError",
+    "ChannelFileError",
+    "DegenerateChannelError",
+    "DimensionMismatchError",
+    "EmptyMatrixError",
+    "FloorConstraintError",
+    "InfeasibleFloorError",
+    "LambdaRangeError",
+    "NegativeEntryError",
+    "NoStrictColumnError",
+    "NonInteriorStartError",
+    "NonpositiveWeightError",
+    "NotAFixedPointError",
+    "NotTwoByNError",
+    "NumericalBreakdownError",
+    "RowSumToleranceError",
+    "SqueezeAbaError",
+    "SqueezeConstraintError",
+    "ValidationError",
+    "ZeroColumnError",
+)
+
+
+def test_exported_names():
+    exported = sorted(name for name, obj in vars(sa).items()
+                      if not name.startswith("_") and not inspect.ismodule(obj))
+    assert exported == sorted([*FIELDS, *PARAMETERS, *ERRORS])
+    assert all(issubclass(getattr(sa, name), sa.SqueezeAbaError) for name in ERRORS)
 
 
 def test_dataclass_init_fields():
