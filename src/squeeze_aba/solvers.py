@@ -16,10 +16,9 @@ The update reuses the same z and its maximum:
 
     x_i = p_i exp(lambda (z_i - max z)),    p'_i = max(r_i, delta x_i)
 
-with delta by waterfilling for the floored methods (alg2, alg3) and
-p' = x / sum(x) for the plain ones (aba, alg1, where r = 0).  Every
-exponent is <= 0, so x cannot overflow, and sum(x) is at least the mass of
-the arg-max input.
+with delta by waterfilling when the floor r has a positive entry and
+p' = x / sum(x) when r = 0.  Every exponent is <= 0, so x cannot overflow,
+and sum(x) is at least the mass of the arg-max input.
 
 No array is allocated per step but waterfill's result and a trace's copy:
 the body writes into buffers the loop allocates once, with numpy's
@@ -27,8 +26,11 @@ positional ``out`` and ufuncs bound to locals once per call, the plain
 iterate alternates between two of them, and a unit gain skips its
 multiply.  A public step runs the same body once, on fresh buffers: one
 update from its validated start, without evaluating the new iterate.
-``aba``'s parameters are built directly as (r, f) = (0, 0), bitwise what
-``params_from_r_lambda`` returns for r = 0 and lambda = 1.
+A step resolves its parameters as ``solve`` does, so it iterates with the
+same gain and floor.  ``aba``'s parameters are built directly as
+(r, f) = (0, 0), bitwise what ``params_from_r_lambda`` returns for r = 0
+and lambda = 1, and ``aba_step`` builds none: that map is lambda = 1 with
+no floor.
 
 An output letter j with zero mass (qW)_j = 0 leaves the divergences
 undefined.  The loop does not test for it: it runs with numpy's divide and
@@ -36,7 +38,9 @@ invalid warnings off, so ln 0 = -inf turns every z_i into +inf or NaN, and
 the one compare on max z that the bracket needs anyway catches it.  Only
 then is the letter located, and the solve raises NumericalBreakdownError.
 
-The method name only chooses the parameters:
+The method name only chooses the parameters, and the parameters choose
+the update: a positive floor selects waterfill, a zero floor the plain
+normalisation, so alg2 and alg3 with a zero floor run alg1's update.
 
     aba    lambda = 1, r = 0
     alg1   gain lambda, r = 0
@@ -73,13 +77,7 @@ from .errors import (
     NumericalBreakdownError,
     ValidationError,
 )
-from .squeeze import (
-    SqueezeParams,
-    _bounds,
-    _check_lambda,
-    build_squeeze_params,
-    params_from_r_lambda,
-)
+from .squeeze import SqueezeParams, build_squeeze_params, params_from_r_lambda
 from .waterfill import waterfill
 
 #: per-step slack on the monotone-ascent check
@@ -256,10 +254,21 @@ def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.nda
 # -- single steps (public, validated) --------------------------------------------
 
 
-def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distribution:
+def _floor(params: SqueezeParams) -> np.ndarray | None:
+    """The floor that selects the waterfill update, or None for a zero floor,
+    which takes the plain one: the method name does not choose the update.
+    A nonzero floor is a positive one, or one that waterfill refuses."""
+    return params.r if np.count_nonzero(params.r) else None  # a third of r.any()'s cost
+
+
+def _step(channel: ChannelMatrix, p, params: SqueezeParams | None = None) -> Distribution:
+    """One update from p of the map that ``params`` resolve to; without them,
+    of aba's, which ``_resolve_params`` resolves to r = 0, f = 0 and lambda = 1."""
+    r = None if params is None else _floor(params)
     p = _check_start(p, r, channel.m)
     # the clamp matters here: _check_start lets p fall up to PROB_SUM_TOL below r
-    q = p if r is None else np.maximum((p - r) / (1.0 - float(r.sum())), 0.0)
+    q = p if r is None else np.maximum((p - r) / (1.0 - params.r_plus), 0.0)
+    lam = 1.0 if params is None else params.lam
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _iterate(channel.w, channel._row_loglikes, lam, r, p, q)
     x.setflags(write=False)  # fresh memory, so the Distribution shares it
@@ -268,18 +277,19 @@ def _step(channel: ChannelMatrix, lam: float, r: np.ndarray | None, p) -> Distri
 
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
     """One plain Arimoto-Blahut update from an interior point of the simplex."""
-    return _step(channel, 1.0, None, p)  # lambda = 1 is always feasible
+    return _step(channel, p)  # aba resolves to lambda = 1 with no floor: nothing to build
 
 
 def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> Distribution:
     """One exponent-gain update p'_i proportional to p_i exp(lambda z_i).
 
-    ``lam`` must lie in the feasible interval for the channel; ``force``
-    turns a gain above the interval into a warning (convergence is then no
-    longer guaranteed).  A gain below 1 is always an error.
+    The gain is ``params_from_r_lambda(channel, 0, lam).lam``, the one
+    ``solve(channel, "alg1", lam=lam)`` iterates with.  ``lam`` must lie in
+    the feasible interval for the channel; ``force`` turns a gain above the
+    interval into a warning (convergence is then no longer guaranteed).  A
+    gain below 1 is always an error.
     """
-    _check_lambda(lam, *_bounds(0.0, channel.column_minima()), force)
-    return _step(channel, lam, None, p)
+    return _step(channel, p, _resolve_params(channel, "alg1", lam, None, None, None, force))
 
 
 def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
@@ -287,14 +297,13 @@ def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
 
     Raises ValidationError when ``params`` were built for another channel.
     """
-    _require_same_channel(params.channel, channel, "params were built")
-    return _step(channel, params.lam, params.r, p)
+    return _step(channel, p, _resolve_params(channel, "alg2", None, None, None, params, False))
 
 
 def alg3_step(params: SqueezeParams, p) -> Distribution:
     """One update in squeezed coordinates: the alg2 map of ``params.channel``,
     since lambda = (1 + f_+)/(1 - r_+)."""
-    return _step(params.channel, params.lam, params.r, p)
+    return _step(params.channel, p, params)
 
 
 # -- parameter resolution ---------------------------------------------------------
@@ -362,19 +371,16 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     method = str(method).lower()
     config = config or SolverConfig()
     sp = _resolve_params(channel, method, lam, r, f, params, force)
+    m = channel.m
+    q0 = np.full(m, 1.0 / m) if config.initial is None else config.initial.probs
+    if q0.shape != (m,):  # the rest of the start SolverConfig validated
+        raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
     if channel.all_rows_equal:  # capacity 0, which any input achieves: report uniform
-        p_hat = uniform(channel.m)
+        p_hat = uniform(m)
         trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),) if config.record_trace else ()
         return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, sp, trace)
 
-    m = channel.m
-    rvec = sp.r if method in ("alg2", "alg3") else None
-    if config.initial is None:
-        q0 = np.full(m, 1.0 / m)
-    else:
-        q0 = config.initial.probs  # validated by SolverConfig
-        if q0.shape != (m,):
-            raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
+    rvec = _floor(sp)
     scale = np.array(1.0 - sp.r_plus)  # 0-d: a ufunc takes it without converting a scalar
     if rvec is None:
         p = q = q0  # the loop never writes to the start

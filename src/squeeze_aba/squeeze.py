@@ -174,10 +174,8 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
 
     which is the unique scaling with total mass f_+ = lambda (1 - r_+) - 1.
     The returned ``params.lam`` is (1 + f_+)/(1 - r_+) of that offset, so it
-    can differ from the requested ``lam`` in the last bit.  ``solve``
-    iterates with ``params.lam``, while ``alg1_step`` uses its ``lam`` as
-    given; routing every step through one parameter resolution would end
-    that split.
+    can differ from the requested ``lam`` in the last bit; ``solve`` and
+    the public steps all iterate with ``params.lam``.
     The feasible gains run from 1/(1 - r_+) to 1/(1 - sum_j min_i W_ij);
     ``lam=None`` takes that upper bound, or the lower one when the upper
     one is infinite (all rows equal, capacity 0).

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -203,6 +204,27 @@ class TestCliRate:
         path.write_text("0.9,0.05,0.05\n0.34,0.33,0.33\n0.05,0.05,0.9\n")
         code = main(["rate", str(path), "--method", "aba"])
         assert code == 4
+
+
+def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
+    # plan has no finite squeeze for equal rows, so auto plans "none" with a
+    # warning rather than fail where aba succeeds
+    path = tmp_path / "equal.csv"
+    path.write_text("0.4,0.6\n0.4,0.6\n")
+    docs = {}
+    for command in ("solve", "rate"):
+        for method in ("aba", "auto"):
+            out = tmp_path / f"{command}-{method}.json"
+            assert main([command, str(path), "--method", method, "--json", str(out)]) == 0
+            docs[command, method] = json.loads(out.read_text())
+    assert docs["solve", "auto"]["capacity"] == 0.0
+    for command in ("solve", "rate"):
+        assert (docs[command, "aba"].pop("method"), docs[command, "auto"].pop("method")) == \
+            ("aba", "alg3")
+        assert docs[command, "auto"] == docs[command, "aba"]
+    warned = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert [rec.name for rec in warned] == ["squeeze_aba", "squeeze_aba"]
+    assert all("all rows equal" in rec.getMessage() for rec in warned)
 
 
 class TestInterfaceStability:

@@ -44,12 +44,11 @@ class TestSteps:
         p = np.array([0.3, 0.7])
         assert np.allclose(sa.aba_step(ch, p).probs, p, atol=1e-15)
 
-    def test_plain_steps_check_the_zero_floor_once_at_most(self, golden, monkeypatch):
-        # lambda = 1 is always feasible, so aba_step checks nothing; alg1_step
-        # takes the column minima once and checks no floor vector
+    def test_aba_step_checks_no_parameters(self, golden, monkeypatch):
+        # lambda = 1 with no floor is always feasible, so aba_step builds and
+        # checks no params
         p = np.array([0.3, 0.7])
         plain = sa.aba_step(golden, p).probs.tobytes()
-        gained = sa.alg1_step(golden, 1.5, p).probs.tobytes()
         calls = {"column_minima": 0, "_check_vector": 0}
 
         def counted(name, fn):
@@ -64,9 +63,6 @@ class TestSteps:
                             counted("_check_vector", sa.squeeze._check_vector))
         assert sa.aba_step(golden, p).probs.tobytes() == plain
         assert calls == {"column_minima": 0, "_check_vector": 0}
-        assert sa.alg1_step(golden, 1.5, p).probs.tobytes() == gained
-        assert calls == {"column_minima": 1, "_check_vector": 0}
-        assert sa.alg1_step(golden, 1.0, p).probs.tobytes() == plain
 
     def test_aba_requires_interior(self, golden):
         with pytest.raises(sa.NonInteriorStartError):
@@ -128,9 +124,14 @@ class TestSteps:
             sa.alg1_step(golden, 3.0, [0.5, 0.5])
         with pytest.raises(sa.LambdaRangeError):
             sa.alg1_step(golden, 1.0 - 1e-9, [0.5, 0.5])
-        # the same check as params_from_r_lambda: forced, it warns and steps
-        with pytest.warns(RuntimeWarning, match="outside feasible interval"):
+        # the params_from_r_lambda that solve calls: forced, it warns about the
+        # gain and about the offset it implies, and steps
+        with pytest.warns(RuntimeWarning) as caught:
             p = sa.alg1_step(golden, 3.0, [0.4, 0.6], force=True)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2 and "outside feasible interval" in messages[0]
+        assert messages[1].startswith("offset constraint violated")
+        assert all(w.filename == __file__ for w in caught)
         assert p.probs.sum() == pytest.approx(1.0)
         with pytest.warns(RuntimeWarning):
             # forced mode still computes (no convergence guarantee)
@@ -256,6 +257,14 @@ class TestSolve:
         assert res.trace == ()  # the trace is opt-in
         traced = sa.solve(ch, "aba", config=sa.SolverConfig(record_trace=True))
         assert traced.converged and len(traced.trace) == 1
+
+    def test_degenerate_channel_checks_the_start_length(self):
+        # the length is checked before the short-circuit, as on any channel
+        ch = sa.validate_channel([[0.4, 0.6], [0.4, 0.6]])
+        config = sa.SolverConfig(initial=[0.2, 0.3, 0.5])
+        for method in ("aba", "alg1"):
+            with pytest.raises(sa.DimensionMismatchError, match="start must have length 2"):
+                sa.solve(ch, method, config=config)
 
     def test_alg2_and_alg3_solves_agree(self):
         # the same params through either method name: same iterate sequence
@@ -587,8 +596,8 @@ class TestUpdateKernel:
     def test_solve_buffers_alias_nothing(self, shape):
         # the loop reuses its buffers and swaps the plain iterate between two
         # of them; every record must still be the public step's iterate, bit
-        # for bit, and nothing it returned or was given may change later.  The
-        # gain is the params' own, which round-trips lam through f to an ulp
+        # for bit, and nothing it returned or was given may change later.
+        # alg1_step takes the requested lam and resolves it as solve does
         rng = np.random.default_rng(7)
         if shape == "2x8":
             ch = sa.random_channel(2, 8, sa.replication_rng(0, 0))
@@ -602,7 +611,7 @@ class TestUpdateKernel:
                                  initial=rng.dirichlet(np.ones(ch.m)))
         start = config.initial.probs.copy()
         runs = {"aba": ({}, lambda res, p: sa.aba_step(ch, p)),
-                "alg1": ({"lam": lam}, lambda res, p: sa.alg1_step(ch, res.params.lam, p)),
+                "alg1": ({"lam": lam}, lambda res, p: sa.alg1_step(ch, lam, p)),
                 "alg2": ({"r": r, "lam": lam}, lambda res, p: sa.alg2_step(ch, res.params, p)),
                 "alg3": ({"r": r, "lam": lam}, lambda res, p: sa.alg3_step(res.params, p))}
         for method, (kw, step) in runs.items():
@@ -739,7 +748,69 @@ def test_steps_match_the_reference_update(family):
         p = scale * q + r
         z, z_floored = reference_divergences(ch, q), reference_divergences(ch, (p - r) / scale)
         assert sa.aba_step(ch, q).probs.tobytes() == reference_update(1.0, None, q, z).tobytes()
-        assert sa.alg1_step(ch, lam, q).probs.tobytes() == reference_update(lam, None, q, z).tobytes()
+        gain = sa.params_from_r_lambda(ch, np.zeros(ch.m), lam).lam
+        assert sa.alg1_step(ch, lam, q).probs.tobytes() == reference_update(gain, None, q, z).tobytes()
         floored = reference_update(params.lam, r, p, z_floored).tobytes()
         assert sa.alg2_step(ch, params, p).probs.tobytes() == floored
         assert sa.alg3_step(params, p).probs.tobytes() == floored
+
+
+def solve_bits(res: sa.SolveResult) -> tuple:
+    return (res.p_hat.probs.tobytes(), res.capacity_lower.hex(), res.capacity_upper.hex(),
+            res.iterations)
+
+
+def chain_channels() -> list:
+    return [sa.random_channel(2, 8, sa.replication_rng(0, k)) for k in range(200)]
+
+
+def test_the_methods_chain_bitwise_in_solve():
+    # aba is alg1 at lambda = 1 and alg1 is alg2 at r = 0: the resolved floor,
+    # not the method name, picks the update, so a zero floor is the plain map
+    # under every name, and the lambda-only plan is alg1 at its upper bound
+    mismatched = []
+    for k, ch in enumerate(chain_channels()):
+        r, f = np.zeros(ch.m), np.zeros(ch.n)
+        plain = (sa.solve(ch, "aba"), sa.solve(ch, "alg1", lam=1.0),
+                 sa.solve(ch, "alg2", r=r, lam=1.0), sa.solve(ch, "alg3", r=r, f=f),
+                 sa.solve(ch, "alg3", params=sa.plan(ch, "none").params))
+        gained = (sa.solve(ch, "alg1", lam=sa.lambda_upper_bound(ch)),
+                  sa.solve(ch, "alg3", params=sa.plan(ch, "lambda-only").params))
+        for name, chain in (("plain", plain), ("gained", gained)):
+            if len({solve_bits(res) for res in chain}) != 1:
+                mismatched.append((k, name))
+    assert mismatched == []
+
+
+def test_the_methods_chain_bitwise_in_one_step():
+    rng = np.random.default_rng(5)
+    mismatched = []
+    for k, ch in enumerate(chain_channels()):
+        p = rng.dirichlet(np.ones(ch.m))
+        r, f = np.zeros(ch.m), np.zeros(ch.n)
+        lambda_only = sa.plan(ch, "lambda-only").params
+        plain = (sa.aba_step(ch, p), sa.alg1_step(ch, 1.0, p),
+                 sa.alg2_step(ch, sa.params_from_r_lambda(ch, r, 1.0), p),
+                 sa.alg3_step(sa.build_squeeze_params(ch, r, f), p),
+                 sa.alg3_step(sa.plan(ch, "none").params, p))
+        gained = (sa.alg1_step(ch, sa.lambda_upper_bound(ch), p),
+                  sa.alg2_step(ch, lambda_only, p), sa.alg3_step(lambda_only, p))
+        for name, chain in (("plain", plain), ("gained", gained)):
+            if len({x.probs.tobytes() for x in chain}) != 1:
+                mismatched.append((k, name))
+    assert mismatched == []
+
+
+def test_alg1_step_reproduces_the_alg1_solve():
+    # the step resolves lam through params_from_r_lambda, as solve does, so
+    # it iterates with the solve's gain to the last bit
+    ch = heavy_overlap_channel(sa.replication_rng(0, 4000))
+    lam = sa.lambda_upper_bound(ch)
+    config = sa.SolverConfig(record_trace=True,
+                             initial=np.random.default_rng(7).dirichlet(np.ones(ch.m)))
+    res = sa.solve(ch, "alg1", lam=lam, config=config)
+    assert res.converged and len(res.trace) == res.iterations + 1 > 100
+    p = res.trace[0].p
+    for rec in res.trace[1:]:
+        p = sa.alg1_step(ch, lam, p).probs
+        assert p.tobytes() == rec.p.tobytes(), rec.iter
