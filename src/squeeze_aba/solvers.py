@@ -20,12 +20,22 @@ with delta by waterfilling when the floor r has a positive entry and
 p' = x / sum(x) when r = 0.  Every exponent is <= 0, so x cannot overflow,
 and sum(x) is at least the mass of the arg-max input.
 
-No array is allocated per step but waterfill's result and a trace's copy:
-the body writes into buffers the loop allocates once, with numpy's
-positional ``out`` and ufuncs bound to locals once per call, the plain
-iterate alternates between two of them, and a unit gain skips its
-multiply.  A public step runs the same body once, on fresh buffers: one
-update from its validated start, without evaluating the new iterate.
+A floored solve calls ``waterfill`` on its first update, which checks the
+floor once, and then only when a floor binds.  Every later update first
+tries waterfill's own no-bind answer, p = x / sum(x), and keeps it when
+every q_i = (p_i - r_i)/(1 - r_+) is positive, so that no floor binds or
+ties; otherwise it calls ``waterfill`` on x, which decides, and raises on a
+zero, NaN or underflowing weight.  The update right after one whose floor
+was active goes straight to ``waterfill``: a floor that binds tends to keep
+binding, and a refused attempt costs about a tenth of a binding update.
+
+No array is allocated per step but a trace's copy and the result of a
+``waterfill`` call: the body writes into buffers the loop allocates once,
+with numpy's positional ``out`` and ufuncs bound to locals once per call,
+the plain iterate alternates between two of them, and a unit gain skips
+its multiply.  A public step runs the same body once, on fresh buffers:
+one update from its validated start, without evaluating the new iterate,
+so a floored step always calls ``waterfill``.
 A step resolves its parameters as ``solve`` does, so it iterates with the
 same gain and floor.  ``aba``'s parameters are built directly as
 (r, f) = (0, 0), bitwise what ``params_from_r_lambda`` returns for r = 0
@@ -82,6 +92,9 @@ from .waterfill import waterfill
 
 #: per-step slack on the monotone-ascent check
 MONOTONE_TOL = 1e-12
+
+#: the smallest normal float; a weight sum at least this large has a finite reciprocal
+_TINY = np.finfo(float).tiny
 
 METHODS = ("aba", "alg1", "alg2", "alg3")
 
@@ -154,6 +167,10 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
     Each pass writes s = ln qW, z_i = D(W_i || qW) and max z, checks the
     bracket, and then updates in place: x_i = p_i exp(lambda (z_i - max z)),
     normalised by its sum when r is None, else waterfilled onto Omega(r).
+    The floored update calls ``waterfill`` on the first pass, after a pass
+    whose floor was active, and when x / sum(x) leaves some q_i <= 0 (a
+    binding floor, a tie, or a zero or NaN weight); otherwise it keeps
+    x / sum(x), bitwise waterfill's answer, in a loop-owned buffer.
     The defaults are one public step: the first update's iterate is
     returned, in fresh memory, with no bracket check and no evaluation of
     its own.  A solve passes its stopping rule and ``step=False`` and gets
@@ -165,15 +182,16 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
     letter located, as the -inf in s, for the error."""
     dot, log, exp = np.dot, np.log, np.exp
     subtract, multiply, divide, add_reduce = np.subtract, np.multiply, np.divide, np.add.reduce
-    inf, tol = np.inf, MONOTONE_TOL
+    inf, tiny, tol = np.inf, _TINY, MONOTONE_TOL
     m = w.shape[0]
-    # the plain update overwrites z, so z and x swap; qf holds the floored q; a
-    # step needs neither.  The 0-d buffer holds max z, then the sum: ufuncs
-    # take it unconverted
+    # the plain update overwrites z, so z and x swap; the floored one keeps x in
+    # z for waterfill and writes p to pf and q to qf; a step needs none of the
+    # three.  The 0-d buffer holds max z, then the sum: ufuncs take it unconverted
     s, z, total = np.empty(w.shape[1]), np.empty(m), np.empty(())
-    x, qf = (None, None) if step else (np.empty(m), np.empty(m))
+    x, pf, qf = (None, None, None) if step else (np.empty(m), np.empty(m), np.empty(m))
     gain = None if lam == 1.0 else np.array(lam)  # a unit gain skips its multiply
     prev_objective = -inf
+    fill = True  # the next floored update goes straight to waterfill
     for t in range(max_iters + 1):
         dot(q, w, s)
         log(s, s)
@@ -219,14 +237,29 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
         if r is None:
             divide(z, add_reduce(z, None, None, total), z)
             p, z, x = z, x, z
-        else:
-            p = waterfill(r, z).p  # the module global, which the traced benchmark shims
+            q = p  # the plain update keeps p positive
+            if step:
+                return p
+            continue
+        if not fill:  # waterfill's no-bind answer, in its arithmetic: delta = 1/sum, p = delta x
+            x_sum = add_reduce(z)
+            if x_sum >= tiny:  # else 1/sum could overflow, or divide by zero
+                p = multiply(z, 1.0 / x_sum, pf)
+                divide(subtract(p, r, qf), scale, qf)
+                if qf[qf.argmin()] > 0.0:  # every p_i > r_i; argmin finds a NaN
+                    q = qf
+                    continue
+        # the first update, a floor active on the last one, or the answer
+        # refused: the module global, which checks r, decides, and is what the
+        # traced benchmark shims
+        filled = waterfill(r, z)
+        p, fill = filled.p, np.count_nonzero(filled.active_floor)
         if step:
             return p
         # every iterate has p >= r exactly (the start adds r to a nonnegative
-        # vector, waterfill returns max(r, delta x)), so q needs no clamp; the
-        # plain update keeps p positive
-        q = p if r is None else divide(subtract(p, r, qf), scale, qf)
+        # vector, the update keeps p_i > r_i or waterfill returns
+        # max(r, delta x)), so q needs no clamp
+        q = divide(subtract(p, r, qf), scale, qf)
     return q, objective, zmax, t, gap
 
 

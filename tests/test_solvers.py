@@ -814,3 +814,97 @@ def test_alg1_step_reproduces_the_alg1_solve():
     for rec in res.trace[1:]:
         p = sa.alg1_step(ch, lam, p).probs
         assert p.tobytes() == rec.p.tobytes(), rec.iter
+
+
+# -- when the floored update calls waterfill ----------------------------------------
+
+
+def floored_kwargs(ch: sa.ChannelMatrix) -> dict:
+    kw = oracle_kwargs(ch)
+    return {"alg2": kw["alg2"], "alg3": kw["alg3"]}
+
+
+@pytest.mark.parametrize("family", ["2x8", "64x256"])
+def test_a_floored_solve_where_no_floor_binds_calls_waterfill_once(family, monkeypatch):
+    # the first update checks the floor through waterfill; every later one
+    # keeps waterfill's no-bind answer without calling it
+    calls = spy_calls(monkeypatch, "waterfill")
+    for k, ch in enumerate(oracle_channels(family)):
+        for method, kw in floored_kwargs(ch).items():
+            calls.clear()
+            res = sa.solve(ch, method, **kw)
+            assert res.converged and res.iterations > 1, (k, method)
+            assert len(calls) == 1, (k, method, len(calls))
+
+
+def test_each_floored_step_calls_waterfill_once(monkeypatch):
+    ch = oracle_channels("2x8")[0]
+    params = floored_kwargs(ch)["alg3"]["params"]
+    p = (1.0 - params.r_plus) * np.full(ch.m, 1.0 / ch.m) + params.r
+    calls = spy_calls(monkeypatch, "waterfill")
+    sa.aba_step(ch, p)
+    sa.alg1_step(ch, sa.lambda_upper_bound(ch), p)
+    assert calls == []
+    sa.alg2_step(ch, params, p)
+    assert len(calls) == 1
+    sa.alg3_step(params, p)
+    assert len(calls) == 2
+
+
+def test_binding_steps_call_waterfill_and_match_the_reference(monkeypatch):
+    # on the random 8x32 channels floors bind on most steps: waterfill is
+    # called on the first update and on each binding one (an update whose
+    # iterate meets the floor, p_i = r_i), and the solve stays bitwise the
+    # reference's, which calls waterfill on every update
+    calls = spy_calls(monkeypatch, "waterfill")
+    binding_total = kept_total = 0
+    for k, ch in enumerate(oracle_channels("8x32")):
+        for method, kw in floored_kwargs(ch).items():
+            calls.clear()
+            res = sa.solve(ch, method, config=sa.SolverConfig(record_trace=True), **kw)
+            r = res.params.r
+            binding = sum(bool(np.any(rec.p == r)) for rec in res.trace[2:])
+            assert len(calls) == 1 + binding, (k, method, len(calls), binding)
+            binding_total += binding
+            kept_total += res.iterations - len(calls)  # no-bind answers kept
+            p_hat, lower, upper, t = reference_solve(ch, res.params.lam, r)
+            assert solve_bits(res) == (p_hat.tobytes(), lower.hex(), upper.hex(), t), (k, method)
+    assert binding_total > 0 and kept_total > 0
+
+
+def test_a_negative_floor_in_direct_params_raises_on_the_first_update(monkeypatch):
+    # a direct build checks only r_+ < 1; waterfill, called on the first
+    # update of every floored solve and step, refuses the floor
+    ch = sa.random_channel(2, 4, np.random.default_rng(0))
+    params = sa.SqueezeParams(ch, np.array([-0.1, 0.2]), np.zeros(4))
+    calls = spy_calls(monkeypatch, "waterfill")
+    with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
+        sa.solve(ch, "alg3", params=params)
+    with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
+        sa.alg3_step(params, [0.3, 0.7])
+    assert len(calls) == 2
+
+
+def test_weights_that_underflow_mid_solve_raise(monkeypatch):
+    # three times the gain bound drives the zero-floor input's weight down
+    # geometrically until it underflows to 0 hundreds of updates in.  The
+    # no-bind answer then has q_0 = 0, which the strict test refuses, and
+    # waterfill raises as it does when called on every update; a warning
+    # other than the forced gain's would be numpy's, from the shortcut
+    rng = np.random.default_rng(107)
+    ch = sa.random_channel(3, 4, rng)
+    r = np.zeros(3)
+    r[1:] = rng.uniform(0.0, 0.2, 2)
+    lam = 3 * sa.lambda_upper_bound(ch)
+    forced = ("outside feasible interval", "offset constraint violated", "objective decreased")
+    calls = spy_calls(monkeypatch, "waterfill")
+    with pytest.warns(RuntimeWarning) as caught:
+        res = sa.solve(ch, "alg2", r=r, lam=lam, force=True,
+                       config=sa.SolverConfig(max_iters=500))
+        assert not res.converged and len(calls) == 1  # still no bind, no underflow
+        calls.clear()
+        with pytest.raises(sa.NonpositiveWeightError, match="finite and strictly positive"):
+            sa.solve(ch, "alg2", r=r, lam=lam, force=True)
+    assert len(calls) == 2  # the first update, then the refused answer's fallback
+    assert all(any(text in str(w.message) for text in forced) for w in caught), \
+        [str(w.message) for w in caught]
