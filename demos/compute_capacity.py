@@ -44,7 +44,7 @@ print(f"alg3  : capacity {posterior.capacity:.9f} nats "
       f"in {posterior.iterations} iteration(s)")
 
 # The capacity gap at each iterate brackets the true capacity:
-# (the trace is opt-in: it copies p and z on every iteration)
+# (the trace is opt-in: it copies p on every iteration)
 res = sa.solve(W, "aba", config=sa.SolverConfig(
     epsilon=1e-10, initial=sa.make_distribution([0.05, 0.95]), record_trace=True))
 print("\nper-iteration bracket (plain method, skewed start):")

@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                          help="stopping threshold on the capacity gap, nats")
     p_solve.add_argument("--units", choices=["nats", "bits"], default="nats")
-    p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
+    p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here; p is "
+                         "the method's own iterate, on the floored simplex if floored, not p_hat")
     p_solve.add_argument("--force", action="store_true",
                          help="allow out-of-range lambda or floor (no guarantees)")
     p_solve.set_defaults(func=cmd_solve)

@@ -20,14 +20,21 @@ with delta by waterfilling when the floor r has a positive entry and
 p' = x / sum(x) when r = 0.  Every exponent is <= 0, so x cannot overflow,
 and sum(x) is at least the mass of the arg-max input.
 
-A floored solve calls ``waterfill`` on its first update, which checks the
-floor once, and then only when a floor binds.  Every later update first
-tries waterfill's own no-bind answer, p = x / sum(x), and keeps it when
-every q_i = (p_i - r_i)/(1 - r_+) is positive, so that no floor binds or
-ties; otherwise it calls ``waterfill`` on x, which decides, and raises on a
-zero, NaN or underflowing weight.  The update right after one whose floor
+A floored solve calls ``waterfill`` on its first update and then only
+when a floor binds; the params checked the floor's entries when they were
+built.  Every later update first tries waterfill's own no-bind answer,
+p = x / sum(x), and keeps it when every q_i = (p_i - r_i)/(1 - r_+) is
+positive, so that no floor binds or ties; otherwise it calls
+``waterfill`` on x, which decides, and raises on a zero, NaN or
+underflowing weight.  The update right after one whose floor
 was active goes straight to ``waterfill``: a floor that binds tends to keep
 binding, and a refused attempt costs about a tenth of a binding update.
+
+``_iterate(channel, params, p, ...)`` is the one entry into the loop: it
+reads W and the row log-likelihoods off the channel, the gain and the floor
+off the params, forms 1 - r_+ and the start's q itself, and runs under its
+own errstate.  ``solve`` resolves the params and places its start on
+Omega(r); a public step validates its start.
 
 No array is allocated per step but a trace's copy and the result of a
 ``waterfill`` call: the body writes into buffers the loop allocates once,
@@ -110,7 +117,9 @@ class SolverConfig:
 
     The trace is opt-in: with ``record_trace=True`` every iteration stores
     an ``IterationRecord`` holding a copy of p, so memory grows with
-    iterations x m.  Without it the result's ``trace`` is empty.
+    iterations x m.  Without it the result's ``trace`` is empty.  The
+    recorded p is the method's own iterate: for a floored method it lies on
+    Omega(r), so the last one is (1 - r_+) p_hat + r, not ``p_hat``.
     """
 
     epsilon: float = 1e-8
@@ -128,6 +137,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One evaluated iterate: the method's own p, on Omega(r) for a floored
+    method rather than on the plain simplex of ``p_hat``, with the objective
+    I(q) and the gap max z - I(q) at its plain-simplex image q."""
+
     iter: int
     p: np.ndarray
     objective: float
@@ -157,16 +170,22 @@ class SolveResult:
 # -- the map ---------------------------------------------------------------------
 
 
-def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None,
-             p: np.ndarray, q: np.ndarray, scale: np.ndarray | None = None,
+def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray,
              eps: float = 0.0, max_iters: int = 0, forced: bool = False,
              trace: list | None = None, step: bool = True):
-    """The one loop of every method, from the iterate p whose plain-simplex
-    image is q (p itself when r is None, else (p - r)/scale).
+    """The one loop of every method, from the iterate p of the map that
+    ``params`` resolve to (aba's when None), and the one place that turns
+    (channel, params, p) into the loop's inputs.
+
+    A nonzero floor r selects the waterfill update, a zero one the plain
+    normalisation: the method name does not choose the update.  The loop
+    starts from p's plain-simplex image q = max((p - r)/(1 - r_+), 0), p
+    itself for a zero floor; the clamp matters only for a public step,
+    whose start may lie up to PROB_SUM_TOL below r.
 
     Each pass writes s = ln qW, z_i = D(W_i || qW) and max z, checks the
     bracket, and then updates in place: x_i = p_i exp(lambda (z_i - max z)),
-    normalised by its sum when r is None, else waterfilled onto Omega(r).
+    normalised by its sum for a zero floor, else waterfilled onto Omega(r).
     The floored update calls ``waterfill`` on the first pass, after a pass
     whose floor was active, and when x / sum(x) leaves some q_i <= 0 (a
     binding floor, a tie, or a zero or NaN weight); otherwise it keeps
@@ -176,10 +195,18 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
     its own.  A solve passes its stopping rule and ``step=False`` and gets
     (q, objective, max z, iterations, gap) at the iterate it stops on.
 
-    Call under ``np.errstate(divide="ignore", invalid="ignore")``: a zero
-    output mass makes ln s_j = -inf, so every row gets z_i = +inf or NaN and
-    max z is not finite.  One compare finds that; only then is the output
-    letter located, as the -inf in s, for the error."""
+    The loop runs under ``np.errstate(divide="ignore", invalid="ignore")``:
+    a zero output mass makes ln s_j = -inf, so every row gets z_i = +inf or
+    NaN and max z is not finite.  One compare finds that; only then is the
+    output letter located, as the -inf in s, for the error."""
+    w, row_ll = channel.w, channel._row_loglikes
+    lam = 1.0 if params is None else params.lam
+    # count_nonzero costs a third of r.any()
+    r = params.r if params is not None and np.count_nonzero(params.r) else None
+    q = p  # the loop never writes to its start
+    if r is not None:
+        scale = np.array(1.0 - params.r_plus)  # 0-d: ufuncs take it unconverted
+        q = np.maximum((p - r) / scale, 0.0)
     dot, log, exp = np.dot, np.log, np.exp
     subtract, multiply, divide, add_reduce = np.subtract, np.multiply, np.divide, np.add.reduce
     inf, tiny, tol = np.inf, _TINY, MONOTONE_TOL
@@ -192,74 +219,78 @@ def _iterate(w: np.ndarray, row_ll: np.ndarray, lam: float, r: np.ndarray | None
     gain = None if lam == 1.0 else np.array(lam)  # a unit gain skips its multiply
     prev_objective = -inf
     fill = True  # the next floored update goes straight to waterfill
-    for t in range(max_iters + 1):
-        dot(q, w, s)
-        log(s, s)
-        dot(w, s, z)
-        subtract(row_ll, z, z)
-        zmax = float(z[z.argmax()])  # argmax finds the first NaN, like max, at a third of its cost
-        if not zmax < inf:  # +inf or NaN
-            j = int(s.argmin())
-            if s[j] == -inf:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(max_iters + 1):
+            dot(q, w, s)
+            log(s, s)
+            dot(w, s, z)
+            subtract(row_ll, z, z)
+            # argmax finds the first NaN, like max, at a third of its cost
+            zmax = float(z[z.argmax()])
+            if not zmax < inf:  # +inf or NaN
+                j = int(s.argmin())
+                if s[j] == -inf:
+                    raise NumericalBreakdownError(
+                        f"output letter {j} has zero probability under the current iterate; "
+                        "the divergence update is undefined there"
+                    )
                 raise NumericalBreakdownError(
-                    f"output letter {j} has zero probability under the current iterate; "
-                    "the divergence update is undefined there"
-                )
-            raise NumericalBreakdownError("the divergences at the current iterate are not finite")
-        if not step:  # a step returns the update unchecked
-            objective = float(dot(q, z))
-            gap = zmax - objective
+                    "the divergences at the current iterate are not finite")
+            if not step:  # a step returns the update unchecked
+                objective = float(dot(q, z))
+                gap = zmax - objective
 
-            if objective > prev_objective:
-                prev_objective = objective
-            elif objective < prev_objective - tol:
-                msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
-                       f"at iteration {t}")
-                if forced:
-                    warnings.warn(msg, RuntimeWarning, stacklevel=3)
-                else:
-                    raise NumericalBreakdownError(msg + "; monotone ascent lost")
+                if objective > prev_objective:
+                    prev_objective = objective
+                elif objective < prev_objective - tol:
+                    msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
+                           f"at iteration {t}")
+                    if forced:
+                        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+                    else:
+                        raise NumericalBreakdownError(msg + "; monotone ascent lost")
 
-            if trace is not None:
-                trace.append(IterationRecord(t, p.copy(), objective, gap))
+                if trace is not None:
+                    trace.append(IterationRecord(t, p.copy(), objective, gap))
 
-            if gap <= eps or t == max_iters:
-                break
+                if gap <= eps or t == max_iters:
+                    break
 
-        # every exponent is <= 0, so nothing overflows, and the sum is at
-        # least the arg-max input's mass
-        total[()] = zmax
-        subtract(z, total, z)
-        if gain is not None:
-            multiply(z, gain, z)
-        exp(z, z)
-        multiply(z, p, z)
-        if r is None:
-            divide(z, add_reduce(z, None, None, total), z)
-            p, z, x = z, x, z
-            q = p  # the plain update keeps p positive
+            # every exponent is <= 0, so nothing overflows, and the sum is at
+            # least the arg-max input's mass
+            total[()] = zmax
+            subtract(z, total, z)
+            if gain is not None:
+                multiply(z, gain, z)
+            exp(z, z)
+            multiply(z, p, z)
+            if r is None:
+                divide(z, add_reduce(z, None, None, total), z)
+                p, z, x = z, x, z
+                q = p  # the plain update keeps p positive
+                if step:
+                    return p
+                continue
+            # waterfill's no-bind answer, in its arithmetic: delta = 1/sum, p = delta x
+            if not fill:
+                x_sum = add_reduce(z)
+                if x_sum >= tiny:  # else 1/sum could overflow, or divide by zero
+                    p = multiply(z, 1.0 / x_sum, pf)
+                    divide(subtract(p, r, qf), scale, qf)
+                    if qf[qf.argmin()] > 0.0:  # every p_i > r_i; argmin finds a NaN
+                        q = qf
+                        continue
+            # the first update, a floor active on the last one, or the answer
+            # refused: the module global, which checks r, decides, and is what the
+            # traced benchmark shims
+            filled = waterfill(r, z)
+            p, fill = filled.p, np.count_nonzero(filled.active_floor)
             if step:
                 return p
-            continue
-        if not fill:  # waterfill's no-bind answer, in its arithmetic: delta = 1/sum, p = delta x
-            x_sum = add_reduce(z)
-            if x_sum >= tiny:  # else 1/sum could overflow, or divide by zero
-                p = multiply(z, 1.0 / x_sum, pf)
-                divide(subtract(p, r, qf), scale, qf)
-                if qf[qf.argmin()] > 0.0:  # every p_i > r_i; argmin finds a NaN
-                    q = qf
-                    continue
-        # the first update, a floor active on the last one, or the answer
-        # refused: the module global, which checks r, decides, and is what the
-        # traced benchmark shims
-        filled = waterfill(r, z)
-        p, fill = filled.p, np.count_nonzero(filled.active_floor)
-        if step:
-            return p
-        # every iterate has p >= r exactly (the start adds r to a nonnegative
-        # vector, the update keeps p_i > r_i or waterfill returns
-        # max(r, delta x)), so q needs no clamp
-        q = divide(subtract(p, r, qf), scale, qf)
+            # every iterate a solve evaluates has p >= r exactly (its start adds r
+            # to a nonnegative vector, the update keeps p_i > r_i or waterfill
+            # returns max(r, delta x)), so only the start's q needs the clamp
+            q = divide(subtract(p, r, qf), scale, qf)
     return q, objective, zmax, t, gap
 
 
@@ -287,23 +318,11 @@ def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.nda
 # -- single steps (public, validated) --------------------------------------------
 
 
-def _floor(params: SqueezeParams) -> np.ndarray | None:
-    """The floor that selects the waterfill update, or None for a zero floor,
-    which takes the plain one: the method name does not choose the update.
-    A nonzero floor is a positive one, or one that waterfill refuses."""
-    return params.r if np.count_nonzero(params.r) else None  # a third of r.any()'s cost
-
-
 def _step(channel: ChannelMatrix, p, params: SqueezeParams | None = None) -> Distribution:
     """One update from p of the map that ``params`` resolve to; without them,
     of aba's, which ``_resolve_params`` resolves to r = 0, f = 0 and lambda = 1."""
-    r = None if params is None else _floor(params)
-    p = _check_start(p, r, channel.m)
-    # the clamp matters here: _check_start lets p fall up to PROB_SUM_TOL below r
-    q = p if r is None else np.maximum((p - r) / (1.0 - params.r_plus), 0.0)
-    lam = 1.0 if params is None else params.lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = _iterate(channel.w, channel._row_loglikes, lam, r, p, q)
+    p = _check_start(p, params.r if params is not None and params.r_plus else None, channel.m)
+    x = _iterate(channel, params, p)
     x.setflags(write=False)  # fresh memory, so the Distribution shares it
     return Distribution(x)
 
@@ -413,26 +432,17 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),) if config.record_trace else ()
         return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, sp, trace)
 
-    rvec = _floor(sp)
-    scale = np.array(1.0 - sp.r_plus)  # 0-d: a ufunc takes it without converting a scalar
-    if rvec is None:
-        p = q = q0  # the loop never writes to the start
-    else:
-        p = scale * q0 + rvec
-        q = (p - rvec) / scale
-    eps = config.epsilon
     trace = [] if config.record_trace else None
-    # a zero output mass shows up as a non-finite max z (see _iterate)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q, objective, zmax, t, gap = _iterate(
-            channel.w, channel._row_loglikes, sp.lam, rvec, p, q, scale, eps,
-            config.max_iters, force or not sp.feasible, trace, False)
+    # the start on Omega(r), which is q0's bits when r = 0
+    q, objective, zmax, t, gap = _iterate(
+        channel, sp, (1.0 - sp.r_plus) * q0 + sp.r, config.epsilon, config.max_iters,
+        force or not sp.feasible, trace, False)
 
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)
     probs.setflags(write=False)  # made here, so the Distribution shares it
     p_hat = Distribution(probs)
-    return SolveResult(p_hat, objective, objective, zmax, t, gap <= eps,
+    return SolveResult(p_hat, objective, objective, zmax, t, gap <= config.epsilon,
                        method, sp, () if trace is None else tuple(trace))
 
 
@@ -445,6 +455,8 @@ def _require_trace(result: SolveResult) -> None:
 def trace_csv_rows(result: SolveResult):
     """Yield CSV lines for a solve trace: iter, objective, gap, bounds, p.
 
+    The p columns are each record's own iterate, on Omega(r) for a floored
+    method, so a floored trace does not end on ``p_hat``.
     Raises ValidationError on a result solved without a trace.
     """
     _require_trace(result)

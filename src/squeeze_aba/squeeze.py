@@ -12,11 +12,13 @@ r_+ < 1, W >= 1_m rW and W~ >= 0.  Both matrix conditions are column
 tests, since W* and W~ grow with W_ij down a column: with room_j =
 min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
 entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
-Resolution is a single pass: each builder checks r and f once and forms
-room once, and ``params_from_r_lambda`` draws its offset from that room.
-``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict;
-it derives r_+, f_+ and lambda from (r, f) once, at construction, and
-W* and W~ on each access, so no stored value can disagree with (r, f).
+Resolution is a single pass: each builder forms room once, and
+``params_from_r_lambda`` draws its offset from that room.
+``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict.
+However it is built, it refuses negative or non-finite entries and masses
+r_+ >= 1 or f_+ = inf; it derives r_+, f_+ and lambda from (r, f) once,
+at construction, and W* and W~ on each access, so no stored value can
+disagree with (r, f).
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -49,12 +51,13 @@ class SqueezeParams:
     """Immutable squeeze parameters (r, f); everything else is derived.
 
     Construction checks the shapes, raising DimensionMismatchError unless r
-    has the channel's m entries and f its n, and InfeasibleFloorError when
-    r_+ >= 1.  It derives the floor mass ``r_plus`` = sum_i r_i, the offset
-    mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
-    (1 + f_+)/(1 - r_+).  Only the builders check the values (finite and
-    nonnegative) and the two column constraints: a directly built params
-    reports ``feasible=True`` unchecked.  A builder's ``feasible`` is False
+    has the channel's m entries and f its n, then the entries, which must be
+    finite and nonnegative, then InfeasibleFloorError when r_+ >= 1 and
+    ValidationError when f_+ overflows.  It derives the floor mass
+    ``r_plus`` = sum_i r_i, the offset mass ``f_plus`` = sum_j f_j and the
+    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Only the builders check
+    the two column constraints: a directly built params reports
+    ``feasible=True`` unchecked.  A builder's ``feasible`` is False
     only when built with ``force=True`` over a constraint violation; the
     solvers then lose their monotonicity guarantee and downgrade related
     checks to warnings.
@@ -75,8 +78,12 @@ class SqueezeParams:
             raise DimensionMismatchError(
                 f"r and f must have lengths {self.channel.m} and {self.channel.n}, "
                 f"got shapes {self.r.shape} and {self.f.shape}")
+        _check_vector(self.r, self.channel.m, "r")
+        _check_vector(self.f, self.channel.n, "f")
         r_plus = _floor_mass(self.r)
         f_plus = float(np.add.reduce(self.f))
+        if not f_plus < np.inf:
+            raise ValidationError(f"offset mass f_+ = {f_plus:.15g} must be finite")
         object.__setattr__(self, "r_plus", r_plus)
         object.__setattr__(self, "f_plus", f_plus)
         object.__setattr__(self, "lam", (1.0 + f_plus) / (1.0 - r_plus))
@@ -133,14 +140,14 @@ def _column_tests(sp: SqueezeParams, room: np.ndarray, force: bool) -> SqueezePa
     marked infeasible if ``force`` let a violation through."""
     r, f, w = sp.r, sp.f, sp.channel.w
     feasible = True
-    if room[room.argmin()] < -CONSTRAINT_TOL:
+    if not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
         i, j = _worst_entry(w, room)
         _violation(FloorConstraintError,
                    f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
                    f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}", force)
         feasible = False
     tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
-    if tilde_min[tilde_min.argmin()] < -CONSTRAINT_TOL:
+    if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
         i, j = _worst_entry(w, tilde_min)
         _violation(SqueezeConstraintError,
                    f"offset constraint violated: squeezed entry ({i},{j}) = "
@@ -198,6 +205,6 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
         if total <= 0.0:
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
-        f = _check_vector(mult * star_min / total, channel.n, "f")
+        f = mult * star_min / total
     f.setflags(write=False)  # made here, so SqueezeParams shares it
     return _column_tests(SqueezeParams(channel, r, f), room, force)

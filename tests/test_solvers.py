@@ -1,4 +1,5 @@
 import re
+import types
 import warnings
 
 import numpy as np
@@ -586,11 +587,11 @@ class TestUpdateKernel:
     def test_divergence_max_finds_a_nan(self):
         # the loop takes max z as z[z.argmax()]: argmax returns the first NaN,
         # so a NaN beside a larger finite z is still a breakdown
-        w = np.eye(3)
         q = np.full(3, 1.0 / 3.0)
         for row_ll in ([np.nan, 5.0, 0.0], [5.0, 0.0, np.nan], [0.0, np.nan, 5.0]):
+            channel = types.SimpleNamespace(w=np.eye(3), _row_loglikes=np.array(row_ll))
             with pytest.raises(sa.NumericalBreakdownError, match="not finite"):
-                sa.solvers._iterate(w, np.array(row_ll), 1.0, None, q, q)
+                sa.solvers._iterate(channel, None, q)
 
     @pytest.mark.parametrize("shape", ["2x8", "3x8", "64x256"])
     def test_solve_buffers_alias_nothing(self, shape):
@@ -753,6 +754,15 @@ def test_steps_match_the_reference_update(family):
         floored = reference_update(params.lam, r, p, z_floored).tobytes()
         assert sa.alg2_step(ch, params, p).probs.tobytes() == floored
         assert sa.alg3_step(params, p).probs.tobytes() == floored
+        # a start 5e-13 below its floor, which the step accepts: its q is clamped at 0
+        i = int(np.argmax(r))
+        j = (i + 1) % ch.m  # takes the mass that entry i gives up
+        low = p.copy()
+        low[i], low[j] = r[i] - 5e-13, low[j] + (low[i] - (r[i] - 5e-13))
+        z_low = reference_divergences(ch, np.maximum((low - r) / scale, 0.0))
+        floored = reference_update(params.lam, r, low, z_low).tobytes()
+        assert sa.alg2_step(ch, params, low).probs.tobytes() == floored
+        assert sa.alg3_step(params, low).probs.tobytes() == floored
 
 
 def solve_bits(res: sa.SolveResult) -> tuple:
@@ -872,17 +882,21 @@ def test_binding_steps_call_waterfill_and_match_the_reference(monkeypatch):
     assert binding_total > 0 and kept_total > 0
 
 
-def test_a_negative_floor_in_direct_params_raises_on_the_first_update(monkeypatch):
-    # a direct build checks only r_+ < 1; waterfill, called on the first
-    # update of every floored solve and step, refuses the floor
-    ch = sa.random_channel(2, 4, np.random.default_rng(0))
-    params = sa.SqueezeParams(ch, np.array([-0.1, 0.2]), np.zeros(4))
-    calls = spy_calls(monkeypatch, "waterfill")
-    with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
-        sa.solve(ch, "alg3", params=params)
-    with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
-        sa.alg3_step(params, [0.3, 0.7])
-    assert len(calls) == 2
+def test_bad_entries_in_direct_params_are_refused_at_construction():
+    # a direct build checks the entries, so none of these reaches a solve or a
+    # step: a NaN in f used to surface in the loop as NonpositiveWeightError, a
+    # NaN in r as NumericalBreakdownError, a negative floor in waterfill, and a
+    # negative offset gave a gain below the builders' floor 1/(1 - r_+) with
+    # feasible=True, and its solve converged
+    ch = sa.random_channel(2, 8, sa.replication_rng(0, 3))
+    r, f = sa.optimal_r_m2(ch), np.zeros(ch.n)
+    for bad_r, bad_f, error, match in (
+            (r, np.r_[np.nan, f[1:]], sa.ValidationError, "f must be finite"),
+            (np.r_[np.nan, r[1:]], f, sa.ValidationError, "r must be finite"),
+            (np.r_[-0.1, r[1:]], f, sa.NegativeEntryError, "r must be nonnegative"),
+            (r, np.r_[-0.5, f[1:]], sa.NegativeEntryError, "f must be nonnegative")):
+        with pytest.raises(error, match=match):
+            sa.SqueezeParams(ch, bad_r, bad_f)
 
 
 def test_weights_that_underflow_mid_solve_raise(monkeypatch):

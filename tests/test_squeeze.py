@@ -329,8 +329,10 @@ class TestResolutionMatchesReference:
 
 
 def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
-    """Without lambda, alg2 checks r and f once each and takes the column
-    minima once; its params are those of the explicit upper bound."""
+    """Without lambda, alg2 takes the column minima once and checks f once,
+    at construction, and r twice: to resolve the gain, then at construction,
+    as every SqueezeParams checks its entries.  Its params are those of the
+    explicit upper bound."""
     _, hi = reference_lambda_bounds(golden, GOLDEN_R_OPT)
     explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
     assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
@@ -348,7 +350,7 @@ def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
                         counted("colmin", sa.ChannelMatrix.column_minima))
     resolved = _resolution(lambda ch, r, force: sa.solve(ch, "alg2", r=r, force=force).params,
                            golden, GOLDEN_R_OPT, force=False)
-    assert (counts["check"], counts["colmin"]) == (2, 1)
+    assert (counts["check"], counts["colmin"]) == (3, 1)
     assert resolved == explicit
 
 
@@ -409,3 +411,23 @@ def test_direct_construction_checks_the_lengths(golden):
                  (0.0, np.zeros(3)), (np.zeros(2), np.zeros((1, 3)))):
         with pytest.raises(sa.DimensionMismatchError, match="must have lengths 2 and 3"):
             sa.SqueezeParams(golden, r, f)
+
+
+def test_direct_construction_checks_the_entries(golden):
+    """SqueezeParams refuses every entry the builders refuse, with their
+    error, and an offset whose mass overflows, however the params are built."""
+    def refusal(call):
+        with pytest.raises(sa.ValidationError) as caught:
+            call()
+        return type(caught.value), str(caught.value)
+
+    zeros_r, zeros_f = np.zeros(2), np.zeros(3)
+    for bad in BAD_VECTORS[:6]:  # the ones of length m = 2
+        for r, f in ((np.array(bad), zeros_f), (zeros_r, np.array(bad + [0.0]))):
+            assert refusal(lambda: sa.SqueezeParams(golden, r, f)) == \
+                refusal(lambda: sa.build_squeeze_params(golden, r, f)), (r, f)
+    huge = np.full(3, 1e308)  # finite entries whose sum overflows
+    with np.errstate(over="ignore"):
+        for call in (lambda: sa.SqueezeParams(golden, zeros_r, huge),
+                     lambda: sa.build_squeeze_params(golden, zeros_r, huge)):
+            assert refusal(call) == (sa.ValidationError, "offset mass f_+ = inf must be finite")
