@@ -91,14 +91,26 @@ def _row_log_likelihoods(w: np.ndarray) -> np.ndarray:
     return np.add.reduce(wlogw, axis=1)
 
 
+def _total(v: np.ndarray):
+    """np.add.reduce(v) of a nonempty nonnegative v, inf rather than numpy's
+    overflow warning when finite entries sum past the float range, so the
+    caller's check refuses it."""
+    # below this bound no partial sum can overflow, and np.errstate costs more
+    # than the sum itself; argmax finds a NaN, which fails the test
+    if v[v.argmax()] < 1e307 / v.size:
+        return np.add.reduce(v)
+    with np.errstate(over="ignore"):
+        return np.add.reduce(v)
+
+
 def _floor_mass(r: np.ndarray) -> float:
-    r_plus = float(np.add.reduce(r))
+    r_plus = float(_total(r))
     if r_plus >= 1.0:
         raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
     return r_plus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """A validated m x n transition matrix.
 
@@ -116,8 +128,8 @@ class ChannelMatrix:
 
     w: np.ndarray
     all_rows_equal: bool = field(init=False)
-    _col_min: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_loglikes: np.ndarray = field(init=False, repr=False, compare=False)
+    _col_min: np.ndarray = field(init=False, repr=False)
+    _row_loglikes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -179,7 +191,7 @@ def validate_channel(entries) -> ChannelMatrix:
     return ChannelMatrix(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """A point of the simplex, or of the floored simplex Omega(r)."""
 
@@ -202,8 +214,7 @@ def make_distribution(p, floor=None) -> Distribution:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
     if not p[p.argmin()] >= 0.0 and np.any(p < 0):  # argmin finds a NaN, like min
         raise NegativeEntryError(f"negative probability (min {p.min():.3e})")
-    with np.errstate(over="ignore"):  # a sum past the float range fails below as inf
-        s = np.add.reduce(p)
+    s = _total(p)
     if not abs(s - 1.0) <= PROB_SUM_TOL:  # also True on a NaN or infinite sum
         if not np.isfinite(p).all():
             raise ValidationError(f"probabilities must be finite, got {p}")

@@ -58,7 +58,7 @@ class BenchConfig:
             raise ValidationError("methods must include the 'aba' baseline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchRecord:
     """One replication: per-method iteration counts and log2 ratios.
 

@@ -129,7 +129,7 @@ def power_rate(R) -> float:
 # -- the rate report ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateReport:
     """Local rate data at a certified interior fixed point.
 
@@ -194,17 +194,17 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     largest eigenvalue: G D_p is row-stochastic, so that one is exactly 1,
     on the trivial direction sqrt(p*), and ``eigh`` sorts it last.
 
-    Raises ValidationError for params that ``force=True`` let past a
-    violated constraint (``feasible=False``): their W* is clamped, its rows
-    may sum above 1, and R is not the map's Jacobian.  Raises
-    BoundaryFixedPointError when p* does not clear the floor by
+    Raises ValidationError for infeasible params (``feasible=False``),
+    however built, directly or by a builder under ``force=True``: their W*
+    is clamped, its rows may sum above 1, and R is not the map's Jacobian.
+    Raises BoundaryFixedPointError when p* does not clear the floor by
     INTERIOR_MARGIN (the formula only holds at interior fixed points)
     and NotAFixedPointError when one iteration step moves p* by more than
     FIXED_POINT_TOL.
     """
     if not params.feasible:
-        raise ValidationError("the rate formulas hold only for feasible params; these were "
-                              "forced past a violated constraint")
+        raise ValidationError("the rate formulas hold only for feasible params; these "
+                              "violate a column constraint")
     m = params.channel.m
     p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
     if p.shape != (m,):

@@ -69,7 +69,8 @@ tests keep as an oracle, is the same map: f + pW~ = (1 + f_+) qW and the
 rows of a feasible W~ sum to 1, so its logits are ln p_i + lambda z_i plus a
 constant.  Under the feasibility constraints the objective ascends
 monotonically; the solver checks this per step and treats a violation as
-numerical breakdown (a warning under ``force=True``).  The output maps back
+numerical breakdown (a warning under ``force=True``, and for params that
+report ``feasible=False``, however built).  The output maps back
 to the plain simplex: p_hat = (p - r)/(1 - r_+).
 """
 
@@ -135,7 +136,7 @@ class SolverConfig:
             object.__setattr__(self, "initial", Distribution(_check_start(self.initial)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """One evaluated iterate: the method's own p, on Omega(r) for a floored
     method rather than on the plain simplex of ``p_hat``, with the objective
@@ -201,8 +202,7 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     output letter located, as the -inf in s, for the error."""
     w, row_ll = channel.w, channel._row_loglikes
     lam = 1.0 if params is None else params.lam
-    # count_nonzero costs a third of r.any()
-    r = params.r if params is not None and np.count_nonzero(params.r) else None
+    r = params.r if params is not None and params.r_plus else None
     q = p  # the loop never writes to its start
     if r is not None:
         scale = np.array(1.0 - params.r_plus)  # 0-d: ufuncs take it unconverted

@@ -12,13 +12,14 @@ r_+ < 1, W >= 1_m rW and W~ >= 0.  Both matrix conditions are column
 tests, since W* and W~ grow with W_ij down a column: with room_j =
 min_i W_ij - (rW)_j the floor holds when room_j >= 0, and the smallest
 entry of column j of W~ is (1 + f_+) max(room_j, 0)/(1 - r_+) - f_j.
-Resolution is a single pass: each builder forms room once, and
-``params_from_r_lambda`` draws its offset from that room.
-``SqueezeParams`` keeps (r, f) and the builder's feasibility verdict.
-However it is built, it refuses negative or non-finite entries and masses
-r_+ >= 1 or f_+ = inf; it derives r_+, f_+ and lambda from (r, f) once,
-at construction, and W* and W~ on each access, so no stored value can
-disagree with (r, f).
+``SqueezeParams`` keeps (r, f) and nothing else that can be set.  However
+it is built, it refuses negative or non-finite entries and masses r_+ >= 1
+or f_+ = inf; it derives r_+, f_+, lambda and the feasibility verdict of
+both column tests from (r, f) once, at construction, and W* and W~ on
+each access, so no stored value can disagree with (r, f).  The builders
+only decide what an infeasible verdict does: raise, or warn under
+``force``.  ``params_from_r_lambda`` also forms room, to draw its offset
+from it.
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, _check_vector, _floor_mass, _readonly
+from .channel import ChannelMatrix, _check_vector, _floor_mass, _readonly, _total
 from .errors import (
     DimensionMismatchError,
     FloorConstraintError,
@@ -43,10 +44,8 @@ from .errors import (
 #: constraint slack: exact-arithmetic feasibility may bind at 0
 CONSTRAINT_TOL = 1e-12
 
-_PACKAGE = __package__ + "."
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqueezeParams:
     """Immutable squeeze parameters (r, f); everything else is derived.
 
@@ -55,21 +54,20 @@ class SqueezeParams:
     finite and nonnegative, then InfeasibleFloorError when r_+ >= 1 and
     ValidationError when f_+ overflows.  It derives the floor mass
     ``r_plus`` = sum_i r_i, the offset mass ``f_plus`` = sum_j f_j and the
-    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Only the builders check
-    the two column constraints: a directly built params reports
-    ``feasible=True`` unchecked.  A builder's ``feasible`` is False
-    only when built with ``force=True`` over a constraint violation; the
-    solvers then lose their monotonicity guarantee and downgrade related
-    checks to warnings.
+    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Last it runs the two
+    column tests and records whether both hold as ``feasible``, however the
+    params are built.  Infeasible params come only from a direct build or a
+    builder called with ``force=True``; the solvers then lose their
+    monotonicity guarantee and downgrade related checks to warnings.
     """
 
     channel: ChannelMatrix
     r: np.ndarray
     f: np.ndarray
-    feasible: bool = True
     r_plus: float = field(init=False)
     f_plus: float = field(init=False)
     lam: float = field(init=False)
+    feasible: bool = field(init=False)
 
     def __post_init__(self):
         for name in ("r", "f"):
@@ -81,12 +79,13 @@ class SqueezeParams:
         _check_vector(self.r, self.channel.m, "r")
         _check_vector(self.f, self.channel.n, "f")
         r_plus = _floor_mass(self.r)
-        f_plus = float(np.add.reduce(self.f))
+        f_plus = float(_total(self.f))
         if not f_plus < np.inf:
             raise ValidationError(f"offset mass f_+ = {f_plus:.15g} must be finite")
         object.__setattr__(self, "r_plus", r_plus)
         object.__setattr__(self, "f_plus", f_plus)
         object.__setattr__(self, "lam", (1.0 + f_plus) / (1.0 - r_plus))
+        object.__setattr__(self, "feasible", next(_violations(self), None) is None)
 
     @property
     def w_star(self) -> np.ndarray:
@@ -109,7 +108,7 @@ def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
     if not force:
         raise error(msg)
     frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
         frame, level = frame.f_back, level + 1
     warnings.warn(msg, RuntimeWarning, stacklevel=level)
 
@@ -127,47 +126,44 @@ def _bounds(r_plus: float, col_min: np.ndarray) -> tuple[float, float]:
     return 1.0 / (1.0 - r_plus), float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
 
 
-def _check_lambda(lam: float, lo: float, hi: float, force: bool) -> None:
-    """LambdaRangeError unless lo <= lam <= hi.  ``force`` turns only a gain
-    above hi into a warning: no offset f >= 0 gives lambda < 1/(1 - r_+)."""
-    if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
-        _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
-                   f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
-
-
-def _column_tests(sp: SqueezeParams, room: np.ndarray, force: bool) -> SqueezeParams:
-    """``sp`` after both column tests, given room = min_i W_ij - (rW)_j;
-    marked infeasible if ``force`` let a violation through."""
+def _violations(sp: SqueezeParams):
+    """Each column test that ``sp`` fails, floor first, as (error, slack,
+    message): with room = min_i W_ij - (rW)_j, the floor holds when room >= 0
+    and the offset when the smallest W~ entry of each column is >= 0, within
+    CONSTRAINT_TOL.  ``message(i, j)`` names the worst entry, which
+    ``_worst_entry`` finds in the failing column slack; a verdict needs neither."""
     r, f, w = sp.r, sp.f, sp.channel.w
-    feasible = True
+    room = sp.channel.column_minima() - r @ w
     if not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
-        i, j = _worst_entry(w, room)
-        _violation(FloorConstraintError,
-                   f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
-                   f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}", force)
-        feasible = False
+        yield FloorConstraintError, room, lambda i, j: (
+            f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
+            f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}")
     tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
     if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
-        i, j = _worst_entry(w, tilde_min)
-        _violation(SqueezeConstraintError,
-                   f"offset constraint violated: squeezed entry ({i},{j}) = "
-                   f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
-        feasible = False
-    return sp if feasible else replace(sp, feasible=False)
+        yield SqueezeConstraintError, tilde_min, lambda i, j: (
+            f"offset constraint violated: squeezed entry ({i},{j}) = "
+            f"{tilde_min[j]:.3e} is negative; reduce f or r")
+
+
+def _enforce(sp: SqueezeParams, force: bool) -> SqueezeParams:
+    """``sp``, after raising its first violated column test, or under
+    ``force`` warning of each; feasible params skip the tests they passed."""
+    for error, slack, message in () if sp.feasible else _violations(sp):
+        _violation(error, message(*_worst_entry(sp.channel.w, slack)), force)
+    return sp
 
 
 def build_squeeze_params(channel: ChannelMatrix, r, f, *,
                          force: bool = False) -> SqueezeParams:
     """Construct and validate SqueezeParams from a floor r and offset f.
 
-    Checks both constraints per column and raises FloorConstraintError /
-    SqueezeConstraintError / InfeasibleFloorError on violations; with
-    ``force=True`` violations warn instead, the result is marked
-    infeasible, and its derived W* and W~ clamp negative entries to 0.
+    Raises FloorConstraintError / SqueezeConstraintError /
+    InfeasibleFloorError on violations; with ``force=True`` the column
+    violations warn instead, the result reports ``feasible=False``, and its
+    derived W* and W~ clamp negative entries to 0.
     """
     r = _check_vector(r, channel.m, "r")
-    sp = SqueezeParams(channel, r, _check_vector(f, channel.n, "f"))
-    return _column_tests(sp, channel.column_minima() - r @ channel.w, force)
+    return _enforce(SqueezeParams(channel, r, _check_vector(f, channel.n, "f")), force)
 
 
 def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
@@ -194,17 +190,19 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     lo, hi = _bounds(r_plus, col_min)
     if lam is None:
         lam = hi if hi < float("inf") else lo
-    _check_lambda(lam, lo, hi, force)
-    room = col_min - r @ channel.w
+    # force turns only a gain above hi into a warning: no offset f >= 0 gives one below lo
+    if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
+        _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
+                   f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:
         f = np.zeros(channel.n)
     else:
-        star_min = np.maximum(room, 0.0) / (1.0 - r_plus)
+        star_min = np.maximum(col_min - r @ channel.w, 0.0) / (1.0 - r_plus)
         total = np.add.reduce(star_min)
         if total <= 0.0:
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * star_min / total
     f.setflags(write=False)  # made here, so SqueezeParams shares it
-    return _column_tests(SqueezeParams(channel, r, f), room, force)
+    return _enforce(SqueezeParams(channel, r, f), force)

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _total
 from .errors import DimensionMismatchError, InfeasibleFloorError, NonpositiveWeightError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaterfillResult:
     """delta, the floor-active mask, and the normalized vector p, set read-only in place."""
 
@@ -59,8 +60,8 @@ def waterfill(r, x) -> WaterfillResult:
     r_min = r[r.argmin()]
     if not r_min >= 0.0:  # also rejects NaN
         raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
-    if np.add.reduce(r) >= 1.0:
-        raise InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
+    if _total(r) >= 1.0:
+        raise InfeasibleFloorError(f"floor mass {_total(r):.15g} leaves no room to normalize")
     try:  # argmin finds a NaN, like min
         total = float(np.add.reduce(x)) if x[x.argmin()] > 0.0 else np.nan
     except RuntimeWarning:  # numpy's overflow warning as an error: it stands unless a weight is inf

@@ -244,7 +244,8 @@ def reference_lambda_bounds(channel: sa.ChannelMatrix, r) -> tuple[float, float]
 def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
                                    force: bool = False) -> sa.SqueezeParams:
     """Independent oracle: ``build_squeeze_params`` as it was before parameter
-    resolution became a single pass, with every input check taken in full."""
+    resolution became a single pass, with every input check taken in full.
+    The params it returns derive their own verdict, which must be its own."""
     w = channel.w
     r = _reference_check_vector(r, channel.m, "r")
     f = _reference_check_vector(f, channel.n, "f")
@@ -270,7 +271,9 @@ def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
                              f"offset constraint violated: squeezed entry ({i},{j}) = "
                              f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
         feasible = False
-    return sa.SqueezeParams(channel, r, f, feasible)
+    params = sa.SqueezeParams(channel, r, f)
+    assert params.feasible == feasible
+    return params
 
 
 def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,

@@ -156,7 +156,8 @@ def test_distribution_floor_membership():
                                 ([np.inf, 0.1], sa.ValidationError, "floor must be finite"),
                                 ([-3.0, 0.1], sa.NegativeEntryError, "floor must be nonnegative"),
                                 ([0.5, 0.5], sa.InfeasibleFloorError, "floor mass"),
-                                ([0.2, 0.9], sa.InfeasibleFloorError, "floor mass")):
+                                ([0.2, 0.9], sa.InfeasibleFloorError, "floor mass"),
+                                ([1e308, 1e308], sa.InfeasibleFloorError, "floor mass")):
         with pytest.raises(error, match=match):
             sa.make_distribution([0.5, 0.5], floor=floor)
     floor = np.array([0.2, 0.1])
@@ -174,7 +175,8 @@ def test_floored_uniform_rejects_floors_outside_omega():
     # [0.6, 0.6] used to give [0.5, 0.5], below its own floor
     for r, error in (([0.6, 0.6], sa.InfeasibleFloorError), ([0.5, 0.5], sa.InfeasibleFloorError),
                      ([-0.1, 0.2], sa.NegativeEntryError), ([np.nan, 0.1], sa.ValidationError),
-                     ([np.inf, 0.1], sa.ValidationError), ([[0.1, 0.1]], sa.DimensionMismatchError),
+                     ([np.inf, 0.1], sa.ValidationError), ([1e308, 1e308], sa.InfeasibleFloorError),
+                     ([[0.1, 0.1]], sa.DimensionMismatchError),
                      ([], sa.DimensionMismatchError)):
         with pytest.raises(error):
             sa.floored_uniform(r)

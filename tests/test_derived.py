@@ -2,8 +2,6 @@
 log-likelihoods, and a params' masses and gain.  Each must equal, bitwise,
 the expression its readers used to evaluate on every call."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -72,9 +70,6 @@ def test_params_masses_and_gain_match_the_reductions():
         expected = (float(np.add.reduce(sp.r)), float(np.add.reduce(sp.f)))
         assert (sp.r_plus, sp.f_plus) == expected
         assert sp.lam == (1.0 + expected[1]) / (1.0 - expected[0])
-        forced = dataclasses.replace(sp, feasible=False)
-        assert not forced.feasible
-        assert (forced.r_plus, forced.f_plus, forced.lam) == (sp.r_plus, sp.f_plus, sp.lam)
 
 
 def test_directly_built_params_refuse_a_full_floor():

@@ -433,5 +433,13 @@ def test_matrix_rate_refuses_forced_params(golden):
     p_star = sa.fixed_point_on_floor(params, [0.5, 0.5])
     with pytest.raises(sa.ValidationError, match="only for feasible params"):
         sa.matrix_rate(params, p_star)
+    # a direct build over the offset constraint is refused too, at its own
+    # fixed point, where its clamped W* would otherwise give a rate
+    ch = sa.validate_channel([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+    direct = sa.SqueezeParams(ch, np.zeros(2), np.full(3, 0.3))
+    assert not direct.feasible
+    p_hat = sa.solve(ch, config=sa.SolverConfig(epsilon=1e-14)).p_hat
+    with pytest.raises(sa.ValidationError, match="only for feasible params"):
+        sa.matrix_rate(direct, sa.fixed_point_on_floor(direct, p_hat))
     feasible = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0, 0])
     assert sa.matrix_rate(feasible, sa.fixed_point_on_floor(feasible, [0.5, 0.5])).global_rate >= 0

@@ -647,14 +647,24 @@ class TestMonotoneAscentCheck:
         assert str(first.message).endswith("at iteration 1")
         assert first.filename == __file__
 
-    def test_directly_built_params_raise(self):
-        # a direct build checks no constraint and reports feasible=True, so
-        # the loop is not forced and the lost ascent is a breakdown
+    def test_infeasible_direct_params_solve_as_forced(self):
+        # a direct build runs the column tests too, so its verdict is the
+        # forced builder's: the loop is forced and the lost ascent warns
         ch, lam = self._overdriven()
-        params = sa.SqueezeParams(ch, np.zeros(2), np.full(4, (lam - 1) / 4))
-        assert params.feasible
-        with pytest.raises(sa.NumericalBreakdownError, match="monotone ascent lost"):
-            sa.solve(ch, "alg3", params=params)
+        f = np.full(4, (lam - 1) / 4)
+        direct = sa.SqueezeParams(ch, np.zeros(2), f)
+        with pytest.warns(RuntimeWarning, match="offset constraint violated"):
+            built = sa.build_squeeze_params(ch, np.zeros(2), f, force=True)
+        assert not direct.feasible and not built.feasible
+        outcomes = []
+        for params in (direct, built):
+            with pytest.warns(RuntimeWarning) as caught:
+                res = sa.solve(ch, "alg3", params=params, config=sa.SolverConfig(max_iters=200))
+            messages = [str(w.message) for w in caught]
+            assert any("objective decreased" in msg for msg in messages)
+            outcomes.append((res.p_hat.probs.tobytes(), res.capacity_lower.hex(),
+                             res.capacity_upper.hex(), res.iterations, res.converged, messages))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_parameter_resolution_refusals(golden):

@@ -113,6 +113,7 @@ class TestBuildSqueezeParams:
                     sa.build_squeeze_params(ch, r, f)
             else:
                 assert sa.build_squeeze_params(ch, r, f).feasible
+            assert sa.SqueezeParams(ch, r, f).feasible == (floor_ok and offset_ok)
 
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -329,10 +330,11 @@ class TestResolutionMatchesReference:
 
 
 def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
-    """Without lambda, alg2 takes the column minima once and checks f once,
-    at construction, and r twice: to resolve the gain, then at construction,
-    as every SqueezeParams checks its entries.  Its params are those of the
-    explicit upper bound."""
+    """Without lambda, alg2 checks f once, at construction, and r twice: to
+    resolve the gain, then at construction, as every SqueezeParams checks its
+    entries.  It reads the stored column minima twice: to resolve the gain
+    and its offset, then at construction, as every SqueezeParams runs the
+    column tests.  Its params are those of the explicit upper bound."""
     _, hi = reference_lambda_bounds(golden, GOLDEN_R_OPT)
     explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
     assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
@@ -350,7 +352,7 @@ def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
                         counted("colmin", sa.ChannelMatrix.column_minima))
     resolved = _resolution(lambda ch, r, force: sa.solve(ch, "alg2", r=r, force=force).params,
                            golden, GOLDEN_R_OPT, force=False)
-    assert (counts["check"], counts["colmin"]) == (3, 1)
+    assert (counts["check"], counts["colmin"]) == (3, 2)
     assert resolved == explicit
 
 
@@ -415,7 +417,8 @@ def test_direct_construction_checks_the_lengths(golden):
 
 def test_direct_construction_checks_the_entries(golden):
     """SqueezeParams refuses every entry the builders refuse, with their
-    error, and an offset whose mass overflows, however the params are built."""
+    error, and a floor or offset whose mass overflows, however the params
+    are built, without a numpy overflow warning."""
     def refusal(call):
         with pytest.raises(sa.ValidationError) as caught:
             call()
@@ -426,8 +429,16 @@ def test_direct_construction_checks_the_entries(golden):
         for r, f in ((np.array(bad), zeros_f), (zeros_r, np.array(bad + [0.0]))):
             assert refusal(lambda: sa.SqueezeParams(golden, r, f)) == \
                 refusal(lambda: sa.build_squeeze_params(golden, r, f)), (r, f)
-    huge = np.full(3, 1e308)  # finite entries whose sum overflows
-    with np.errstate(over="ignore"):
-        for call in (lambda: sa.SqueezeParams(golden, zeros_r, huge),
-                     lambda: sa.build_squeeze_params(golden, zeros_r, huge)):
-            assert refusal(call) == (sa.ValidationError, "offset mass f_+ = inf must be finite")
+    huge_r, huge_f = np.full(2, 1e308), np.full(3, 1e308)  # finite entries whose sum overflows
+    for call, error, msg in (
+            (lambda: sa.SqueezeParams(golden, zeros_r, huge_f),
+             sa.ValidationError, "offset mass f_+ = inf must be finite"),
+            (lambda: sa.build_squeeze_params(golden, zeros_r, huge_f),
+             sa.ValidationError, "offset mass f_+ = inf must be finite"),
+            (lambda: sa.SqueezeParams(golden, huge_r, zeros_f),
+             sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1"),
+            (lambda: sa.build_squeeze_params(golden, huge_r, zeros_f),
+             sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1"),
+            (lambda: sa.params_from_r_lambda(golden, huge_r, 1.2),
+             sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1")):
+        assert refusal(call) == (error, msg)

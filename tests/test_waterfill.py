@@ -30,7 +30,7 @@ def test_binding_floor_derived_case():
 
 
 def test_feasibility_errors():
-    for r in ([0.7, 0.4], [0.5, 0.5]):
+    for r in ([0.7, 0.4], [0.5, 0.5], [1e308, 1e308]):  # the last mass overflows
         with pytest.raises(sa.InfeasibleFloorError, match="leaves no room"):
             sa.waterfill(r, [1.0, 1.0])
     for x in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [np.nan, np.inf]):
