@@ -91,16 +91,18 @@ def _row_log_likelihoods(w: np.ndarray) -> np.ndarray:
     return np.add.reduce(wlogw, axis=1)
 
 
-def _total(v: np.ndarray):
-    """np.add.reduce(v) of a nonempty nonnegative v, inf rather than numpy's
-    overflow warning when finite entries sum past the float range, so the
-    caller's check refuses it."""
+def _total(v: np.ndarray, axis: int = 0):
+    """np.add.reduce(v, axis) of a nonempty nonnegative v: the package's one
+    overflow policy for a sum that checks outside input.  Finite entries
+    that sum past the float range give inf, not numpy's overflow warning,
+    under every warnings filter, so the caller's check refuses the sum with
+    its documented error."""
     # below this bound no partial sum can overflow, and np.errstate costs more
     # than the sum itself; argmax finds a NaN, which fails the test
-    if v[v.argmax()] < 1e307 / v.size:
-        return np.add.reduce(v)
+    if v.item(v.argmax()) < 1e307 / v.size:
+        return np.add.reduce(v, axis)
     with np.errstate(over="ignore"):
-        return np.add.reduce(v)
+        return np.add.reduce(v, axis)
 
 
 def _floor_mass(r: np.ndarray) -> float:
@@ -142,10 +144,10 @@ class ChannelMatrix:
         if np.any(w < 0):
             i, j = np.unravel_index(np.argmin(w), w.shape)
             raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
-        zero_cols = np.nonzero(w.sum(axis=0) == 0)[0]
+        zero_cols = np.nonzero(w.max(axis=0) == 0)[0]  # a max cannot overflow
         if zero_cols.size:
             raise ZeroColumnError(f"column(s) {zero_cols.tolist()} are identically zero")
-        sums = w.sum(axis=1)
+        sums = _total(w, 1)  # a row past the float range sums to inf, which the window refuses
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
             i = int(np.nonzero(bad)[0][0])

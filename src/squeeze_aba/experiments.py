@@ -46,8 +46,7 @@ class BenchConfig:
     def __post_init__(self):
         for name, least in (("m", 2), ("n", 1), ("replications", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not (self.epsilon > 0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        SolverConfig(epsilon=self.epsilon)  # the solvers' own check of epsilon
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValidationError(f"unknown benchmark method(s) {unknown}; "

@@ -87,6 +87,7 @@ from .channel import (
     Distribution,
     _integer,
     _require_same_channel,
+    _total,
     uniform,
 )
 from .errors import (
@@ -296,7 +297,10 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
 
 def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.ndarray:
     """p as a positive vector on the simplex, of length m when given, that
-    dominates the floor r when given, or the error that says why not."""
+    dominates the floor r when given, or the error that says why not.  The
+    sum goes through ``channel._total``, so finite entries whose sum
+    overflows raise DimensionMismatchError ("start sums to inf") under
+    every warnings filter."""
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     if m is None and (p.ndim != 1 or p.size == 0):
         raise DimensionMismatchError(f"start must be a nonempty vector, got shape {p.shape}")
@@ -307,7 +311,7 @@ def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.nda
         if not np.isfinite(p).all():
             raise ValidationError(f"start must be finite, got {p}")
         raise NonInteriorStartError("start must have all components strictly positive")
-    s = np.add.reduce(p)
+    s = _total(p)
     if not abs(s - 1.0) <= PROB_SUM_TOL:
         raise DimensionMismatchError(f"start sums to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
     if r is not None and np.any(p < r - PROB_SUM_TOL):

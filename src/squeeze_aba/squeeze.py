@@ -54,11 +54,13 @@ class SqueezeParams:
     finite and nonnegative, then InfeasibleFloorError when r_+ >= 1 and
     ValidationError when f_+ overflows.  It derives the floor mass
     ``r_plus`` = sum_i r_i, the offset mass ``f_plus`` = sum_j f_j and the
-    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Last it runs the two
-    column tests and records whether both hold as ``feasible``, however the
-    params are built.  Infeasible params come only from a direct build or a
-    builder called with ``force=True``; the solvers then lose their
-    monotonicity guarantee and downgrade related checks to warnings.
+    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Last it runs the column
+    tests that a positive mass leaves open and records whether both hold as
+    ``feasible``, however the params are built; infeasible params also keep
+    the failed tests, from which a builder raises or warns.  Infeasible
+    params come only from a direct build or a builder called with
+    ``force=True``; the solvers then lose their monotonicity guarantee and
+    downgrade related checks to warnings.
     """
 
     channel: ChannelMatrix
@@ -85,7 +87,10 @@ class SqueezeParams:
         object.__setattr__(self, "r_plus", r_plus)
         object.__setattr__(self, "f_plus", f_plus)
         object.__setattr__(self, "lam", (1.0 + f_plus) / (1.0 - r_plus))
-        object.__setattr__(self, "feasible", next(_violations(self), None) is None)
+        found = tuple(_violations(self))
+        object.__setattr__(self, "feasible", not found)
+        if found:  # for the builders' error or warnings; a feasible build keeps nothing
+            object.__setattr__(self, "_found", found)
 
     @property
     def w_star(self) -> np.ndarray:
@@ -130,25 +135,29 @@ def _violations(sp: SqueezeParams):
     """Each column test that ``sp`` fails, floor first, as (error, slack,
     message): with room = min_i W_ij - (rW)_j, the floor holds when room >= 0
     and the offset when the smallest W~ entry of each column is >= 0, within
-    CONSTRAINT_TOL.  ``message(i, j)`` names the worst entry, which
-    ``_worst_entry`` finds in the failing column slack; a verdict needs neither."""
-    r, f, w = sp.r, sp.f, sp.channel.w
-    room = sp.channel.column_minima() - r @ w
-    if not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
+    CONSTRAINT_TOL.  A zero floor leaves room the column minima, which pass,
+    and a zero offset leaves that entry max(room, 0)/(1 - r_+) >= 0, so each
+    test runs only when its mass is positive.  ``message(i, j)`` names the
+    worst entry, which ``_worst_entry`` finds in the failing column slack; a
+    verdict needs neither."""
+    r, f, w, col_min = sp.r, sp.f, sp.channel.w, sp.channel.column_minima()
+    room = col_min - r @ w if sp.r_plus else col_min
+    if sp.r_plus and not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
         yield FloorConstraintError, room, lambda i, j: (
             f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
             f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}")
-    tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
-    if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
-        yield SqueezeConstraintError, tilde_min, lambda i, j: (
-            f"offset constraint violated: squeezed entry ({i},{j}) = "
-            f"{tilde_min[j]:.3e} is negative; reduce f or r")
+    if sp.f_plus:
+        tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
+        if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
+            yield SqueezeConstraintError, tilde_min, lambda i, j: (
+                f"offset constraint violated: squeezed entry ({i},{j}) = "
+                f"{tilde_min[j]:.3e} is negative; reduce f or r")
 
 
 def _enforce(sp: SqueezeParams, force: bool) -> SqueezeParams:
     """``sp``, after raising its first violated column test, or under
-    ``force`` warning of each; feasible params skip the tests they passed."""
-    for error, slack, message in () if sp.feasible else _violations(sp):
+    ``force`` warning of each, as construction found them."""
+    for error, slack, message in () if sp.feasible else sp._found:
         _violation(error, message(*_worst_entry(sp.channel.w, slack)), force)
     return sp
 

@@ -11,11 +11,15 @@ no floor exceeds delta * x_i, none binds and that is the answer, in O(m).
 Otherwise sort indices by r_i / x_i ascending; below the pivot the
 weights scale, above it the floors bind.  O(m log m) from the sort.
 
-Each input reduction is one cheap numpy call (sums are np.add.reduce,
-ndarray.sum without its Python wrapper): the weights are checked at their
-smallest (argmin finds a NaN, like min) and through their sum, and the
-strict test r_i > delta x_i runs only when the mask r_i >= delta x_i, which
-the result returns anyway, has a nonzero count.
+Each input reduction is one cheap numpy call: the weights are checked at
+their smallest (argmin finds a NaN, like min) and through their sum, and
+the strict test r_i > delta x_i runs only when the mask r_i >= delta x_i,
+which the result returns anyway, has a nonzero count.  The floor mass and
+the weight sum go through ``channel._total``, the package's one overflow
+policy: finite weights whose sum overflows raise NonpositiveWeightError
+under every warnings filter.  The sort path runs with numpy's overflow
+warning off, since a key r_i / x_i or a product that overflows only marks
+a floor that binds.
 
 delta is scale-invariant in x up to the obvious factor: waterfill(r, c*x)
 returns delta/c with the same p.  Callers that build x from exponentials
@@ -60,14 +64,10 @@ def waterfill(r, x) -> WaterfillResult:
     r_min = r[r.argmin()]
     if not r_min >= 0.0:  # also rejects NaN
         raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
-    if _total(r) >= 1.0:
-        raise InfeasibleFloorError(f"floor mass {_total(r):.15g} leaves no room to normalize")
-    try:  # argmin finds a NaN, like min
-        total = float(np.add.reduce(x)) if x[x.argmin()] > 0.0 else np.nan
-    except RuntimeWarning:  # numpy's overflow warning as an error: it stands unless a weight is inf
-        if x[x.argmax()] < np.inf:
-            raise
-        total = np.nan
+    if (r_plus := _total(r)) >= 1.0:
+        raise InfeasibleFloorError(f"floor mass {r_plus:.15g} leaves no room to normalize")
+    # argmin finds a NaN, like min; past it every weight is positive, so _total applies
+    total = float(_total(x)) if x[x.argmin()] > 0.0 else np.nan
     if not total < np.inf:  # a weight <= 0, NaN or inf, or a sum past the float range
         if total != np.inf or x[x.argmax()] == np.inf:
             raise NonpositiveWeightError("weights must be finite and strictly positive")
@@ -84,22 +84,24 @@ def waterfill(r, x) -> WaterfillResult:
     if not (np.count_nonzero(active) and (r > p).any()):
         return WaterfillResult(delta, active, p)
 
-    order = np.argsort(r / x, kind="stable")
-    rs = r[order]
-    xs = x[order]
+    # a key r_i / x_i or a product below that overflows to inf marks a floor
+    # that binds, which is how the comparisons read it
+    with np.errstate(over="ignore"):
+        key = r / x
+        order = np.argsort(key, kind="stable")
+        rs, xs = r[order], x[order]
 
-    # prefix sums of x and suffix sums of r in sorted order; the pivot is
-    # the largest k with (r_k / x_k) * sum_{j<=k} x_j + sum_{j>k} r_j <= 1
-    x_prefix = np.cumsum(xs)
-    r_suffix = np.concatenate([np.cumsum(rs[::-1])[::-1], [0.0]])
-    feas = (rs / xs) * x_prefix + r_suffix[1:] <= 1.0
-    k = int(np.nonzero(feas)[0][-1])  # feas[0] always holds: r_+ < 1
+        # prefix sums of x and suffix sums of r in sorted order; the pivot is
+        # the largest k with (r_k / x_k) * sum_{j<=k} x_j + sum_{j>k} r_j <= 1
+        x_prefix = np.cumsum(xs)
+        r_suffix = np.concatenate([np.cumsum(rs[::-1])[::-1], [0.0]])
+        feas = key[order] * x_prefix + r_suffix[1:] <= 1.0
+        k = int(np.nonzero(feas)[0][-1])  # feas[0] always holds: r_+ < 1
 
-    # recompute the two sums at the pivot with fresh pairwise summation;
-    # cumsum error at large m could otherwise leak into delta
-    head = float(np.add.reduce(xs[: k + 1]))
-    tail = float(np.add.reduce(rs[k + 1:]))
-    delta = (1.0 - tail) / head
+        # recompute the two sums at the pivot with fresh pairwise summation;
+        # cumsum error at large m could otherwise leak into delta
+        head = float(np.add.reduce(xs[: k + 1]))
+        tail = float(np.add.reduce(rs[k + 1:]))
+        delta = (1.0 - tail) / head
 
-    p = np.maximum(r, delta * x)
-    return WaterfillResult(delta, r >= delta * x, p)
+        return WaterfillResult(delta, r >= delta * x, np.maximum(r, delta * x))

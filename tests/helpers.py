@@ -77,6 +77,24 @@ def spy_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def under_every_filter(fn):
+    """What ``fn()`` returns, or the (class, message) of the package error it
+    raises, asserted the same with warnings as errors and under the default
+    filter, where no warning may be recorded: a documented outcome that does
+    not hang on the warnings filter."""
+    outcomes = []
+    for action in ("error", "default"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            try:
+                outcomes.append(fn())
+            except sa.SqueezeAbaError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert not caught, (action, [str(w.message) for w in caught])
+    assert outcomes[0] == outcomes[1], outcomes
+    return outcomes[0]
+
+
 def solve_tight(channel: sa.ChannelMatrix, gap: float = 1e-13,
                 max_iters: int = 100_000) -> sa.SolveResult:
     """Drive the fastest planned method to a tiny gap (for fixed points)."""
@@ -180,8 +198,10 @@ def reference_waterfill(r, x) -> sa.WaterfillResult:
     if not (x.min() > 0.0 and x.max() < np.inf):  # min > 0 also rejects NaN
         raise sa.NonpositiveWeightError("weights must be finite and strictly positive")
 
-    # no floor binds at plain normalization: that is the answer
-    delta = 1.0 / x.sum()
+    # no floor binds at plain normalization: that is the answer.  Finite weights
+    # whose sum overflows are refused below under every warnings filter
+    with np.errstate(over="ignore"):
+        delta = 1.0 / x.sum()
     if delta == 0.0:  # finite weights, so the sum overflowed
         raise sa.NonpositiveWeightError("weights overflow the float range when summed; scale them down")
     p = delta * x

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squeeze_aba as sa
-from helpers import GOLDEN
+from helpers import GOLDEN, under_every_filter
 
 
 def test_golden_channel_validates():
@@ -37,6 +37,10 @@ def test_row_renormalization_within_window():
 def test_row_sum_out_of_window_rejected():
     with pytest.raises(sa.RowSumToleranceError):
         sa.validate_channel([[0.7, 0.2, 0.2], [0.1, 0.2, 0.7]])
+    # finite entries whose row sum overflows, or whose column sum would
+    for w, total in (([[1e308, 1e308], [0.5, 0.5]], "inf"), ([[1e308, 0.0], [1e308, 1.0]], "1e+308")):
+        assert under_every_filter(lambda: sa.validate_channel(w)) == (
+            sa.RowSumToleranceError, f"row 0 sums to {total}, outside 1 +/- 1e-09")
 
 
 def test_negative_entry_rejected():

@@ -26,6 +26,7 @@ from helpers import (
     reference_solve,
     reference_update,
     spy_calls,
+    under_every_filter,
 )
 
 
@@ -79,12 +80,13 @@ class TestSteps:
     def test_config_and_steps_refuse_the_same_starts(self, golden):
         # one validator checks a start wherever it enters, so each bad start
         # raises the same class from the config as from a step
-        for bad in ([-0.5, 1.5], [0.0, 1.0], [np.nan, 0.5], [0.3, 0.3], [[0.5, 0.5]]):
-            with pytest.raises(sa.ValidationError) as from_config:
-                sa.SolverConfig(initial=bad)
-            with pytest.raises(sa.ValidationError) as from_step:
-                sa.aba_step(golden, bad)
-            assert from_config.type is from_step.type, bad
+        # under every warnings filter, a sum that overflows included
+        for bad in ([-0.5, 1.5], [0.0, 1.0], [np.nan, 0.5], [0.3, 0.3], [[0.5, 0.5]],
+                    [1e308, 1e308]):
+            from_config = under_every_filter(lambda: sa.SolverConfig(initial=bad))
+            from_step = under_every_filter(lambda: sa.aba_step(golden, bad))
+            assert issubclass(from_config[0], sa.ValidationError), bad
+            assert from_config[0] is from_step[0], bad
 
     def test_alg1_unit_gain_equals_aba(self, golden, rng):
         for _ in range(20):
@@ -468,6 +470,17 @@ class TestSolve:
                         (lambda p: sa.alg3_step(params, p), [0.3, 0.3])):
             with pytest.raises(sa.DimensionMismatchError, match="start sums to"):
                 step(p)
+        # finite entries whose sum overflows: the config, the four steps and
+        # matrix_rate, which steps from its p*, all refuse it under every filter
+        huge = [1e308, 1e308]
+        for refuse in (lambda: sa.SolverConfig(initial=huge),
+                       lambda: sa.aba_step(golden, huge),
+                       lambda: sa.alg1_step(golden, 1.2, huge),
+                       lambda: sa.alg2_step(golden, params, huge),
+                       lambda: sa.alg3_step(params, huge),
+                       lambda: sa.matrix_rate(params, huge)):
+            error, message = under_every_filter(refuse)
+            assert error is sa.DimensionMismatchError and message.startswith("start sums to inf")
 
     def test_method_parameter_validation(self, golden):
         with pytest.raises(sa.ValidationError):

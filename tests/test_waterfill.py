@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squeeze_aba as sa
-from helpers import bisect_waterfill_delta, reference_waterfill
+from helpers import bisect_waterfill_delta, reference_waterfill, under_every_filter
 
 
 def test_zero_floor_is_plain_normalization():
@@ -47,9 +47,10 @@ def test_feasibility_errors():
 
 def test_weight_sum_overflow_rejected():
     # each weight is finite, but their sum is not
-    for r in ([0.0, 0.0], [0.3, 0.3]):
-        with np.errstate(over="ignore"), pytest.raises(sa.NonpositiveWeightError, match="overflow"):
-            sa.waterfill(r, [1e308, 1e308])
+    for r in ([0.0, 0.0], [0.1, 0.1], [0.3, 0.3]):
+        assert under_every_filter(lambda: sa.waterfill(r, [1e308, 1e308])) == (
+            sa.NonpositiveWeightError,
+            "weights overflow the float range when summed; scale them down")
 
 
 def test_no_binding_floor_matches_bisection_randomized(rng):
@@ -177,6 +178,14 @@ class TestMatchesReference:
             r = rng.uniform(0.0, 1.0, m)
             r *= rng.uniform(0.0, 0.98) / r.sum()
             self._same(r, x)
+        # a key r_i / x_i, or its product with a prefix sum, past the float range
+        # marks a floor that binds: the reference's bytes with its overflow
+        # ignored, and no warning under any filter
+        for r, x, p in (([0.3, 0.3], [1e-310, 1.0], [0.3, 0.7]),
+                        ([0.5, 0.3], [1e20, 1e-290], [0.7, 0.3])):
+            expected = _outcome(reference_waterfill, r, x, False)
+            assert _outcome(sa.waterfill, r, x, True) == expected, (r, x)
+            assert under_every_filter(lambda: sa.waterfill(r, x).p.tolist()) == p
 
     def test_exact_ties(self, rng):
         for _ in range(300):
@@ -201,7 +210,7 @@ class TestMatchesReference:
             res = self._same(r, x)
             assert np.frombuffer(res[1], dtype=bool)[1]
         # a subnormal sum would make delta infinite: the one input where waterfill
-        # departs from the reference, which returns p = [inf, inf] with a warning
+        # departs from the reference, which returns p = [inf, inf]
         for strict in (False, True):
             assert _outcome(sa.waterfill, [0.0, 0.0], [1e-320, 1e-320], strict) == (
                 sa.NonpositiveWeightError,
@@ -217,7 +226,7 @@ class TestMatchesReference:
                   [1e10, -1e10, 1e-300], [1e308, 1e308, -1.0], [1e308, 1e308, np.inf]):
             r_full = np.resize(r, len(x)) * (2 / len(x))
             outcome = self._same(r_full, x)
-            assert outcome[0] in (sa.NonpositiveWeightError, RuntimeWarning), (r, x)
+            assert outcome[0] is sa.NonpositiveWeightError, (r, x)
 
     def test_invalid_floors(self):
         for x in ([1.0, 1.0], [1.0, 9.0], [1.0, 0.0], [1e308, 1e308]):
