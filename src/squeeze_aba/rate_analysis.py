@@ -18,11 +18,12 @@ Two independent routes compute the global rate:
 
   * spectral route: G D_{p*} is similar to M = D_{p*}^{1/2} G D_{p*}^{1/2},
     which is symmetric positive semidefinite with eigenvalues in [0, 1], so
-    numpy's LAPACK ``eigh`` on M yields the whole spectrum.  The rows of
-    W* sum to 1, so G D_{p*} is row-stochastic: its largest eigenvalue is
-    exactly 1, on 1_m, and M's is 1 on sqrt(p*).  That is the trivial
-    direction; M's other eigenvalues mu are the spectrum on Gamma, and the
-    rate is the largest 1 - (1 + f_+) mu among them.
+    numpy's LAPACK ``eigvalsh`` on M yields the whole spectrum; no
+    eigenvector is formed.  The rows of W* sum to 1, so G D_{p*} is
+    row-stochastic: its largest eigenvalue is exactly 1, on 1_m, and M's is
+    1 on sqrt(p*).  That is the trivial direction; M's other eigenvalues mu
+    are the spectrum on Gamma, and the rate is the largest 1 - (1 + f_+) mu
+    among them.  W*, s and G are formed once per report, for both R and M.
 
   * power route: numpy's general (nonsymmetric) eigensolver on R itself,
     restricted to Gamma in the basis e_k - e_1; the rate is the real part
@@ -86,19 +87,20 @@ def _finite_square(a) -> np.ndarray:
 
 
 def jacobi_eigh(a):
-    """Eigendecomposition of a small dense symmetric matrix.
+    """Eigenvalues, ascending, of a small dense symmetric matrix.
 
-    Returns (eigenvalues ascending, eigenvectors as columns) from
-    ``numpy.linalg.eigh`` on the symmetrised input.  Raises ValidationError
-    on non-finite entries and DimensionMismatchError when the input is not
-    nonempty, square and symmetric, that is when some |A_ij - A_ji| exceeds
-    the absolute tolerance 1e-10.  The name stays because the layer
-    timings in ``perfbench/tracing.py`` look it up by name (``TARGETS``).
+    Returns ``numpy.linalg.eigvalsh`` of the symmetrised input; no
+    eigenvectors are formed, since the rate report reads only the
+    spectrum.  Raises ValidationError on non-finite entries and
+    DimensionMismatchError when the input is not nonempty, square and
+    symmetric, that is when some |A_ij - A_ji| exceeds the absolute
+    tolerance 1e-10.  The name stays because the layer timings in
+    ``perfbench/tracing.py`` look it up by name (``TARGETS``).
     """
     A = _finite_square(a)
     if np.abs(A - A.T).max() > 1e-10:
         raise DimensionMismatchError("matrix is not symmetric")
-    return np.linalg.eigh((A + A.T) / 2.0)
+    return np.linalg.eigvalsh((A + A.T) / 2.0)
 
 
 def power_rate(R) -> float:
@@ -166,10 +168,29 @@ class RateReport:
         return abs(self.global_rate - ((1.0 + self.f_plus) * self.rate_r0 - self.f_plus))
 
 
+def _point(p, m: int, name: str) -> np.ndarray:
+    """p (a Distribution or array) as a float vector, DimensionMismatchError
+    unless it has length m."""
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    if p.shape != (m,):
+        raise DimensionMismatchError(f"{name} must have length {m}, got shape {p.shape}")
+    return p
+
+
 def fixed_point_on_floor(params: SqueezeParams, p_hat) -> Distribution:
     """Map the plain-simplex optimizer p_hat to Omega(r): (1 - r_+) p_hat + r."""
-    q = np.asarray(getattr(p_hat, "probs", p_hat), dtype=float)
+    q = _point(p_hat, params.channel.m, "p_hat")
     return make_distribution((1.0 - params.r_plus) * q + params.r, floor=params.r)
+
+
+def _jacobian_and_gram(params: SqueezeParams, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R(p) and G = (W*/s) W*^T, with W* and s = pW* formed once for both."""
+    w_star = params.w_star
+    a = w_star / (p @ w_star)
+    G = a @ w_star.T
+    R = np.eye(params.channel.m) - (1.0 + params.f_plus) * G * p
+    R += p * (a @ params.f)
+    return R, G
 
 
 def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
@@ -177,14 +198,13 @@ def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
     v = p (W*/s) f.
 
     R is the exact error-contraction matrix at a fixed point and a
-    first-order approximation of it nearby.
+    first-order approximation of it nearby.  Raises DimensionMismatchError
+    unless p has length m and ValidationError on a non-finite entry.
     """
-    p = np.asarray(getattr(p, "probs", p), dtype=float)
-    w_star = params.w_star
-    a = w_star / (p @ w_star)
-    R = np.eye(params.channel.m) - (1.0 + params.f_plus) * (a @ w_star.T) * p
-    R += p * (a @ params.f)
-    return R
+    p = _point(p, params.channel.m, "p")
+    if not np.isfinite(p).all():
+        raise ValidationError("p has a non-finite entry")
+    return _jacobian_and_gram(params, p)[0]
 
 
 def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
@@ -192,7 +212,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
 
     The spectrum on Gamma is that of M = D_p^{1/2} G D_p^{1/2} without its
     largest eigenvalue: G D_p is row-stochastic, so that one is exactly 1,
-    on the trivial direction sqrt(p*), and ``eigh`` sorts it last.
+    on the trivial direction sqrt(p*), and ``eigvalsh`` sorts it last.
 
     Raises ValidationError for infeasible params (``feasible=False``),
     however built, directly or by a builder under ``force=True``: their W*
@@ -205,10 +225,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     if not params.feasible:
         raise ValidationError("the rate formulas hold only for feasible params; these "
                               "violate a column constraint")
-    m = params.channel.m
-    p = np.asarray(getattr(p_star, "probs", p_star), dtype=float)
-    if p.shape != (m,):
-        raise DimensionMismatchError(f"p_star must have length {m}, got shape {p.shape}")
+    p = _point(p_star, params.channel.m, "p_star")
     if np.any(p <= params.r + INTERIOR_MARGIN):
         i = int(np.argmin(p - params.r))
         raise BoundaryFixedPointError(
@@ -223,17 +240,12 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
             "run the solver to a tighter gap first"
         )
 
-    R = iteration_jacobian(params, p)
-
-    w_star = params.w_star
-    s = p @ w_star
+    R, G = _jacobian_and_gram(params, p)
     half = np.sqrt(p)
-    B = w_star * half[:, None]
-    M = (B / s[None, :]) @ B.T
     # the rows of W* sum to 1, so G D_p is row-stochastic: M's largest
-    # eigenvalue is 1, on sqrt(p), eigh sorts it last, and the rest are the
-    # spectrum on Gamma
-    mu = jacobi_eigh(M)[0][:-1]
+    # eigenvalue is 1, on sqrt(p), eigvalsh sorts it last, and the rest are
+    # the spectrum on Gamma
+    mu = jacobi_eigh(half[:, None] * G * half)[:-1]
     d_gamma = np.sort(1.0 - (1.0 + params.f_plus) * mu)
 
     global_rate = max(float(d_gamma[-1]), 0.0)

@@ -26,13 +26,11 @@ class TestJacobiEigh:
             n = int(rng.integers(2, 10))
             a = rng.standard_normal((n, n))
             a = (a + a.T) / 2.0
-            vals, vecs = sa.jacobi_eigh(a)
-            assert np.allclose(vals, np.linalg.eigvalsh(a), atol=1e-11)
-            assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-11)
-            assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+            # (a + a^T)/2 is a itself for a symmetric a, so the values are LAPACK's bit for bit
+            assert np.array_equal(sa.jacobi_eigh(a), np.linalg.eigvalsh(a))
 
     def test_diagonal_input(self):
-        vals, _ = sa.jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
+        vals = sa.jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
         assert np.allclose(vals, [-1.0, 2.0, 3.0])
 
     def test_rejects_nonsymmetric(self):
@@ -283,8 +281,8 @@ class TestStructure:
                 assert np.abs(R - posterior_jacobian(params, p)).max() <= 1e-13
 
     def test_zero_offset_diagonalizable_real(self, rng):
-        # reconstruct R from the symmetric eigendecomposition through the
-        # similarity transform and compare entrywise
+        # reconstruct R from the symmetric eigendecomposition (numpy's eigh, the
+        # test's own oracle) through the similarity transform and compare entrywise
         for _ in range(15):
             ch, p_hat = draw_interior_channel(rng)
             r = random_floor(rng, ch)
@@ -295,7 +293,7 @@ class TestStructure:
             half = np.sqrt(p)
             B = params.w_star * half[:, None]
             M = (B / (p @ params.w_star)[None, :]) @ B.T
-            vals, vecs = sa.jacobi_eigh(M)
+            vals, vecs = np.linalg.eigh(M)
             K = (vecs * vals) @ vecs.T
             R_rebuilt = np.eye(ch.m) - (K / half[:, None]) * half[None, :]
             assert np.allclose(R_rebuilt, rep.R, atol=1e-8)
@@ -416,10 +414,50 @@ class TestComparisons:
                 prev = rep.global_rate
 
 
+def test_each_report_solves_for_eigenvalues_once(monkeypatch):
+    # no eigenvectors anywhere, one jacobi_eigh call per report, and each
+    # report's R is iteration_jacobian's at p* bit for bit
+    rng = np.random.default_rng(31)
+    ch = near_diagonal_channel(rng, 6, 12)
+    p_hat = solve_tight(ch).p_hat
+    r = random_floor(rng, ch, scale=0.5)
+    f = random_offset(rng, ch, r, scale=0.5)
+    param_sets = [sa.build_squeeze_params(ch, rr, ff)
+                  for rr, ff in ((np.zeros(6), np.zeros(12)), (r, np.zeros(12)), (r, f))]
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("rate analysis formed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    calls = []
+    real = sa.rate_analysis.jacobi_eigh
+    monkeypatch.setattr(sa.rate_analysis, "jacobi_eigh", lambda a: calls.append(a) or real(a))
+    for k, params in enumerate(param_sets, start=1):
+        p_star = sa.fixed_point_on_floor(params, p_hat)
+        rep = sa.matrix_rate(params, p_star)
+        assert len(calls) == k
+        assert np.array_equal(rep.R, sa.iteration_jacobian(params, p_star))
+        assert abs(rep.global_rate - rep.global_rate_power) <= 1e-12
+
+
 def test_matrix_rate_refuses_a_fixed_point_of_another_length(golden):
-    params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])
-    with pytest.raises(sa.DimensionMismatchError, match="p_star must have length 2"):
-        sa.matrix_rate(params, [0.2, 0.3, 0.5])
+    wrong_length = (
+        lambda params: sa.matrix_rate(params, [0.2, 0.3, 0.5]),
+        # a length-1 p_hat used to broadcast, and the rest failed inside numpy
+        lambda params: sa.fixed_point_on_floor(params, [0.5]),
+        lambda params: sa.fixed_point_on_floor(params, [0.2, 0.3, 0.5]),
+        lambda params: sa.iteration_jacobian(params, [0.2, 0.3, 0.5]),
+        lambda params: sa.iteration_jacobian(params, [1.0]),
+    )
+    for params in (sa.build_squeeze_params(golden, [0, 0], [0, 0, 0]),
+                   sa.plan(golden, "optimal-m2").params):
+        for call in wrong_length:
+            with pytest.raises(sa.DimensionMismatchError, match="must have length 2"):
+                call(params)
+        # a non-finite point gave NaN entries in R
+        for bad in ([np.nan, 0.5], [0.5, np.inf]):
+            with pytest.raises(sa.ValidationError, match="non-finite"):
+                sa.iteration_jacobian(params, bad)
 
 
 def test_matrix_rate_refuses_forced_params(golden):

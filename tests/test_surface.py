@@ -15,7 +15,7 @@ import squeeze_aba as sa
 
 #: code lines in src/squeeze_aba: not blank, not comments, not docstrings.
 #: A change that adds code raises this in the same diff.
-CODE_LINES = 1197
+CODE_LINES = 1200
 
 FIELDS = {
     "ChannelMatrix": ("w",),
