@@ -7,8 +7,8 @@ floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 
 A channel validates its entries when it is constructed, however it is
 built.  Every stored value is an input or worked out from the inputs: a
-channel derives its column minima, its row log-likelihoods and its
-all-rows-equal flag from W once, there, and a floor is checked by
+channel derives its column minima and its row log-likelihoods from W
+once, there, and a floor is checked by
 ``make_distribution`` rather than stored.  Tolerances are the module
 constants, not options.  A channel with an identically zero column is
 rejected; deleting that output letter is left to the caller.
@@ -34,8 +34,9 @@ from .errors import (
     ZeroColumnError,
 )
 
-#: renormalization window for channel row sums, and the span under which
-#: a column counts as constant (all rows equal)
+#: renormalization window for channel row sums; ``squeeze_select`` also
+#: counts the rows of a channel as equal, with no squeeze to plan, when
+#: every column spans at most this
 ROW_SUM_TOL = 1e-9
 
 #: tolerance on distribution normalization
@@ -119,17 +120,15 @@ class ChannelMatrix:
     Construction validates the entries: rows whose sums deviate from 1 by
     less than ``ROW_SUM_TOL`` are renormalized, and larger deviations
     raise.  A column that is identically zero raises ZeroColumnError: no
-    input reaches that output letter.  ``all_rows_equal`` flags the
-    degenerate channel whose capacity is 0: every column spans at most
-    ``ROW_SUM_TOL``.  It is worked out from ``w``, not passed in, and the
-    solvers short-circuit on it.  Construction also keeps, read-only, the
-    column minima min_i W_ij (``column_minima()``; their sum is the row
-    overlap) and the row log-likelihoods sum_j W_ij ln W_ij that every
+    input reaches that output letter.  Equal or nearly equal rows are
+    accepted: the solvers certify such a channel like any other, and only
+    the squeeze planners refuse it.  Construction also keeps, read-only,
+    the column minima min_i W_ij (``column_minima()``; their sum is the
+    row overlap) and the row log-likelihoods sum_j W_ij ln W_ij that every
     divergence evaluation reads.
     """
 
     w: np.ndarray
-    all_rows_equal: bool = field(init=False)
     _col_min: np.ndarray = field(init=False, repr=False)
     _row_loglikes: np.ndarray = field(init=False, repr=False)
 
@@ -162,8 +161,6 @@ class ChannelMatrix:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_col_min", col_min)
         object.__setattr__(self, "_row_loglikes", row_loglikes)
-        rows_equal = bool((w.max(axis=0) - col_min).max() <= ROW_SUM_TOL)
-        object.__setattr__(self, "all_rows_equal", rows_equal)
 
     @property
     def m(self) -> int:

@@ -50,10 +50,10 @@ def _parse_vector(text: str | None):
 
 def _resolve_method(args, channel):
     """Map CLI flags to (method, solve kwargs).  A params file overrides the
-    flags; 'auto' plans the squeeze and takes none, planning "none" with a
-    warning on a channel whose rows are all equal, where ``plan`` has no
-    squeeze to offer; every other method gets the flags as given, so
-    ``solve`` applies its own rules to them."""
+    flags; 'auto' plans the squeeze and takes none, and where ``plan``
+    refuses the channel it logs the reason and plans "none", so it never
+    fails where 'aba' succeeds; every other method gets the flags as given,
+    so ``solve`` applies its own rules to them."""
     method = args.method
     if args.params:
         params = sio.load_params_json(channel, args.params)
@@ -65,11 +65,11 @@ def _resolve_method(args, channel):
     if kwargs:
         raise ValidationError("--method auto plans its own squeeze; "
                               "it takes no --lambda, --r or --f")
-    if channel.all_rows_equal:  # capacity 0, and no finite squeeze to plan
-        log.warning("all rows equal: --method auto runs the plain iteration")
-        chosen = plan(channel, "none")
-    else:
+    try:
         chosen = plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
+    except ValidationError as exc:
+        log.warning("--method auto runs the plain iteration: %s", exc)
+        chosen = plan(channel, "none")
     log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.params.lam)
     return "alg3", {"params": chosen.params}
 

@@ -47,12 +47,13 @@ class BenchConfig:
         for name, least in (("m", 2), ("n", 1), ("replications", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         SolverConfig(epsilon=self.epsilon)  # the solvers' own check of epsilon
+        object.__setattr__(self, "methods", tuple(self.methods))  # a list would not hash
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValidationError(f"unknown benchmark method(s) {unknown}; "
                                   f"expected some of {METHODS}")
         if len(set(self.methods)) != len(self.methods):
-            raise ValidationError(f"methods must not repeat, got {tuple(self.methods)}")
+            raise ValidationError(f"methods must not repeat, got {self.methods}")
         if "aba" not in self.methods:
             raise ValidationError("methods must include the 'aba' baseline")
 

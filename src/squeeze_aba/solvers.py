@@ -88,7 +88,6 @@ from .channel import (
     _integer,
     _require_same_channel,
     _total,
-    uniform,
 )
 from .errors import (
     DimensionMismatchError,
@@ -418,8 +417,10 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     "alg2" (needs r; lambda defaults to its upper bound) | "alg3" (needs
     r and f, or r and lambda but not both, or prebuilt ``params``, which
     must have been built for this channel).  On a channel whose rows are
-    all equal the upper bound is infinite, so lambda defaults to its lower
-    bound; the solve returns capacity 0.
+    exactly equal the upper bound is infinite, so lambda defaults to its
+    lower bound.  Every channel, one with equal rows too, goes through the
+    loop, so the bracket returned is always one the loop evaluated; equal
+    rows give z = 0 and stop at iteration 0.
 
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).
@@ -431,11 +432,6 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     q0 = np.full(m, 1.0 / m) if config.initial is None else config.initial.probs
     if q0.shape != (m,):  # the rest of the start SolverConfig validated
         raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
-    if channel.all_rows_equal:  # capacity 0, which any input achieves: report uniform
-        p_hat = uniform(m)
-        trace = (IterationRecord(0, p_hat.probs.copy(), 0.0, 0.0),) if config.record_trace else ()
-        return SolveResult(p_hat, 0.0, 0.0, 0.0, 0, True, method, sp, trace)
-
     trace = [] if config.record_trace else None
     # the start on Omega(r), which is q0's bits when r = 0
     q, objective, zmax, t, gap = _iterate(

@@ -190,7 +190,7 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     the public steps all iterate with ``params.lam``.
     The feasible gains run from 1/(1 - r_+) to 1/(1 - sum_j min_i W_ij);
     ``lam=None`` takes that upper bound, or the lower one when the upper
-    one is infinite (all rows equal, capacity 0).
+    one is infinite (exactly equal rows, capacity 0).
     """
     r = _check_vector(r, channel.m, "r")
     lam = lam if lam is None else float(lam)

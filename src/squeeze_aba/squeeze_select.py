@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _check_vector, _require_same_channel, uniform
+from .channel import ROW_SUM_TOL, ChannelMatrix, _check_vector, _require_same_channel, uniform
 from .errors import (
     DegenerateChannelError,
     NoStrictColumnError,
@@ -62,10 +62,24 @@ class SqueezePlan:
         }
 
 
+def _require_distinct_rows(channel: ChannelMatrix) -> None:
+    """DegenerateChannelError when every column spans at most ROW_SUM_TOL.
+
+    The package's one row-equality rule.  Such rows count as equal: the
+    overlap o is 1 to within rounding, so the gain bound 1/(1 - o) is
+    infinite or rests on rounding, and there is no squeeze to plan.  The
+    solvers know no such rule; their loop certifies these channels like
+    any other.
+    """
+    # the largest W_ij - min_k W_kj is the largest column span, bit for bit
+    if np.maximum.reduce(channel.w - channel.column_minima(), axis=None) <= ROW_SUM_TOL:
+        raise DegenerateChannelError("all rows equal: there is no finite squeeze to plan")
+
+
 def lambda_upper_bound(channel: ChannelMatrix) -> float:
-    """1 / (1 - sum_j min_i W_ij), the largest provably safe exponent gain."""
-    if channel.all_rows_equal:
-        raise DegenerateChannelError("all rows equal: the exponent-gain bound is infinite")
+    """1 / (1 - sum_j min_i W_ij), the largest provably safe exponent gain;
+    DegenerateChannelError when the rows count as equal."""
+    _require_distinct_rows(channel)
     return _bounds(0.0, channel.column_minima())[1]
 
 
@@ -75,11 +89,12 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
     With a = min over columns where row 1 exceeds row 2 of
     W_2j / (W_1j - W_2j), and b symmetrically, the floor
     r = (a, b) / (1 + a + b) makes both feasibility inequalities tight.
+    Equal rows raise DegenerateChannelError before any shape check, as in
+    ``plan``.
     """
+    _require_distinct_rows(channel)
     if channel.m != 2:
         raise NotTwoByNError(f"optimal floor formula needs 2 rows, channel has {channel.m}")
-    if channel.all_rows_equal:
-        raise DegenerateChannelError("rows are equal: floor is unconstrained and useless")
     w1, w2 = channel.w
     d = w1 - w2  # d_j > 0 exactly where W_1j > W_2j, and -d is W_2 - W_1 exactly
     up, dn = d > 0.0, d < 0.0
@@ -120,8 +135,8 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
     m = channel.m
     if strategy == "none":
         return SqueezePlan(params_from_r_lambda(channel, np.zeros(m), 1.0), strategy)
-    if channel.all_rows_equal:
-        raise DegenerateChannelError("all rows equal: no finite optimal squeeze")
+    if strategy != "optimal-m2":  # optimal_r_m2 refuses equal rows itself
+        _require_distinct_rows(channel)
 
     if strategy == "lambda-only":
         r = np.zeros(m)

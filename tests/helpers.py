@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -533,3 +534,41 @@ def golden_section_capacity(channel: sa.ChannelMatrix, tol: float = 1e-14):
         c, d = b - phi * (b - a), a + phi * (b - a)
     p1 = (a + b) / 2.0
     return p1, mi(p1)
+
+
+def decimal_capacity(channel: sa.ChannelMatrix) -> Decimal:
+    """Independent oracle for binary-input capacity in nats, in 50-digit
+    decimal arithmetic on the channel's exact float entries: golden-section
+    search of the mutual information, which is concave, over p_1 in [0, 1]
+    until the interval is shorter than 1e-12.  Returns the larger of the two
+    last interior values, which is below the capacity by about the
+    curvature times 1e-24."""
+    assert channel.m == 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rows = [[Decimal(float(x)) for x in row] for row in channel.w]
+
+        def mi(p1: Decimal) -> Decimal:
+            total = Decimal(0)
+            for a, b in zip(*rows):
+                out = p1 * a + (1 - p1) * b
+                if a:
+                    total += p1 * a * (a / out).ln()
+                if b:
+                    total += (1 - p1) * b * (b / out).ln()
+            return total
+
+        phi = (Decimal(5).sqrt() - 1) / 2
+        lo, hi = Decimal(0), Decimal(1)
+        c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        fc, fd = mi(c), mi(d)
+        while hi - lo > Decimal("1e-12"):
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - phi * (hi - lo)
+                fc = mi(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + phi * (hi - lo)
+                fd = mi(d)
+        return max(fc, fd)

@@ -10,22 +10,24 @@ from helpers import GOLDEN, under_every_filter
 def test_golden_channel_validates():
     ch = sa.validate_channel(GOLDEN)
     assert (ch.m, ch.n) == (2, 3)
-    assert not ch.all_rows_equal
+    assert sa.lambda_upper_bound(ch) > 1.0  # distinct rows, which the planners accept
     assert np.allclose(ch.w.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_identity_channel_validates():
     ch = sa.validate_channel(np.eye(3))
-    assert not ch.all_rows_equal
+    assert sa.lambda_upper_bound(ch) == 1.0  # distinct rows, which the planners accept
     assert ch.column_minima().sum() == 0.0
 
 
 def test_all_rows_equal_flagged_not_rejected():
     ch = sa.validate_channel([[0.5, 0.5], [0.5, 0.5]])
-    assert ch.all_rows_equal
-    # the flag is worked out from w, so a directly built channel has it too
-    assert sa.ChannelMatrix(ch.w).all_rows_equal
-    assert not sa.ChannelMatrix(np.array(GOLDEN)).all_rows_equal
+    # the channel is accepted, and the planners refuse it by its w alone, so
+    # a directly built channel is refused too
+    for built in (ch, sa.ChannelMatrix(ch.w)):
+        with pytest.raises(sa.DegenerateChannelError, match="all rows equal"):
+            sa.lambda_upper_bound(built)
+    assert sa.lambda_upper_bound(sa.ChannelMatrix(np.array(GOLDEN))) > 1.0
 
 
 def test_row_renormalization_within_window():

@@ -208,7 +208,8 @@ class TestCliRate:
 
 def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
     # plan has no finite squeeze for equal rows, so auto plans "none" with a
-    # warning rather than fail where aba succeeds
+    # warning rather than fail where aba succeeds; both report the bracket
+    # the loop evaluated, which rounding may leave a few ulps off 0
     path = tmp_path / "equal.csv"
     path.write_text("0.4,0.6\n0.4,0.6\n")
     docs = {}
@@ -217,7 +218,8 @@ def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
             out = tmp_path / f"{command}-{method}.json"
             assert main([command, str(path), "--method", method, "--json", str(out)]) == 0
             docs[command, method] = json.loads(out.read_text())
-    assert docs["solve", "auto"]["capacity"] == 0.0
+    for bound in ("capacity_lower", "capacity_upper"):
+        assert abs(docs["solve", "auto"][bound]) <= 1e-15, bound
     for command in ("solve", "rate"):
         assert (docs[command, "aba"].pop("method"), docs[command, "auto"].pop("method")) == \
             ("aba", "alg3")
@@ -225,6 +227,30 @@ def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
     warned = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert [rec.name for rec in warned] == ["squeeze_aba", "squeeze_aba"]
     assert all("all rows equal" in rec.getMessage() for rec in warned)
+
+
+def test_auto_falls_back_where_the_plan_breaks_a_constraint(tmp_path, caplog):
+    # (1 - s) b + s N with s = 1e-6: the optimal squeeze breaks an offset
+    # constraint by about 1e-11, so plan raises, and auto logs the reason and
+    # runs the plain iteration, where aba succeeds
+    rng = np.random.default_rng(1)
+    b, noise = rng.random(8), rng.random((2, 8))
+    noise[0, 4:] = noise[1, :4] = 0.0
+    w = (1.0 - 1e-6) * b / b.sum() + 1e-6 * noise / noise.sum(axis=1, keepdims=True)
+    path = tmp_path / "tiny-spread.csv"
+    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in w) + "\n")
+    with pytest.raises(sa.SqueezeConstraintError):
+        sa.plan(sa.load_channel(path), "optimal-m2")
+    docs = {}
+    for method in ("aba", "auto"):
+        out = tmp_path / f"{method}.json"
+        assert main(["solve", str(path), "--method", method, "--json", str(out)]) == 0
+        docs[method] = json.loads(out.read_text())
+    assert (docs["aba"].pop("method"), docs["auto"].pop("method")) == ("aba", "alg3")
+    assert docs["auto"] == docs["aba"]
+    warned = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert [rec.name for rec in warned] == ["squeeze_aba"]
+    assert "offset constraint violated" in warned[0].getMessage()
 
 
 class TestInterfaceStability:

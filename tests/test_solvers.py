@@ -251,7 +251,7 @@ class TestSolve:
             assert res.capacity == pytest.approx(np.log(3.0), abs=1e-8)
             assert np.allclose(res.p_hat.probs, 1 / 3, atol=1e-6)
 
-    def test_degenerate_channel_short_circuits(self):
+    def test_equal_rows_stop_the_loop_at_iteration_0(self):
         ch = sa.validate_channel([[0.5, 0.5], [0.5, 0.5]])
         res = sa.solve(ch, "aba")
         assert res.converged and res.iterations == 0
@@ -262,7 +262,7 @@ class TestSolve:
         assert traced.converged and len(traced.trace) == 1
 
     def test_degenerate_channel_checks_the_start_length(self):
-        # the length is checked before the short-circuit, as on any channel
+        # the length is checked before the loop starts, as on any channel
         ch = sa.validate_channel([[0.4, 0.6], [0.4, 0.6]])
         config = sa.SolverConfig(initial=[0.2, 0.3, 0.5])
         for method in ("aba", "alg1"):
@@ -500,8 +500,8 @@ class TestSolve:
 
     def test_degenerate_channel_default_lambda_is_finite(self):
         w = [[0.5, 0.5], [0.5, 0.5]]
-        # built directly or validated, the channel flags its equal rows, and
-        # the default gain is the finite lower bound
+        # built directly or validated, a channel with equal rows has an
+        # infinite gain bound, so the default gain is the finite lower bound
         for ch in (sa.validate_channel(w), sa.ChannelMatrix(np.array(w))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -703,7 +703,8 @@ def test_aba_params_are_the_trivial_build(shape):
         ch = sa.random_channel(8, 32, np.random.default_rng(11))
     else:
         ch = sa.validate_channel(np.full((3, 4), 0.25))
-        assert ch.all_rows_equal
+        with pytest.raises(sa.DegenerateChannelError, match="all rows equal"):
+            sa.lambda_upper_bound(ch)
     got = sa.solve(ch, "aba").params
     want = sa.params_from_r_lambda(ch, np.zeros(ch.m), 1.0)
     assert got.channel is ch

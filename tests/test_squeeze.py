@@ -321,7 +321,8 @@ class TestResolutionMatchesReference:
 
     def test_all_rows_equal_channel(self):
         ch = sa.validate_channel([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
-        assert ch.all_rows_equal
+        with pytest.raises(sa.DegenerateChannelError, match="all rows equal"):
+            sa.lambda_upper_bound(ch)
         for r in ([0.0, 0.0], [0.1, 0.3]):
             for lam in (None, 1.0, 1.5, 1e6, 1e308, np.inf, np.nan):
                 self._same(ch, r, lam)
