@@ -12,13 +12,23 @@ max_i z_i is a capacity upper bound, and the stopping rule is
 
     max_i z_i - sum_i q_i z_i <= epsilon.
 
-The update reuses the same z and its maximum:
+The divergences come from one matrix-vector product,
+
+    z = [-W | l] [ln qW; 1],    l_i = sum_j W_ij ln W_ij,
+
+with the matrix built once per call.  The update reuses the same z and its
+maximum:
 
     x_i = p_i exp(lambda (z_i - max z)),    p'_i = max(r_i, delta x_i)
 
 with delta by waterfilling when the floor r has a positive entry and
 p' = x / sum(x) when r = 0.  Every exponent is <= 0, so x cannot overflow,
-and sum(x) is at least the mass of the arg-max input.
+and sum(x) is at least the mass of the arg-max input.  The plain unit-gain
+update (lambda = 1, r = 0) skips the shift: (qW)_j >= q_i W_ij gives
+z_i <= -ln q_i, and q = p there, so x_i = p_i exp(z_i) <= 1 and, by
+Jensen, sum(x) >= exp(I(q)) >= 1.  It still shifts when max z > 700, where
+exp(z_i) alone could overflow; only an iterate with an entry below
+e^-700, about 1e-304, can reach that.
 
 A floored solve calls ``waterfill`` on its first update and then only
 when a floor binds; the params checked the floor's entries when they were
@@ -40,9 +50,12 @@ No array is allocated per step but a trace's copy and the result of a
 ``waterfill`` call: the body writes into buffers the loop allocates once,
 with numpy's positional ``out`` and ufuncs bound to locals once per call,
 the plain iterate alternates between two of them, and a unit gain skips
-its multiply.  A public step runs the same body once, on fresh buffers:
-one update from its validated start, without evaluating the new iterate,
-so a floored step always calls ``waterfill``.
+its multiply.  The products go through ``ndarray.dot``, the C routine of
+``np.dot`` without its Python-level ``__array_function__`` dispatcher, so
+a plain step calls no function written in Python.  A public step runs the
+same body once, on fresh buffers: one update from its validated start,
+without evaluating the new iterate, so a floored step always calls
+``waterfill``.
 A step resolves its parameters as ``solve`` does, so it iterates with the
 same gain and floor.  ``aba``'s parameters are built directly as
 (r, f) = (0, 0), bitwise what ``params_from_r_lambda`` returns for r = 0
@@ -184,9 +197,13 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     itself for a zero floor; the clamp matters only for a public step,
     whose start may lie up to PROB_SUM_TOL below r.
 
-    Each pass writes s = ln qW, z_i = D(W_i || qW) and max z, checks the
-    bracket, and then updates in place: x_i = p_i exp(lambda (z_i - max z)),
-    normalised by its sum for a zero floor, else waterfilled onto Omega(r).
+    Each pass writes s = ln qW, z_i = D(W_i || qW) = ([-W | l] [s; 1])_i and
+    max z, checks the bracket, and then updates in place:
+    x_i = p_i exp(lambda (z_i - max z)), normalised by its sum for a zero
+    floor, else waterfilled onto Omega(r).  The plain unit-gain update
+    takes x_i = p_i exp(z_i), at most 1 since z_i <= -ln p_i, unless
+    max z > 700; a floored update whose lambda rounds to 1 still shifts,
+    since q is not p there.
     The floored update calls ``waterfill`` on the first pass, after a pass
     whose floor was active, and when x / sum(x) leaves some q_i <= 0 (a
     binding floor, a tie, or a zero or NaN weight); otherwise it keeps
@@ -207,24 +224,32 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     if r is not None:
         scale = np.array(1.0 - params.r_plus)  # 0-d: ufuncs take it unconverted
         q = np.maximum((p - r) / scale, 0.0)
-    dot, log, exp = np.dot, np.log, np.exp
+    # ndarray.dot is np.dot's C routine without its Python-level dispatcher
+    dot, log, exp = np.ndarray.dot, np.log, np.exp
     subtract, multiply, divide, add_reduce = np.subtract, np.multiply, np.divide, np.add.reduce
     inf, tiny, tol = np.inf, _TINY, MONOTONE_TOL
-    m = w.shape[0]
+    m, n = w.shape
+    # z = [-W | row_ll] [ln qW; 1] in one product; s = ln qW is a view of u
+    a, u = np.empty((m, n + 1)), np.empty(n + 1)
+    np.negative(w, out=a[:, :n])
+    a[:, n], u[n] = row_ll, 1.0
+    s = u[:n]
     # the plain update overwrites z, so z and x swap; the floored one keeps x in
     # z for waterfill and writes p to pf and q to qf; a step needs none of the
     # three.  The 0-d buffer holds max z, then the sum: ufuncs take it unconverted
-    s, z, total = np.empty(w.shape[1]), np.empty(m), np.empty(())
+    z, total = np.empty(m), np.empty(())
     x, pf, qf = (None, None, None) if step else (np.empty(m), np.empty(m), np.empty(m))
     gain = None if lam == 1.0 else np.array(lam)  # a unit gain skips its multiply
+    # the update shifts by max z when it exceeds this: always, but for the plain
+    # unit-gain update, which shifts only where e^{max z} could overflow
+    above = -inf if r is not None or gain is not None else 700.0
     prev_objective = -inf
     fill = True  # the next floored update goes straight to waterfill
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
             dot(q, w, s)
             log(s, s)
-            dot(w, s, z)
-            subtract(row_ll, z, z)
+            dot(a, u, z)
             # argmax finds the first NaN, like max, at a third of its cost
             zmax = float(z[z.argmax()])
             if not zmax < inf:  # +inf or NaN
@@ -256,10 +281,13 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
                 if gap <= eps or t == max_iters:
                     break
 
-            # every exponent is <= 0, so nothing overflows, and the sum is at
-            # least the arg-max input's mass
-            total[()] = zmax
-            subtract(z, total, z)
+            # shifted, every exponent is <= 0, so nothing overflows, and the sum
+            # is at least the arg-max input's mass; unshifted, (qW)_j >= q_i W_ij
+            # gives z_i <= -ln q_i, so p_i e^{z_i} <= 1, and by Jensen the sum
+            # is >= e^{I(q)} >= 1
+            if zmax > above:
+                total[()] = zmax
+                subtract(z, total, z)
             if gain is not None:
                 multiply(z, gain, z)
             exp(z, z)

@@ -207,7 +207,8 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     if mult == 0.0:
         f = np.zeros(channel.n)
     else:
-        star_min = np.maximum(col_min - r @ channel.w, 0.0) / (1.0 - r_plus)
+        # a zero floor leaves the column minima: no 0 W is formed
+        star_min = np.maximum(col_min - r @ channel.w if r_plus else col_min, 0.0) / (1.0 - r_plus)
         total = np.add.reduce(star_min)
         if total <= 0.0:
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "

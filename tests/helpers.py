@@ -379,23 +379,52 @@ def mutual_information(channel, p) -> float:
 
 def reference_divergences(channel: sa.ChannelMatrix, q) -> np.ndarray:
     """Independent oracle: z_i = D(W_i || qW), formed as the solve loop forms
-    it, sum_j W_ij ln W_ij - sum_j W_ij ln (qW)_j."""
+    it, in one product: z = [-W | l] [ln qW; 1] with l_i = sum_j W_ij ln W_ij."""
+    a = np.hstack([-channel.w, -row_entropies(channel.w)[:, None]])
+    return np.dot(a, np.append(np.log(np.dot(q, channel.w)), 1.0))
+
+
+def two_step_divergences(channel: sa.ChannelMatrix, q) -> np.ndarray:
+    """Independent oracle: z_i = D(W_i || qW) in two steps,
+    sum_j W_ij ln W_ij - sum_j W_ij ln (qW)_j: the same terms as
+    ``reference_divergences``, summed in another order."""
     return -row_entropies(channel.w) - np.dot(channel.w, np.log(np.dot(q, channel.w)))
 
 
-def reference_update(lam: float, r, p, z) -> np.ndarray:
-    """Independent oracle: the update from p, given its divergences z:
-    x_i = p_i exp(lambda (z_i - max z)), normalised by its sum when ``r`` is
-    None and waterfilled onto Omega(r) otherwise."""
+def shifted_update(lam: float, r, p, z) -> np.ndarray:
+    """Independent oracle: the update from p, given its divergences z, shifted
+    by max z whatever the gain: x_i = p_i exp(lambda (z_i - max z)),
+    normalised by its sum when ``r`` is None and waterfilled onto Omega(r)
+    otherwise."""
     x = np.exp((z - z.max()) * lam) * p
     return x / np.add.reduce(x) if r is None else sa.waterfill(r, x).p
 
 
-def reference_solve(channel: sa.ChannelMatrix, lam: float, r=None):
+#: the plain unit-gain update shifts only when max z exceeds this
+UNSHIFTED_MAX_Z = 700.0
+
+
+def reference_update(lam: float, r, p, z) -> np.ndarray:
+    """Independent oracle: the update as the solve loop makes it.  The plain
+    unit-gain update (lam == 1, ``r`` None) takes x_i = p_i exp(z_i)
+    unshifted, since z_i <= -ln p_i bounds each x_i by 1, unless
+    max z > ``UNSHIFTED_MAX_Z``, where exp(z_i) alone could overflow; every
+    other update is ``shifted_update``."""
+    if lam == 1.0 and r is None and not z.max() > UNSHIFTED_MAX_Z:
+        x = np.exp(z) * p
+        return x / np.add.reduce(x)
+    return shifted_update(lam, r, p, z)
+
+
+def reference_solve(channel: sa.ChannelMatrix, lam: float, r=None, *, two_step: bool = False):
     """Independent oracle: ``solve`` with the default config, restated plainly
     with the loop's arithmetic in the loop's order, so that it agrees with
-    ``solve`` bit for bit.  ``r`` is None for the plain methods.  Returns
-    (p_hat, lower bound, upper bound, iterations)."""
+    ``solve`` bit for bit.  ``r`` is None for the plain methods.  With
+    ``two_step`` it forms z by ``two_step_divergences`` and updates by
+    ``shifted_update`` instead, so it agrees with ``solve`` only to rounding.
+    Returns (p_hat, lower bound, upper bound, iterations)."""
+    divergences, update = ((two_step_divergences, shifted_update) if two_step
+                           else (reference_divergences, reference_update))
     epsilon, max_iters = 1e-8, 1_000_000
     p = q = np.full(channel.m, 1.0 / channel.m)
     if r is not None:
@@ -403,11 +432,11 @@ def reference_solve(channel: sa.ChannelMatrix, lam: float, r=None):
         p = scale * q + r
         q = (p - r) / scale
     for t in range(max_iters + 1):
-        z = reference_divergences(channel, q)
+        z = divergences(channel, q)
         lower, upper = float(np.dot(q, z)), float(z.max())
         if upper - lower <= epsilon or t == max_iters:
             break
-        p = reference_update(lam, r, p, z)
+        p = update(lam, r, p, z)
         q = p if r is None else (p - r) / scale
     return q / np.add.reduce(q), lower, upper, t
 

@@ -11,6 +11,7 @@ from helpers import (
     GOLDEN_CAPACITY,
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
+    UNSHIFTED_MAX_Z,
     alg3_posterior_step,
     block_channel,
     golden_channel,
@@ -25,7 +26,9 @@ from helpers import (
     reference_lambda_bounds,
     reference_solve,
     reference_update,
+    shifted_update,
     spy_calls,
+    two_step_divergences,
     under_every_filter,
 )
 
@@ -787,6 +790,119 @@ def test_steps_match_the_reference_update(family):
         floored = reference_update(params.lam, r, low, z_low).tobytes()
         assert sa.alg2_step(ch, params, low).probs.tobytes() == floored
         assert sa.alg3_step(params, low).probs.tobytes() == floored
+
+
+@pytest.mark.parametrize("family", ["2x8", "8x32", "3x8", "64x256"])
+def test_the_one_product_divergences_agree_with_the_two_step_form(family):
+    # z = [-W | l] [ln s; 1] sums the terms of l - W ln s in another order, so
+    # the two agree within 4 ulps of the largest |W ln s|; and neither that
+    # order nor the unshifted plain update moves any solve's stopping
+    # iteration from that of the two-step, always-shifted reference
+    rng = np.random.default_rng(13)
+    eps = np.finfo(float).eps
+    mismatched = []
+    for k, ch in enumerate(oracle_channels(family)):
+        for q in rng.dirichlet(np.ones(ch.m), 5):
+            scale = np.abs(np.dot(ch.w, np.log(np.dot(q, ch.w)))).max()
+            gap = np.abs(reference_divergences(ch, q) - two_step_divergences(ch, q)).max()
+            assert gap <= 4 * eps * scale, (k, gap / (eps * scale))
+        for method, kw in oracle_kwargs(ch).items():
+            res = sa.solve(ch, method, **kw)
+            r = res.params.r if method in ("alg2", "alg3") else None
+            if res.iterations != reference_solve(ch, res.params.lam, r, two_step=True)[3]:
+                mismatched.append((k, method))
+    assert mismatched == []
+
+
+#: channels with zero entries; in the identity channels a start entry of
+#: 5e-324 gives max z = 744 > 700, past which e^z_i alone could overflow
+ZERO_ENTRY_CHANNELS = (np.eye(2), np.eye(3), [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                       [[0.3, 0.3, 0.4], [0.0, 0.5, 0.5]],
+                       [[0.7, 0.2, 0.1, 0.0], [0.0, 0.1, 0.2, 0.7], [0.25, 0.25, 0.25, 0.25]])
+
+
+def test_the_plain_update_from_tiny_starts_neither_overflows_nor_warns():
+    # the plain unit-gain update skips the shift by max z: s_j >= p_i W_ij
+    # gives z_i <= -ln p_i, so each weight p_i e^{z_i} is at most 1.  From
+    # starts with an entry at 5e-324 or 1e-300 it must warn under no filter,
+    # and agree with the shifted update within 2 ulp per entry, plus the
+    # shifted update's own rounding of z_i - max z, eps |z_i - max z| relative
+    eps = np.finfo(float).eps
+    seen = set()
+    for w in ZERO_ENTRY_CHANNELS:
+        ch = sa.validate_channel(w)
+        for tiny in (5e-324, 1e-300):
+            for i in range(ch.m):
+                p = np.full(ch.m, (1.0 - tiny) / (ch.m - 1))
+                p[i] = tiny
+                got = under_every_filter(lambda: sa.aba_step(ch, p).probs.tobytes())
+                solved = under_every_filter(lambda: sa.solve(
+                    ch, "aba", config=sa.SolverConfig(initial=p, max_iters=3)).iterations)
+                if not isinstance(got, bytes):  # a zero output mass: the step raises
+                    assert got[0] is sa.NumericalBreakdownError and solved == got, (w, tiny, i)
+                    seen.add("breakdown")
+                    continue
+                got, z = np.frombuffer(got), reference_divergences(ch, p)
+                seen.add("shifted" if z.max() > UNSHIFTED_MAX_Z else "unshifted")
+                want = shifted_update(1.0, None, p, z)
+                slack = (2 * np.spacing(np.maximum(got, want))
+                         + want * eps * np.abs(z - z.max()).max())
+                assert (np.abs(got - want) <= slack).all(), (w, tiny, i, got, want)
+    assert seen == {"breakdown", "shifted", "unshifted"}
+
+
+def test_a_floored_unit_gain_update_still_shifts():
+    # a floor whose mass rounds 1 - r_+ to 1 gives lam == 1.0, but
+    # q = (p - r)/(1 - r_+) is not p, so z_i <= -ln q_i does not bound
+    # p_i e^{z_i}: the floored update keeps the shift, bitwise, where the
+    # unshifted weights differ in the last bits or overflow
+    unshifted_differs = 0
+    ch = golden_channel()
+    r = np.array([1e-17, 0.0])
+    params = sa.SqueezeParams(ch, r, np.zeros(ch.n))
+    assert params.lam == 1.0 and params.r_plus > 0.0 and params.feasible
+    for p in np.random.default_rng(17).dirichlet(np.ones(2), 20):
+        z = reference_divergences(ch, p - r)
+        want = shifted_update(1.0, r, p, z)
+        assert sa.alg3_step(params, p).probs.tobytes() == want.tobytes()
+        assert sa.alg2_step(ch, params, p).probs.tobytes() == want.tobytes()
+        unshifted_differs += sa.waterfill(r, np.exp(z) * p).p.tobytes() != want.tobytes()
+    assert unshifted_differs > 0
+    ch = sa.validate_channel(np.eye(2))
+    r = np.array([0.0, 1e-17])
+    params = sa.SqueezeParams(ch, r, np.zeros(ch.n))
+    p = np.array([3e-309, 1.0 - 3e-309])
+    z = reference_divergences(ch, p)
+    assert params.lam == 1.0 and z.max() > np.log(np.finfo(float).max)  # e^z_0 overflows
+    got = under_every_filter(lambda: sa.alg3_step(params, p).probs.tobytes())
+    assert got == shifted_update(1.0, r, p, z).tobytes()
+
+
+def test_the_loop_makes_no_dispatched_dot_call(monkeypatch):
+    # the loop's products go through ndarray.dot, numpy's C routine without the
+    # Python-level __array_function__ dispatch that every np.dot call pays
+    ch = sa.random_channel(3, 8, np.random.default_rng(19))
+    kw = oracle_kwargs(ch)
+    params = kw["alg3"]["params"]
+    lam, p = kw["alg1"]["lam"], (1.0 - params.r_plus) * np.full(ch.m, 1.0 / ch.m) + params.r
+    calls = []
+    dot = np.dot
+
+    def counting_dot(*args, **kwargs):
+        calls.append(args)
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting_dot)
+    np.dot(p, p)
+    assert len(calls) == 1  # the wrapper counts
+    calls.clear()
+    for method, method_kw in kw.items():
+        assert sa.solve(ch, method, **method_kw).converged, method
+    sa.aba_step(ch, p)
+    sa.alg1_step(ch, lam, p)
+    sa.alg2_step(ch, params, p)
+    sa.alg3_step(params, p)
+    assert calls == []
 
 
 def solve_bits(res: sa.SolveResult) -> tuple:
