@@ -42,6 +42,6 @@ print(f"\nslowest baseline replication was #{k}: "
 # The same run is available from the command line, writing plot-ready CSV:
 #   squeeze-aba bench --m 2 --n 8 --reps 100 --seed 0 --out results
 out_prefix = str(Path(tempfile.mkdtemp()) / "bench")
-csv_path, json_path = sa.experiments.write_bench_outputs(config, records, summary, out_prefix)
+csv_path, json_path = sa.io.write_bench_outputs(config, records, summary, out_prefix)
 print(f"\nwrote {csv_path} and {json_path}")
 print(json.dumps(json.loads(Path(json_path).read_text())["log2_ratios"], indent=2))

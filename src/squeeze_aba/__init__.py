@@ -29,7 +29,6 @@ from .errors import (
     NegativeEntryError,
     NonInteriorStartError,
     NonpositiveWeightError,
-    NoStrictColumnError,
     NotAFixedPointError,
     NotTwoByNError,
     NumericalBreakdownError,
@@ -46,7 +45,7 @@ from .experiments import (
     replication_rng,
     run_benchmark,
 )
-from .io import load_channel, load_params_json
+from .io import load_channel, load_params_json, trace_csv_rows, write_trace_csv
 from .rate_analysis import (
     RateReport,
     fixed_point_on_floor,
@@ -64,8 +63,6 @@ from .solvers import (
     alg2_step,
     alg3_step,
     solve,
-    trace_csv_rows,
-    write_trace_csv,
 )
 from .squeeze import (
     SqueezeParams,

@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .channel import make_distribution
+from .channel import make_distribution, uniform
 from .errors import BoundaryFixedPointError, SqueezeAbaError, ValidationError
-from .experiments import BenchConfig, run_benchmark, write_bench_outputs
+from .experiments import BenchConfig, run_benchmark
 from .rate_analysis import fixed_point_on_floor, matrix_rate
-from .solvers import SolverConfig, solve, write_trace_csv
+from .solvers import SolverConfig, solve
 from .squeeze import build_squeeze_params
 from .squeeze_select import STRATEGIES, plan
 
@@ -101,11 +101,9 @@ def cmd_solve(args) -> int:
         "params": sio.params_to_dict(result.params),
     }
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        sio._write_json(args.json, doc)
     if args.trace:
-        write_trace_csv(result, args.trace)
+        sio.write_trace_csv(result, args.trace)
 
     print(f"method      {result.method}")
     print(f"converged   {str(result.converged).lower()} ({result.iterations} iterations)")
@@ -117,9 +115,9 @@ def cmd_solve(args) -> int:
 
 def cmd_params(args) -> int:
     channel = sio.load_channel(args.channel)
-    q = None
-    if args.q and args.q != "uniform":
-        q = make_distribution(_parse_vector(args.q))
+    q = args.q
+    if q is not None:
+        q = uniform(channel.m) if q == "uniform" else make_distribution(_parse_vector(q))
     print(json.dumps(plan(channel, args.strategy, q=q).to_dict(), indent=2))
     return EXIT_OK
 
@@ -149,9 +147,7 @@ def cmd_rate(args) -> int:
     doc["overlap_margin"] = plain.global_rate - plain.aba_lower_bound
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        sio._write_json(args.json, doc)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -161,7 +157,7 @@ def cmd_bench(args) -> int:
                          seed=args.seed, epsilon=args.epsilon)
     records, summary = run_benchmark(config)
     if args.out:
-        csv_path, json_path = write_bench_outputs(config, records, summary, args.out)
+        csv_path, json_path = sio.write_bench_outputs(config, records, summary, args.out)
         log.info("wrote %s and %s", csv_path, json_path)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -202,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="plan squeeze parameters")
     p_params.add_argument("channel")
     p_params.add_argument("--strategy", default="heuristic", choices=list(STRATEGIES))
-    p_params.add_argument("--q", default="uniform",
-                          help="reference distribution for the heuristic floor")
+    p_params.add_argument("--q", default=None, help="reference distribution for the "
+                          "heuristic floor, comma-separated or 'uniform' (the default)")
     p_params.set_defaults(func=cmd_params)
 
     p_rate = sub.add_parser("rate", help="local convergence-rate analysis")

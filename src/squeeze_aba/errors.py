@@ -67,11 +67,6 @@ class NotTwoByNError(ValidationError):
     """Operation requires a binary-input (2 x n) channel."""
 
 
-class NoStrictColumnError(ValidationError):
-    """No output column strictly separates the two rows.  Unreachable for
-    distinct stochastic rows; raised defensively if rounding produces it."""
-
-
 # -- waterfilling --------------------------------------------------------------
 
 

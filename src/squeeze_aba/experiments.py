@@ -15,12 +15,13 @@ Per replication the harness runs, with a common stopping threshold:
            start (1 - r_+) uniform + r
 
 and records iteration counts plus log2 acceleration ratios against the
-aba baseline.
+aba baseline.  ``summarize`` reduces the records to a summary dict.  The
+module writes no file: ``io.write_bench_outputs`` writes the records as
+CSV and the summary as JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -159,34 +160,3 @@ def summarize(config: BenchConfig, records) -> dict:
         if method != "aba":
             summary["log2_ratios"][method] = _stats(rec.log2_ratios.get(method) for rec in records)
     return summary
-
-
-def bench_csv_rows(config: BenchConfig, records):
-    """CSV lines: replication_id, per-method counts, per-method log2 ratios."""
-    others = [m for m in config.methods if m != "aba"]
-    header = ["replication_id", "n_aba"]
-    header += [f"n_{m}" for m in others]
-    header += [f"log2_ratio_{m}" for m in others]
-    yield ",".join(header)
-    for rec in records:
-        cells = [str(rec.replication_id), _cell(rec.iterations.get("aba"))]
-        cells += [_cell(rec.iterations.get(m)) for m in others]
-        cells += [_cell(rec.log2_ratios.get(m), fmt="{:.12g}") for m in others]
-        yield ",".join(cells)
-
-
-def _cell(value, fmt: str = "{}") -> str:
-    return "" if value is None else fmt.format(value)
-
-
-def write_bench_outputs(config: BenchConfig, records, summary, prefix: str) -> tuple[str, str]:
-    """Write <prefix>.csv and <prefix>_summary.json; returns the two paths."""
-    csv_path = f"{prefix}.csv"
-    json_path = f"{prefix}_summary.json"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for line in bench_csv_rows(config, records):
-            fh.write(line + "\n")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path

@@ -1,22 +1,42 @@
-"""File formats: channel matrices (CSV or JSON) and squeeze parameters (JSON).
+"""File formats: every file the package reads or writes.
 
-Channel CSV has one row per input letter, plain numbers, no header.
-Channel JSON is ``{"matrix": [[...], ...]}``.  Squeeze parameters
-serialize as ``{"r": [...], "f": [...], "lambda": x}``.  JSON fields hold
+No other module opens a file or fixes a file's layout.  The formats:
+
+- Channel CSV (read): one row per input letter, plain numbers, no header.
+- Channel JSON (read): ``{"matrix": [[...], ...]}``.
+- Squeeze parameters (read by ``load_params_json``, laid out by
+  ``params_to_dict``): ``{"r": [...], "f": [...], "lambda": x}``.
+- Solve trace CSV (``trace_csv_rows``, ``write_trace_csv``): one line per
+  iteration, ``iter,objective_nats,gap_nats,lower_nats,upper_nats,p_1,...``,
+  floats written with 17 significant digits.
+- Bench CSV (``bench_csv_rows``): one line per replication,
+  ``replication_id,n_aba,n_<method>...,log2_ratio_<method>...``, ratios
+  with 12 significant digits and an empty cell for a failed method.
+- JSON files (``_write_json``): the bench summary and the CLI's ``--json``
+  results, with indent 2, sorted keys and a trailing newline.
+
+Text files are UTF-8 with a newline after every line.  JSON fields hold
 JSON numbers: a string or boolean where a number belongs makes the file
 malformed (ChannelFileError naming the field), not a value to convert.
+An error in a file's contents names the file.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelMatrix, validate_channel
-from .errors import ChannelFileError, SqueezeAbaError
+from .errors import ChannelFileError, SqueezeAbaError, ValidationError
 from .squeeze import SqueezeParams, build_squeeze_params
+
+if TYPE_CHECKING:  # annotations only: experiments imports squeeze_select, which imports io
+    from .experiments import BenchConfig
+    from .solvers import SolveResult
 
 
 def _numeric(value) -> bool:
@@ -83,7 +103,10 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
         raise ChannelFileError(f'{path}: params JSON needs "r" and "f" keys')
     r = _json_floats(doc["r"], "r", path)
     f = _json_floats(doc["f"], "f", path)
-    params = build_squeeze_params(channel, r, f)
+    try:
+        params = build_squeeze_params(channel, r, f)
+    except SqueezeAbaError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     if doc.get("lambda") is not None:
         stated = _json_floats(doc["lambda"], "lambda", path)
         if stated.ndim or not np.isfinite(stated):
@@ -95,3 +118,70 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
                 f"(r, f), which imply {params.lam:.15g}"
             )
     return params
+
+
+def trace_csv_rows(result: SolveResult):
+    """Yield CSV lines for a solve trace: iter, objective, gap, bounds, p.
+
+    The p columns are each record's own iterate, on Omega(r) for a floored
+    method, so a floored trace does not end on ``p_hat``.
+    Raises ValidationError on a result solved without a trace.
+    """
+    if not result.trace:
+        raise ValidationError("the result holds no trace; solve with "
+                              "SolverConfig(record_trace=True)")
+    yield "iter,objective_nats,gap_nats,lower_nats,upper_nats," + \
+        ",".join(f"p_{i + 1}" for i in range(result.p_hat.m))
+    for rec in result.trace:
+        cells = [str(rec.iter), f"{rec.objective:.17g}", f"{rec.gap:.17g}",
+                 f"{rec.objective:.17g}", f"{rec.objective + rec.gap:.17g}"]
+        cells.extend(f"{v:.17g}" for v in rec.p)
+        yield ",".join(cells)
+
+
+def write_trace_csv(result: SolveResult, path) -> None:
+    """Write ``trace_csv_rows(result)`` to ``path``; an untraced result is
+    refused before the file is created."""
+    rows = trace_csv_rows(result)
+    # next() runs the generator's trace check before the file is opened
+    _write_lines(path, chain([next(rows)], rows))
+
+
+def bench_csv_rows(config: BenchConfig, records):
+    """CSV lines: replication_id, per-method counts, per-method log2 ratios."""
+    others = [m for m in config.methods if m != "aba"]
+    header = ["replication_id", "n_aba"]
+    header += [f"n_{m}" for m in others]
+    header += [f"log2_ratio_{m}" for m in others]
+    yield ",".join(header)
+    for rec in records:
+        cells = [str(rec.replication_id), _cell(rec.iterations.get("aba"))]
+        cells += [_cell(rec.iterations.get(m)) for m in others]
+        cells += [_cell(rec.log2_ratios.get(m), fmt="{:.12g}") for m in others]
+        yield ",".join(cells)
+
+
+def _cell(value, fmt: str = "{}") -> str:
+    return "" if value is None else fmt.format(value)
+
+
+def write_bench_outputs(config: BenchConfig, records, summary, prefix: str) -> tuple[str, str]:
+    """Write <prefix>.csv and <prefix>_summary.json; returns the two paths."""
+    csv_path = f"{prefix}.csv"
+    json_path = f"{prefix}_summary.json"
+    _write_lines(csv_path, bench_csv_rows(config, records))
+    _write_json(json_path, summary)
+    return csv_path, json_path
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _write_json(path, doc) -> None:
+    """The package's one JSON-file writer: indent 2, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

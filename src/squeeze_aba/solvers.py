@@ -85,6 +85,9 @@ monotonically; the solver checks this per step and treats a violation as
 numerical breakdown (a warning under ``force=True``, and for params that
 report ``feasible=False``, however built).  The output maps back
 to the plain simplex: p_hat = (p - r)/(1 - r_+).
+
+The module opens no file: ``io.trace_csv_rows`` and ``io.write_trace_csv``
+turn a traced result into CSV.
 """
 
 from __future__ import annotations
@@ -472,35 +475,3 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     p_hat = Distribution(probs)
     return SolveResult(p_hat, objective, objective, zmax, t, gap <= config.epsilon,
                        method, sp, () if trace is None else tuple(trace))
-
-
-def _require_trace(result: SolveResult) -> None:
-    if not result.trace:
-        raise ValidationError("the result holds no trace; solve with "
-                              "SolverConfig(record_trace=True)")
-
-
-def trace_csv_rows(result: SolveResult):
-    """Yield CSV lines for a solve trace: iter, objective, gap, bounds, p.
-
-    The p columns are each record's own iterate, on Omega(r) for a floored
-    method, so a floored trace does not end on ``p_hat``.
-    Raises ValidationError on a result solved without a trace.
-    """
-    _require_trace(result)
-    m = result.p_hat.m
-    header = "iter,objective_nats,gap_nats,lower_nats,upper_nats," + \
-        ",".join(f"p_{i + 1}" for i in range(m))
-    yield header
-    for rec in result.trace:
-        cells = [str(rec.iter), f"{rec.objective:.17g}", f"{rec.gap:.17g}",
-                 f"{rec.objective:.17g}", f"{rec.objective + rec.gap:.17g}"]
-        cells.extend(f"{v:.17g}" for v in rec.p)
-        yield ",".join(cells)
-
-
-def write_trace_csv(result: SolveResult, path) -> None:
-    _require_trace(result)  # before the file is created
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in trace_csv_rows(result):
-            fh.write(line + "\n")

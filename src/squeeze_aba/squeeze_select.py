@@ -28,12 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ROW_SUM_TOL, ChannelMatrix, _check_vector, _require_same_channel, uniform
-from .errors import (
-    DegenerateChannelError,
-    NoStrictColumnError,
-    NotTwoByNError,
-    ValidationError,
-)
+from .errors import DegenerateChannelError, NotTwoByNError, ValidationError
+from .io import params_to_dict
 from .squeeze import CONSTRAINT_TOL, SqueezeParams, _bounds, params_from_r_lambda
 
 STRATEGIES = ("none", "lambda-only", "optimal-m2", "heuristic")
@@ -52,14 +48,10 @@ class SqueezePlan:
         return self.params
 
     def to_dict(self) -> dict:
+        """``io.params_to_dict``'s layout plus the combined squeeze g and the strategy."""
         sp = self.params
-        return {
-            "r": sp.r.tolist(),
-            "g": (sp.lam * (sp.r @ sp.channel.w) + sp.f).tolist(),
-            "f": sp.f.tolist(),
-            "lambda": sp.lam,
-            "strategy": self.strategy,
-        }
+        return {**params_to_dict(sp), "g": (sp.lam * (sp.r @ sp.channel.w) + sp.f).tolist(),
+                "strategy": self.strategy}
 
 
 def _require_distinct_rows(channel: ChannelMatrix) -> None:
@@ -90,7 +82,11 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
     W_2j / (W_1j - W_2j), and b symmetrically, the floor
     r = (a, b) / (1 + a + b) makes both feasibility inequalities tight.
     Equal rows raise DegenerateChannelError before any shape check, as in
-    ``plan``.
+    ``plan``.  Rows that pass that check differ by more than ROW_SUM_TOL in
+    some column, and a channel's rows each sum to 1 within a few ulps, so
+    another column differs with the opposite sign: both column sets are
+    nonempty, since the sign of a float difference is exact, and a, b are
+    finite and nonnegative.
     """
     _require_distinct_rows(channel)
     if channel.m != 2:
@@ -98,11 +94,6 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
     w1, w2 = channel.w
     d = w1 - w2  # d_j > 0 exactly where W_1j > W_2j, and -d is W_2 - W_1 exactly
     up, dn = d > 0.0, d < 0.0
-    # For distinct stochastic rows both sets are nonempty (the rows must
-    # cross); an empty set can only come from inconsistent rounding.
-    if not (np.count_nonzero(up) and np.count_nonzero(dn)):
-        raise NoStrictColumnError("one row dominates the other elementwise; "
-                                  "rows cannot both sum to 1")
     a = float(np.minimum.reduce(w2[up] / d[up]))
     b = float(np.minimum.reduce(w1[dn] / -d[dn]))
     return np.array([a, b]) / (1.0 + a + b)
@@ -128,10 +119,14 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
 
     The offset and the gain are ``params_from_r_lambda(channel, r)``'s, at
     the largest gain; the builder raises when the floor is infeasible.
+    Only "heuristic" reads the reference distribution ``q``; any other
+    strategy refuses one rather than drop it.
     """
     strategy = str(strategy).lower()
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if q is not None and strategy != "heuristic":
+        raise ValidationError(f"strategy {strategy!r} takes no q; only 'heuristic' reads it")
     m = channel.m
     if strategy == "none":
         return SqueezePlan(params_from_r_lambda(channel, np.zeros(m), 1.0), strategy)

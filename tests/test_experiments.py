@@ -122,7 +122,7 @@ def test_methods_agree_on_capacity_per_replication():
 def test_bench_outputs(tmp_path):
     cfg = sa.BenchConfig(m=2, n=8, replications=5, seed=21)
     records, summary = sa.run_benchmark(cfg)
-    from squeeze_aba.experiments import write_bench_outputs
+    from squeeze_aba.io import write_bench_outputs
 
     csv_path, json_path = write_bench_outputs(cfg, records, summary, str(tmp_path / "bench"))
     lines = (tmp_path / "bench.csv").read_text().strip().splitlines()

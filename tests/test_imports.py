@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package, the tests or the demos imports a
 name it never uses.  The package's ``__init__.py`` re-exports its names, so
-it is exempt, and so are ``from __future__`` imports."""
+it is exempt, and so are ``from __future__`` imports.  And only ``io.py``
+touches files: the solvers and the benchmark harness know no file format."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,44 @@ def test_no_module_imports_a_name_it_never_uses():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+#: calls that read or write a file: the builtin, and the pathlib methods
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def file_calls(source: str) -> list[str]:
+    """The file-touching calls in ``source``, by name, in order."""
+    names = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call))
+    return [name for name in names if name in FILE_CALLS]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.partition(".")[0] for name in names}
+
+
+def test_the_file_checks_see_calls_and_imports():
+    source = ("import json\nfrom csv import writer\nfrom .io import f\n"
+              "with open(p) as fh:\n    q.write_text(fh.read())\n")
+    assert file_calls(source) == ["open", "write_text"]
+    assert imported_modules(source) == {"json", "csv", "io"}
+
+
+def test_only_io_touches_files():
+    package = ROOT / "src" / "squeeze_aba"
+    calls, formats = {}, {}
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "io.py" and file_calls(source):
+            calls[path.name] = file_calls(source)
+        if path.name in ("solvers.py", "experiments.py"):
+            formats[path.name] = imported_modules(source) & {"json", "csv"}
+    assert calls == {}
+    assert formats == {"solvers.py": set(), "experiments.py": set()}

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,16 @@ class TestInterfaceStability:
         doc = json.loads(capsys.readouterr().out)
         assert np.allclose(doc["r"], [0.125, 0.125], atol=1e-12)
 
+    def test_params_q_needs_the_heuristic(self, channel_csv, capsys):
+        for q in ("0.3,0.7", "uniform"):
+            assert main(["params", channel_csv, "--strategy", "optimal-m2", "--q", q]) == 2
+            assert "strategy 'optimal-m2' takes no q" in capsys.readouterr().err
+        # the heuristic reads an explicit uniform q as it reads no q
+        assert main(["params", channel_csv]) == 0
+        default = capsys.readouterr().out
+        assert main(["params", channel_csv, "--q", "uniform"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_params_non_finite_q_rejected(self, channel_csv, capsys):
         assert main(["params", channel_csv, "--strategy", "heuristic",
                      "--q", "nan,1"]) == 2
@@ -368,6 +379,20 @@ class TestFileErrors:
             path.write_text(text)
         with pytest.raises(sa.ChannelFileError, match=match):
             sa.load_params_json(golden, path)
+
+    @pytest.mark.parametrize("doc, error, message", [
+        ({"r": [0, 0, 0], "f": [0, 0, 0]}, sa.DimensionMismatchError,
+         "r must have length 2, got shape (3,)"),
+        ({"r": [0.5, 0.5], "f": [0, 0, 0]}, sa.InfeasibleFloorError, "floor mass r_+ = 1"),
+    ])
+    def test_params_errors_name_the_file(self, channel_csv, golden, tmp_path, capsys,
+                                         doc, error, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            sa.load_params_json(golden, path)
+        assert main(["solve", channel_csv, "--method", "alg3", "--params", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 class TestCliRateFailures:

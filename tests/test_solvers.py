@@ -528,7 +528,7 @@ class TestSolve:
         assert float(first[5]) == pytest.approx(0.3, abs=1e-15)
 
     def test_trace_csv_rows_exported(self):
-        assert sa.trace_csv_rows is sa.solvers.trace_csv_rows
+        assert sa.trace_csv_rows is sa.io.trace_csv_rows
 
     def test_trace_csv_rejects_untraced_result(self, golden, tmp_path):
         # the trace is opt-in; an untraced result used to give a header-only file

@@ -85,6 +85,40 @@ def test_optimal_r_m2_tightness_randomized(rng):
         assert (ch.w - (r @ ch.w)[None, :]).min() >= -1e-12
 
 
+def test_distinct_binary_rows_always_cross():
+    """Wherever ``lambda_upper_bound`` accepts a 2-row channel, some column
+    favours each row, so ``optimal_r_m2`` finds both minima and returns a
+    finite, nonnegative floor of mass below 1.  The channels are dense,
+    50% sparse, and one dense row perturbed relatively in every column or
+    in one column alone, at spreads from 1e-12 to 1e-1."""
+    rng = np.random.default_rng(2009)
+    accepted = 0
+    for k in range(400):
+        n = int(rng.integers(2, 40))
+        w = rng.random((2, n))
+        spread = 10.0 ** rng.uniform(-12.0, -1.0)
+        if k % 4 == 1:  # sparse: drop half the entries, keeping every column and row
+            w[rng.random((2, n)) < 0.5] = 0.0
+            w[0, w.max(axis=0) == 0.0] = 1.0
+            w[:, 0] += w.sum(axis=1) == 0.0
+        elif k % 4 == 2:
+            w[1] = w[0] * (1.0 + spread * rng.uniform(-1.0, 1.0, n))
+        elif k % 4 == 3:
+            w[1] = w[0]
+            w[1, rng.integers(n)] += spread
+        ch = sa.validate_channel(w / w.sum(axis=1, keepdims=True))
+        try:
+            sa.lambda_upper_bound(ch)
+        except sa.DegenerateChannelError:
+            continue
+        d = ch.w[0] - ch.w[1]
+        assert np.count_nonzero(d > 0.0) and np.count_nonzero(d < 0.0)
+        r = sa.optimal_r_m2(ch)
+        assert np.isfinite(r).all() and r.min() >= 0.0 and r.sum() < 1.0
+        accepted += 1
+    assert accepted >= 300  # the perturbed families reach below ROW_SUM_TOL too
+
+
 def test_optimal_r_m2_shape_guards(golden, rng):
     ch3 = random_channel(rng, 3, 4)
     with pytest.raises(sa.NotTwoByNError):
@@ -243,3 +277,11 @@ def test_heuristic_r_rejects_a_zero_reference(golden):
 def test_plan_rejects_an_unknown_strategy(golden):
     with pytest.raises(sa.ValidationError, match="unknown strategy 'newton'"):
         sa.plan(golden, "newton")
+
+
+@pytest.mark.parametrize("strategy", ["none", "lambda-only", "optimal-m2"])
+def test_plan_refuses_a_reference_it_would_not_read(golden, strategy):
+    # only the heuristic reads q; the others used to drop it, even an invalid one
+    for q in ([0.9, 0.1], [float("nan"), 1.0]):
+        with pytest.raises(sa.ValidationError, match=f"strategy '{strategy}' takes no q"):
+            sa.plan(golden, strategy, q=q)
