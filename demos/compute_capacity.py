@@ -1,8 +1,9 @@
-"""Computing channel capacity four ways.
+"""Computing channel capacity four ways, and a fifth that plans its own.
 
 A walk through the solver surface on a small noisy channel: the plain
-Arimoto-Blahut iteration, the exponent-gain acceleration, and the two
-floored ("doubly squeezed") forms, all sharing one stopping rule.
+Arimoto-Blahut iteration, the exponent-gain acceleration, the two
+floored ("doubly squeezed") forms, and "auto", which plans the squeeze
+itself, all sharing one stopping rule.
 """
 
 import numpy as np
@@ -42,6 +43,13 @@ print("squeezed channel:\n", np.round(params.w_tilde, 12))
 posterior = sa.solve(W, "alg3", params=params, config=start)
 print(f"alg3  : capacity {posterior.capacity:.9f} nats "
       f"in {posterior.iterations} iteration(s)")
+
+# 5. Let solve choose: "auto" plans the squeeze (the optimal floor, since
+# the channel has two inputs) and runs the alg3 map with it.  Where no
+# squeeze can be planned it logs a warning and runs the plain map instead.
+auto = sa.solve(W, "auto", config=start)
+print(f"auto  : capacity {auto.capacity:.9f} nats "
+      f"in {auto.iterations} iteration(s), lambda = {auto.params.lam:.6g}")
 
 # The capacity gap at each iterate brackets the true capacity:
 # (the trace is opt-in: it copies p on every iteration)

@@ -5,6 +5,20 @@ Exit codes: 0 success, 2 validation/infeasibility, 3 not converged,
 failure.  JSON is the machine interface; the human-readable summary goes
 to standard output.  Set SQUEEZE_ABA_LOG=error|warn|info|debug to control
 diagnostics verbosity.
+
+``--method`` takes ``solve``'s methods, and the CLI holds no policy of its
+own: it turns ``--lambda``, ``--r`` and ``--f`` into ``solve``'s keywords.
+
+    aba    no flags
+    alg1   --lambda (defaults to its upper bound)
+    alg2   --r, and --lambda (defaults to its upper bound)
+    alg3   --r with --f or --lambda
+    auto   no flags: ``solve`` plans the squeeze, and where the plan is
+           refused it logs the reason as a warning on the ``squeeze_aba``
+           logger and runs the plain iteration
+
+``--params FILE`` overrides the flags and runs the file's (r, f) as alg3
+under auto, alg2 or alg3.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from .channel import make_distribution, uniform
 from .errors import BoundaryFixedPointError, SqueezeAbaError, ValidationError
 from .experiments import BenchConfig, run_benchmark
 from .rate_analysis import fixed_point_on_floor, matrix_rate
-from .solvers import SolverConfig, solve
+from .solvers import METHODS, SolverConfig, solve
 from .squeeze import build_squeeze_params
 from .squeeze_select import STRATEGIES, plan
 
@@ -50,28 +64,16 @@ def _parse_vector(text: str | None):
 
 def _resolve_method(args, channel):
     """Map CLI flags to (method, solve kwargs).  A params file overrides the
-    flags; 'auto' plans the squeeze and takes none, and where ``plan``
-    refuses the channel it logs the reason and plans "none", so it never
-    fails where 'aba' succeeds; every other method gets the flags as given,
-    so ``solve`` applies its own rules to them."""
+    flags and runs as 'alg3' under 'auto', 'alg2' or 'alg3'; otherwise the
+    method and every flag given go to ``solve`` as they are, so its own
+    rules apply to them: 'auto' plans its squeeze there, takes no flag,
+    and logs its fallback to the plain iteration."""
     method = args.method
     if args.params:
         params = sio.load_params_json(channel, args.params)
         return ("alg3" if method in ("auto", "alg3", "alg2") else method), {"params": params}
     flags = {"lam": args.lam, "r": _parse_vector(args.r), "f": _parse_vector(args.f)}
-    kwargs = {name: value for name, value in flags.items() if value is not None}
-    if method != "auto":
-        return method, kwargs
-    if kwargs:
-        raise ValidationError("--method auto plans its own squeeze; "
-                              "it takes no --lambda, --r or --f")
-    try:
-        chosen = plan(channel, "optimal-m2" if channel.m == 2 else "heuristic")
-    except ValidationError as exc:
-        log.warning("--method auto runs the plain iteration: %s", exc)
-        chosen = plan(channel, "none")
-    log.info("auto plan: strategy=%s lambda=%.6g", chosen.strategy, chosen.params.lam)
-    return "alg3", {"params": chosen.params}
+    return method, {name: value for name, value in flags.items() if value is not None}
 
 
 def _scale(value: float, units: str) -> float:
@@ -173,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_method_flags(p):
         p.add_argument("channel", help="channel matrix file (CSV rows or JSON)")
-        p.add_argument("--method", default="aba",
-                       choices=["aba", "alg1", "alg2", "alg3", "auto"])
+        p.add_argument("--method", default="aba", choices=METHODS)
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="exponent gain (alg1/alg2/alg3; not auto)")
         p.add_argument("--r", default=None, help="floor vector, comma-separated (alg2/alg3)")

@@ -29,9 +29,12 @@ import numpy as np
 
 from .channel import ChannelMatrix, _integer, uniform, validate_channel
 from .errors import SqueezeAbaError, ValidationError
-from .solvers import METHODS, SolverConfig, solve
+from .solvers import SolverConfig, solve
 from .squeeze_select import heuristic_r, lambda_upper_bound, optimal_r_m2
 
+#: the methods a replication runs, with parameters it builds itself; not
+#: ``solve``'s "auto", which plans its own
+METHODS = ("aba", "alg1", "alg2", "alg3")
 DEFAULT_METHODS = ("aba", "alg1", "alg2")
 
 
@@ -98,15 +101,13 @@ def _run_one(config: BenchConfig, k: int) -> BenchRecord:
     errors: dict[str, str] = {}
     for method in config.methods:
         try:
-            if method == "aba":
-                res = solve(channel, "aba", config=solver_cfg)
-            elif method == "alg1":
-                res = solve(channel, "alg1", lam=lambda_upper_bound(channel),
-                            config=solver_cfg)
-            else:  # alg2, alg3
-                r = optimal_r_m2(channel) if config.m == 2 else heuristic_r(channel, uniform(config.m))
-                res = solve(channel, method, r=r, lam=lambda_upper_bound(channel),
-                            config=solver_cfg)
+            kwargs = {}  # the floor first, then the gain: the study's order of bound calls
+            if method in ("alg2", "alg3"):
+                kwargs["r"] = (optimal_r_m2(channel) if config.m == 2
+                               else heuristic_r(channel, uniform(config.m)))
+            if method != "aba":
+                kwargs["lam"] = lambda_upper_bound(channel)
+            res = solve(channel, method, config=solver_cfg, **kwargs)
             counts[method] = res.iterations if res.converged else None
             if not res.converged:
                 errors[method] = f"not converged within {solver_cfg.max_iters} iterations"

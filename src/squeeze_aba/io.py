@@ -57,7 +57,7 @@ def _json_floats(value, name: str, path: Path) -> np.ndarray:
 def load_channel(path) -> ChannelMatrix:
     """Read and validate a channel matrix from a CSV or JSON file."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():  # a directory too, which read_text would meet with IsADirectoryError
         raise ChannelFileError(f"channel file not found: {path}")
     text = path.read_text(encoding="utf-8").strip()
     if not text:
@@ -93,7 +93,7 @@ def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
     is an error rather than a silent pick.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():  # a directory too, which read_text would meet with IsADirectoryError
         raise ChannelFileError(f"params file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

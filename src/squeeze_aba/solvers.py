@@ -76,6 +76,9 @@ normalisation, so alg2 and alg3 with a zero floor run alg1's update.
     alg1   gain lambda, r = 0
     alg2   floor r and gain lambda; offset f_+ = lambda (1 - r_+) - 1
     alg3   floor r and offset f; lambda = (1 + f_+)/(1 - r_+)
+    auto   alg3 with ``plan``'s params: the "optimal-m2" floor for m = 2,
+           the "heuristic" floor otherwise; aba's params, with a logged
+           warning, where ``plan`` refuses the channel
 
 alg3 is the paper's (r, f) parametrisation.  Its posterior form, which the
 tests keep as an oracle, is the same map: f + pW~ = (1 + f_+) qW and the
@@ -92,6 +95,7 @@ turn a traced result into CSV.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -112,7 +116,10 @@ from .errors import (
     ValidationError,
 )
 from .squeeze import SqueezeParams, build_squeeze_params, params_from_r_lambda
+from .squeeze_select import plan
 from .waterfill import waterfill
+
+log = logging.getLogger(__package__)
 
 #: per-step slack on the monotone-ascent check
 MONOTONE_TOL = 1e-12
@@ -120,7 +127,7 @@ MONOTONE_TOL = 1e-12
 #: the smallest normal float; a weight sum at least this large has a finite reciprocal
 _TINY = np.finfo(float).tiny
 
-METHODS = ("aba", "alg1", "alg2", "alg3")
+METHODS = ("aba", "alg1", "alg2", "alg3", "auto")
 
 
 @dataclass(frozen=True)
@@ -406,7 +413,15 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     """aba is alg1 with lambda = 1, alg1 is alg2 with r = 0, and alg2 is alg3
     with the offset that ``params_from_r_lambda`` picks.  aba's params are
     built directly: r = 0, f = 0 and lambda = 1 pass every check, and
-    ``params_from_r_lambda(channel, 0, 1.0)`` returns bitwise the same."""
+    ``params_from_r_lambda(channel, 0, 1.0)`` returns bitwise the same.
+
+    auto is the one method that chooses its own parameters, and this is the
+    one place that chooses them: ``plan``'s "optimal-m2" floor for m = 2
+    and its "heuristic" floor otherwise.  Where ``plan`` refuses the
+    channel with a ValidationError (rows that count as equal, or a squeeze
+    that breaks a column constraint), auto logs the reason as a warning on
+    the ``squeeze_aba`` logger and takes aba's params, so it never fails
+    where aba succeeds.  Like aba, it takes no lam, r or f."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if params is not None:
@@ -414,9 +429,14 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
             raise ValidationError(f"method {method!r} does not accept prebuilt params")
         _require_same_channel(params.channel, channel, "params were built")
         return params
-    if method == "aba":
+    if method in ("aba", "auto"):
         if lam is not None or r is not None or f is not None:
-            raise ValidationError("method 'aba' takes no squeeze parameters")
+            raise ValidationError(f"method {method!r} takes no squeeze parameters")
+        if method == "auto":
+            try:
+                return plan(channel, "optimal-m2" if channel.m == 2 else "heuristic").params
+            except ValidationError as exc:
+                log.warning("method 'auto' runs the plain iteration: %s", exc)
         return SqueezeParams(channel, _frozen_zeros(channel.m), _frozen_zeros(channel.n))
     if method == "alg1":
         if r is not None or f is not None:
@@ -447,7 +467,9 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     method: "aba" | "alg1" (needs lambda, defaults to its upper bound) |
     "alg2" (needs r; lambda defaults to its upper bound) | "alg3" (needs
     r and f, or r and lambda but not both, or prebuilt ``params``, which
-    must have been built for this channel).  On a channel whose rows are
+    must have been built for this channel) | "auto" (plans its own
+    params, and runs aba's, with a logged warning, where the plan is
+    refused; takes no lam, r, f or params).  On a channel whose rows are
     exactly equal the upper bound is infinite, so lambda defaults to its
     lower bound.  Every channel, one with equal rows too, goes through the
     loop, so the bracket returned is always one the loop evaluated; equal

@@ -112,6 +112,11 @@ def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
     """Raise ``error``, or under ``force`` warn at the first caller outside the package."""
     if not force:
         raise error(msg)
+    _warn(msg)
+
+
+def _warn(msg: str) -> None:
+    """A RuntimeWarning that names the first caller outside the package."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
         frame, level = frame.f_back, level + 1

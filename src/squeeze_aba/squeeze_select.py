@@ -22,7 +22,6 @@ each strategy pushes its free quantities to their feasible extremes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .channel import ROW_SUM_TOL, ChannelMatrix, _check_vector, _require_same_channel, uniform
 from .errors import DegenerateChannelError, NotTwoByNError, ValidationError
 from .io import params_to_dict
-from .squeeze import CONSTRAINT_TOL, SqueezeParams, _bounds, params_from_r_lambda
+from .squeeze import CONSTRAINT_TOL, SqueezeParams, _bounds, _warn, params_from_r_lambda
 
 STRATEGIES = ("none", "lambda-only", "optimal-m2", "heuristic")
 
@@ -142,6 +141,6 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
 
     params = params_from_r_lambda(channel, r)
     if params.lam <= 1.0 + CONSTRAINT_TOL:
-        warnings.warn("channel not squeezable: rows have no overlap, so the "
-                      "plan reduces to the plain iteration", RuntimeWarning, stacklevel=2)
+        _warn("channel not squeezable: rows have no overlap, so the "
+              "plan reduces to the plain iteration")
     return SqueezePlan(params, strategy)

@@ -537,6 +537,14 @@ def heavy_overlap_channel(rng: np.random.Generator, spread: float = 0.012) -> sa
                                + spread * noise / noise.sum(axis=1, keepdims=True))
 
 
+def spread_rows(rng: np.random.Generator, spread: float) -> np.ndarray:
+    """(1 - s) b + s N on 2x8, N's rows on disjoint halves of the outputs:
+    rows that differ by at most s in every column, unvalidated."""
+    b, noise = rng.random(8), rng.random((2, 8))
+    noise[0, 4:] = noise[1, :4] = 0.0
+    return (1.0 - spread) * b / b.sum() + spread * noise / noise.sum(axis=1, keepdims=True)
+
+
 def block_channel(rng: np.random.Generator) -> sa.ChannelMatrix:
     """64x256 with an interior optimum: input i owns four outputs, plus noise."""
     noise = rng.random((64, 256))

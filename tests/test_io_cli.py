@@ -7,7 +7,7 @@ import pytest
 
 import squeeze_aba as sa
 from squeeze_aba.cli import build_parser, main
-from helpers import GOLDEN, GOLDEN_CAPACITY
+from helpers import GOLDEN, GOLDEN_CAPACITY, spread_rows
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("flags, message", [
         (["--method", "aba", "--lambda", "3"], "method 'aba' takes no squeeze parameters"),
-        (["--method", "auto", "--r", "0.1,0.1"], "--method auto plans its own squeeze"),
+        (["--method", "auto", "--r", "0.1,0.1"], "method 'auto' takes no squeeze parameters"),
     ])
     def test_flags_are_never_dropped(self, channel_csv, capsys, flags, message):
         # a flag reaches the method, whose own rules then apply; auto takes none
@@ -208,9 +208,9 @@ class TestCliRate:
 
 
 def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
-    # plan has no finite squeeze for equal rows, so auto plans "none" with a
-    # warning rather than fail where aba succeeds; both report the bracket
-    # the loop evaluated, which rounding may leave a few ulps off 0
+    # plan has no finite squeeze for equal rows, so solve's auto runs aba's
+    # params with a warning rather than fail where aba succeeds; both report
+    # the bracket the loop evaluated, which rounding may leave a few ulps off 0
     path = tmp_path / "equal.csv"
     path.write_text("0.4,0.6\n0.4,0.6\n")
     docs = {}
@@ -223,21 +223,19 @@ def test_auto_on_equal_rows_runs_the_plain_iteration(tmp_path, caplog):
         assert abs(docs["solve", "auto"][bound]) <= 1e-15, bound
     for command in ("solve", "rate"):
         assert (docs[command, "aba"].pop("method"), docs[command, "auto"].pop("method")) == \
-            ("aba", "alg3")
+            ("aba", "auto")
         assert docs[command, "auto"] == docs[command, "aba"]
     warned = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert [rec.name for rec in warned] == ["squeeze_aba", "squeeze_aba"]
-    assert all("all rows equal" in rec.getMessage() for rec in warned)
+    assert all(rec.getMessage().startswith("method 'auto' runs the plain iteration: ")
+               and "all rows equal" in rec.getMessage() for rec in warned)
 
 
 def test_auto_falls_back_where_the_plan_breaks_a_constraint(tmp_path, caplog):
     # (1 - s) b + s N with s = 1e-6: the optimal squeeze breaks an offset
-    # constraint by about 1e-11, so plan raises, and auto logs the reason and
-    # runs the plain iteration, where aba succeeds
-    rng = np.random.default_rng(1)
-    b, noise = rng.random(8), rng.random((2, 8))
-    noise[0, 4:] = noise[1, :4] = 0.0
-    w = (1.0 - 1e-6) * b / b.sum() + 1e-6 * noise / noise.sum(axis=1, keepdims=True)
+    # constraint by about 1e-11, so plan raises, and solve's auto logs the
+    # reason and runs the plain iteration, where aba succeeds
+    w = spread_rows(np.random.default_rng(1), 1e-6)
     path = tmp_path / "tiny-spread.csv"
     path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in w) + "\n")
     with pytest.raises(sa.SqueezeConstraintError):
@@ -247,10 +245,11 @@ def test_auto_falls_back_where_the_plan_breaks_a_constraint(tmp_path, caplog):
         out = tmp_path / f"{method}.json"
         assert main(["solve", str(path), "--method", method, "--json", str(out)]) == 0
         docs[method] = json.loads(out.read_text())
-    assert (docs["aba"].pop("method"), docs["auto"].pop("method")) == ("aba", "alg3")
+    assert (docs["aba"].pop("method"), docs["auto"].pop("method")) == ("aba", "auto")
     assert docs["auto"] == docs["aba"]
     warned = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert [rec.name for rec in warned] == ["squeeze_aba"]
+    assert warned[0].getMessage().startswith("method 'auto' runs the plain iteration: ")
     assert "offset constraint violated" in warned[0].getMessage()
 
 
@@ -379,6 +378,19 @@ class TestFileErrors:
             path.write_text(text)
         with pytest.raises(sa.ChannelFileError, match=match):
             sa.load_params_json(golden, path)
+
+    def test_a_directory_is_not_a_file(self, channel_csv, golden, tmp_path, capsys):
+        # read_text would raise IsADirectoryError, which would exit 1 as a
+        # runtime failure rather than 2 as a file error
+        with pytest.raises(sa.ChannelFileError, match="channel file not found"):
+            sa.load_channel(tmp_path)
+        with pytest.raises(sa.ChannelFileError, match="params file not found"):
+            sa.load_params_json(golden, tmp_path)
+        for kind, argv in (("channel", ["solve", str(tmp_path)]),
+                           ("params", ["solve", channel_csv, "--method", "alg3",
+                                       "--params", str(tmp_path)])):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path}\n"
 
     @pytest.mark.parametrize("doc, error, message", [
         ({"r": [0, 0, 0], "f": [0, 0, 0]}, sa.DimensionMismatchError,

@@ -1,3 +1,4 @@
+import logging
 import re
 import types
 import warnings
@@ -27,6 +28,7 @@ from helpers import (
     reference_solve,
     reference_update,
     shifted_update,
+    spread_rows,
     spy_calls,
     two_step_divergences,
     under_every_filter,
@@ -688,7 +690,10 @@ def test_parameter_resolution_refusals(golden):
     cases = ((lambda: sa.solve(golden, "alg1", params=prebuilt), "does not accept prebuilt"),
              (lambda: sa.solve(golden, "alg1", r=[0, 0]), "'alg1' takes only lambda"),
              (lambda: sa.solve(golden, "alg2", r=[0, 0], f=[0, 0, 0]), "'alg2' takes (r, lambda)"),
-             (lambda: sa.solve(golden, "alg3", r=[0, 0]), "requires the offset vector f"))
+             (lambda: sa.solve(golden, "alg3", r=[0, 0]), "requires the offset vector f"),
+             (lambda: sa.solve(golden, "auto", params=prebuilt), "does not accept prebuilt"),
+             (lambda: sa.solve(golden, "auto", lam=1.5), "'auto' takes no squeeze parameters"),
+             (lambda: sa.solve(golden, "auto", f=[0, 0, 0]), "'auto' takes no squeeze parameters"))
     for call, match in cases:
         with pytest.raises(sa.ValidationError, match=re.escape(match)):
             call()
@@ -739,12 +744,12 @@ def oracle_channels(family: str) -> list:
 
 def oracle_kwargs(ch: sa.ChannelMatrix) -> dict:
     """alg1 and alg2 at the pinned tests' gain and floor; alg3 with the plan
-    that ``--method auto`` builds."""
+    that auto builds, and auto, which builds it itself."""
     lam = sa.lambda_upper_bound(ch)
     r = sa.optimal_r_m2(ch) if ch.m == 2 else sa.heuristic_r(ch, sa.uniform(ch.m))
     chosen = sa.plan(ch, "optimal-m2" if ch.m == 2 else "heuristic")
     return {"aba": {}, "alg1": {"lam": lam}, "alg2": {"r": r, "lam": lam},
-            "alg3": {"params": chosen.params}}
+            "alg3": {"params": chosen.params}, "auto": {}}
 
 
 @pytest.mark.parametrize("family", ["2x8", "8x32", "3x8", "64x256"])
@@ -756,13 +761,60 @@ def test_solve_matches_the_reference_bitwise(family):
     for k, ch in enumerate(oracle_channels(family)):
         for method, kw in oracle_kwargs(ch).items():
             res = sa.solve(ch, method, **kw)
-            r = res.params.r if method in ("alg2", "alg3") else None
+            r = res.params.r if res.params.r_plus else None  # as the loop picks its update
             p_hat, lower, upper, t = reference_solve(ch, res.params.lam, r)
             got = (res.p_hat.probs.tobytes(), res.capacity_lower.hex(),
                    res.capacity_upper.hex(), res.iterations)
             if got != (p_hat.tobytes(), lower.hex(), upper.hex(), t):
                 mismatched.append((k, method))
     assert mismatched == []
+
+
+def auto_warnings(caplog) -> list[str]:
+    return [rec.getMessage() for rec in caplog.records
+            if rec.name == "squeeze_aba" and rec.levelno == logging.WARNING]
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[0.4, 0.6], [0.4, 0.6]], sa.DegenerateChannelError),
+    (spread_rows(np.random.default_rng(1), 1e-6), sa.SqueezeConstraintError),
+])
+def test_auto_falls_back_to_aba_where_the_plan_is_refused(rows, error, caplog):
+    # equal rows have no finite squeeze, and at spread 1e-6 the optimal squeeze
+    # breaks an offset constraint by about 1e-11: plan raises on both, and
+    # auto logs why, once, and then runs aba's map bit for bit
+    ch = sa.validate_channel(rows)
+    with pytest.raises(error) as refused:
+        sa.plan(ch, "optimal-m2")
+    aba = sa.solve(ch, "aba")
+    assert auto_warnings(caplog) == []
+    auto = sa.solve(ch, "auto")
+    assert auto_warnings(caplog) == [f"method 'auto' runs the plain iteration: {refused.value}"]
+    assert auto.method == "auto" and auto.params.is_plain()
+    assert solve_bits(auto) == solve_bits(aba)
+
+
+def test_auto_returns_wherever_aba_does(caplog):
+    # (1 - s) b + s N 2x8 channels from heavy overlap down to rows that count
+    # as equal; only that auto returns where aba does is asserted, not that
+    # the bracket holds, which at s = 1e-6 it does not always do
+    rng = np.random.default_rng(31)
+    for spread in (0.3, 0.1, 1e-6, 1e-9):
+        fell_back = 0
+        for _ in range(25):
+            ch = sa.validate_channel(spread_rows(rng, spread))
+            try:
+                aba = sa.solve(ch, "aba")
+            except sa.SqueezeAbaError:
+                continue
+            caplog.clear()
+            auto = sa.solve(ch, "auto")  # raises if auto fails where aba succeeds
+            assert auto.converged == aba.converged, spread
+            if auto_warnings(caplog):
+                fell_back += 1
+                assert solve_bits(auto) == solve_bits(aba), spread
+        if spread == 1e-9:  # every column spans at most 1e-9: plan refuses them all
+            assert fell_back == 25
 
 
 @pytest.mark.parametrize("family", ["2x8", "8x32", "3x8", "64x256"])
@@ -808,7 +860,7 @@ def test_the_one_product_divergences_agree_with_the_two_step_form(family):
             assert gap <= 4 * eps * scale, (k, gap / (eps * scale))
         for method, kw in oracle_kwargs(ch).items():
             res = sa.solve(ch, method, **kw)
-            r = res.params.r if method in ("alg2", "alg3") else None
+            r = res.params.r if res.params.r_plus else None  # as the loop picks its update
             if res.iterations != reference_solve(ch, res.params.lam, r, two_step=True)[3]:
                 mismatched.append((k, method))
     assert mismatched == []

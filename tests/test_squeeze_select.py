@@ -261,6 +261,13 @@ class TestPlan:
         assert sp.lam == 1.0
         assert np.allclose(sp.f, 0.0)
 
+    def test_the_unsqueezable_warning_names_the_first_caller_outside_the_package(self):
+        ch = sa.validate_channel(np.eye(2))
+        for call in (lambda: sa.plan(ch, "optimal-m2"), lambda: sa.solve(ch, "auto")):
+            with pytest.warns(RuntimeWarning, match="not squeezable") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_plan_serialization(self, golden):
         doc = sa.plan(golden, "optimal-m2").to_dict()
         assert set(doc) == {"r", "g", "f", "lambda", "strategy"}
