@@ -6,8 +6,6 @@ push the convergence rate down; this script shows the planning helpers
 that pick them.
 """
 
-import json
-
 import numpy as np
 
 import squeeze_aba as sa
@@ -21,7 +19,7 @@ print("lambda upper bound:", sa.lambda_upper_bound(W))
 
 # The combined squeeze g = lambda rW + f bundles floor and offset; at the
 # largest gain it depends only on the channel, and 1 + g_+ equals lambda.
-g = np.array(sa.plan(W, "lambda-only").to_dict()["g"])
+g = np.array(sa.io.plan_to_dict(sa.plan(W, "lambda-only"))["g"])
 print("optimal combined squeeze g:", g, " (1 + g_+ =", 1 + g.sum(), ")")
 
 # For binary-input channels the best floor has a closed form.
@@ -38,7 +36,7 @@ print("heuristic floor (uniform direction):", sa.heuristic_r(W3, sa.uniform(3)))
 for strategy in ("none", "lambda-only", "optimal-m2"):
     pl = sa.plan(W, strategy)
     print(f"\nstrategy {strategy!r}:")
-    print(json.dumps(pl.to_dict(), indent=2))
+    print(sa.io.json_text(sa.io.plan_to_dict(pl)), end="")
 
 # A plan holds the validated parameter bundle the solver takes.
 params = sa.plan(W, "optimal-m2").params

@@ -207,8 +207,8 @@ class Distribution:
 def make_distribution(p, floor=None) -> Distribution:
     """Validate a probability vector without renormalizing; with ``floor``,
     also check the floor (finite, nonnegative, mass < 1) and that the
-    vector lies on Omega(floor)."""
-    p = np.asarray(p, dtype=float)
+    vector lies on Omega(floor).  Either may be a Distribution."""
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
     if not p[p.argmin()] >= 0.0 and np.any(p < 0):  # argmin finds a NaN, like min
@@ -219,7 +219,7 @@ def make_distribution(p, floor=None) -> Distribution:
             raise ValidationError(f"probabilities must be finite, got {p}")
         raise DimensionMismatchError(f"probabilities sum to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
     if floor is not None:
-        floor = np.asarray(floor, dtype=float)
+        floor = np.asarray(getattr(floor, "probs", floor), dtype=float)
         if floor.shape != p.shape:
             raise DimensionMismatchError("floor and probs have different lengths")
         _floor_mass(_check_vector(floor, p.size, "floor"))  # as floored_uniform checks r

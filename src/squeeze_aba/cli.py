@@ -7,7 +7,8 @@ to standard output.  Set SQUEEZE_ABA_LOG=error|warn|info|debug to control
 diagnostics verbosity.
 
 ``--method`` takes ``solve``'s methods, and the CLI holds no policy of its
-own: it turns ``--lambda``, ``--r`` and ``--f`` into ``solve``'s keywords.
+own: it turns ``--lambda``, ``--r``, ``--f`` and the ``--params`` file into
+``solve``'s keywords, and ``io`` lays out every document it prints or writes.
 
     aba    no flags
     alg1   --lambda (defaults to its upper bound)
@@ -16,15 +17,11 @@ own: it turns ``--lambda``, ``--r`` and ``--f`` into ``solve``'s keywords.
     auto   no flags: ``solve`` plans the squeeze, and where the plan is
            refused it logs the reason as a warning on the ``squeeze_aba``
            logger and runs the plain iteration
-
-``--params FILE`` overrides the flags and runs the file's (r, f) as alg3
-under auto, alg2 or alg3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -45,8 +42,6 @@ log = logging.getLogger("squeeze_aba")
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
-LN2 = float(np.log(2.0))
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
@@ -62,54 +57,31 @@ def _parse_vector(text: str | None):
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _resolve_method(args, channel):
-    """Map CLI flags to (method, solve kwargs).  A params file overrides the
-    flags and runs as 'alg3' under 'auto', 'alg2' or 'alg3'; otherwise the
-    method and every flag given go to ``solve`` as they are, so its own
-    rules apply to them: 'auto' plans its squeeze there, takes no flag,
-    and logs its fallback to the plain iteration."""
-    method = args.method
-    if args.params:
-        params = sio.load_params_json(channel, args.params)
-        return ("alg3" if method in ("auto", "alg3", "alg2") else method), {"params": params}
-    flags = {"lam": args.lam, "r": _parse_vector(args.r), "f": _parse_vector(args.f)}
-    return method, {name: value for name, value in flags.items() if value is not None}
-
-
-def _scale(value: float, units: str) -> float:
-    return value / LN2 if units == "bits" else value
+def _solve_kwargs(args, channel) -> dict:
+    """``solve``'s keywords for every flag given, as given, so the method's
+    own rules apply to them: 'auto' plans its squeeze and takes no flag,
+    and prebuilt params take no --lambda, --r or --f."""
+    flags = {"lam": args.lam, "r": _parse_vector(args.r), "f": _parse_vector(args.f),
+             "params": None if args.params is None else sio.load_params_json(channel, args.params)}
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def cmd_solve(args) -> int:
     channel = sio.load_channel(args.channel)
-    method, kwargs = _resolve_method(args, channel)
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        record_trace=args.trace is not None,
-    )
-    result = solve(channel, method, config=config, force=args.force, **kwargs)
+    config = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters,
+                          record_trace=args.trace is not None)
+    result = solve(channel, args.method, config=config, force=args.force,
+                   **_solve_kwargs(args, channel))
 
-    units = args.units
-    doc = {
-        "capacity": _scale(result.capacity, units),
-        "capacity_lower": _scale(result.capacity_lower, units),
-        "capacity_upper": _scale(result.capacity_upper, units),
-        "units": units,
-        "p_hat": result.p_hat.probs.tolist(),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "method": result.method,
-        "params": sio.params_to_dict(result.params),
-    }
+    doc = sio.solve_to_dict(result, args.units)
     if args.json:
-        sio._write_json(args.json, doc)
+        sio.write_json(args.json, doc)
     if args.trace:
         sio.write_trace_csv(result, args.trace)
 
     print(f"method      {result.method}")
     print(f"converged   {str(result.converged).lower()} ({result.iterations} iterations)")
-    print(f"capacity    {doc['capacity']:.12g} {units} "
+    print(f"capacity    {doc['capacity']:.12g} {doc['units']} "
           f"[{doc['capacity_lower']:.12g}, {doc['capacity_upper']:.12g}]")
     print("p_hat       " + ", ".join(f"{v:.12g}" for v in result.p_hat.probs))
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
@@ -120,15 +92,14 @@ def cmd_params(args) -> int:
     q = args.q
     if q is not None:
         q = uniform(channel.m) if q == "uniform" else make_distribution(_parse_vector(q))
-    print(json.dumps(plan(channel, args.strategy, q=q).to_dict(), indent=2))
+    print(sio.json_text(sio.plan_to_dict(plan(channel, args.strategy, q=q))), end="")
     return EXIT_OK
 
 
 def cmd_rate(args) -> int:
     channel = sio.load_channel(args.channel)
-    method, kwargs = _resolve_method(args, channel)
     config = SolverConfig(epsilon=args.gap, max_iters=args.max_iters)
-    result = solve(channel, method, config=config, **kwargs)
+    result = solve(channel, args.method, config=config, **_solve_kwargs(args, channel))
     if not result.converged:
         print(f"error: solver did not reach gap {args.gap:g} within "
               f"{args.max_iters} iterations", file=sys.stderr)
@@ -136,21 +107,16 @@ def cmd_rate(args) -> int:
 
     params = result.params
     report = matrix_rate(params, fixed_point_on_floor(params, result.p_hat))
-    doc = report.to_dict()
-    doc["method"] = result.method
-    doc["params"] = sio.params_to_dict(params)
-
     # overlap bound applies to the plain iteration; analyze it at the same optimizer
     if params.is_plain():
         plain = report
     else:
         trivial = build_squeeze_params(channel, np.zeros(channel.m), np.zeros(channel.n))
         plain = matrix_rate(trivial, fixed_point_on_floor(trivial, result.p_hat))
-    doc["overlap_margin"] = plain.global_rate - plain.aba_lower_bound
-
+    doc = sio.rate_to_dict(result, report, plain)
     if args.json:
-        sio._write_json(args.json, doc)
-    print(json.dumps(doc, indent=2))
+        sio.write_json(args.json, doc)
+    print(sio.json_text(doc), end="")
     return EXIT_OK
 
 
@@ -161,7 +127,7 @@ def cmd_bench(args) -> int:
     if args.out:
         csv_path, json_path = sio.write_bench_outputs(config, records, summary, args.out)
         log.info("wrote %s and %s", csv_path, json_path)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(sio.json_text(summary), end="")
     return EXIT_OK
 
 
@@ -181,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", default=None, help="floor vector, comma-separated (alg2/alg3)")
         p.add_argument("--f", default=None, help="offset vector, comma-separated (alg3)")
         p.add_argument("--params", default=None,
-                       help="JSON file with r, f, lambda (overrides the flags)")
+                       help="JSON file with r, f, lambda (alg2/alg3; no other flag)")
         p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
         p.add_argument("--json", default=None, help="write result JSON here")
 
@@ -189,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_method_flags(p_solve)
     p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                          help="stopping threshold on the capacity gap, nats")
-    p_solve.add_argument("--units", choices=["nats", "bits"], default="nats")
+    p_solve.add_argument("--units", choices=list(sio.UNITS), default="nats")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here; p is "
                          "the method's own iterate, on the floored simplex if floored, not p_hat")
     p_solve.add_argument("--force", action="store_true",

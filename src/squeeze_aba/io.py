@@ -1,6 +1,7 @@
-"""File formats: every file the package reads or writes.
+"""File formats: every file and document the package reads or writes.
 
-No other module opens a file or fixes a file's layout.  The formats:
+No other module opens a file or fixes a file's or a document's layout.
+The formats:
 
 - Channel CSV (read): one row per input letter, plain numbers, no header.
 - Channel JSON (read): ``{"matrix": [[...], ...]}``.
@@ -12,8 +13,17 @@ No other module opens a file or fixes a file's layout.  The formats:
 - Bench CSV (``bench_csv_rows``): one line per replication,
   ``replication_id,n_aba,n_<method>...,log2_ratio_<method>...``, ratios
   with 12 significant digits and an empty cell for a failed method.
-- JSON files (``_write_json``): the bench summary and the CLI's ``--json``
-  results, with indent 2, sorted keys and a trailing newline.
+- The plan document (``plan_to_dict``): the parameters' layout plus the
+  combined squeeze ``"g"`` = lambda rW + f and the ``"strategy"``.
+- The solve document (``solve_to_dict``): ``capacity``, its bracket and
+  ``units``, ``p_hat``, ``iterations``, ``converged``, ``method`` and
+  ``params``; ``units="bits"`` converts the capacities here only.
+- The rate document (``rate_to_dict``): a rate report's fields with
+  ``shift_identity_residual``, the solve's ``method`` and ``params``, and
+  ``overlap_margin``, the plain iteration's rate less its overlap bound.
+- JSON text (``json_text``): every JSON document, the bench summary among
+  them, in a file (``write_json``) or on standard output, with indent 2,
+  sorted keys and a trailing newline.
 
 Text files are UTF-8 with a newline after every line.  JSON fields hold
 JSON numbers: a string or boolean where a number belongs makes the file
@@ -26,17 +36,19 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelMatrix, validate_channel
 from .errors import ChannelFileError, SqueezeAbaError, ValidationError
+from .experiments import BenchConfig
+from .rate_analysis import RateReport
+from .solvers import SolveResult
 from .squeeze import SqueezeParams, build_squeeze_params
+from .squeeze_select import SqueezePlan
 
-if TYPE_CHECKING:  # annotations only: experiments imports squeeze_select, which imports io
-    from .experiments import BenchConfig
-    from .solvers import SolveResult
+#: nats per unit: the solve document's capacities are divided by it
+UNITS = {"nats": 1.0, "bits": float(np.log(2.0))}
 
 
 def _numeric(value) -> bool:
@@ -83,6 +95,50 @@ def load_channel(path) -> ChannelMatrix:
 
 def params_to_dict(params: SqueezeParams) -> dict:
     return {"r": params.r.tolist(), "f": params.f.tolist(), "lambda": params.lam}
+
+
+def plan_to_dict(plan: SqueezePlan) -> dict:
+    """``params_to_dict``'s layout plus the combined squeeze g and the strategy."""
+    sp = plan.params
+    return {**params_to_dict(sp), "g": (sp.lam * (sp.r @ sp.channel.w) + sp.f).tolist(),
+            "strategy": plan.strategy}
+
+
+def solve_to_dict(result: SolveResult, units: str) -> dict:
+    """The solve document, its capacities in ``units`` ("nats" or "bits")."""
+    if units not in UNITS:
+        raise ValidationError(f"unknown units {units!r}; expected one of {tuple(UNITS)}")
+    scale = UNITS[units]
+    return {
+        "capacity": result.capacity / scale,
+        "capacity_lower": result.capacity_lower / scale,
+        "capacity_upper": result.capacity_upper / scale,
+        "units": units,
+        "p_hat": result.p_hat.probs.tolist(),
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "method": result.method,
+        "params": params_to_dict(result.params),
+    }
+
+
+def rate_to_dict(result: SolveResult, report: RateReport, plain: RateReport) -> dict:
+    """The rate document of ``report``, analysed at ``result``'s optimizer;
+    ``plain`` is the plain iteration's report there, whose rate the overlap
+    bound applies to."""
+    return {
+        "p_star": report.p_star.probs.tolist(),
+        "R": [float(v) for v in report.R.ravel()],
+        "global_rate": report.global_rate,
+        "global_rate_power": report.global_rate_power,
+        "rate_r0": report.rate_r0,
+        "aba_lower_bound": report.aba_lower_bound,
+        "shift_identity_residual": report.shift_identity_residual(),
+        "gamma_spectrum": report.gamma_spectrum.tolist(),
+        "method": result.method,
+        "params": params_to_dict(result.params),
+        "overlap_margin": plain.global_rate - plain.aba_lower_bound,
+    }
 
 
 def load_params_json(channel: ChannelMatrix, path) -> SqueezeParams:
@@ -170,7 +226,7 @@ def write_bench_outputs(config: BenchConfig, records, summary, prefix: str) -> t
     csv_path = f"{prefix}.csv"
     json_path = f"{prefix}_summary.json"
     _write_lines(csv_path, bench_csv_rows(config, records))
-    _write_json(json_path, summary)
+    write_json(json_path, summary)
     return csv_path, json_path
 
 
@@ -180,8 +236,12 @@ def _write_lines(path, lines) -> None:
             fh.write(line + "\n")
 
 
-def _write_json(path, doc) -> None:
-    """The package's one JSON-file writer: indent 2, sorted keys, a final newline."""
+def json_text(doc) -> str:
+    """The package's one JSON text form: indent 2, sorted keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``json_text(doc)`` to ``path``: a file holds what standard output shows."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc))

@@ -151,18 +151,6 @@ class RateReport:
     f_plus: float
     gamma_spectrum: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "p_star": self.p_star.probs.tolist(),
-            "R": [float(v) for v in self.R.ravel()],
-            "global_rate": self.global_rate,
-            "global_rate_power": self.global_rate_power,
-            "rate_r0": self.rate_r0,
-            "aba_lower_bound": self.aba_lower_bound,
-            "shift_identity_residual": self.shift_identity_residual(),
-            "gamma_spectrum": self.gamma_spectrum.tolist(),
-        }
-
     def shift_identity_residual(self) -> float:
         """|rate - [(1 + f_+) rate_r0 - f_+]|, the affine-identity check."""
         return abs(self.global_rate - ((1.0 + self.f_plus) * self.rate_r0 - self.f_plus))

@@ -427,6 +427,8 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
     if params is not None:
         if method not in ("alg2", "alg3"):
             raise ValidationError(f"method {method!r} does not accept prebuilt params")
+        if lam is not None or r is not None or f is not None:
+            raise ValidationError("prebuilt params fix r, f and lambda: pass no lam, r or f")
         _require_same_channel(params.channel, channel, "params were built")
         return params
     if method in ("aba", "auto"):
@@ -467,13 +469,14 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     method: "aba" | "alg1" (needs lambda, defaults to its upper bound) |
     "alg2" (needs r; lambda defaults to its upper bound) | "alg3" (needs
     r and f, or r and lambda but not both, or prebuilt ``params``, which
-    must have been built for this channel) | "auto" (plans its own
-    params, and runs aba's, with a logged warning, where the plan is
-    refused; takes no lam, r, f or params).  On a channel whose rows are
-    exactly equal the upper bound is infinite, so lambda defaults to its
-    lower bound.  Every channel, one with equal rows too, goes through the
-    loop, so the bracket returned is always one the loop evaluated; equal
-    rows give z = 0 and stop at iteration 0.
+    must have been built for this channel and come with no lam, r or f;
+    alg2 takes them too) | "auto" (plans its own params, and runs aba's,
+    with a logged warning, where the plan is refused; takes no lam, r, f
+    or params).  On a channel whose rows are exactly equal the upper bound
+    is infinite, so lambda defaults to its lower bound.  Every channel, one
+    with equal rows too, goes through the loop, so the bracket returned is
+    always one the loop evaluated; equal rows give z = 0 and stop at
+    iteration 0.
 
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).

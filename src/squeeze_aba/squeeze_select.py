@@ -28,7 +28,6 @@ import numpy as np
 
 from .channel import ROW_SUM_TOL, ChannelMatrix, _check_vector, _require_same_channel, uniform
 from .errors import DegenerateChannelError, NotTwoByNError, ValidationError
-from .io import params_to_dict
 from .squeeze import CONSTRAINT_TOL, SqueezeParams, _bounds, _warn, params_from_r_lambda
 
 STRATEGIES = ("none", "lambda-only", "optimal-m2", "heuristic")
@@ -45,12 +44,6 @@ class SqueezePlan:
         """The plan's parameters; ValidationError for a channel other than the plan's."""
         _require_same_channel(self.params.channel, channel, "plan was made")
         return self.params
-
-    def to_dict(self) -> dict:
-        """``io.params_to_dict``'s layout plus the combined squeeze g and the strategy."""
-        sp = self.params
-        return {**params_to_dict(sp), "g": (sp.lam * (sp.r @ sp.channel.w) + sp.f).tolist(),
-                "strategy": self.strategy}
 
 
 def _require_distinct_rows(channel: ChannelMatrix) -> None:

@@ -171,6 +171,15 @@ def test_distribution_floor_membership():
     assert floor.flags.writeable  # the caller's floor is not frozen
 
 
+def test_make_distribution_takes_a_distribution():
+    # like every other function that takes a point, it reads a Distribution's probs
+    d = sa.make_distribution(sa.uniform(3))
+    assert np.array_equal(d.probs, np.full(3, 1 / 3))
+    # a Distribution's mass is 1, so as a floor it is refused as any mass-1 floor is
+    with pytest.raises(sa.InfeasibleFloorError, match="floor mass"):
+        sa.make_distribution([0.5, 0.5], floor=sa.uniform(2))
+
+
 def test_floored_uniform_layout():
     d = sa.floored_uniform([0.125, 0.125])
     assert np.allclose(d.probs, [0.5, 0.5])

@@ -126,15 +126,33 @@ class TestCliSolve:
                      "--epsilon", "1e-12", "--max-iters", "2"])
         assert code == 3
 
-    def test_params_file_overrides_flags(self, channel_csv, tmp_path, capsys):
+    def test_params_file_refuses_a_squeeze_flag(self, channel_csv, tmp_path, capsys):
+        # the file fixes r, f and lambda, so a flag beside it is refused, not dropped
+        assert main(["params", channel_csv, "--strategy", "optimal-m2"]) == 0
+        pfile = tmp_path / "p.json"
+        pfile.write_text(capsys.readouterr().out)
+        for flag in (["--r", "0,0"], ["--f", "0,0.25,0"], ["--lambda", "1.5"]):
+            assert main(["solve", channel_csv, "--method", "alg3", *flag,
+                         "--params", str(pfile)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: prebuilt params fix r, f and lambda")
+
+    @pytest.mark.parametrize("method, code", [("alg3", 0), ("alg2", 0), ("auto", 2)])
+    def test_params_file_goes_to_the_method_as_given(self, channel_csv, tmp_path, capsys,
+                                                     method, code):
+        # alg2 and alg3 run the file's params as they are; auto plans its own and refuses them
         assert main(["params", channel_csv, "--strategy", "optimal-m2"]) == 0
         pfile = tmp_path / "p.json"
         pfile.write_text(capsys.readouterr().out)
         out = tmp_path / "res.json"
-        code = main(["solve", channel_csv, "--method", "alg3", "--r", "0,0",
-                     "--params", str(pfile), "--json", str(out)])
-        assert code == 0
+        assert main(["solve", channel_csv, "--method", method,
+                     "--params", str(pfile), "--json", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "error: method 'auto' does not accept prebuilt params")
+            return
         doc = json.loads(out.read_text())
+        assert doc["method"] == method and doc["converged"]
         assert np.allclose(doc["params"]["r"], [0.125, 0.125], atol=1e-12)
 
     def test_round_trip_restart_converges_fast(self, golden):
@@ -269,6 +287,19 @@ class TestInterfaceStability:
         assert {"p_star", "R", "global_rate", "rate_r0", "aba_lower_bound",
                 "global_rate_power", "shift_identity_residual",
                 "overlap_margin"} <= set(doc)
+
+    def test_solve_document_refuses_unknown_units(self, golden):
+        with pytest.raises(sa.ValidationError, match="unknown units 'shannons'"):
+            sa.io.solve_to_dict(sa.solve(golden), "shannons")
+
+    def test_standard_output_holds_the_file_bytes(self, channel_csv, tmp_path, capsys):
+        # one JSON text form: what rate prints is what its --json file holds
+        out = tmp_path / "rate.json"
+        assert main(["rate", channel_csv, "--method", "alg1", "--json", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+        assert main(["params", channel_csv]) == 0
+        printed = capsys.readouterr().out
+        assert printed == sa.io.json_text(json.loads(printed))
 
     def test_log_env_var_accepted(self, channel_csv, monkeypatch, capsys):
         monkeypatch.setenv("SQUEEZE_ABA_LOG", "debug")

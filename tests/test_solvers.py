@@ -699,6 +699,17 @@ def test_parameter_resolution_refusals(golden):
             call()
 
 
+@pytest.mark.parametrize("keyword, value", [("lam", 1.5), ("r", [0.0, 0.0]),
+                                            ("f", [0.0] * 8)])
+@pytest.mark.parametrize("method", ["alg2", "alg3"])
+def test_prebuilt_params_refuse_a_squeeze_keyword(method, keyword, value):
+    # the params fix r, f and lambda; a keyword beside them is refused, not dropped
+    ch = sa.random_channel(2, 8, sa.replication_rng(0, 3))
+    params = sa.plan(ch, "optimal-m2").params
+    with pytest.raises(sa.ValidationError, match="prebuilt params fix r, f and lambda"):
+        sa.solve(ch, method, params=params, **{keyword: value})
+
+
 @pytest.mark.parametrize("shape", ["2x8", "3x8", "8x32", "rows-equal"])
 def test_aba_params_are_the_trivial_build(shape):
     # solve builds aba's params directly; they must be bitwise what the

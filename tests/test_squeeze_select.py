@@ -269,7 +269,7 @@ class TestPlan:
             assert [w.filename for w in caught] == [__file__]
 
     def test_plan_serialization(self, golden):
-        doc = sa.plan(golden, "optimal-m2").to_dict()
+        doc = sa.io.plan_to_dict(sa.plan(golden, "optimal-m2"))
         assert set(doc) == {"r", "g", "f", "lambda", "strategy"}
         assert doc["strategy"] == "optimal-m2"
         assert doc["lambda"] == pytest.approx(GOLDEN_LAMBDA, abs=1e-12)
