@@ -66,9 +66,10 @@ def _integer(name: str, value, least: int) -> int:
 
 
 def _check_vector(v, length: int, name: str) -> np.ndarray:
-    """v as a finite nonnegative float vector of the given length (a scalar
-    fills it).  An array made here from a list or scalar is frozen, so
-    SqueezeParams shares it rather than copying it."""
+    """v as a read-only, finite, nonnegative float vector of the given length
+    (a scalar fills it).  An array made here from a list or scalar is frozen
+    where it is made; the caller's own array goes through ``_readonly``, so a
+    writeable one is copied once and a read-only one is shared."""
     a = np.asarray(v, dtype=float)
     if a.ndim == 0:
         a = np.full(length, float(a))
@@ -79,8 +80,9 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
         if not np.isfinite(a).all():
             raise ValidationError(f"{name} must be finite")
         raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
-    if a is not v:
-        a.setflags(write=False)
+    if a is v:
+        return _readonly(a)
+    a.setflags(write=False)  # made here, so no caller holds it
     return a
 
 

@@ -34,7 +34,7 @@ from .errors import BoundaryFixedPointError, SqueezeAbaError, ValidationError
 from .experiments import BenchConfig, run_benchmark
 from .rate_analysis import fixed_point_on_floor, matrix_rate
 from .solvers import METHODS, SolverConfig, solve
-from .squeeze import build_squeeze_params
+from .squeeze import SqueezeParams
 from .squeeze_select import STRATEGIES, plan
 
 log = logging.getLogger("squeeze_aba")
@@ -111,7 +111,7 @@ def cmd_rate(args) -> int:
     if params.is_plain():
         plain = report
     else:
-        trivial = build_squeeze_params(channel, np.zeros(channel.m), np.zeros(channel.n))
+        trivial = SqueezeParams(channel, 0.0, 0.0)
         plain = matrix_rate(trivial, fixed_point_on_floor(trivial, result.p_hat))
     doc = sio.rate_to_dict(result, report, plain)
     if args.json:

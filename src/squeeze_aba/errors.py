@@ -19,7 +19,8 @@ class ValidationError(SqueezeAbaError, ValueError):
 
 
 class EmptyMatrixError(ValidationError):
-    """Channel matrix has no rows or no columns."""
+    """Channel matrix has no rows or no columns, or a single row: a
+    channel needs at least 2 input letters."""
 
 
 class NegativeEntryError(ValidationError):

@@ -48,7 +48,7 @@ class BenchConfig:
     methods: tuple[str, ...] = DEFAULT_METHODS
 
     def __post_init__(self):
-        for name, least in (("m", 2), ("n", 1), ("replications", 1)):
+        for name, least in (("m", 2), ("n", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         SolverConfig(epsilon=self.epsilon)  # the solvers' own check of epsilon
         object.__setattr__(self, "methods", tuple(self.methods))  # a list would not hash

@@ -402,18 +402,13 @@ def alg3_step(params: SqueezeParams, p) -> Distribution:
 # -- parameter resolution ---------------------------------------------------------
 
 
-def _frozen_zeros(k: int) -> np.ndarray:
-    z = np.zeros(k)
-    z.setflags(write=False)  # made here, so SqueezeParams shares it
-    return z
-
-
 def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
                     params: SqueezeParams | None, force: bool) -> SqueezeParams:
     """aba is alg1 with lambda = 1, alg1 is alg2 with r = 0, and alg2 is alg3
     with the offset that ``params_from_r_lambda`` picks.  aba's params are
-    built directly: r = 0, f = 0 and lambda = 1 pass every check, and
-    ``params_from_r_lambda(channel, 0, 1.0)`` returns bitwise the same.
+    built directly as ``SqueezeParams(channel, 0.0, 0.0)``: r = 0, f = 0 and
+    lambda = 1 pass every check, and ``params_from_r_lambda(channel, 0.0,
+    1.0)`` returns bitwise the same.
 
     auto is the one method that chooses its own parameters, and this is the
     one place that chooses them: ``plan``'s "optimal-m2" floor for m = 2
@@ -439,11 +434,11 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
                 return plan(channel, "optimal-m2" if channel.m == 2 else "heuristic").params
             except ValidationError as exc:
                 log.warning("method 'auto' runs the plain iteration: %s", exc)
-        return SqueezeParams(channel, _frozen_zeros(channel.m), _frozen_zeros(channel.n))
+        return SqueezeParams(channel, 0.0, 0.0)
     if method == "alg1":
         if r is not None or f is not None:
             raise ValidationError("method 'alg1' takes only lambda")
-        r = _frozen_zeros(channel.m)
+        r = 0.0
     if r is None:
         raise ValidationError(f"method {method!r} requires the floor vector r")
     if f is not None:

@@ -17,9 +17,9 @@ it is built, it refuses negative or non-finite entries and masses r_+ >= 1
 or f_+ = inf; it derives r_+, f_+, lambda and the feasibility verdict of
 both column tests from (r, f) once, at construction, and W* and W~ on
 each access, so no stored value can disagree with (r, f).  The builders
-only decide what an infeasible verdict does: raise, or warn under
-``force``.  ``params_from_r_lambda`` also forms room, to draw its offset
-from it.
+check nothing of their own: they only decide what an infeasible verdict
+does, raise or warn under ``force``.  ``params_from_r_lambda`` also
+checks r and forms room, to draw its offset from them.
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, _check_vector, _floor_mass, _readonly, _total
+from .channel import ChannelMatrix, _check_vector, _floor_mass, _total
 from .errors import (
-    DimensionMismatchError,
     FloorConstraintError,
     LambdaRangeError,
     SqueezeConstraintError,
@@ -49,18 +48,22 @@ CONSTRAINT_TOL = 1e-12
 class SqueezeParams:
     """Immutable squeeze parameters (r, f); everything else is derived.
 
-    Construction checks the shapes, raising DimensionMismatchError unless r
-    has the channel's m entries and f its n, then the entries, which must be
-    finite and nonnegative, then InfeasibleFloorError when r_+ >= 1 and
-    ValidationError when f_+ overflows.  It derives the floor mass
-    ``r_plus`` = sum_i r_i, the offset mass ``f_plus`` = sum_j f_j and the
-    exponent gain ``lam`` = (1 + f_+)/(1 - r_+).  Last it runs the column
-    tests that a positive mass leaves open and records whether both hold as
-    ``feasible``, however the params are built; infeasible params also keep
-    the failed tests, from which a builder raises or warns.  Infeasible
-    params come only from a direct build or a builder called with
-    ``force=True``; the solvers then lose their monotonicity guarantee and
-    downgrade related checks to warnings.
+    Construction is the one check of r and f, however the params are
+    built: r, then f, must have the channel's m and n entries
+    (DimensionMismatchError; a scalar fills the vector), finite and
+    nonnegative; then r_+ >= 1 raises InfeasibleFloorError and an
+    overflowing f_+ ValidationError.  Each is stored read-only: a vector
+    filled or converted here, or an array already read-only (as every
+    array the package makes is), is kept as it is, and a caller's
+    writeable array is copied once.  It derives the floor mass ``r_plus`` = sum_i r_i, the offset
+    mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
+    (1 + f_+)/(1 - r_+).  Last it runs the column tests that a positive
+    mass leaves open and records whether both hold as ``feasible``; a
+    builder raises or warns on an infeasible verdict.  Infeasible params
+    come only from a direct build or a builder called with ``force=True``;
+    the solvers then lose their monotonicity guarantee and downgrade
+    related checks to warnings.  ``SqueezeParams(channel, 0.0, 0.0)`` is
+    the plain iteration's zero squeeze.
     """
 
     channel: ChannelMatrix
@@ -72,25 +75,16 @@ class SqueezeParams:
     feasible: bool = field(init=False)
 
     def __post_init__(self):
-        for name in ("r", "f"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if (self.r.shape, self.f.shape) != ((self.channel.m,), (self.channel.n,)):
-            raise DimensionMismatchError(
-                f"r and f must have lengths {self.channel.m} and {self.channel.n}, "
-                f"got shapes {self.r.shape} and {self.f.shape}")
-        _check_vector(self.r, self.channel.m, "r")
-        _check_vector(self.f, self.channel.n, "f")
-        r_plus = _floor_mass(self.r)
-        f_plus = float(_total(self.f))
+        r = _check_vector(self.r, self.channel.m, "r")
+        f = _check_vector(self.f, self.channel.n, "f")
+        r_plus = _floor_mass(r)
+        f_plus = float(_total(f))
         if not f_plus < np.inf:
             raise ValidationError(f"offset mass f_+ = {f_plus:.15g} must be finite")
-        object.__setattr__(self, "r_plus", r_plus)
-        object.__setattr__(self, "f_plus", f_plus)
-        object.__setattr__(self, "lam", (1.0 + f_plus) / (1.0 - r_plus))
-        found = tuple(_violations(self))
-        object.__setattr__(self, "feasible", not found)
-        if found:  # for the builders' error or warnings; a feasible build keeps nothing
-            object.__setattr__(self, "_found", found)
+        for name, value in (("r", r), ("f", f), ("r_plus", r_plus), ("f_plus", f_plus),
+                            ("lam", (1.0 + f_plus) / (1.0 - r_plus))):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "feasible", next(_violations(self), None) is None)
 
     @property
     def w_star(self) -> np.ndarray:
@@ -161,8 +155,9 @@ def _violations(sp: SqueezeParams):
 
 def _enforce(sp: SqueezeParams, force: bool) -> SqueezeParams:
     """``sp``, after raising its first violated column test, or under
-    ``force`` warning of each, as construction found them."""
-    for error, slack, message in () if sp.feasible else sp._found:
+    ``force`` warning of each.  Construction found the verdict; only
+    infeasible params run the tests again, for their messages."""
+    for error, slack, message in () if sp.feasible else _violations(sp):
         _violation(error, message(*_worst_entry(sp.channel.w, slack)), force)
     return sp
 
@@ -176,8 +171,7 @@ def build_squeeze_params(channel: ChannelMatrix, r, f, *,
     violations warn instead, the result reports ``feasible=False``, and its
     derived W* and W~ clamp negative entries to 0.
     """
-    r = _check_vector(r, channel.m, "r")
-    return _enforce(SqueezeParams(channel, r, _check_vector(f, channel.n, "f")), force)
+    return _enforce(SqueezeParams(channel, r, f), force)
 
 
 def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
@@ -210,7 +204,7 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
                    f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:
-        f = np.zeros(channel.n)
+        f = 0.0
     else:
         # a zero floor leaves the column minima: no 0 W is formed
         star_min = np.maximum(col_min - r @ channel.w if r_plus else col_min, 0.0) / (1.0 - r_plus)
@@ -219,5 +213,5 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * star_min / total
-    f.setflags(write=False)  # made here, so SqueezeParams shares it
+        f.setflags(write=False)  # made here, so SqueezeParams shares it
     return _enforce(SqueezeParams(channel, r, f), force)

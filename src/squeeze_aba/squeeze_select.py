@@ -119,18 +119,17 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if q is not None and strategy != "heuristic":
         raise ValidationError(f"strategy {strategy!r} takes no q; only 'heuristic' reads it")
-    m = channel.m
     if strategy == "none":
-        return SqueezePlan(params_from_r_lambda(channel, np.zeros(m), 1.0), strategy)
+        return SqueezePlan(params_from_r_lambda(channel, 0.0, 1.0), strategy)
     if strategy != "optimal-m2":  # optimal_r_m2 refuses equal rows itself
         _require_distinct_rows(channel)
 
     if strategy == "lambda-only":
-        r = np.zeros(m)
+        r = 0.0
     elif strategy == "optimal-m2":
         r = optimal_r_m2(channel)
     else:
-        r = heuristic_r(channel, uniform(m) if q is None else q)
+        r = heuristic_r(channel, uniform(channel.m) if q is None else q)
 
     params = params_from_r_lambda(channel, r)
     if params.lam <= 1.0 + CONSTRAINT_TOL:

@@ -107,7 +107,8 @@ def test_caller_arrays_stay_writeable():
 
 def test_package_made_arrays_are_shared_not_copied(monkeypatch):
     """Arrays the package makes are frozen where they are made, so the
-    frozen results share them: no call of ``_readonly`` copies."""
+    frozen results share them: neither ``Distribution`` nor the copy in
+    ``_check_vector``, both through ``_readonly``, copies one."""
     copies = []
     readonly = sa.channel._readonly
 
@@ -118,8 +119,10 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
         return b
 
     monkeypatch.setattr(sa.channel, "_readonly", spy)
-    monkeypatch.setattr(sa.squeeze, "_readonly", spy)
     ch = sa.validate_channel(np.array(GOLDEN))
+    sa.SqueezeParams(ch, np.zeros(2), 0.0)  # the spy sees a caller's writeable array copied
+    assert copies == [(2,)]
+    copies.clear()
     r = np.array([0.125, 0.125])
     r.setflags(write=False)
     assert copies == []

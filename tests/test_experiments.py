@@ -63,6 +63,8 @@ def test_bench_config_validation():
     ({"epsilon": float("nan")}, "epsilon must be positive"),
     ({"m": 2.0}, "m must be an integer"),
     ({"n": "8"}, "n must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": 2.0}, "seed must be an integer"),
 ])
 def test_bench_config_rejects_at_construction(kwargs, match):
     # rejected at construction, not by every replication at run time
@@ -71,9 +73,10 @@ def test_bench_config_rejects_at_construction(kwargs, match):
 
 
 def test_bench_config_normalises_integers():
-    cfg = sa.BenchConfig(m=np.int64(3), n=np.int32(4), replications=np.int64(2))
-    assert (cfg.m, cfg.n, cfg.replications) == (3, 4, 2)
-    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications))
+    cfg = sa.BenchConfig(m=np.int64(3), n=np.int32(4), replications=np.int64(2),
+                         seed=np.uint32(7))
+    assert (cfg.m, cfg.n, cfg.replications, cfg.seed) == (3, 4, 2, 7)
+    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications, cfg.seed))
 
 
 def test_single_replication_deterministic():

@@ -2,10 +2,14 @@
 name it never uses.  The package's ``__init__.py`` re-exports its names, so
 it is exempt, and so are ``from __future__`` imports.  And only ``io.py``
 touches files or knows a format: no other module opens a file or imports
-``json`` or ``csv``, and no class lays itself out with a ``to_dict``."""
+``json`` or ``csv``, and no class lays itself out with a ``to_dict``.  And
+every name the benchmark's tracer wraps still exists on the package."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import squeeze_aba as sa
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src/squeeze_aba", "tests", "demos")
@@ -98,3 +102,39 @@ def test_only_io_touches_files():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def trace_targets() -> tuple:
+    """``TARGETS`` of perfbench/tracing.py, read without importing the module."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+
+
+def missing_trace_targets(package, targets) -> list[str]:
+    """The (module path, attribute) targets that do not resolve on ``package``,
+    walked as the benchmark's tracer walks them when it installs itself."""
+    missing = []
+    for _, where, attr in targets:
+        owner = package
+        for part in filter(None, where.split(".")):
+            owner = getattr(owner, part, None)
+        if getattr(owner, attr, None) is None:
+            missing.append(".".join(filter(None, ("squeeze_aba", where, attr))))
+    return missing
+
+
+def test_every_trace_target_resolves():
+    # the benchmark's traced runs wrap these names; a refactor that drops one
+    # fails here rather than only where the benchmark runs
+    importlib.import_module("squeeze_aba.cli")  # sa.cli, as the benchmark imports it
+    targets = trace_targets()
+    assert targets and missing_trace_targets(sa, targets) == []
+
+
+def test_a_deleted_trace_target_is_reported(monkeypatch):
+    importlib.import_module("squeeze_aba.cli")
+    monkeypatch.delattr(sa.solvers, "build_squeeze_params")
+    assert missing_trace_targets(sa, trace_targets()) == [
+        "squeeze_aba.solvers.build_squeeze_params"]

@@ -340,6 +340,11 @@ class TestCliBench:
         assert main(args2) == 0
         assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()
 
+    def test_negative_seed_exit_code(self, capsys):
+        # refused by BenchConfig as a usage error, before any replication runs
+        assert main(["bench", "--seed", "-1", "--reps", "1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("doc", [

@@ -409,11 +409,17 @@ def test_forced_violations_warn_at_the_caller(golden):
 
 def test_direct_construction_checks_the_lengths(golden):
     """SqueezeParams refuses an r or f whose length is not the channel's m
-    or n, before any solve can broadcast or silently accept it."""
-    for r, f in ((np.zeros(2), np.zeros(2)), (np.zeros(3), np.zeros(3)),
-                 (0.0, np.zeros(3)), (np.zeros(2), np.zeros((1, 3)))):
-        with pytest.raises(sa.DimensionMismatchError, match="must have lengths 2 and 3"):
+    or n, before any solve can broadcast or silently accept it, with the
+    message of the vector it refuses, r before f; a scalar fills its vector."""
+    for r, f, msg in ((np.zeros(2), np.zeros(2), "f must have length 3, got shape (2,)"),
+                      (np.zeros(3), np.zeros(3), "r must have length 2, got shape (3,)"),
+                      (np.zeros(2), np.zeros((1, 3)), "f must have length 3, got shape (1, 3)"),
+                      (0.0, np.zeros(2), "f must have length 3, got shape (2,)")):
+        with pytest.raises(sa.DimensionMismatchError) as caught:
             sa.SqueezeParams(golden, r, f)
+        assert str(caught.value) == msg
+    filled = sa.SqueezeParams(golden, 0.125, 0.0)
+    assert filled.r.tolist() == [0.125, 0.125] and filled.f.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_direct_construction_checks_the_entries(golden):
@@ -443,3 +449,66 @@ def test_direct_construction_checks_the_entries(golden):
             (lambda: sa.params_from_r_lambda(golden, huge_r, 1.2),
              sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1")):
         assert refusal(call) == (error, msg)
+
+
+def _direct(channel, r, f, *, force):
+    return sa.SqueezeParams(channel, r, f)
+
+
+def test_the_two_doors_agree(golden, monkeypatch):
+    """A direct build and ``build_squeeze_params`` accept and refuse the same
+    (r, f), with the same params or the same error and message; a caller's
+    writeable array is copied once, never aliased, and an array the package
+    made is shared; and ``SqueezeParams(channel, 0.0, 0.0)`` is bitwise the
+    zero squeeze of every builder."""
+    r, f = [0.125, 0.125], [0.0, 0.25, 0.0]
+    table = (
+        (0.125, 0.0), (r, f), (tuple(r), tuple(f)), (np.array(r), np.array(f)),  # accepted
+        ([0.1, 0.1, 0.1], f), (r, [0.1, 0.1]),  # wrong length
+        (np.zeros((1, 2)), f), (r, np.zeros((1, 3))),  # 2-d
+        ([np.nan, 0.1], f), (r, [0.0, np.nan, 0.0]), (np.nan, np.nan),
+        ([np.inf, 0.1], f), (r, [0.0, np.inf, 0.0]),
+        ([-0.1, 0.1], f), (r, [0.0, -0.25, 0.0]), (-0.1, -0.1),
+        ([0.5, 0.5], f), ([0.7, 0.6], f),  # r_+ >= 1
+        (r, np.full(3, 1e308)))  # f_+ overflows
+    outcomes = set()
+    for r_in, f_in in table:
+        direct = _resolution(_direct, golden, r_in, f_in, force=False)
+        assert direct == _resolution(sa.build_squeeze_params, golden, r_in, f_in,
+                                     force=False), (r_in, f_in)
+        outcomes.add(direct[0][0] if isinstance(direct[0][0], type) else True)
+    assert outcomes == {True, sa.DimensionMismatchError, sa.ValidationError,
+                        sa.NegativeEntryError, sa.InfeasibleFloorError}
+
+    copies = []
+    readonly = sa.channel._readonly
+
+    def spy(a):
+        b = readonly(a)
+        if b is not a:
+            copies.append(a)
+        return b
+
+    monkeypatch.setattr(sa.channel, "_readonly", spy)
+    mine_r, mine_f = np.array(r), np.array(f)
+    for build in (sa.SqueezeParams, sa.build_squeeze_params):
+        copies.clear()
+        sp = build(golden, mine_r, mine_f)
+        assert [id(a) for a in copies] == [id(mine_r), id(mine_f)]
+        assert not (np.shares_memory(sp.r, mine_r) or np.shares_memory(sp.f, mine_f))
+        assert not (sp.r.flags.writeable or sp.f.flags.writeable)
+    made = sa.params_from_r_lambda(golden, GOLDEN_R_OPT)
+    copies.clear()
+    shared = sa.SqueezeParams(golden, made.r, made.f)
+    assert copies == [] and shared.r is made.r and shared.f is made.f
+
+    def fields(sp):
+        return (sp.r.tobytes(), sp.f.tobytes(), float(sp.r_plus).hex(), float(sp.f_plus).hex(),
+                float(sp.lam).hex(), sp.feasible)
+
+    for ch in (golden, sa.validate_channel(np.full((3, 4), 0.25)), random_channel(
+            np.random.default_rng(5), 4, 6)):
+        zero = fields(sa.SqueezeParams(ch, 0.0, 0.0))
+        assert zero == fields(sa.params_from_r_lambda(ch, np.zeros(ch.m), 1.0))
+        assert zero == fields(sa.plan(ch, "none").params)
+        assert zero == fields(sa.solve(ch, "aba").params)
