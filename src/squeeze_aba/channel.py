@@ -65,6 +65,17 @@ def _integer(name: str, value, least: int) -> int:
     return count
 
 
+def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
+    """The float array a, checked in place: ValidationError unless every
+    entry is finite, NegativeEntryError unless every entry is nonnegative."""
+    # argmin and argmax find a NaN, like min and max; the full checks only pick the error
+    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} must be finite")
+        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
+    return a
+
+
 def _check_vector(v, length: int, name: str) -> np.ndarray:
     """v as a read-only, finite, nonnegative float vector of the given length
     (a scalar fills it).  An array made here from a list or scalar is frozen
@@ -75,23 +86,11 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
         a = np.full(length, float(a))
     if a.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
-    # argmin and argmax find a NaN, like min and max; the full checks only pick the error
-    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
-        if not np.isfinite(a).all():
-            raise ValidationError(f"{name} must be finite")
-        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
+    _check_entries(a, name)
     if a is v:
         return _readonly(a)
     a.setflags(write=False)  # made here, so no caller holds it
     return a
-
-
-def _row_log_likelihoods(w: np.ndarray) -> np.ndarray:
-    """sum_j W_ij ln W_ij of each row of a nonnegative matrix, with 0 ln 0 = 0."""
-    wlogw = w + (w == 0)  # 0 ln 1 = 0 stands for 0 ln 0 = 0
-    np.log(wlogw, out=wlogw)
-    wlogw *= w
-    return np.add.reduce(wlogw, axis=1)
 
 
 def _total(v: np.ndarray, axis: int = 0):
@@ -127,7 +126,8 @@ class ChannelMatrix:
     the squeeze planners refuse it.  Construction also keeps, read-only,
     the column minima min_i W_ij (``column_minima()``; their sum is the
     row overlap) and the row log-likelihoods sum_j W_ij ln W_ij that every
-    divergence evaluation reads.
+    divergence evaluation reads; these mask 0 ln 0 = 0 only when the
+    channel has a zero entry.
     """
 
     w: np.ndarray
@@ -140,29 +140,32 @@ class ChannelMatrix:
             raise EmptyMatrixError(f"expected a nonempty 2-d matrix, got shape {w.shape}")
         if w.shape[0] < 2:
             raise EmptyMatrixError(f"need at least 2 input letters, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)):
-            raise NegativeEntryError("channel entries must be finite")
-        if np.any(w < 0):
-            i, j = np.unravel_index(np.argmin(w), w.shape)
+        # argmin and argmax find a NaN, like min and max; the full checks only pick the error
+        if not (w.item(w.argmin()) >= 0.0 and w.item(w.argmax()) < np.inf):
+            if not np.isfinite(w).all():
+                raise NegativeEntryError("channel entries must be finite")
+            i, j = np.unravel_index(w.argmin(), w.shape)
             raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
-        zero_cols = np.nonzero(w.max(axis=0) == 0)[0]  # a max cannot overflow
-        if zero_cols.size:
-            raise ZeroColumnError(f"column(s) {zero_cols.tolist()} are identically zero")
+        col_max = w.max(axis=0)  # a max cannot overflow
+        if col_max[col_max.argmin()] == 0.0:
+            zero_cols = np.nonzero(col_max == 0)[0].tolist()
+            raise ZeroColumnError(f"column(s) {zero_cols} are identically zero")
         sums = _total(w, 1)  # a row past the float range sums to inf, which the window refuses
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
+        off = np.abs(sums - 1.0)
+        if off[off.argmax()] > ROW_SUM_TOL:
+            i = int(np.nonzero(off > ROW_SUM_TOL)[0][0])
             raise RowSumToleranceError(
                 f"row {i} sums to {sums[i]:.15g}, outside 1 +/- {ROW_SUM_TOL:g}"
             )
         w = np.ascontiguousarray(w / sums[:, None])
         col_min = w.min(axis=0)
-        row_loglikes = _row_log_likelihoods(w)
-        for a in (w, col_min, row_loglikes):
+        # sum_j W_ij ln W_ij, with 0 ln 1 = 0 standing for 0 ln 0 = 0 where W has a zero
+        wlogw = np.log(w + (w == 0) if col_min[col_min.argmin()] == 0.0 else w)
+        wlogw *= w
+        row_loglikes = np.add.reduce(wlogw, axis=1)
+        for name, a in (("w", w), ("_col_min", col_min), ("_row_loglikes", row_loglikes)):
             a.setflags(write=False)  # made here, so no caller holds it
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "_col_min", col_min)
-        object.__setattr__(self, "_row_loglikes", row_loglikes)
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
@@ -224,7 +227,7 @@ def make_distribution(p, floor=None) -> Distribution:
         floor = np.asarray(getattr(floor, "probs", floor), dtype=float)
         if floor.shape != p.shape:
             raise DimensionMismatchError("floor and probs have different lengths")
-        _floor_mass(_check_vector(floor, p.size, "floor"))  # as floored_uniform checks r
+        _floor_mass(_check_entries(floor, "floor"))  # as floored_uniform checks r
         if np.any(p < floor - PROB_SUM_TOL):
             i = int(np.argmin(p - floor))
             raise NegativeEntryError(
@@ -243,5 +246,6 @@ def floored_uniform(r) -> Distribution:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise DimensionMismatchError(f"r must be a nonempty vector, got shape {r.shape}")
-    r = _check_vector(r, r.size, "r")
-    return Distribution((1.0 - _floor_mass(r)) / r.size + r)
+    p = (1.0 - _floor_mass(_check_entries(r, "r"))) / r.size + r
+    p.setflags(write=False)  # made here, so no caller holds it
+    return Distribution(p)

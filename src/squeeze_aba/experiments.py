@@ -85,12 +85,14 @@ def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
 def random_channel(m: int, n: int, rng: np.random.Generator) -> ChannelMatrix:
     """Row-normalized uniform variates; rows with numerically zero mass redrawn."""
     u = rng.random((m, n))
+    sums = u.sum(axis=1)
     for _ in range(100):
-        weak = u.sum(axis=1) < 1e-12
+        weak = sums < 1e-12
         if not weak.any():
             break
         u[weak] = rng.random((int(weak.sum()), n))
-    return validate_channel(u / u.sum(axis=1, keepdims=True))
+        sums = u.sum(axis=1)
+    return validate_channel(u / sums[:, None])
 
 
 def _run_one(config: BenchConfig, k: int) -> BenchRecord:

@@ -381,6 +381,11 @@ def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> 
     the feasible interval for the channel; ``force`` turns a gain above the
     interval into a warning (convergence is then no longer guaranteed).  A
     gain below 1 is always an error.
+
+    The params are built again on every call.  A caller stepping at one
+    gain gets the same bits from ``alg2_step(channel, params, p)`` with
+    ``params = params_from_r_lambda(channel, 0.0, lam)`` built once: the
+    zero floor takes the same unfloored update.
     """
     return _step(channel, p, _resolve_params(channel, "alg1", lam, None, None, None, force))
 

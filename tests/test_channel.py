@@ -133,6 +133,45 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
         assert copies == []
 
 
+def test_floor_checks_copy_no_floor(monkeypatch):
+    """``floored_uniform`` and ``make_distribution(p, floor=...)`` check a
+    floor and keep none of it, so neither copies a caller's writeable floor,
+    and each refuses a bad floor with its own name in the message."""
+    copies = []
+    readonly = sa.channel._readonly
+
+    def spy(a):
+        b = readonly(a)
+        if b is not a:
+            copies.append(a)
+        return b
+
+    monkeypatch.setattr(sa.channel, "_readonly", spy)
+    p = np.array([0.5, 0.5])
+    p.setflags(write=False)
+    floor = np.array([0.125, 0.25])
+    assert np.array_equal(sa.floored_uniform(floor).probs, [0.4375, 0.5625])
+    assert sa.make_distribution(p, floor=floor).probs is p
+    assert copies == [] and floor.flags.writeable
+    for bad, error, message in (
+            ([np.nan, 0.1], sa.ValidationError, "{} must be finite"),
+            ([0.1, np.inf], sa.ValidationError, "{} must be finite"),
+            ([-np.inf, 0.1], sa.ValidationError, "{} must be finite"),
+            ([-0.1, 0.2], sa.NegativeEntryError, "{} must be nonnegative (min -1.000e-01)"),
+            ([-0.1, np.nan], sa.ValidationError, "{} must be finite"),
+            ([0.6, 0.6], sa.InfeasibleFloorError, "floor mass r_+ = 1.2 must be < 1"),
+            ([0.5, 0.5], sa.InfeasibleFloorError, "floor mass r_+ = 1 must be < 1"),
+            ([1e308, 1e308], sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1")):
+        bad = np.array(bad)
+        assert under_every_filter(lambda: sa.floored_uniform(bad)) == (error, message.format("r"))
+        assert under_every_filter(lambda: sa.make_distribution(p, floor=bad)) == (
+            error, message.format("floor"))
+        assert copies == [] and bad.flags.writeable
+    assert under_every_filter(lambda: sa.make_distribution(p, floor=[0.25, 0.5 + 2e-12])) == (
+        sa.NegativeEntryError, "component 1 is 0.5, below its floor 0.500000000002")
+    sa.make_distribution(p, floor=[0.25, 0.5 + 1e-12])  # within the tolerance
+
+
 def test_make_distribution_checks():
     d = sa.make_distribution([0.25, 0.75])
     assert d.m == 2
@@ -204,6 +243,62 @@ def test_non_finite_entry_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(sa.NegativeEntryError, match="must be finite"):
             sa.validate_channel([[0.5, 0.5], [bad, 0.5]])
+
+
+def _faults(m: int, n: int):
+    """(name, matrix, error class, message) of m x n matrices that fail two
+    checks at once; the message is the one check that construction runs first."""
+    rng = np.random.default_rng(5)
+    base = rng.random((m, n))
+    base /= base.sum(axis=1, keepdims=True)
+    finite = (sa.NegativeEntryError, "channel entries must be finite")
+    cases = []
+
+    w = base.copy()
+    w[1, 0], w[1, 1] = -0.5, np.nan  # the negative entry comes first in the flat order
+    cases.append(("nan beside a negative entry", w, *finite))
+
+    w = base.copy()
+    w[0, n - 1] = -np.inf
+    cases.append(("-inf", w, *finite))
+
+    w = base.copy()
+    w[:, 0] = 0.0
+    w[m - 1, 1] = np.inf
+    cases.append(("+inf beside a zero column", w, *finite))
+
+    w = base.copy()
+    w[0, 0] = -0.25  # row 0 is off by far more than the window
+    w[m - 1, n - 1] = -0.5  # the smallest entry is the one named
+    cases.append(("negative entry in a row whose sum is off", w, sa.NegativeEntryError,
+                  f"negative entry -5.000e-01 at ({m - 1}, {n - 1})"))
+
+    w = base.copy()
+    w[m - 1, :2] = 1e308
+    cases.append(("finite entries whose row sum overflows", w, sa.RowSumToleranceError,
+                  f"row {m - 1} sums to inf, outside 1 +/- 1e-09"))
+
+    w = base.copy()
+    w[:, 0] = w[:, n - 1] = 0.0  # every row loses mass
+    cases.append(("zero column in a row whose sum is off", w, sa.ZeroColumnError,
+                  f"column(s) [0, {n - 1}] are identically zero"))
+
+    w = base.copy()
+    w[0, 0] += 2e-9  # the first row out of the window is named, not the farthest
+    w[1, 0] += 0.5
+    cases.append(("two rows off", w, sa.RowSumToleranceError,
+                  f"row 0 sums to {w[0].sum():.15g}, outside 1 +/- 1e-09"))
+    return cases
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (64, 256)])
+def test_validation_order_when_two_checks_fail(m, n):
+    """Checks run in a fixed order: finite, nonnegative, no zero column,
+    row sums; a matrix that fails two reports the first, whichever entry
+    comes first in memory."""
+    for name, w, error, message in _faults(m, n):
+        assert under_every_filter(lambda: sa.ChannelMatrix(w)) == (error, message), name
+        assert w.flags.writeable  # construction leaves the caller's array alone
 
 
 def test_make_distribution_shape_checks():

@@ -37,6 +37,41 @@ def test_random_channel_validates(rng):
         assert ch.w.min() >= 0.0
 
 
+class _Draws:
+    """A stand-in generator: ``random(shape)`` returns the queued draws in
+    order, then ``fill`` for ever; the shapes asked for are kept."""
+
+    def __init__(self, draws, fill):
+        self.draws, self.fill, self.shapes = list(draws), np.asarray(fill), []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return np.array(self.draws.pop(0)) if self.draws else np.tile(self.fill, (shape[0], 1))
+
+
+def test_random_channel_redraws_rows_of_no_mass():
+    tiny = [1e-14, 2e-14, 3e-14, 4e-14]  # sums to 1e-13, under the 1e-12 cut
+    first = [tiny, [0.1, 0.2, 0.3, 0.4], tiny]
+    again = [[0.5, 0.5, 0.5, 0.5], tiny]  # row 2 stays weak for one more round
+    last = [[0.4, 0.3, 0.2, 0.1]]
+    stub = _Draws([first, again, last], tiny)
+    got = sa.random_channel(3, 4, stub)
+    assert stub.shapes == [(3, 4), (2, 4), (1, 4)]
+    u = np.array([again[0], first[1], last[0]])
+    expected = sa.validate_channel(u / u.sum(axis=1, keepdims=True))
+    assert got.w.tobytes() == expected.w.tobytes()
+
+
+def test_random_channel_stops_redrawing_after_100_rounds():
+    tiny = [1e-14, 2e-14, 3e-14, 4e-14]
+    stub = _Draws([[tiny, [0.1, 0.2, 0.3, 0.4]]], tiny)  # row 0 never gains mass
+    got = sa.random_channel(2, 4, stub)
+    assert stub.shapes == [(2, 4)] + [(1, 4)] * 100
+    u = np.array([tiny, [0.1, 0.2, 0.3, 0.4]])
+    expected = sa.validate_channel(u / u.sum(axis=1, keepdims=True))
+    assert got.w.tobytes() == expected.w.tobytes()
+
+
 def test_random_2x8_overlap_mass_band():
     # Monte Carlo: mean row-overlap mass of these channels sits well inside
     # (0.4, 0.9), so they leave real squeezing room

@@ -45,7 +45,8 @@ class TestJacobiEigh:
 
     def test_rejects_nonfinite(self):
         # LAPACK would return NaN eigenvalues here without an error
-        for a in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        for a in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                  [[1.0, 0.0], [0.0, -np.inf]]):
             with pytest.raises(sa.ValidationError, match="non-finite"):
                 sa.jacobi_eigh(a)
 
@@ -220,6 +221,12 @@ class TestGuards:
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
         with pytest.raises(sa.BoundaryFixedPointError):
             sa.matrix_rate(params, [0.125, 0.875])
+        # a NaN beside a boundary component does not hide it; a NaN alone
+        # reaches the step, which refuses a non-finite start
+        with pytest.raises(sa.BoundaryFixedPointError):
+            sa.matrix_rate(params, [np.nan, 0.125])
+        with pytest.raises(sa.ValidationError, match="start must be finite"):
+            sa.matrix_rate(params, [np.nan, 0.5])
 
     def test_non_fixed_point_refused(self, golden):
         params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])
@@ -455,7 +462,7 @@ def test_matrix_rate_refuses_a_fixed_point_of_another_length(golden):
             with pytest.raises(sa.DimensionMismatchError, match="must have length 2"):
                 call(params)
         # a non-finite point gave NaN entries in R
-        for bad in ([np.nan, 0.5], [0.5, np.inf]):
+        for bad in ([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
             with pytest.raises(sa.ValidationError, match="non-finite"):
                 sa.iteration_jacobian(params, bad)
 
