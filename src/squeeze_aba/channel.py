@@ -8,10 +8,11 @@ floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 A channel validates its entries when it is constructed, however it is
 built.  Every stored value is an input or worked out from the inputs: a
 channel derives its column minima and its row log-likelihoods from W
-once, there, and a floor is checked by
-``make_distribution`` rather than stored.  Tolerances are the module
-constants, not options.  A channel with an identically zero column is
-rejected; deleting that output letter is left to the caller.
+once, there, and a floor is checked by ``make_distribution`` rather than
+stored.  Every function that takes a probability vector checks it with
+``_check_point``, once, under the argument's own name.  Tolerances are
+the module constants, not options.  A channel with an identically zero
+column is rejected; deleting that output letter is left to the caller.
 
 All types are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
@@ -209,35 +210,53 @@ class Distribution:
         return self.probs.shape[0]
 
 
+def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
+    """p, a Distribution or an array, as a float vector on the simplex, or the
+    error that says why not, naming ``name``; the package's one check of a
+    point.  In order: DimensionMismatchError unless p is a nonempty vector,
+    of length m when given; ValidationError on a NaN or infinite entry and
+    NegativeEntryError on a negative one; DimensionMismatchError when the
+    sum, through ``_total``, is off 1 by more than PROB_SUM_TOL (one past
+    the float range sums to inf); NegativeEntryError when p lies more than
+    PROB_SUM_TOL below ``floor``, a floor the caller has checked.  An
+    array made here is frozen where it is made; the caller's own is
+    returned as it is."""
+    given = getattr(p, "probs", p)
+    a = np.asarray(given, dtype=float)
+    if m is None and (a.ndim != 1 or a.size == 0):
+        raise DimensionMismatchError(f"{name} must be a nonempty vector, got shape {a.shape}")
+    if m is not None and a.shape != (m,):
+        raise DimensionMismatchError(f"{name} must have length {m}, got shape {a.shape}")
+    s = _total(_check_entries(a, name))
+    if not abs(s - 1.0) <= PROB_SUM_TOL:
+        raise DimensionMismatchError(f"{name} must sum to 1 +/- {PROB_SUM_TOL:g}, got {s:.15g}")
+    if floor is not None and np.any(a < floor - PROB_SUM_TOL):
+        i = int(np.argmin(a - floor))
+        raise NegativeEntryError(f"{name} must dominate the floor: component {i} is "
+                                 f"{a[i]:.15g}, below its floor {floor[i]:.15g}")
+    if a is not given:
+        a.setflags(write=False)  # made here, so no caller holds it
+    return a
+
+
 def make_distribution(p, floor=None) -> Distribution:
     """Validate a probability vector without renormalizing; with ``floor``,
-    also check the floor (finite, nonnegative, mass < 1) and that the
-    vector lies on Omega(floor).  Either may be a Distribution."""
-    p = np.asarray(getattr(p, "probs", p), dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise DimensionMismatchError(f"expected a nonempty vector, got shape {p.shape}")
-    if not p[p.argmin()] >= 0.0 and np.any(p < 0):  # argmin finds a NaN, like min
-        raise NegativeEntryError(f"negative probability (min {p.min():.3e})")
-    s = _total(p)
-    if not abs(s - 1.0) <= PROB_SUM_TOL:  # also True on a NaN or infinite sum
-        if not np.isfinite(p).all():
-            raise ValidationError(f"probabilities must be finite, got {p}")
-        raise DimensionMismatchError(f"probabilities sum to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
+    also check the floor (same length, finite, nonnegative, mass < 1),
+    before the vector, and that the vector lies on Omega(floor).  Either
+    may be a Distribution."""
     if floor is not None:
         floor = np.asarray(getattr(floor, "probs", floor), dtype=float)
-        if floor.shape != p.shape:
+        if floor.shape != np.shape(getattr(p, "probs", p)):
             raise DimensionMismatchError("floor and probs have different lengths")
-        _floor_mass(_check_entries(floor, "floor"))  # as floored_uniform checks r
-        if np.any(p < floor - PROB_SUM_TOL):
-            i = int(np.argmin(p - floor))
-            raise NegativeEntryError(
-                f"component {i} is {p[i]:.15g}, below its floor {floor[i]:.15g}"
-            )
-    return Distribution(p)
+        if floor.ndim == 1 and floor.size:  # else the point's own shape check refuses p
+            _floor_mass(_check_entries(floor, "floor"))  # as floored_uniform checks r
+    return Distribution(_check_point(p, "probabilities", floor=floor))
 
 
 def uniform(m: int) -> Distribution:
-    return Distribution(np.full(m, 1.0 / m))
+    p = np.full(m, 1.0 / m)
+    p.setflags(write=False)  # made here, so the Distribution shares it
+    return Distribution(p)
 
 
 def floored_uniform(r) -> Distribution:

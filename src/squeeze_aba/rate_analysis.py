@@ -45,7 +45,10 @@ sets are compared through one report each at the same optimizer,
 The module analyses the fixed point it is given and refines none:
 ``matrix_rate`` certifies p* by the displacement of one step of the map
 (``FIXED_POINT_TOL``), so p* comes from a solve run to a small gap, as
-``squeeze-aba rate`` does.
+``squeeze-aba rate`` does.  Each point is checked once, by
+``channel._check_point`` under its own name: ``fixed_point_on_floor``
+checks ``p_hat`` and ``matrix_rate`` checks ``p_star``, whose step then
+goes straight into the solvers' loop, ``_iterate``, with no second check.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Distribution, make_distribution
+from .channel import Distribution, _check_point
 from .errors import (
     BoundaryFixedPointError,
     DimensionMismatchError,
     NotAFixedPointError,
     ValidationError,
 )
-from .solvers import alg3_step
+from .solvers import _iterate
 from .squeeze import SqueezeParams
 
 #: tolerance on one-step displacement when certifying a fixed point
@@ -156,19 +159,16 @@ class RateReport:
         return abs(self.global_rate - ((1.0 + self.f_plus) * self.rate_r0 - self.f_plus))
 
 
-def _point(p, m: int, name: str) -> np.ndarray:
-    """p (a Distribution or array) as a float vector, DimensionMismatchError
-    unless it has length m."""
-    p = np.asarray(getattr(p, "probs", p), dtype=float)
-    if p.shape != (m,):
-        raise DimensionMismatchError(f"{name} must have length {m}, got shape {p.shape}")
-    return p
-
-
 def fixed_point_on_floor(params: SqueezeParams, p_hat) -> Distribution:
-    """Map the plain-simplex optimizer p_hat to Omega(r): (1 - r_+) p_hat + r."""
-    q = _point(p_hat, params.channel.m, "p_hat")
-    return make_distribution((1.0 - params.r_plus) * q + params.r, floor=params.r)
+    """Map the plain-simplex optimizer p_hat to Omega(r): (1 - r_+) p_hat + r.
+
+    p_hat is checked as a point of length m (``channel._check_point``); the
+    params checked r when they were built, so the image is not checked again.
+    """
+    q = _check_point(p_hat, "p_hat", params.channel.m)
+    p = (1.0 - params.r_plus) * q + params.r
+    p.setflags(write=False)  # made here, so the Distribution shares it
+    return Distribution(p)
 
 
 def _jacobian_and_gram(params: SqueezeParams, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +189,9 @@ def iteration_jacobian(params: SqueezeParams, p) -> np.ndarray:
     first-order approximation of it nearby.  Raises DimensionMismatchError
     unless p has length m and ValidationError on a non-finite entry.
     """
-    p = _point(p, params.channel.m, "p")
+    p = np.asarray(getattr(p, "probs", p), dtype=float)
+    if p.shape != (params.channel.m,):
+        raise DimensionMismatchError(f"p must have length {params.channel.m}, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValidationError("p has a non-finite entry")
     return _jacobian_and_gram(params, p)[0]
@@ -205,22 +207,25 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     Raises ValidationError for infeasible params (``feasible=False``),
     however built, directly or by a builder under ``force=True``: their W*
     is clamped, its rows may sum above 1, and R is not the map's Jacobian.
-    Raises BoundaryFixedPointError when p* does not clear the floor by
-    INTERIOR_MARGIN (the formula only holds at interior fixed points)
-    and NotAFixedPointError when one iteration step moves p* by more than
-    FIXED_POINT_TOL.
+    p* is checked once, as a point of length m (``channel._check_point``,
+    naming ``p_star``), so a non-finite entry raises ValidationError before
+    the interior test.  Raises BoundaryFixedPointError when p* does not
+    clear the floor by INTERIOR_MARGIN (the formula only holds at interior
+    fixed points) and NotAFixedPointError when one step of the map, taken
+    by the solvers' loop ``_iterate`` without checking p* again, moves p*
+    by more than FIXED_POINT_TOL.
     """
     if not params.feasible:
         raise ValidationError("the rate formulas hold only for feasible params; these "
                               "violate a column constraint")
-    p = _point(p_star, params.channel.m, "p_star")
+    p = _check_point(p_star, "p_star", params.channel.m)
     if np.any(p <= params.r + INTERIOR_MARGIN):
         i = int(np.argmin(p - params.r))
         raise BoundaryFixedPointError(
             f"component {i} of p* is within {INTERIOR_MARGIN:g} of its floor; "
             "the local rate formula does not apply at boundary fixed points"
         )
-    moved = alg3_step(params, p).probs
+    moved = _iterate(params.channel, params, p)  # one step of the map, as alg3_step takes
     disp = float(np.abs(moved - p).max())
     if disp > FIXED_POINT_TOL:
         raise NotAFixedPointError(
@@ -240,7 +245,7 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     rate_r0 = max(float(1.0 - mu[0]), 0.0)
 
     return RateReport(
-        p_star=Distribution(p),  # checked above: p clears r, and alg3_step checked its sum
+        p_star=Distribution(p),  # checked above: a point that clears r
         R=R,
         global_rate=global_rate,
         global_rate_power=power_rate(R),

@@ -102,12 +102,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    PROB_SUM_TOL,
     ChannelMatrix,
     Distribution,
+    _check_point,
     _integer,
     _require_same_channel,
-    _total,
 )
 from .errors import (
     DimensionMismatchError,
@@ -333,26 +332,13 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
 
 
 def _check_start(p, r: np.ndarray | None = None, m: int | None = None) -> np.ndarray:
-    """p as a positive vector on the simplex, of length m when given, that
-    dominates the floor r when given, or the error that says why not.  The
-    sum goes through ``channel._total``, so finite entries whose sum
-    overflows raise DimensionMismatchError ("start sums to inf") under
-    every warnings filter."""
-    p = np.asarray(getattr(p, "probs", p), dtype=float)
-    if m is None and (p.ndim != 1 or p.size == 0):
-        raise DimensionMismatchError(f"start must be a nonempty vector, got shape {p.shape}")
-    if m is not None and p.shape != (m,):
-        raise DimensionMismatchError(f"start must have length {m}, got shape {p.shape}")
-    # False on a NaN too (argmin finds it, like min); the loop's errstate would let it through
-    if not 0.0 < p[p.argmin()] <= p[p.argmax()] < np.inf:
-        if not np.isfinite(p).all():
-            raise ValidationError(f"start must be finite, got {p}")
+    """``channel._check_point`` of p as "start", of length m and dominating
+    the floor r when given, then the one test only a start needs: every
+    component strictly positive (NonInteriorStartError), since the update
+    cannot move a zero entry off zero."""
+    p = _check_point(p, "start", m, r)
+    if not p[p.argmin()] > 0.0:
         raise NonInteriorStartError("start must have all components strictly positive")
-    s = _total(p)
-    if not abs(s - 1.0) <= PROB_SUM_TOL:
-        raise DimensionMismatchError(f"start sums to {s:.15g}, not 1 +/- {PROB_SUM_TOL:g}")
-    if r is not None and np.any(p < r - PROB_SUM_TOL):
-        raise NonInteriorStartError("start must dominate the floor vector elementwise")
     return p
 
 

@@ -68,7 +68,7 @@ def lambda_upper_bound(channel: ChannelMatrix) -> float:
 
 
 def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
-    """Exact rate-optimal floor for a binary-input channel.
+    """Exact rate-optimal floor for a binary-input channel, read-only.
 
     With a = min over columns where row 1 exceeds row 2 of
     W_2j / (W_1j - W_2j), and b symmetrically, the floor
@@ -88,12 +88,14 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
     up, dn = d > 0.0, d < 0.0
     a = float(np.minimum.reduce(w2[up] / d[up]))
     b = float(np.minimum.reduce(w1[dn] / -d[dn]))
-    return np.array([a, b]) / (1.0 + a + b)
+    r = np.array([a, b]) / (1.0 + a + b)
+    r.setflags(write=False)  # made here, so the params built on it share it
+    return r
 
 
 def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     """Floor along a reference distribution: r = delta q with the largest
-    feasible delta = min_{i,j} W_ij / (qW)_j.
+    feasible delta = min_{i,j} W_ij / (qW)_j, read-only.
 
     Any zero channel entry forces delta = 0 (and r = 0).
     """
@@ -103,7 +105,9 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
         raise ValidationError("reference distribution gives zero output mass")
     # dividing column j by s_j > 0 keeps its order, so its minimum stays in place
     delta = float((channel.column_minima() / s).min())
-    return delta * qv
+    r = delta * qv
+    r.setflags(write=False)  # made here, so the params built on it share it
+    return r
 
 
 def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> SqueezePlan:

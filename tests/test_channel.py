@@ -128,7 +128,9 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
     assert copies == []
     for run in (lambda: sa.solve(ch, "aba"), lambda: sa.solve(ch, "alg2", r=r),
                 lambda: sa.aba_step(ch, [0.3, 0.7]),
-                lambda: sa.build_squeeze_params(ch, [0.125, 0.125], [0, 0.25, 0])):
+                lambda: sa.build_squeeze_params(ch, [0.125, 0.125], [0, 0.25, 0]),
+                lambda: sa.uniform(3), lambda: sa.make_distribution([0.3, 0.7]),
+                lambda: sa.SolverConfig(initial=[0.3, 0.7])):
         run()
         assert copies == []
 
@@ -168,29 +170,33 @@ def test_floor_checks_copy_no_floor(monkeypatch):
             error, message.format("floor"))
         assert copies == [] and bad.flags.writeable
     assert under_every_filter(lambda: sa.make_distribution(p, floor=[0.25, 0.5 + 2e-12])) == (
-        sa.NegativeEntryError, "component 1 is 0.5, below its floor 0.500000000002")
+        sa.NegativeEntryError,
+        "probabilities must dominate the floor: component 1 is 0.5, below its floor 0.500000000002")
     sa.make_distribution(p, floor=[0.25, 0.5 + 1e-12])  # within the tolerance
 
 
 def test_make_distribution_checks():
     d = sa.make_distribution([0.25, 0.75])
     assert d.m == 2
-    with pytest.raises(sa.NegativeEntryError):
+    with pytest.raises(sa.NegativeEntryError,
+                       match=r"^probabilities must be nonnegative \(min -2\.500e-01\)$"):
         sa.make_distribution([1.25, -0.25])
-    with pytest.raises(sa.DimensionMismatchError):
+    with pytest.raises(sa.DimensionMismatchError,
+                       match=r"^probabilities must sum to 1 \+/- 1e-12, got 1\.1$"):
         sa.make_distribution([0.5, 0.6])
     # a NaN sum passes both the sign and the sum test unless the compare is negated
     for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
-        with pytest.raises(sa.ValidationError, match="probabilities must be finite"):
+        with pytest.raises(sa.ValidationError, match="^probabilities must be finite$"):
             sa.make_distribution(bad)
-    # a NaN does not hide a negative entry from the sign test
-    with pytest.raises(sa.NegativeEntryError, match="negative probability"):
+    # finiteness is checked before the sign, as for every point, floor and
+    # channel: a NaN beside a negative entry is reported as the NaN
+    with pytest.raises(sa.ValidationError, match="^probabilities must be finite$"):
         sa.make_distribution([np.nan, -1.0])
     # a sum past the float range is an error about the sum, with no numpy warning
     with warnings.catch_warnings(), np.errstate(over="warn"):
         warnings.simplefilter("error")
         with pytest.raises(sa.DimensionMismatchError,
-                           match=r"^probabilities sum to inf, not 1 \+/- 1e-12$"):
+                           match=r"^probabilities must sum to 1 \+/- 1e-12, got inf$"):
             sa.make_distribution([1e308, 1e308])
 
 

@@ -207,26 +207,29 @@ class TestGoldenRates:
 
 class TestGuards:
     def test_fixed_point_validated_once(self, golden, monkeypatch):
-        # fixed_point_on_floor checks the point, alg3_step checks it as a
-        # start, and the step's output and the report's p* are not re-checked
+        # fixed_point_on_floor checks p_hat, matrix_rate checks p_star, and
+        # neither the floored image, the step's start or its output, nor the
+        # report's p* is checked again
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
         made = spy_calls(monkeypatch, "make_distribution")
         checked = spy_calls(monkeypatch, "_check_start")
+        points = spy_calls(monkeypatch, "_check_point")
         rep = sa.matrix_rate(params, sa.fixed_point_on_floor(params, [0.5, 0.5]))
-        assert (len(made), len(checked)) == (1, 1)
+        assert (len(made), len(checked)) == (0, 0)
+        assert [args[1] for args in points] == ["p_hat", "p_star"]
         assert np.allclose(rep.p_star.probs, [0.5, 0.5], atol=1e-15)
         assert not rep.p_star.probs.flags.writeable
 
     def test_boundary_fixed_point_refused(self, golden):
         params = sa.build_squeeze_params(golden, GOLDEN_R_OPT, [0, 0.25, 0])
-        with pytest.raises(sa.BoundaryFixedPointError):
+        with pytest.raises(sa.BoundaryFixedPointError,
+                           match="^component 0 of p\\* is within 1e-09 of its floor"):
             sa.matrix_rate(params, [0.125, 0.875])
-        # a NaN beside a boundary component does not hide it; a NaN alone
-        # reaches the step, which refuses a non-finite start
-        with pytest.raises(sa.BoundaryFixedPointError):
-            sa.matrix_rate(params, [np.nan, 0.125])
-        with pytest.raises(sa.ValidationError, match="start must be finite"):
-            sa.matrix_rate(params, [np.nan, 0.5])
+        # p* is checked as a point before the interior test, so a NaN is
+        # reported as p_star's, beside a boundary component or not
+        for bad in ([np.nan, 0.125], [np.nan, 0.5]):
+            with pytest.raises(sa.ValidationError, match="^p_star must be finite$"):
+                sa.matrix_rate(params, bad)
 
     def test_non_fixed_point_refused(self, golden):
         params = sa.build_squeeze_params(golden, [0, 0], [0, 0, 0])

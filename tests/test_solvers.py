@@ -475,19 +475,20 @@ class TestSolve:
                         (lambda p: sa.alg1_step(golden, 1.2, p), [0.5, 0.6]),
                         (lambda p: sa.alg2_step(golden, params, p), [0.3, 0.3]),
                         (lambda p: sa.alg3_step(params, p), [0.3, 0.3])):
-            with pytest.raises(sa.DimensionMismatchError, match="start sums to"):
-                step(p)
+            total = f"{sum(p):.15g}"
+            assert under_every_filter(lambda: step(p)) == (
+                sa.DimensionMismatchError, f"start must sum to 1 +/- 1e-12, got {total}")
         # finite entries whose sum overflows: the config, the four steps and
-        # matrix_rate, which steps from its p*, all refuse it under every filter
+        # matrix_rate, which checks its p*, all refuse it under every filter
         huge = [1e308, 1e308]
-        for refuse in (lambda: sa.SolverConfig(initial=huge),
-                       lambda: sa.aba_step(golden, huge),
-                       lambda: sa.alg1_step(golden, 1.2, huge),
-                       lambda: sa.alg2_step(golden, params, huge),
-                       lambda: sa.alg3_step(params, huge),
-                       lambda: sa.matrix_rate(params, huge)):
-            error, message = under_every_filter(refuse)
-            assert error is sa.DimensionMismatchError and message.startswith("start sums to inf")
+        for name, refuse in (("start", lambda: sa.SolverConfig(initial=huge)),
+                             ("start", lambda: sa.aba_step(golden, huge)),
+                             ("start", lambda: sa.alg1_step(golden, 1.2, huge)),
+                             ("start", lambda: sa.alg2_step(golden, params, huge)),
+                             ("start", lambda: sa.alg3_step(params, huge)),
+                             ("p_star", lambda: sa.matrix_rate(params, huge))):
+            assert under_every_filter(refuse) == (
+                sa.DimensionMismatchError, f"{name} must sum to 1 +/- 1e-12, got inf")
 
     def test_method_parameter_validation(self, golden):
         with pytest.raises(sa.ValidationError):
@@ -741,7 +742,9 @@ def test_step_start_checks(golden):
     with pytest.raises(sa.DimensionMismatchError, match="start must have length 2"):
         sa.aba_step(golden, [1 / 3, 1 / 3, 1 / 3])
     params = sa.params_from_r_lambda(golden, GOLDEN_R_OPT, GOLDEN_LAMBDA)
-    with pytest.raises(sa.NonInteriorStartError, match="must dominate the floor"):
+    # a start below its floor is refused as any point below its floor is
+    with pytest.raises(sa.NegativeEntryError, match=r"^start must dominate the floor: "
+                       r"component 0 is 0\.05, below its floor 0\.125$"):
         sa.alg2_step(golden, params, [0.05, 0.95])
 
 
