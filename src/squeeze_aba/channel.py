@@ -8,11 +8,14 @@ floored elementwise by a nonnegative vector r (the set ``Omega(r)``).
 A channel validates its entries when it is constructed, however it is
 built.  Every stored value is an input or worked out from the inputs: a
 channel derives its column minima and its row log-likelihoods from W
-once, there, and a floor is checked by ``make_distribution`` rather than
-stored.  Every function that takes a probability vector checks it with
-``_check_point``, once, under the argument's own name.  Tolerances are
-the module constants, not options.  A channel with an identically zero
-column is rejected; deleting that output letter is left to the caller.
+once, there.  Each rule has one owner here.  ``_check_entries`` is the
+only test of an array's finiteness and sign, whether the array is a
+channel, a floor, an offset or a point; ``_floor_mass`` is the only test
+of a floor's mass; and ``_check_point`` is the only check of a
+probability vector, run once by every function that takes one, under the
+argument's own name.  Tolerances are the module constants, not options.
+A channel with an identically zero column is rejected; deleting that
+output letter is left to the caller.
 
 All types are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
@@ -67,13 +70,17 @@ def _integer(name: str, value, least: int) -> int:
 
 
 def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
-    """The float array a, checked in place: ValidationError unless every
-    entry is finite, NegativeEntryError unless every entry is nonnegative."""
+    """The nonempty float array a, of any shape, checked in place: the
+    package's one entry rule.  ValidationError unless every entry is
+    finite, then NegativeEntryError unless every entry is nonnegative,
+    naming the smallest entry and its index, ``(i, j)`` in a matrix."""
     # argmin and argmax find a NaN, like min and max; the full checks only pick the error
-    if not (a[a.argmin()] >= 0.0 and a[a.argmax()] < np.inf):
+    if not (a.item(a.argmin()) >= 0.0 and a.item(a.argmax()) < np.inf):
         if not np.isfinite(a).all():
             raise ValidationError(f"{name} must be finite")
-        raise NegativeEntryError(f"{name} must be nonnegative (min {a.min():.3e})")
+        k = int(a.argmin())
+        at = k if a.ndim == 1 else tuple(int(i) for i in np.unravel_index(k, a.shape))
+        raise NegativeEntryError(f"{name} must be nonnegative (min {a.item(k):.3e} at {at})")
     return a
 
 
@@ -109,6 +116,9 @@ def _total(v: np.ndarray, axis: int = 0):
 
 
 def _floor_mass(r: np.ndarray) -> float:
+    """r_+ of a floor whose entries ``_check_entries`` passed, or
+    InfeasibleFloorError when it is 1 or more (one past the float range
+    sums to inf): the package's one test of a floor's mass."""
     r_plus = float(_total(r))
     if r_plus >= 1.0:
         raise InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
@@ -119,7 +129,10 @@ def _floor_mass(r: np.ndarray) -> float:
 class ChannelMatrix:
     """A validated m x n transition matrix.
 
-    Construction validates the entries: rows whose sums deviate from 1 by
+    Construction validates the entries under the package's one entry
+    rule, ``_check_entries``: a NaN or infinite entry raises
+    ValidationError and a negative one NegativeEntryError, which names
+    the smallest entry and its (i, j).  Rows whose sums deviate from 1 by
     less than ``ROW_SUM_TOL`` are renormalized, and larger deviations
     raise.  A column that is identically zero raises ZeroColumnError: no
     input reaches that output letter.  Equal or nearly equal rows are
@@ -141,12 +154,7 @@ class ChannelMatrix:
             raise EmptyMatrixError(f"expected a nonempty 2-d matrix, got shape {w.shape}")
         if w.shape[0] < 2:
             raise EmptyMatrixError(f"need at least 2 input letters, got {w.shape[0]}")
-        # argmin and argmax find a NaN, like min and max; the full checks only pick the error
-        if not (w.item(w.argmin()) >= 0.0 and w.item(w.argmax()) < np.inf):
-            if not np.isfinite(w).all():
-                raise NegativeEntryError("channel entries must be finite")
-            i, j = np.unravel_index(w.argmin(), w.shape)
-            raise NegativeEntryError(f"negative entry {w[i, j]:.3e} at ({i}, {j})")
+        _check_entries(w, "channel entries")
         col_max = w.max(axis=0)  # a max cannot overflow
         if col_max[col_max.argmin()] == 0.0:
             zero_cols = np.nonzero(col_max == 0)[0].tolist()
@@ -239,18 +247,9 @@ def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
     return a
 
 
-def make_distribution(p, floor=None) -> Distribution:
-    """Validate a probability vector without renormalizing; with ``floor``,
-    also check the floor (same length, finite, nonnegative, mass < 1),
-    before the vector, and that the vector lies on Omega(floor).  Either
-    may be a Distribution."""
-    if floor is not None:
-        floor = np.asarray(getattr(floor, "probs", floor), dtype=float)
-        if floor.shape != np.shape(getattr(p, "probs", p)):
-            raise DimensionMismatchError("floor and probs have different lengths")
-        if floor.ndim == 1 and floor.size:  # else the point's own shape check refuses p
-            _floor_mass(_check_entries(floor, "floor"))  # as floored_uniform checks r
-    return Distribution(_check_point(p, "probabilities", floor=floor))
+def make_distribution(p) -> Distribution:
+    """Validate a probability vector, or a Distribution, without renormalizing."""
+    return Distribution(_check_point(p, "probabilities"))
 
 
 def uniform(m: int) -> Distribution:

@@ -50,7 +50,8 @@ class BenchConfig:
     def __post_init__(self):
         for name, least in (("m", 2), ("n", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        SolverConfig(epsilon=self.epsilon)  # the solvers' own check of epsilon
+        # the solvers' own check of epsilon, which also makes it a Python float
+        object.__setattr__(self, "epsilon", SolverConfig(epsilon=self.epsilon).epsilon)
         object.__setattr__(self, "methods", tuple(self.methods))  # a list would not hash
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:

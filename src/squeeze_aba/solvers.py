@@ -96,6 +96,7 @@ turn a traced result into CSV.
 from __future__ import annotations
 
 import logging
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -133,6 +134,9 @@ METHODS = ("aba", "alg1", "alg2", "alg3", "auto")
 class SolverConfig:
     """Stopping threshold (nats), iteration cap, optional start, tracing.
 
+    ``epsilon`` must be a positive real number; it is stored as a Python
+    float.
+
     ``initial`` always lives on the plain simplex; floored methods start
     from (1 - r_+) * initial + r.  It is validated here, once, since the
     bracket is a certificate only for iterates on the simplex and the
@@ -151,8 +155,11 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
+        if not isinstance(self.epsilon, numbers.Real):
+            raise ValidationError(f"epsilon must be a real number, got {self.epsilon!r}")
+        if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
             object.__setattr__(self, "initial", Distribution(_check_start(self.initial)))
@@ -458,16 +465,16 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     must have been built for this channel and come with no lam, r or f;
     alg2 takes them too) | "auto" (plans its own params, and runs aba's,
     with a logged warning, where the plan is refused; takes no lam, r, f
-    or params).  On a channel whose rows are exactly equal the upper bound
-    is infinite, so lambda defaults to its lower bound.  Every channel, one
-    with equal rows too, goes through the loop, so the bracket returned is
-    always one the loop evaluated; equal rows give z = 0 and stop at
-    iteration 0.
+    or params).  The name is matched exactly: "ALG2" or None is refused
+    with ValidationError.  On a channel whose rows are exactly equal the
+    upper bound is infinite, so lambda defaults to its lower bound.  Every
+    channel, one with equal rows too, goes through the loop, so the bracket
+    returned is always one the loop evaluated; equal rows give z = 0 and
+    stop at iteration 0.
 
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).
     """
-    method = str(method).lower()
     config = config or SolverConfig()
     sp = _resolve_params(channel, method, lam, r, f, params, force)
     m = channel.m

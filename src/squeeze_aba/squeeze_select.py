@@ -116,9 +116,9 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
     The offset and the gain are ``params_from_r_lambda(channel, r)``'s, at
     the largest gain; the builder raises when the floor is infeasible.
     Only "heuristic" reads the reference distribution ``q``; any other
-    strategy refuses one rather than drop it.
+    strategy refuses one rather than drop it.  The strategy's name is
+    matched exactly, so "Heuristic" or None is refused with ValidationError.
     """
-    strategy = str(strategy).lower()
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if q is not None and strategy != "heuristic":

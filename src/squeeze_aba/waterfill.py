@@ -11,15 +11,21 @@ no floor exceeds delta * x_i, none binds and that is the answer, in O(m).
 Otherwise sort indices by r_i / x_i ascending; below the pivot the
 weights scale, above it the floors bind.  O(m log m) from the sort.
 
-Each input reduction is one cheap numpy call: the weights are checked at
-their smallest (argmin finds a NaN, like min) and through their sum, and
-the strict test r_i > delta x_i runs only when the mask r_i >= delta x_i,
-which the result returns anyway, has a nonzero count.  The floor mass and
-the weight sum go through ``channel._total``, the package's one overflow
-policy: finite weights whose sum overflows raise NonpositiveWeightError
-under every warnings filter.  The sort path runs with numpy's overflow
-warning off, since a key r_i / x_i or a product that overflows only marks
-a floor that binds.
+The floor r is judged by the package's own rules, before the weights:
+``channel._check_entries`` refuses a NaN or infinite floor
+(ValidationError) and a negative one (NegativeEntryError), and
+``channel._floor_mass`` a mass of 1 or more (InfeasibleFloorError), as
+every other door that takes a floor does.  The weights keep their own
+rule, strictly positive, since a weight that is not is the loop's
+breakdown signal.  Each weight reduction is one cheap numpy call: the
+weights are checked at their smallest (argmin finds a NaN, like min) and
+through their sum, and the strict test r_i > delta x_i runs only when
+the mask r_i >= delta x_i, which the result returns anyway, has a
+nonzero count.  The weight sum goes through ``channel._total``, the
+package's one overflow policy: finite weights whose sum overflows raise
+NonpositiveWeightError under every warnings filter.  The sort path runs
+with numpy's overflow warning off, since a key r_i / x_i or a product
+that overflows only marks a floor that binds.
 
 delta is scale-invariant in x up to the obvious factor: waterfill(r, c*x)
 returns delta/c with the same p.  Callers that build x from exponentials
@@ -32,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _total
-from .errors import DimensionMismatchError, InfeasibleFloorError, NonpositiveWeightError
+from .channel import _check_entries, _floor_mass, _total
+from .errors import DimensionMismatchError, NonpositiveWeightError
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +58,8 @@ class WaterfillResult:
 def waterfill(r, x) -> WaterfillResult:
     """Solve sum_i max(r_i, delta x_i) = 1 for delta > 0.
 
-    ``r`` must be nonnegative with sum < 1; ``x`` strictly positive with
-    a finite sum.
+    ``r`` must be finite and nonnegative with sum < 1; ``x`` strictly
+    positive with a finite sum.
     Ties in the sort key r_i / x_i are broken by original index, which
     does not change p but keeps the scan deterministic.
     """
@@ -61,11 +67,7 @@ def waterfill(r, x) -> WaterfillResult:
     x = np.asarray(x, dtype=float)
     if r.shape != x.shape or r.ndim != 1 or r.size == 0:
         raise DimensionMismatchError(f"r and x must be equal-length vectors, got {r.shape} and {x.shape}")
-    r_min = r[r.argmin()]
-    if not r_min >= 0.0:  # also rejects NaN
-        raise InfeasibleFloorError(f"floors must be nonnegative (min {r_min:.3e})")
-    if (r_plus := _total(r)) >= 1.0:
-        raise InfeasibleFloorError(f"floor mass {r_plus:.15g} leaves no room to normalize")
+    _floor_mass(_check_entries(r, "r"))
     # argmin finds a NaN, like min; past it every weight is positive, so _total applies
     total = float(_total(x)) if x[x.argmin()] > 0.0 else np.nan
     if not total < np.inf:  # a weight <= 0, NaN or inf, or a sum past the float range

@@ -187,15 +187,16 @@ def bisect_waterfill_delta(r: np.ndarray, x: np.ndarray, iters: int = 200) -> fl
 
 def reference_waterfill(r, x) -> sa.WaterfillResult:
     """Independent oracle: ``waterfill`` as it was before its weights were
-    checked through their sum, with every input reduction taken in full."""
+    checked through their sum, with every input reduction taken in full.
+    Its floor is judged as every floor is: finite, then nonnegative, then
+    of mass below 1."""
     r = np.asarray(r, dtype=float)
     x = np.asarray(x, dtype=float)
     if r.shape != x.shape or r.ndim != 1 or r.size == 0:
         raise sa.DimensionMismatchError(f"r and x must be equal-length vectors, got {r.shape} and {x.shape}")
-    if not r.min() >= 0.0:  # also rejects NaN
-        raise sa.InfeasibleFloorError(f"floors must be nonnegative (min {r.min():.3e})")
+    r = _reference_check_vector(r, r.size, "r")
     if r.sum() >= 1.0:
-        raise sa.InfeasibleFloorError(f"floor mass {r.sum():.15g} leaves no room to normalize")
+        raise sa.InfeasibleFloorError(f"floor mass r_+ = {r.sum():.15g} must be < 1")
     if not (x.min() > 0.0 and x.max() < np.inf):  # min > 0 also rejects NaN
         raise sa.NonpositiveWeightError("weights must be finite and strictly positive")
 
@@ -233,7 +234,8 @@ def _reference_check_vector(v, length: int, name: str) -> np.ndarray:
     if not np.isfinite(v).all():
         raise sa.ValidationError(f"{name} must be finite")
     if np.any(v < 0):
-        raise sa.NegativeEntryError(f"{name} must be nonnegative (min {v.min():.3e})")
+        raise sa.NegativeEntryError(
+            f"{name} must be nonnegative (min {v.min():.3e} at {v.argmin()})")
     return v
 
 
@@ -545,10 +547,11 @@ def spread_rows(rng: np.random.Generator, spread: float) -> np.ndarray:
     return (1.0 - spread) * b / b.sum() + spread * noise / noise.sum(axis=1, keepdims=True)
 
 
-def block_channel(rng: np.random.Generator) -> sa.ChannelMatrix:
-    """64x256 with an interior optimum: input i owns four outputs, plus noise."""
-    noise = rng.random((64, 256))
-    return sa.validate_channel(0.4 * np.kron(np.eye(64), np.full(4, 0.25))
+def block_channel(rng: np.random.Generator, m: int = 64) -> sa.ChannelMatrix:
+    """m x 4m (64x256 by default) with an interior optimum: input i owns
+    four outputs, plus noise."""
+    noise = rng.random((m, 4 * m))
+    return sa.validate_channel(0.4 * np.kron(np.eye(m), np.full(4, 0.25))
                                + 0.6 * noise / noise.sum(axis=1, keepdims=True))
 
 
@@ -609,3 +612,27 @@ def decimal_capacity(channel: sa.ChannelMatrix) -> Decimal:
                 d = lo + phi * (hi - lo)
                 fd = mi(d)
         return max(fc, fd)
+
+
+def decimal_bracket(w, p, digits: int = 40) -> tuple[Decimal, Decimal]:
+    """Independent oracle for any shape: Gallager's bracket
+    [I(p_bar), max_i D(W_i || p_bar W)] in nats at p_bar = p / sum p, in
+    ``digits``-digit decimal arithmetic on the exact float entries of the
+    channel ``w`` (a ChannelMatrix or a matrix) and of p.  The capacity lies
+    in it for every p.  0 ln 0 = 0, and a row with mass on an output that
+    p_bar W gives none makes the upper end infinite."""
+    w = getattr(w, "w", w)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rows = [[Decimal(float(x)) for x in row] for row in w]
+        q = [Decimal(float(x)) for x in p]
+        total = sum(q)
+        q = [x / total for x in q]
+        out = [sum(qi * row[j] for qi, row in zip(q, rows)) for j in range(len(rows[0]))]
+        div = []
+        for row in rows:
+            if any(x and not s for x, s in zip(row, out)):
+                div.append(Decimal("Infinity"))
+            else:
+                div.append(sum(x * (x / s).ln() for x, s in zip(row, out) if x))
+        return sum(qi * d for qi, d in zip(q, div) if qi), max(div)

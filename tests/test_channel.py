@@ -46,8 +46,8 @@ def test_row_sum_out_of_window_rejected():
 
 
 def test_negative_entry_rejected():
-    with pytest.raises(sa.NegativeEntryError):
-        sa.validate_channel([[1.1, -0.1], [0.5, 0.5]])
+    assert under_every_filter(lambda: sa.validate_channel([[1.1, -0.1], [0.5, 0.5]])) == (
+        sa.NegativeEntryError, "channel entries must be nonnegative (min -1.000e-01 at (0, 1))")
 
 
 def test_zero_column_rejected_by_default():
@@ -136,9 +136,9 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
 
 
 def test_floor_checks_copy_no_floor(monkeypatch):
-    """``floored_uniform`` and ``make_distribution(p, floor=...)`` check a
-    floor and keep none of it, so neither copies a caller's writeable floor,
-    and each refuses a bad floor with its own name in the message."""
+    """``floored_uniform`` and ``waterfill`` check a floor and keep none of
+    it, so neither copies a caller's writeable floor, and both refuse a bad
+    floor with the one entry rule's and the one mass rule's messages."""
     copies = []
     readonly = sa.channel._readonly
 
@@ -149,37 +149,30 @@ def test_floor_checks_copy_no_floor(monkeypatch):
         return b
 
     monkeypatch.setattr(sa.channel, "_readonly", spy)
-    p = np.array([0.5, 0.5])
-    p.setflags(write=False)
     floor = np.array([0.125, 0.25])
     assert np.array_equal(sa.floored_uniform(floor).probs, [0.4375, 0.5625])
-    assert sa.make_distribution(p, floor=floor).probs is p
+    assert np.array_equal(sa.waterfill(floor, [1.0, 1.0]).p, [0.5, 0.5])
     assert copies == [] and floor.flags.writeable
     for bad, error, message in (
-            ([np.nan, 0.1], sa.ValidationError, "{} must be finite"),
-            ([0.1, np.inf], sa.ValidationError, "{} must be finite"),
-            ([-np.inf, 0.1], sa.ValidationError, "{} must be finite"),
-            ([-0.1, 0.2], sa.NegativeEntryError, "{} must be nonnegative (min -1.000e-01)"),
-            ([-0.1, np.nan], sa.ValidationError, "{} must be finite"),
+            ([np.nan, 0.1], sa.ValidationError, "r must be finite"),
+            ([0.1, np.inf], sa.ValidationError, "r must be finite"),
+            ([-np.inf, 0.1], sa.ValidationError, "r must be finite"),
+            ([-0.1, 0.2], sa.NegativeEntryError, "r must be nonnegative (min -1.000e-01 at 0)"),
+            ([-0.1, np.nan], sa.ValidationError, "r must be finite"),
             ([0.6, 0.6], sa.InfeasibleFloorError, "floor mass r_+ = 1.2 must be < 1"),
             ([0.5, 0.5], sa.InfeasibleFloorError, "floor mass r_+ = 1 must be < 1"),
             ([1e308, 1e308], sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1")):
         bad = np.array(bad)
-        assert under_every_filter(lambda: sa.floored_uniform(bad)) == (error, message.format("r"))
-        assert under_every_filter(lambda: sa.make_distribution(p, floor=bad)) == (
-            error, message.format("floor"))
+        assert under_every_filter(lambda: sa.floored_uniform(bad)) == (error, message)
+        assert under_every_filter(lambda: sa.waterfill(bad, [1.0, 1.0])) == (error, message)
         assert copies == [] and bad.flags.writeable
-    assert under_every_filter(lambda: sa.make_distribution(p, floor=[0.25, 0.5 + 2e-12])) == (
-        sa.NegativeEntryError,
-        "probabilities must dominate the floor: component 1 is 0.5, below its floor 0.500000000002")
-    sa.make_distribution(p, floor=[0.25, 0.5 + 1e-12])  # within the tolerance
 
 
 def test_make_distribution_checks():
     d = sa.make_distribution([0.25, 0.75])
     assert d.m == 2
     with pytest.raises(sa.NegativeEntryError,
-                       match=r"^probabilities must be nonnegative \(min -2\.500e-01\)$"):
+                       match=r"^probabilities must be nonnegative \(min -2\.500e-01 at 1\)$"):
         sa.make_distribution([1.25, -0.25])
     with pytest.raises(sa.DimensionMismatchError,
                        match=r"^probabilities must sum to 1 \+/- 1e-12, got 1\.1$"):
@@ -201,31 +194,23 @@ def test_make_distribution_checks():
 
 
 def test_distribution_floor_membership():
-    sa.make_distribution([0.3, 0.7], floor=[0.2, 0.1])
-    with pytest.raises(sa.NegativeEntryError):
-        sa.make_distribution([0.15, 0.85], floor=[0.2, 0.0])
-    # the floor is checked as floored_uniform checks r: a NaN or negative
-    # floor would make the Omega(floor) test vacuous
-    for floor, error, match in (([np.nan, 0.1], sa.ValidationError, "floor must be finite"),
-                                ([np.inf, 0.1], sa.ValidationError, "floor must be finite"),
-                                ([-3.0, 0.1], sa.NegativeEntryError, "floor must be nonnegative"),
-                                ([0.5, 0.5], sa.InfeasibleFloorError, "floor mass"),
-                                ([0.2, 0.9], sa.InfeasibleFloorError, "floor mass"),
-                                ([1e308, 1e308], sa.InfeasibleFloorError, "floor mass")):
-        with pytest.raises(error, match=match):
-            sa.make_distribution([0.5, 0.5], floor=floor)
-    floor = np.array([0.2, 0.1])
-    sa.make_distribution([0.5, 0.5], floor=floor)
-    assert floor.flags.writeable  # the caller's floor is not frozen
+    """A floored step's start must lie on Omega(r): a point more than
+    PROB_SUM_TOL below its floor is refused, one within it is not."""
+    ch = sa.validate_channel([[0.5, 0.5], [0.4, 0.6]])
+    p = np.array([0.5, 0.5])
+    below = sa.SqueezeParams(ch, [0.25, 0.5 + 2e-12], 0.0)
+    assert under_every_filter(lambda: sa.alg3_step(below, p)) == (
+        sa.NegativeEntryError,
+        "start must dominate the floor: component 1 is 0.5, below its floor 0.500000000002")
+    within = sa.SqueezeParams(ch, [0.25, 0.5 + 1e-12], 0.0)
+    assert below.feasible and within.feasible
+    sa.alg3_step(within, p)  # within the tolerance
 
 
 def test_make_distribution_takes_a_distribution():
     # like every other function that takes a point, it reads a Distribution's probs
     d = sa.make_distribution(sa.uniform(3))
     assert np.array_equal(d.probs, np.full(3, 1 / 3))
-    # a Distribution's mass is 1, so as a floor it is refused as any mass-1 floor is
-    with pytest.raises(sa.InfeasibleFloorError, match="floor mass"):
-        sa.make_distribution([0.5, 0.5], floor=sa.uniform(2))
 
 
 def test_floored_uniform_layout():
@@ -246,9 +231,10 @@ def test_floored_uniform_rejects_floors_outside_omega():
 
 
 def test_non_finite_entry_rejected():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(sa.NegativeEntryError, match="must be finite"):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(sa.ValidationError, match="^channel entries must be finite$") as exc:
             sa.validate_channel([[0.5, 0.5], [bad, 0.5]])
+        assert type(exc.value) is sa.ValidationError  # the class every door raises
 
 
 def _faults(m: int, n: int):
@@ -257,7 +243,7 @@ def _faults(m: int, n: int):
     rng = np.random.default_rng(5)
     base = rng.random((m, n))
     base /= base.sum(axis=1, keepdims=True)
-    finite = (sa.NegativeEntryError, "channel entries must be finite")
+    finite = (sa.ValidationError, "channel entries must be finite")
     cases = []
 
     w = base.copy()
@@ -277,7 +263,7 @@ def _faults(m: int, n: int):
     w[0, 0] = -0.25  # row 0 is off by far more than the window
     w[m - 1, n - 1] = -0.5  # the smallest entry is the one named
     cases.append(("negative entry in a row whose sum is off", w, sa.NegativeEntryError,
-                  f"negative entry -5.000e-01 at ({m - 1}, {n - 1})"))
+                  f"channel entries must be nonnegative (min -5.000e-01 at ({m - 1}, {n - 1}))"))
 
     w = base.copy()
     w[m - 1, :2] = 1e308
@@ -308,7 +294,7 @@ def test_validation_order_when_two_checks_fail(m, n):
 
 
 def test_make_distribution_shape_checks():
-    with pytest.raises(sa.DimensionMismatchError, match="nonempty vector"):
-        sa.make_distribution(np.full((2, 2), 0.25))
-    with pytest.raises(sa.DimensionMismatchError, match="different lengths"):
-        sa.make_distribution([0.5, 0.5], floor=[0.1, 0.1, 0.1])
+    for bad in (np.full((2, 2), 0.25), [], 0.5):
+        with pytest.raises(sa.DimensionMismatchError,
+                           match="^probabilities must be a nonempty vector, got shape"):
+            sa.make_distribution(bad)

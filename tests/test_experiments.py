@@ -100,6 +100,8 @@ def test_bench_config_validation():
     ({"n": "8"}, "n must be an integer"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"seed": 2.0}, "seed must be an integer"),
+    ({"epsilon": None}, "epsilon must be a real number, got None"),
+    ({"epsilon": "1e-8"}, "epsilon must be a real number, got '1e-8'"),
 ])
 def test_bench_config_rejects_at_construction(kwargs, match):
     # rejected at construction, not by every replication at run time
@@ -112,6 +114,9 @@ def test_bench_config_normalises_integers():
                          seed=np.uint32(7))
     assert (cfg.m, cfg.n, cfg.replications, cfg.seed) == (3, 4, 2, 7)
     assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.replications, cfg.seed))
+    # epsilon goes through SolverConfig's check, which stores a Python float
+    for epsilon in (np.float32(1e-6), 1, True):
+        assert type(sa.BenchConfig(epsilon=epsilon).epsilon) is float
 
 
 def test_single_replication_deterministic():

@@ -16,8 +16,6 @@ UNFLOORED = sa.params_from_r_lambda(GOLDEN, 0.0, 1.2)
 #          the floor it checks or None, whether the point is a start)
 DOORS = {
     "make_distribution": (lambda p: sa.make_distribution(p), "probabilities", None, None, False),
-    "make_distribution(floor=r)": (lambda p: sa.make_distribution(p, floor=GOLDEN_R_OPT),
-                                   "probabilities", None, GOLDEN_R_OPT, False),
     "SolverConfig": (lambda p: sa.SolverConfig(initial=p), "start", None, None, True),
     "aba_step": (lambda p: sa.aba_step(GOLDEN, p), "start", 2, None, True),
     "alg1_step": (lambda p: sa.alg1_step(GOLDEN, 1.2, p), "start", 2, None, True),
@@ -38,21 +36,17 @@ def expected(door: str, defect: str):
     or None where the point is not bad for that door."""
     _, name, m, floor, start = DOORS[door]
     if defect == "wrong length":
-        if floor is not None and m is None:
-            return sa.DimensionMismatchError, "floor and probs have different lengths"
         if m is None:
             return None  # a door that knows no length takes any nonempty vector
         return sa.DimensionMismatchError, f"{name} must have length 2, got shape (3,)"
     if defect == "2-d":
-        if floor is not None and m is None:
-            return sa.DimensionMismatchError, "floor and probs have different lengths"
         if m is None:
             return sa.DimensionMismatchError, f"{name} must be a nonempty vector, got shape (1, 2)"
         return sa.DimensionMismatchError, f"{name} must have length 2, got shape (1, 2)"
     if defect in ("NaN", "inf", "NaN beside the floor"):
         return sa.ValidationError, f"{name} must be finite"
     if defect == "negative":
-        return sa.NegativeEntryError, f"{name} must be nonnegative (min -2.500e-01)"
+        return sa.NegativeEntryError, f"{name} must be nonnegative (min -2.500e-01 at 0)"
     if defect == "sum 1.1":
         return sa.DimensionMismatchError, f"{name} must sum to 1 +/- 1e-12, got 1.1"
     if defect == "sum overflows":

@@ -2,6 +2,7 @@ import logging
 import re
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1130,3 +1131,21 @@ def test_weights_that_underflow_mid_solve_raise(monkeypatch):
     assert len(calls) == 2  # the first update, then the refused answer's fallback
     assert all(any(text in str(w.message) for text in forced) for w in caught), \
         [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("method", [None, "none", "ALG2", "Aba", "auto "])
+def test_solve_matches_method_names_exactly(method):
+    # None used to be read as "none", and "ALG2" as "alg2"
+    assert under_every_filter(lambda: sa.solve(golden_channel(), method)) == (
+        sa.ValidationError, f"unknown method {method!r}; expected one of {sa.solvers.METHODS}")
+
+
+def test_solver_config_epsilon_is_a_real_number():
+    # None and "1e-8" used to raise TypeError, an array numpy's ambiguous-truth
+    # ValueError, and True was stored as True
+    for bad in (None, "1e-8", [1e-8], np.array([1e-8, 1e-9]), np.array(1e-8), 1e-8j):
+        with pytest.raises(sa.ValidationError, match="^epsilon must be a real number, got "):
+            sa.SolverConfig(epsilon=bad)
+    for epsilon in (np.float64(1e-9), np.float32(1e-6), np.int64(2), 1, True, Fraction(1, 8)):
+        stored = sa.SolverConfig(epsilon=epsilon).epsilon
+        assert type(stored) is float and stored == float(epsilon)

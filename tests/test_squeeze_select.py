@@ -14,6 +14,7 @@ from helpers import (
     offset_from_g,
     optimal_g,
     random_channel,
+    under_every_filter,
 )
 
 
@@ -295,6 +296,14 @@ def test_heuristic_r_rejects_a_zero_reference(golden):
 def test_plan_rejects_an_unknown_strategy(golden):
     with pytest.raises(sa.ValidationError, match="unknown strategy 'newton'"):
         sa.plan(golden, "newton")
+
+
+@pytest.mark.parametrize("strategy", [None, "NONE", "Heuristic", " heuristic"])
+def test_plan_matches_strategy_names_exactly(golden, strategy):
+    # None used to be read as "none" and plan the zero squeeze
+    expected = sa.squeeze_select.STRATEGIES
+    assert under_every_filter(lambda: sa.plan(golden, strategy)) == (
+        sa.ValidationError, f"unknown strategy {strategy!r}; expected one of {expected}")
 
 
 @pytest.mark.parametrize("strategy", ["none", "lambda-only", "optimal-m2"])

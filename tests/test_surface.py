@@ -15,7 +15,7 @@ import squeeze_aba as sa
 
 #: code lines in src/squeeze_aba: not blank, not comments, not docstrings.
 #: A change that adds code raises this in the same diff.
-CODE_LINES = 1160
+CODE_LINES = 1150
 
 FIELDS = {
     "ChannelMatrix": ("w",),
@@ -47,7 +47,7 @@ PARAMETERS = {
     "lambda_upper_bound": ("channel",),
     "load_channel": ("path",),
     "load_params_json": ("channel", "path"),
-    "make_distribution": ("p", "floor"),
+    "make_distribution": ("p",),
     "matrix_rate": ("params", "p_star"),
     "optimal_r_m2": ("channel",),
     "params_from_r_lambda": ("channel", "r", "lam", "force"),

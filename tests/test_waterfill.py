@@ -30,17 +30,24 @@ def test_binding_floor_derived_case():
 
 
 def test_feasibility_errors():
-    for r in ([0.7, 0.4], [0.5, 0.5], [1e308, 1e308]):  # the last mass overflows
-        with pytest.raises(sa.InfeasibleFloorError, match="leaves no room"):
-            sa.waterfill(r, [1.0, 1.0])
+    for r, mass in (([0.7, 0.4], "1.1"), ([0.5, 0.5], "1"),
+                    ([1e308, 1e308], "inf")):  # the last mass overflows
+        assert under_every_filter(lambda: sa.waterfill(r, [1.0, 1.0])) == (
+            sa.InfeasibleFloorError, f"floor mass r_+ = {mass} must be < 1")
     for x in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [np.nan, np.inf]):
         with pytest.raises(sa.NonpositiveWeightError, match="finite and strictly positive"):
             sa.waterfill([0.1, 0.1], x)
         with pytest.raises(sa.NonpositiveWeightError):
             sa.waterfill([0.0, 0.0], x)  # no floor would bind
-    for r in ([-0.1, 0.2], [-1e-300, 0.0], [np.nan, 0.1]):
-        with pytest.raises(sa.InfeasibleFloorError, match="nonnegative"):
-            sa.waterfill(r, [1.0, 1.0])
+    # the floor's entries before its mass and before the weights, under the
+    # package's one entry rule
+    for r, x, error, message in (
+            ([-0.1, 0.2], [1.0, 1.0], sa.NegativeEntryError, "nonnegative (min -1.000e-01 at 0)"),
+            ([0.0, -1e-300], [1.0, 0.0], sa.NegativeEntryError, "nonnegative (min -1.000e-300 at 1)"),
+            ([np.nan, 0.1], [1.0, 1.0], sa.ValidationError, "finite"),
+            ([np.inf, 0.0], [1.0, 1.0], sa.ValidationError, "finite"),
+            ([-np.inf, 2.0], [1.0, -1.0], sa.ValidationError, "finite")):
+        assert under_every_filter(lambda: sa.waterfill(r, x)) == (error, f"r must be {message}")
     with pytest.raises(sa.DimensionMismatchError):
         sa.waterfill([0.1, 0.1], [1.0, 1.0, 1.0])
 
@@ -229,8 +236,13 @@ class TestMatchesReference:
             assert outcome[0] is sa.NonpositiveWeightError, (r, x)
 
     def test_invalid_floors(self):
+        # each fault of the floor raises the class of the rule it breaks, whatever the weights
         for x in ([1.0, 1.0], [1.0, 9.0], [1.0, 0.0], [1e308, 1e308]):
-            for r in ([0.7, 0.4], [0.5, 0.5], [-0.1, 0.2], [-1e-300, 0.0], [np.nan, 0.1],
-                      [0.1, np.inf]):
-                assert self._same(r, x)[0] is sa.InfeasibleFloorError, (r, x)
+            for r, error in (([0.7, 0.4], sa.InfeasibleFloorError),
+                             ([0.5, 0.5], sa.InfeasibleFloorError),
+                             ([-0.1, 0.2], sa.NegativeEntryError),
+                             ([-1e-300, 0.0], sa.NegativeEntryError),
+                             ([np.nan, 0.1], sa.ValidationError),
+                             ([0.1, np.inf], sa.ValidationError)):
+                assert self._same(r, x)[0] is error, (r, x)
         assert self._same([0.1, 0.1], [1.0, 1.0, 1.0])[0] is sa.DimensionMismatchError
