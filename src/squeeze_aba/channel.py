@@ -87,17 +87,19 @@ def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
 def _check_vector(v, length: int, name: str) -> np.ndarray:
     """v as a read-only, finite, nonnegative float vector of the given length
     (a scalar fills it).  An array made here from a list or scalar is frozen
-    where it is made; the caller's own array goes through ``_readonly``, so a
-    writeable one is copied once and a read-only one is shared."""
+    where it is made, and a read-only contiguous one is shared as it is; any
+    other array of the caller's goes through ``_readonly``, so a writeable
+    one is copied once."""
     a = np.asarray(v, dtype=float)
     if a.ndim == 0:
         a = np.full(length, float(a))
     if a.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
     _check_entries(a, name)
-    if a is v:
-        return _readonly(a)
-    a.setflags(write=False)  # made here, so no caller holds it
+    if a is not v:
+        a.setflags(write=False)  # made here, so no caller holds it
+    elif a.flags.writeable or not a.flags.c_contiguous:
+        a = _readonly(a)
     return a
 
 

@@ -31,14 +31,18 @@ exp(z_i) alone could overflow; only an iterate with an entry below
 e^-700, about 1e-304, can reach that.
 
 A floored solve calls ``waterfill`` on its first update and then only
-when a floor binds; the params checked the floor's entries when they were
-built.  Every later update first tries waterfill's own no-bind answer,
-p = x / sum(x), and keeps it when every q_i = (p_i - r_i)/(1 - r_+) is
-positive, so that no floor binds or ties; otherwise it calls
-``waterfill`` on x, which decides, and raises on a zero, NaN or
-underflowing weight.  The update right after one whose floor
+when a floor binds.  Every later update first tries waterfill's own
+no-bind answer, p = x / sum(x), and keeps it when every
+q_i = (p_i - r_i)/(1 - r_+) is positive, so that no floor binds or ties;
+otherwise it calls ``waterfill`` on x, which decides, and raises on a
+zero, NaN or underflowing weight.  The update right after one whose floor
 was active goes straight to ``waterfill``: a floor that binds tends to keep
 binding, and a refused attempt costs about a tenth of a binding update.
+The first update could try the no-bind answer too: the params checked the
+floor when they were built, so waterfill's check of r finds nothing new.
+It calls ``waterfill`` only because the traced benchmark's ``waterfill``
+layer, and the call count pinned on it, are made of exactly these calls;
+a revision of that tracing may drop the call.
 
 ``_iterate(channel, params, p, ...)`` is the one entry into the loop: it
 reads W and the row log-likelihoods off the channel, the gain and the floor
@@ -134,8 +138,10 @@ METHODS = ("aba", "alg1", "alg2", "alg3", "auto")
 class SolverConfig:
     """Stopping threshold (nats), iteration cap, optional start, tracing.
 
-    ``epsilon`` must be a positive real number; it is stored as a Python
-    float.
+    ``epsilon`` must be a positive real number that a Python float can
+    hold, and it is stored as one: an int or a Fraction past the float
+    range raises ValidationError.  ``float("inf")`` is accepted, as any
+    float above 0 is, and stops every solve at its first evaluation.
 
     ``initial`` always lives on the plain simplex; floored methods start
     from (1 - r_+) * initial + r.  It is validated here, once, since the
@@ -159,7 +165,10 @@ class SolverConfig:
             raise ValidationError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        try:  # an int or a Fraction can lie past the float range
+            object.__setattr__(self, "epsilon", float(self.epsilon))
+        except OverflowError:
+            raise ValidationError(f"epsilon must fit a float, got {self.epsilon}") from None
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
             object.__setattr__(self, "initial", Distribution(_check_start(self.initial)))
@@ -209,9 +218,9 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
 
     A nonzero floor r selects the waterfill update, a zero one the plain
     normalisation: the method name does not choose the update.  The loop
-    starts from p's plain-simplex image q = max((p - r)/(1 - r_+), 0), p
-    itself for a zero floor; the clamp matters only for a public step,
-    whose start may lie up to PROB_SUM_TOL below r.
+    starts from p's plain-simplex image q = (p - r)/(1 - r_+), p itself for
+    a zero floor.  A public step clamps it at 0, since its start may lie up
+    to PROB_SUM_TOL below r; a solve's start, (1 - r_+) q0 + r, never does.
 
     Each pass writes s = ln qW, z_i = D(W_i || qW) = ([-W | l] [s; 1])_i and
     max z, checks the bracket, and then updates in place:
@@ -236,10 +245,6 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     w, row_ll = channel.w, channel._row_loglikes
     lam = 1.0 if params is None else params.lam
     r = params.r if params is not None and params.r_plus else None
-    q = p  # the loop never writes to its start
-    if r is not None:
-        scale = np.array(1.0 - params.r_plus)  # 0-d: ufuncs take it unconverted
-        q = np.maximum((p - r) / scale, 0.0)
     # ndarray.dot is np.dot's C routine without its Python-level dispatcher
     dot, log, exp = np.ndarray.dot, np.log, np.exp
     subtract, multiply, divide, add_reduce = np.subtract, np.multiply, np.divide, np.add.reduce
@@ -247,14 +252,20 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     m, n = w.shape
     # z = [-W | row_ll] [ln qW; 1] in one product; s = ln qW is a view of u
     a, u = np.empty((m, n + 1)), np.empty(n + 1)
-    np.negative(w, out=a[:, :n])
+    np.negative(w, a[:, :n])
     a[:, n], u[n] = row_ll, 1.0
     s = u[:n]
     # the plain update overwrites z, so z and x swap; the floored one keeps x in
     # z for waterfill and writes p to pf and q to qf; a step needs none of the
-    # three.  The 0-d buffer holds max z, then the sum: ufuncs take it unconverted
+    # three.  The 0-d buffer holds max z, then the plain update's sum or the
+    # floored one's 1/sum: ufuncs take it unconverted
     z, total = np.empty(m), np.empty(())
     x, pf, qf = (None, None, None) if step else (np.empty(m), np.empty(m), np.empty(m))
+    q = p  # the loop never writes to its start
+    if r is not None:
+        scale = np.array(1.0 - params.r_plus)  # 0-d: ufuncs take it unconverted
+        # a solve starts at (1 - r_+) q0 + r >= r exactly: only a step's start needs the clamp
+        q = np.maximum((p - r) / scale, 0.0) if step else divide(subtract(p, r, qf), scale, qf)
     gain = None if lam == 1.0 else np.array(lam)  # a unit gain skips its multiply
     # the update shifts by max z when it exceeds this: always, but for the plain
     # unit-gain update, which shifts only where e^{max z} could overflow
@@ -311,30 +322,29 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
             if r is None:
                 divide(z, add_reduce(z, None, None, total), z)
                 p, z, x = z, x, z
-                q = p  # the plain update keeps p positive
-                if step:
-                    return p
-                continue
-            # waterfill's no-bind answer, in its arithmetic: delta = 1/sum, p = delta x
-            if not fill:
-                x_sum = add_reduce(z)
-                if x_sum >= tiny:  # else 1/sum could overflow, or divide by zero
-                    p = multiply(z, 1.0 / x_sum, pf)
-                    divide(subtract(p, r, qf), scale, qf)
-                    if qf[qf.argmin()] > 0.0:  # every p_i > r_i; argmin finds a NaN
-                        q = qf
-                        continue
-            # the first update, a floor active on the last one, or the answer
-            # refused: the module global, which checks r, decides, and is what the
-            # traced benchmark shims
-            filled = waterfill(r, z)
-            p, fill = filled.p, np.count_nonzero(filled.active_floor)
+            else:
+                # waterfill's no-bind answer, in its arithmetic: delta = 1/sum, p = delta x
+                if not fill:
+                    x_sum = add_reduce(z)
+                    if x_sum >= tiny:  # else 1/sum could overflow, or divide by zero
+                        total[()] = 1.0 / x_sum
+                        p = multiply(z, total, pf)
+                        divide(subtract(p, r, qf), scale, qf)
+                        if qf[qf.argmin()] > 0.0:  # every p_i > r_i; argmin finds a NaN
+                            q = qf
+                            continue
+                # the first update, a floor active on the last one, or the answer
+                # refused: the module global, which checks r, decides, and is what
+                # the traced benchmark shims
+                filled = waterfill(r, z)
+                p, fill = filled.p, np.count_nonzero(filled.active_floor)
             if step:
                 return p
-            # every iterate a solve evaluates has p >= r exactly (its start adds r
-            # to a nonnegative vector, the update keeps p_i > r_i or waterfill
-            # returns max(r, delta x)), so only the start's q needs the clamp
-            q = divide(subtract(p, r, qf), scale, qf)
+            # the plain update keeps p positive, and every floored iterate a solve
+            # evaluates has p >= r exactly (its start adds r to a nonnegative
+            # vector, the update keeps p_i > r_i or waterfill returns
+            # max(r, delta x)), so q needs no clamp
+            q = p if r is None else divide(subtract(p, r, qf), scale, qf)
     return q, objective, zmax, t, gap
 
 
@@ -478,8 +488,9 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     config = config or SolverConfig()
     sp = _resolve_params(channel, method, lam, r, f, params, force)
     m = channel.m
-    q0 = np.full(m, 1.0 / m) if config.initial is None else config.initial.probs
-    if q0.shape != (m,):  # the rest of the start SolverConfig validated
+    # the uniform start's entries are one float, so its (1 - r_+) q0 is one product
+    q0 = 1.0 / m if config.initial is None else config.initial.probs
+    if config.initial is not None and q0.shape != (m,):  # SolverConfig validated the rest
         raise DimensionMismatchError(f"start must have length {m}, got shape {q0.shape}")
     trace = [] if config.record_trace else None
     # the start on Omega(r), which is q0's bits when r = 0
@@ -490,6 +501,5 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)
     probs.setflags(write=False)  # made here, so the Distribution shares it
-    p_hat = Distribution(probs)
-    return SolveResult(p_hat, objective, objective, zmax, t, gap <= config.epsilon,
-                       method, sp, () if trace is None else tuple(trace))
+    return SolveResult(Distribution(probs), objective, objective, zmax, t,
+                       gap <= config.epsilon, method, sp, () if trace is None else tuple(trace))

@@ -19,7 +19,9 @@ both column tests from (r, f) once, at construction, and W* and W~ on
 each access, so no stored value can disagree with (r, f).  The builders
 check nothing of their own: they only decide what an infeasible verdict
 does, raise or warn under ``force``.  ``params_from_r_lambda`` also
-checks r and forms room, to draw its offset from them.
+checks r and derives r_+, room and the column minima of W*, to draw its
+offset from them, and hands all three to construction, which checks r
+and f again but forms none of them a second time.
 The rows of a feasible W~ sum to 1; subtracting the offsets reduces the
 overlap between rows, which is what accelerates the capacity iteration.
 """
@@ -33,12 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelMatrix, _check_vector, _floor_mass, _total
-from .errors import (
-    FloorConstraintError,
-    LambdaRangeError,
-    SqueezeConstraintError,
-    ValidationError,
-)
+from .errors import FloorConstraintError, LambdaRangeError, SqueezeConstraintError, ValidationError
 
 #: constraint slack: exact-arithmetic feasibility may bind at 0
 CONSTRAINT_TOL = 1e-12
@@ -59,7 +56,10 @@ class SqueezeParams:
     mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
     (1 + f_+)/(1 - r_+).  Last it runs the column tests that a positive
     mass leaves open and records whether both hold as ``feasible``; a
-    builder raises or warns on an infeasible verdict.  Infeasible params
+    builder raises or warns on an infeasible verdict.  ``params_from_r_lambda``
+    builds its params through the same ``__post_init__``, handing it the
+    r_+, room and star_min it drew its offset from, bitwise what this
+    construction would form from the same r.  Infeasible params
     come only from a direct build or a builder called with ``force=True``;
     the solvers then lose their monotonicity guarantee and downgrade
     related checks to warnings.  ``SqueezeParams(channel, 0.0, 0.0)`` is
@@ -74,17 +74,20 @@ class SqueezeParams:
     lam: float = field(init=False)
     feasible: bool = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, r_plus: float | None = None, room=None, star_min=None):
+        # construction's one body, however the params are built; the builder that
+        # drew the offset from r_+, room and star_min of the r it checked passes
+        # them, and r and f are checked here all the same
         r = _check_vector(self.r, self.channel.m, "r")
         f = _check_vector(self.f, self.channel.n, "f")
-        r_plus = _floor_mass(r)
+        r_plus = _floor_mass(r) if r_plus is None else r_plus
         f_plus = float(_total(f))
         if not f_plus < np.inf:
             raise ValidationError(f"offset mass f_+ = {f_plus:.15g} must be finite")
-        for name, value in (("r", r), ("f", f), ("r_plus", r_plus), ("f_plus", f_plus),
-                            ("lam", (1.0 + f_plus) / (1.0 - r_plus))):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "feasible", next(_violations(self), None) is None)
+        # frozen: the instance dict takes what __setattr__ refuses
+        vars(self).update(r=r, f=f, r_plus=r_plus, f_plus=f_plus,
+                          lam=(1.0 + f_plus) / (1.0 - r_plus))
+        vars(self)["feasible"] = next(_violations(self, room, star_min), None) is None
 
     @property
     def w_star(self) -> np.ndarray:
@@ -130,23 +133,32 @@ def _bounds(r_plus: float, col_min: np.ndarray) -> tuple[float, float]:
     return 1.0 / (1.0 - r_plus), float("inf") if overlap >= 1.0 else 1.0 / (1.0 - overlap)
 
 
-def _violations(sp: SqueezeParams):
+def _room(channel: ChannelMatrix, r: np.ndarray, r_plus: float) -> np.ndarray:
+    """room_j = min_i W_ij - (rW)_j; a zero floor leaves the column minima,
+    and no 0 W is formed.  ndarray.dot is r @ W, bit for bit, without its
+    dispatch."""
+    return channel.column_minima() - r.dot(channel.w) if r_plus else channel.column_minima()
+
+
+def _violations(sp: SqueezeParams, room: np.ndarray | None = None, star_min=None):
     """Each column test that ``sp`` fails, floor first, as (error, slack,
-    message): with room = min_i W_ij - (rW)_j, the floor holds when room >= 0
-    and the offset when the smallest W~ entry of each column is >= 0, within
-    CONSTRAINT_TOL.  A zero floor leaves room the column minima, which pass,
-    and a zero offset leaves that entry max(room, 0)/(1 - r_+) >= 0, so each
-    test runs only when its mass is positive.  ``message(i, j)`` names the
-    worst entry, which ``_worst_entry`` finds in the failing column slack; a
-    verdict needs neither."""
-    r, f, w, col_min = sp.r, sp.f, sp.channel.w, sp.channel.column_minima()
-    room = col_min - r @ w if sp.r_plus else col_min
+    message).  With room from ``_room`` unless given, the floor holds when
+    room >= 0, and the offset when the smallest W~ entry of each column,
+    (1 + f_+) star_min - f with star_min = max(room, 0)/(1 - r_+) unless
+    given, is >= 0, within CONSTRAINT_TOL.  A zero floor leaves room the
+    column minima, which pass, and a zero offset leaves that entry
+    star_min >= 0, so each test runs only when its mass is positive.
+    ``message(i, j)`` names the worst entry, which ``_worst_entry`` finds
+    in the failing column slack; a verdict needs neither."""
+    r, f, w = sp.r, sp.f, sp.channel.w
+    room = _room(sp.channel, r, sp.r_plus) if room is None else room
     if sp.r_plus and not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
         yield FloorConstraintError, room, lambda i, j: (
             f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
             f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}")
     if sp.f_plus:
-        tilde_min = (1.0 + sp.f_plus) * (np.maximum(room, 0.0) / (1.0 - sp.r_plus)) - f
+        star_min = np.maximum(room, 0.0) / (1.0 - sp.r_plus) if star_min is None else star_min
+        tilde_min = (1.0 + sp.f_plus) * star_min - f
         if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
             yield SqueezeConstraintError, tilde_min, lambda i, j: (
                 f"offset constraint violated: squeezed entry ({i},{j}) = "
@@ -194,8 +206,7 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     r = _check_vector(r, channel.m, "r")
     lam = lam if lam is None else float(lam)
     r_plus = _floor_mass(r)
-    col_min = channel.column_minima()
-    lo, hi = _bounds(r_plus, col_min)
+    lo, hi = _bounds(r_plus, channel.column_minima())
     if lam is None:
         lam = hi if hi < float("inf") else lo
     # force turns only a gain above hi into a warning: no offset f >= 0 gives one below lo
@@ -203,15 +214,17 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
         _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
                    f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
-    if mult == 0.0:
-        f = 0.0
-    else:
-        # a zero floor leaves the column minima: no 0 W is formed
-        star_min = np.maximum(col_min - r @ channel.w if r_plus else col_min, 0.0) / (1.0 - r_plus)
+    room, star_min, f = _room(channel, r, r_plus), None, 0.0
+    if mult:
+        star_min = np.maximum(room, 0.0) / (1.0 - r_plus)
         total = np.add.reduce(star_min)
         if total <= 0.0:
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * star_min / total
-        f.setflags(write=False)  # made here, so SqueezeParams shares it
-    return _enforce(SqueezeParams(channel, r, f), force)
+        f.setflags(write=False)  # made here, so the params share it
+    # the params' own construction, handed the r_+, room and star_min derived here
+    sp = object.__new__(SqueezeParams)
+    vars(sp).update(channel=channel, r=r, f=f)
+    sp.__post_init__(r_plus, room, star_min)
+    return _enforce(sp, force)

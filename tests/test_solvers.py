@@ -1,5 +1,7 @@
+import hashlib
 import logging
 import re
+import struct
 import types
 import warnings
 from fractions import Fraction
@@ -787,6 +789,30 @@ def test_solve_matches_the_reference_bitwise(family):
     assert mismatched == []
 
 
+#: SHA-256 of every squeezed solve's output on the seeded 2x8 study.  A change
+#: that moves any of these bits on purpose restates it and says why
+FLOORED_PATH_DIGEST = "eba5d87d73a03058d50439788cf63b2d78c4dce70e2bc46406654d2fd0014c4a"
+
+
+def test_floored_path_matches_its_digest():
+    # the benchmark's 400 seed-0 2x8 channels under the squeezed methods, with
+    # the parameters the benchmark builds: the iteration pins count iterations,
+    # which a last-bit change of a bound, a point or a parameter can leave alone
+    digest = hashlib.sha256()
+    for k in range(400):
+        ch = sa.random_channel(2, 8, sa.replication_rng(0, k))
+        r, lam = sa.optimal_r_m2(ch), sa.lambda_upper_bound(ch)
+        for method, kw in (("alg1", {"lam": lam}), ("alg2", {"r": r, "lam": lam}),
+                           ("alg3", {"r": r, "lam": lam}),
+                           ("alg3", {"params": sa.plan(ch, "optimal-m2").build(ch)})):
+            res = sa.solve(ch, method, **kw)
+            for a in (res.p_hat.probs, res.params.r, res.params.f):
+                digest.update(a.tobytes())
+            digest.update(struct.pack("<3dq", res.capacity_lower, res.capacity_upper,
+                                      res.params.lam, res.iterations))
+    assert digest.hexdigest() == FLOORED_PATH_DIGEST
+
+
 def auto_warnings(caplog) -> list[str]:
     return [rec.getMessage() for rec in caplog.records
             if rec.name == "squeeze_aba" and rec.levelno == logging.WARNING]
@@ -1146,6 +1172,13 @@ def test_solver_config_epsilon_is_a_real_number():
     for bad in (None, "1e-8", [1e-8], np.array([1e-8, 1e-9]), np.array(1e-8), 1e-8j):
         with pytest.raises(sa.ValidationError, match="^epsilon must be a real number, got "):
             sa.SolverConfig(epsilon=bad)
-    for epsilon in (np.float64(1e-9), np.float32(1e-6), np.int64(2), 1, True, Fraction(1, 8)):
+    for epsilon in (np.float64(1e-9), np.float32(1e-6), np.int64(2), 1, True, Fraction(1, 8),
+                    float("inf"), 10**308):
         stored = sa.SolverConfig(epsilon=epsilon).epsilon
         assert type(stored) is float and stored == float(epsilon)
+    # a real number past the float range used to raise OverflowError
+    for huge in (10**400, Fraction(10**400), Fraction(10**400, 3)):
+        for config in (sa.SolverConfig, sa.BenchConfig):
+            with pytest.raises(sa.ValidationError) as caught:
+                config(epsilon=huge)
+            assert str(caught.value) == f"epsilon must fit a float, got {huge}"

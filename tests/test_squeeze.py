@@ -19,6 +19,7 @@ from helpers import (
     reference_build_squeeze_params,
     reference_lambda_bounds,
     reference_params_from_r_lambda,
+    under_every_filter,
 )
 
 
@@ -333,9 +334,10 @@ class TestResolutionMatchesReference:
 def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
     """Without lambda, alg2 checks f once, at construction, and r twice: to
     resolve the gain, then at construction, as every SqueezeParams checks its
-    entries.  It reads the stored column minima twice: to resolve the gain
-    and its offset, then at construction, as every SqueezeParams runs the
-    column tests.  Its params are those of the explicit upper bound."""
+    entries.  It reads the stored column minima twice: for the gain's bounds,
+    then for the room its offset is drawn from, which construction takes
+    rather than form again.  Its params are those of the explicit upper
+    bound."""
     _, hi = reference_lambda_bounds(golden, GOLDEN_R_OPT)
     explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
     assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
@@ -368,13 +370,37 @@ def test_directly_built_params_derive_the_gain(golden):
     np.testing.assert_allclose(sa.alg3_step(params, [0.2, 0.8]).probs, [0.5, 0.5], atol=1e-12)
 
 
-def test_builders_take_each_mass_once(golden):
+def test_builders_take_each_mass_once(golden, rng):
     """The column tests read the params' own r_+ and f_+, so a returned params
-    holds both already, bitwise the reductions of r and f."""
+    holds both already, bitwise the reductions of r and f.  The r_+, room
+    and star_min that ``params_from_r_lambda`` hands construction give the
+    params a direct construction of its (r, f) gives, feasible or not."""
     for sp in (sa.build_squeeze_params(golden, GOLDEN_R_OPT, GOLDEN_F_OPT),
                sa.params_from_r_lambda(golden, GOLDEN_R_OPT)):
         assert {"r_plus", "f_plus"} <= vars(sp).keys()
         assert (sp.r_plus, sp.f_plus) == (float(np.add.reduce(sp.r)), float(np.add.reduce(sp.f)))
+
+    def fields(sp):
+        return (sp.r.tobytes(), sp.f.tobytes(), float(sp.r_plus).hex(), float(sp.f_plus).hex(),
+                float(sp.lam).hex(), sp.feasible)
+
+    verdicts = set()
+    for _ in range(200):
+        ch = random_channel(rng, int(rng.integers(2, 6)), int(rng.integers(2, 10)))
+        r = random_floor(rng, ch, float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+        if r.sum() >= 1.0:
+            continue
+        lo, hi = reference_lambda_bounds(ch, r)
+        for lam in (lo, hi, hi * (1 + 1e-9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    built = sa.params_from_r_lambda(ch, r, lam, force=True)
+                except sa.LambdaRangeError:  # no squeezing room
+                    continue
+            assert fields(built) == fields(sa.SqueezeParams(ch, built.r, built.f))
+            verdicts.add(built.feasible)
+    assert verdicts == {True, False}
 
 
 def test_forced_gain_below_lower_bound_refused(golden):
@@ -449,6 +475,31 @@ def test_direct_construction_checks_the_entries(golden):
             (lambda: sa.params_from_r_lambda(golden, huge_r, 1.2),
              sa.InfeasibleFloorError, "floor mass r_+ = inf must be < 1")):
         assert refusal(call) == (error, msg)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_the_floor_is_judged_first(golden, force):
+    """With two bad inputs the floor's entries, then its mass, are refused
+    before the gain and before the offset, forced or not, under every
+    warnings filter."""
+    lam_cases = (
+        ([np.nan, 0.1], 100.0, sa.ValidationError, "r must be finite"),
+        ([np.nan, 0.1], 0.5, sa.ValidationError, "r must be finite"),
+        ([-0.1, 0.1], 100.0, sa.NegativeEntryError, "r must be nonnegative (min -1.000e-01 at 0)"),
+        ([0.6, 0.5], 100.0, sa.InfeasibleFloorError, "floor mass r_+ = 1.1 must be < 1"),
+        ([0.6, 0.5], 0.5, sa.InfeasibleFloorError, "floor mass r_+ = 1.1 must be < 1"))
+    for r, lam, error, msg in lam_cases:
+        assert under_every_filter(
+            lambda: sa.params_from_r_lambda(golden, r, lam, force=force)) == (error, msg)
+    f_cases = (
+        ([np.nan, 0.1], [-1.0, 0.0, 0.0], sa.ValidationError, "r must be finite"),
+        ([-0.1, 0.1], [np.nan, 0.0, 0.0], sa.NegativeEntryError,
+         "r must be nonnegative (min -1.000e-01 at 0)"),
+        ([0.1, 0.1, 0.1], [-1.0, 0.0], sa.DimensionMismatchError,
+         "r must have length 2, got shape (3,)"))
+    for r, f, error, msg in f_cases:
+        assert under_every_filter(
+            lambda: sa.build_squeeze_params(golden, r, f, force=force)) == (error, msg)
 
 
 def _direct(channel, r, f, *, force):
