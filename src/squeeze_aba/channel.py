@@ -23,6 +23,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -47,14 +48,36 @@ ROW_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
 
 
+#: float64, the dtype of every array the package keeps
+_FLOAT = np.dtype(float)
+
+
 def _readonly(a) -> np.ndarray:
-    """A read-only float64 array of a's values.  A writeable array that needs
-    no conversion is the caller's own, so it is copied, not frozen."""
+    """A read-only C-contiguous float64 array of a's values: the package's
+    one share-or-copy rule.  Such an array is shared as it is.  Any other
+    array that needs no conversion is writeable and the caller's own, so it
+    is copied, not frozen; anything else is converted, then frozen."""
+    if (isinstance(a, np.ndarray) and a.dtype is _FLOAT and not a.flags.writeable
+            and a.flags.c_contiguous):
+        return a
     b = np.ascontiguousarray(a, dtype=float)
-    if b is a and b.flags.writeable:
+    if b is a:
         b = b.copy()
     b.setflags(write=False)
     return b
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, or ValidationError: it must be a
+    ``numbers.Real`` (a float, an int, a Fraction or a numpy scalar, not a
+    string, an array or a complex number) that a float can hold.  NaN and
+    the infinities are floats, so they pass to the caller's own test."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:  # an int or a Fraction can lie past the float range
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must fit a float, got {value}") from None
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -87,9 +110,8 @@ def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
 def _check_vector(v, length: int, name: str) -> np.ndarray:
     """v as a read-only, finite, nonnegative float vector of the given length
     (a scalar fills it).  An array made here from a list or scalar is frozen
-    where it is made, and a read-only contiguous one is shared as it is; any
-    other array of the caller's goes through ``_readonly``, so a writeable
-    one is copied once."""
+    where it is made; the caller's own array goes through ``_readonly``, so
+    a read-only contiguous one is shared as it is and any other copied once."""
     a = np.asarray(v, dtype=float)
     if a.ndim == 0:
         a = np.full(length, float(a))
@@ -98,9 +120,8 @@ def _check_vector(v, length: int, name: str) -> np.ndarray:
     _check_entries(a, name)
     if a is not v:
         a.setflags(write=False)  # made here, so no caller holds it
-    elif a.flags.writeable or not a.flags.c_contiguous:
-        a = _readonly(a)
-    return a
+        return a
+    return _readonly(a)
 
 
 def _total(v: np.ndarray, axis: int = 0):

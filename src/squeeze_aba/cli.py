@@ -70,8 +70,7 @@ def cmd_solve(args) -> int:
     channel = sio.load_channel(args.channel)
     config = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters,
                           record_trace=args.trace is not None)
-    result = solve(channel, args.method, config=config, force=args.force,
-                   **_solve_kwargs(args, channel))
+    result = solve(channel, args.method, config=config, **_solve_kwargs(args, channel))
 
     doc = sio.solve_to_dict(result, args.units)
     if args.json:
@@ -158,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--units", choices=list(sio.UNITS), default="nats")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here; p is "
                          "the method's own iterate, on the floored simplex if floored, not p_hat")
-    p_solve.add_argument("--force", action="store_true",
-                         help="allow out-of-range lambda or floor (no guarantees)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_params = sub.add_parser("params", help="plan squeeze parameters")

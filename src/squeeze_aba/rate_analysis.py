@@ -205,8 +205,8 @@ def matrix_rate(params: SqueezeParams, p_star) -> RateReport:
     on the trivial direction sqrt(p*), and ``eigvalsh`` sorts it last.
 
     Raises ValidationError for infeasible params (``feasible=False``),
-    however built, directly or by a builder under ``force=True``: their W*
-    is clamped, its rows may sum above 1, and R is not the map's Jacobian.
+    which only a direct ``SqueezeParams`` builds: their W* is clamped, its
+    rows may sum above 1, and R is not the map's Jacobian.
     p* is checked once, as a point of length m (``channel._check_point``,
     naming ``p_star``), so a non-finite entry raises ValidationError before
     the interior test.  Raises BoundaryFixedPointError when p* does not

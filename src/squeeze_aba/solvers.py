@@ -89,9 +89,10 @@ tests keep as an oracle, is the same map: f + pW~ = (1 + f_+) qW and the
 rows of a feasible W~ sum to 1, so its logits are ln p_i + lambda z_i plus a
 constant.  Under the feasibility constraints the objective ascends
 monotonically; the solver checks this per step and treats a violation as
-numerical breakdown (a warning under ``force=True``, and for params that
-report ``feasible=False``, however built).  The output maps back
-to the plain simplex: p_hat = (p - r)/(1 - r_+).
+numerical breakdown, or as a warning for params that report
+``feasible=False``, which only a direct ``SqueezeParams`` builds: every
+builder raises on them.  The output maps back to the plain simplex:
+p_hat = (p - r)/(1 - r_+).
 
 The module opens no file: ``io.trace_csv_rows`` and ``io.write_trace_csv``
 turn a traced result into CSV.
@@ -100,7 +101,6 @@ turn a traced result into CSV.
 from __future__ import annotations
 
 import logging
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -111,6 +111,7 @@ from .channel import (
     Distribution,
     _check_point,
     _integer,
+    _real,
     _require_same_channel,
 )
 from .errors import (
@@ -161,14 +162,9 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, numbers.Real):
-            raise ValidationError(f"epsilon must be a real number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        try:  # an int or a Fraction can lie past the float range
-            object.__setattr__(self, "epsilon", float(self.epsilon))
-        except OverflowError:
-            raise ValidationError(f"epsilon must fit a float, got {self.epsilon}") from None
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if self.initial is not None:
             object.__setattr__(self, "initial", Distribution(_check_start(self.initial)))
@@ -210,8 +206,7 @@ class SolveResult:
 
 
 def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray,
-             eps: float = 0.0, max_iters: int = 0, forced: bool = False,
-             trace: list | None = None, step: bool = True):
+             eps: float = 0.0, max_iters: int = 0, trace: list | None = None, step: bool = True):
     """The one loop of every method, from the iterate p of the map that
     ``params`` resolve to (aba's when None), and the one place that turns
     (channel, params, p) into the loop's inputs.
@@ -236,7 +231,9 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
     The defaults are one public step: the first update's iterate is
     returned, in fresh memory, with no bracket check and no evaluation of
     its own.  A solve passes its stopping rule and ``step=False`` and gets
-    (q, objective, max z, iterations, gap) at the iterate it stops on.
+    (q, objective, max z, iterations, gap) at the iterate it stops on.  A
+    fall of the objective raises NumericalBreakdownError, or for params
+    that report ``feasible=False`` warns at the solve's caller.
 
     The loop runs under ``np.errstate(divide="ignore", invalid="ignore")``:
     a zero output mass makes ln s_j = -inf, so every row gets z_i = +inf or
@@ -297,7 +294,7 @@ def _iterate(channel: ChannelMatrix, params: SqueezeParams | None, p: np.ndarray
                 elif objective < prev_objective - tol:
                     msg = (f"objective decreased from {prev_objective:.17g} to {objective:.17g} "
                            f"at iteration {t}")
-                    if forced:
+                    if params is not None and not params.feasible:
                         warnings.warn(msg, RuntimeWarning, stacklevel=3)
                     else:
                         raise NumericalBreakdownError(msg + "; monotone ascent lost")
@@ -376,21 +373,21 @@ def aba_step(channel: ChannelMatrix, p) -> Distribution:
     return _step(channel, p)  # aba resolves to lambda = 1 with no floor: nothing to build
 
 
-def alg1_step(channel: ChannelMatrix, lam: float, p, *, force: bool = False) -> Distribution:
+def alg1_step(channel: ChannelMatrix, lam: float, p) -> Distribution:
     """One exponent-gain update p'_i proportional to p_i exp(lambda z_i).
 
     The gain is ``params_from_r_lambda(channel, 0, lam).lam``, the one
     ``solve(channel, "alg1", lam=lam)`` iterates with.  ``lam`` must lie in
-    the feasible interval for the channel; ``force`` turns a gain above the
-    interval into a warning (convergence is then no longer guaranteed).  A
-    gain below 1 is always an error.
+    the feasible interval for the channel, or LambdaRangeError is raised.
+    A gain above it steps only through ``alg2_step`` with a directly built
+    ``SqueezeParams``, whose convergence is not guaranteed.
 
     The params are built again on every call.  A caller stepping at one
     gain gets the same bits from ``alg2_step(channel, params, p)`` with
     ``params = params_from_r_lambda(channel, 0.0, lam)`` built once: the
     zero floor takes the same unfloored update.
     """
-    return _step(channel, p, _resolve_params(channel, "alg1", lam, None, None, None, force))
+    return _step(channel, p, _resolve_params(channel, "alg1", lam, None, None, None))
 
 
 def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
@@ -398,7 +395,7 @@ def alg2_step(channel: ChannelMatrix, params: SqueezeParams, p) -> Distribution:
 
     Raises ValidationError when ``params`` were built for another channel.
     """
-    return _step(channel, p, _resolve_params(channel, "alg2", None, None, None, params, False))
+    return _step(channel, p, _resolve_params(channel, "alg2", None, None, None, params))
 
 
 def alg3_step(params: SqueezeParams, p) -> Distribution:
@@ -411,7 +408,7 @@ def alg3_step(params: SqueezeParams, p) -> Distribution:
 
 
 def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
-                    params: SqueezeParams | None, force: bool) -> SqueezeParams:
+                    params: SqueezeParams | None) -> SqueezeParams:
     """aba is alg1 with lambda = 1, alg1 is alg2 with r = 0, and alg2 is alg3
     with the offset that ``params_from_r_lambda`` picks.  aba's params are
     built directly as ``SqueezeParams(channel, 0.0, 0.0)``: r = 0, f = 0 and
@@ -455,18 +452,17 @@ def _resolve_params(channel: ChannelMatrix, method: str, lam, r, f,
         if lam is not None:
             raise ValidationError("method 'alg3' takes f or lambda, not both: "
                                   "lambda = (1 + f_+)/(1 - r_+)")
-        return build_squeeze_params(channel, r, f, force=force)
+        return build_squeeze_params(channel, r, f)
     if lam is None and method == "alg3":
         raise ValidationError("method 'alg3' requires the offset vector f (or lambda)")
-    return params_from_r_lambda(channel, r, lam, force=force)
+    return params_from_r_lambda(channel, r, lam)
 
 
 # -- the solver -------------------------------------------------------------------
 
 
 def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=None,
-          params: SqueezeParams | None = None, config: SolverConfig | None = None,
-          force: bool = False) -> SolveResult:
+          params: SqueezeParams | None = None, config: SolverConfig | None = None) -> SolveResult:
     """Iterate the chosen method until the capacity gap drops below epsilon.
 
     method: "aba" | "alg1" (needs lambda, defaults to its upper bound) |
@@ -482,11 +478,16 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     returned is always one the loop evaluated; equal rows give z = 0 and
     stop at iteration 0.
 
+    Every builder raises on an infeasible floor or offset and on a gain
+    outside its interval, under every warnings filter.  Infeasible
+    ``params``, which only a direct ``SqueezeParams`` builds, still run:
+    the loop then warns, at the caller, where the objective falls.
+
     Returns a SolveResult whose ``converged`` flag is False if the
     iteration cap was reached first (not an exception).
     """
     config = config or SolverConfig()
-    sp = _resolve_params(channel, method, lam, r, f, params, force)
+    sp = _resolve_params(channel, method, lam, r, f, params)
     m = channel.m
     # the uniform start's entries are one float, so its (1 - r_+) q0 is one product
     q0 = 1.0 / m if config.initial is None else config.initial.probs
@@ -495,8 +496,7 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
     trace = [] if config.record_trace else None
     # the start on Omega(r), which is q0's bits when r = 0
     q, objective, zmax, t, gap = _iterate(
-        channel, sp, (1.0 - sp.r_plus) * q0 + sp.r, config.epsilon, config.max_iters,
-        force or not sp.feasible, trace, False)
+        channel, sp, (1.0 - sp.r_plus) * q0 + sp.r, config.epsilon, config.max_iters, trace, False)
 
     # the loop ends on an iterate whose q and z it has just evaluated
     probs = q / np.add.reduce(q)

@@ -17,8 +17,9 @@ it is built, it refuses negative or non-finite entries and masses r_+ >= 1
 or f_+ = inf; it derives r_+, f_+, lambda and the feasibility verdict of
 both column tests from (r, f) once, at construction, and W* and W~ on
 each access, so no stored value can disagree with (r, f).  The builders
-check nothing of their own: they only decide what an infeasible verdict
-does, raise or warn under ``force``.  ``params_from_r_lambda`` also
+check nothing of their own beyond the gain: they raise on an infeasible
+verdict, under every warnings filter, so a direct ``SqueezeParams`` is the
+only way to infeasible params.  ``params_from_r_lambda`` also
 checks r and derives r_+, room and the column minima of W*, to draw its
 offset from them, and hands all three to construction, which checks r
 and f again but forms none of them a second time.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, _check_vector, _floor_mass, _total
+from .channel import ChannelMatrix, _check_vector, _floor_mass, _real, _total
 from .errors import FloorConstraintError, LambdaRangeError, SqueezeConstraintError, ValidationError
 
 #: constraint slack: exact-arithmetic feasibility may bind at 0
@@ -56,13 +57,13 @@ class SqueezeParams:
     mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
     (1 + f_+)/(1 - r_+).  Last it runs the column tests that a positive
     mass leaves open and records whether both hold as ``feasible``; a
-    builder raises or warns on an infeasible verdict.  ``params_from_r_lambda``
+    builder raises on an infeasible verdict.  ``params_from_r_lambda``
     builds its params through the same ``__post_init__``, handing it the
     r_+, room and star_min it drew its offset from, bitwise what this
-    construction would form from the same r.  Infeasible params
-    come only from a direct build or a builder called with ``force=True``;
-    the solvers then lose their monotonicity guarantee and downgrade
-    related checks to warnings.  ``SqueezeParams(channel, 0.0, 0.0)`` is
+    construction would form from the same r.  Infeasible params come
+    only from a direct build: their W* and W~ clamp negative entries to
+    0, and the solvers run them without a monotonicity guarantee, turning
+    lost ascent into a warning.  ``SqueezeParams(channel, 0.0, 0.0)`` is
     the plain iteration's zero squeeze.
     """
 
@@ -87,7 +88,7 @@ class SqueezeParams:
         # frozen: the instance dict takes what __setattr__ refuses
         vars(self).update(r=r, f=f, r_plus=r_plus, f_plus=f_plus,
                           lam=(1.0 + f_plus) / (1.0 - r_plus))
-        vars(self)["feasible"] = next(_violations(self, room, star_min), None) is None
+        vars(self)["feasible"] = _violation(self, room, star_min) is None
 
     @property
     def w_star(self) -> np.ndarray:
@@ -103,13 +104,6 @@ class SqueezeParams:
     def is_plain(self) -> bool:
         """True when r = 0 and f = 0 (no squeezing at all)."""
         return not (self.r.any() or self.f.any())
-
-
-def _violation(error: type[ValidationError], msg: str, force: bool) -> None:
-    """Raise ``error``, or under ``force`` warn at the first caller outside the package."""
-    if not force:
-        raise error(msg)
-    _warn(msg)
 
 
 def _warn(msg: str) -> None:
@@ -140,54 +134,54 @@ def _room(channel: ChannelMatrix, r: np.ndarray, r_plus: float) -> np.ndarray:
     return channel.column_minima() - r.dot(channel.w) if r_plus else channel.column_minima()
 
 
-def _violations(sp: SqueezeParams, room: np.ndarray | None = None, star_min=None):
-    """Each column test that ``sp`` fails, floor first, as (error, slack,
-    message).  With room from ``_room`` unless given, the floor holds when
-    room >= 0, and the offset when the smallest W~ entry of each column,
-    (1 + f_+) star_min - f with star_min = max(room, 0)/(1 - r_+) unless
-    given, is >= 0, within CONSTRAINT_TOL.  A zero floor leaves room the
-    column minima, which pass, and a zero offset leaves that entry
-    star_min >= 0, so each test runs only when its mass is positive.
-    ``message(i, j)`` names the worst entry, which ``_worst_entry`` finds
-    in the failing column slack; a verdict needs neither."""
+def _violation(sp: SqueezeParams, room: np.ndarray | None = None, star_min=None):
+    """The first column test that ``sp`` fails, floor first, as (error,
+    slack, message); None when both hold.  With room from ``_room``
+    unless given, the floor holds when room >= 0, and the offset when the
+    smallest W~ entry of each column, (1 + f_+) star_min - f with star_min
+    = max(room, 0)/(1 - r_+) unless given, is >= 0, within CONSTRAINT_TOL.
+    A zero floor leaves room the column minima, which pass, and a zero
+    offset leaves that entry star_min >= 0, so each test runs only when its
+    mass is positive.  ``message(i, j)`` names the worst entry, which
+    ``_worst_entry`` finds in the failing column slack; a verdict needs
+    neither."""
     r, f, w = sp.r, sp.f, sp.channel.w
     room = _room(sp.channel, r, sp.r_plus) if room is None else room
     if sp.r_plus and not room[room.argmin()] >= -CONSTRAINT_TOL:  # a NaN fails too
-        yield FloorConstraintError, room, lambda i, j: (
+        return FloorConstraintError, room, lambda i, j: (
             f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
             f"the floor mixture (rW)[{j}] = {(r @ w)[j]:.15g} by {-room[j]:.3e}")
     if sp.f_plus:
         star_min = np.maximum(room, 0.0) / (1.0 - sp.r_plus) if star_min is None else star_min
         tilde_min = (1.0 + sp.f_plus) * star_min - f
         if not tilde_min[tilde_min.argmin()] >= -CONSTRAINT_TOL:
-            yield SqueezeConstraintError, tilde_min, lambda i, j: (
+            return SqueezeConstraintError, tilde_min, lambda i, j: (
                 f"offset constraint violated: squeezed entry ({i},{j}) = "
                 f"{tilde_min[j]:.3e} is negative; reduce f or r")
 
 
-def _enforce(sp: SqueezeParams, force: bool) -> SqueezeParams:
-    """``sp``, after raising its first violated column test, or under
-    ``force`` warning of each.  Construction found the verdict; only
-    infeasible params run the tests again, for their messages."""
-    for error, slack, message in () if sp.feasible else _violations(sp):
-        _violation(error, message(*_worst_entry(sp.channel.w, slack)), force)
+def _enforce(sp: SqueezeParams) -> SqueezeParams:
+    """``sp``, or the error of its first violated column test.  Construction
+    found the verdict; only infeasible params run the tests again, for the
+    message."""
+    if not sp.feasible:
+        error, slack, message = _violation(sp)
+        raise error(message(*_worst_entry(sp.channel.w, slack)))
     return sp
 
 
-def build_squeeze_params(channel: ChannelMatrix, r, f, *,
-                         force: bool = False) -> SqueezeParams:
+def build_squeeze_params(channel: ChannelMatrix, r, f) -> SqueezeParams:
     """Construct and validate SqueezeParams from a floor r and offset f.
 
     Raises FloorConstraintError / SqueezeConstraintError /
-    InfeasibleFloorError on violations; with ``force=True`` the column
-    violations warn instead, the result reports ``feasible=False``, and its
-    derived W* and W~ clamp negative entries to 0.
+    InfeasibleFloorError on violations, under every warnings filter;
+    ``SqueezeParams(channel, r, f)`` builds the same params without the
+    column tests' errors, reporting ``feasible=False``.
     """
-    return _enforce(SqueezeParams(channel, r, f), force)
+    return _enforce(SqueezeParams(channel, r, f))
 
 
-def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
-                         force: bool = False) -> SqueezeParams:
+def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None) -> SqueezeParams:
     """Build SqueezeParams from a floor r and exponent gain lambda.
 
     Chooses the output offset proportional to the column minima of the
@@ -201,18 +195,21 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     the public steps all iterate with ``params.lam``.
     The feasible gains run from 1/(1 - r_+) to 1/(1 - sum_j min_i W_ij);
     ``lam=None`` takes that upper bound, or the lower one when the upper
-    one is infinite (exactly equal rows, capacity 0).
+    one is infinite (exactly equal rows, capacity 0).  The floor is judged
+    first, its entries and then its mass.  ``lam`` must then be a real
+    number that a float can hold (ValidationError); a gain outside
+    the interval, or NaN, raises LambdaRangeError, and an infeasible floor
+    FloorConstraintError, under every warnings filter.  A gain above the
+    interval is reached only through a direct ``SqueezeParams``, with the
+    offset this builder would draw.
     """
     r = _check_vector(r, channel.m, "r")
-    lam = lam if lam is None else float(lam)
     r_plus = _floor_mass(r)
     lo, hi = _bounds(r_plus, channel.column_minima())
-    if lam is None:
-        lam = hi if hi < float("inf") else lo
-    # force turns only a gain above hi into a warning: no offset f >= 0 gives one below lo
+    lam = (hi if hi < float("inf") else lo) if lam is None else _real("lam", lam)
     if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
-        _violation(LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
-                   f"interval [{lo:.15g}, {hi:.15g}]", force and lam > hi)
+        raise LambdaRangeError(f"lambda = {lam:.15g} outside feasible "
+                               f"interval [{lo:.15g}, {hi:.15g}]")
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     room, star_min, f = _room(channel, r, r_plus), None, 0.0
     if mult:
@@ -227,4 +224,4 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None, *,
     sp = object.__new__(SqueezeParams)
     vars(sp).update(channel=channel, r=r, f=f)
     sp.__post_init__(r_plus, room, star_min)
-    return _enforce(sp, force)
+    return _enforce(sp)

@@ -97,7 +97,7 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     """Floor along a reference distribution: r = delta q with the largest
     feasible delta = min_{i,j} W_ij / (qW)_j, read-only.
 
-    Any zero channel entry forces delta = 0 (and r = 0).
+    Any zero channel entry gives delta = 0 (and r = 0).
     """
     qv = _check_vector(getattr(q, "probs", q), channel.m, "q")
     s = qv @ channel.w
@@ -115,6 +115,7 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
 
     The offset and the gain are ``params_from_r_lambda(channel, r)``'s, at
     the largest gain; the builder raises when the floor is infeasible.
+    "none" is the zero squeeze, ``SqueezeParams(channel, 0.0, 0.0)``.
     Only "heuristic" reads the reference distribution ``q``; any other
     strategy refuses one rather than drop it.  The strategy's name is
     matched exactly, so "Heuristic" or None is refused with ValidationError.
@@ -124,7 +125,7 @@ def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> Sque
     if q is not None and strategy != "heuristic":
         raise ValidationError(f"strategy {strategy!r} takes no q; only 'heuristic' reads it")
     if strategy == "none":
-        return SqueezePlan(params_from_r_lambda(channel, 0.0, 1.0), strategy)
+        return SqueezePlan(SqueezeParams(channel, 0.0, 0.0), strategy)
     if strategy != "optimal-m2":  # optimal_r_m2 refuses equal rows itself
         _require_distinct_rows(channel)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -239,12 +240,6 @@ def _reference_check_vector(v, length: int, name: str) -> np.ndarray:
     return v
 
 
-def _reference_violation(error, msg: str, force: bool) -> None:
-    if not force:
-        raise error(msg)
-    warnings.warn(msg, RuntimeWarning, stacklevel=3)
-
-
 def _reference_worst_entry(w: np.ndarray, col_worst: np.ndarray) -> tuple[int, int]:
     cols = np.flatnonzero(col_worst == col_worst.min())
     rows = w[:, cols].argmin(axis=0)
@@ -264,8 +259,7 @@ def reference_lambda_bounds(channel: sa.ChannelMatrix, r) -> tuple[float, float]
     return 1.0 / (1.0 - r_plus), hi
 
 
-def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
-                                   force: bool = False) -> sa.SqueezeParams:
+def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f) -> sa.SqueezeParams:
     """Independent oracle: ``build_squeeze_params`` as it was before parameter
     resolution became a single pass, with every input check taken in full.
     The params it returns derive their own verdict, which must be its own."""
@@ -277,43 +271,45 @@ def reference_build_squeeze_params(channel: sa.ChannelMatrix, r, f, *,
     if r_plus >= 1.0:
         raise sa.InfeasibleFloorError(f"floor mass r_+ = {r_plus:.15g} must be < 1")
 
-    feasible = True
     rw = r @ w
     room = channel.column_minima() - rw
     if room.min() < -CONSTRAINT_TOL:
         i, j = _reference_worst_entry(w, room)
-        _reference_violation(sa.FloorConstraintError,
-                             f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
-                             f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-room[j]:.3e}", force)
-        feasible = False
+        raise sa.FloorConstraintError(
+            f"floor constraint violated: W[{i},{j}] = {w[i, j]:.15g} is below "
+            f"the floor mixture (rW)[{j}] = {rw[j]:.15g} by {-room[j]:.3e}")
 
     tilde_min = (1.0 + f_plus) * (np.maximum(room, 0.0) / (1.0 - r_plus)) - f
     if tilde_min.min() < -CONSTRAINT_TOL:
         i, j = _reference_worst_entry(w, tilde_min)
-        _reference_violation(sa.SqueezeConstraintError,
-                             f"offset constraint violated: squeezed entry ({i},{j}) = "
-                             f"{tilde_min[j]:.3e} is negative; reduce f or r", force)
-        feasible = False
+        raise sa.SqueezeConstraintError(
+            f"offset constraint violated: squeezed entry ({i},{j}) = "
+            f"{tilde_min[j]:.3e} is negative; reduce f or r")
     params = sa.SqueezeParams(channel, r, f)
-    assert params.feasible == feasible
+    assert params.feasible
     return params
 
 
-def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
-                                   force: bool = False) -> sa.SqueezeParams:
+def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam) -> sa.SqueezeParams:
     """Independent oracle: ``params_from_r_lambda`` as it was before parameter
     resolution became a single pass: it checked r three times, took the
     column minima three times and formed rW twice.  ``lam=None`` takes the
-    default in a separate first pass, as ``solve`` then did."""
+    default in a separate first pass, as ``solve`` then did.  A gain must be
+    a real number a float holds, tested after the floor's entries and mass."""
     if lam is None:
         lo, hi = reference_lambda_bounds(channel, r)
         lam = hi if np.isfinite(hi) else lo
     r = _reference_check_vector(r, channel.m, "r")
-    lam = float(lam)
     lo, hi = reference_lambda_bounds(channel, r)
+    if not isinstance(lam, (int, float, Fraction, np.integer, np.floating)):
+        raise sa.ValidationError(f"lam must be a real number, got {lam!r}")
+    try:
+        lam = float(lam)
+    except OverflowError:
+        raise sa.ValidationError(f"lam must fit a float, got {lam}") from None
     if not (lo - CONSTRAINT_TOL <= lam <= hi + CONSTRAINT_TOL):
-        _reference_violation(sa.LambdaRangeError, f"lambda = {lam:.15g} outside feasible "
-                             f"interval [{lo:.15g}, {hi:.15g}]", force)
+        raise sa.LambdaRangeError(f"lambda = {lam:.15g} outside feasible "
+                                  f"interval [{lo:.15g}, {hi:.15g}]")
     r_plus = float(r.sum())
     mult = max(lam * (1.0 - r_plus) - 1.0, 0.0)
     if mult == 0.0:
@@ -325,7 +321,19 @@ def reference_params_from_r_lambda(channel: sa.ChannelMatrix, r, lam, *,
             raise sa.LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                       f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * col_min / total
-    return reference_build_squeeze_params(channel, r, f, force=force)
+    return reference_build_squeeze_params(channel, r, f)
+
+
+def drawn_offset(channel: sa.ChannelMatrix, r, lam: float) -> np.ndarray:
+    """The offset ``params_from_r_lambda`` draws for the gain lam at floor r,
+    f = (lam (1 - r_+) - 1) star_min / sum(star_min), with star_min the
+    column minima of W*, in the builder's arithmetic.  A gain above its
+    interval then gives bitwise the params a builder would have built:
+    ``SqueezeParams(channel, r, drawn_offset(channel, r, lam))``."""
+    r = np.asarray(r, dtype=float)
+    r_plus = float(r.sum())
+    star_min = np.maximum(channel.column_minima() - r @ channel.w, 0.0) / (1.0 - r_plus)
+    return (lam * (1.0 - r_plus) - 1.0) * star_min / star_min.sum()
 
 
 def optimal_g(channel: sa.ChannelMatrix) -> np.ndarray:

@@ -135,6 +135,40 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
         assert copies == []
 
 
+def test_one_share_or_copy_rule(monkeypatch):
+    """Every door that keeps a caller's vector hands it to ``_readonly``
+    once: a read-only C-contiguous float vector is shared by identity, a
+    writeable one is copied once, and a non-contiguous view is copied,
+    read-only or not.  What is kept is read-only and holds the values given."""
+    calls = []
+    readonly = sa.channel._readonly
+
+    def spy(a):
+        calls.append(a)
+        return readonly(a)
+
+    monkeypatch.setattr(sa.channel, "_readonly", spy)
+    ch = sa.validate_channel(GOLDEN)
+    doors = ((lambda a: sa.Distribution(a).probs, [0.25, 0.75]),
+             (lambda a: sa.make_distribution(a).probs, [0.25, 0.75]),
+             (lambda a: sa.SqueezeParams(ch, a, 0.0).r, [0.125, 0.0625]))
+    for keep, values in doors:
+        frozen = np.array(values)
+        frozen.setflags(write=False)
+        spaced = np.zeros(4)
+        spaced[::2] = values
+        frozen_view = spaced.copy()[::2]
+        frozen_view.setflags(write=False)
+        for given, shared in ((frozen, True), (np.array(values), False),
+                              (spaced[::2], False), (frozen_view, False)):
+            calls.clear()
+            kept = keep(given)
+            assert [id(a) for a in calls] == [id(given)], (values, given.flags)
+            assert (kept is given) == shared and np.shares_memory(kept, given) == shared
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+            assert kept.tolist() == values and given.tolist() == values
+
+
 def test_floor_checks_copy_no_floor(monkeypatch):
     """``floored_uniform`` and ``waterfill`` check a floor and keep none of
     it, so neither copies a caller's writeable floor, and both refuse a bad

@@ -119,6 +119,22 @@ class TestCliSolve:
         assert main(["solve", channel_csv, *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_no_way_past_the_feasible_set(self, channel_csv, capsys):
+        # solve has no --force: argparse refuses the flag, and a gain above the
+        # golden channel's bound 1/(1 - 0.4) exits 2 naming the interval, as
+        # does an infeasible floor
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", channel_csv, "--method", "alg1", "--lambda", "3", "--force"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+        for flags, message in (
+                (["--method", "alg1", "--lambda", "3"],
+                 "lambda = 3 outside feasible interval [1, 1.66666666666667]"),
+                (["--method", "alg2", "--r", "0.2,0", "--lambda", "1.5"],
+                 "floor constraint violated: W[1,0] = 0.1 is below")):
+            assert main(["solve", channel_csv, *flags]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_not_converged_exit_code(self, tmp_path):
         path = tmp_path / "skew.csv"
         path.write_text("0.8,0.15,0.05\n0.1,0.3,0.6\n")

@@ -471,11 +471,11 @@ def test_matrix_rate_refuses_a_fixed_point_of_another_length(golden):
 
 
 def test_matrix_rate_refuses_forced_params(golden):
-    # a floor over the floor constraint, let through by force: W* is clamped,
-    # its rows sum above 1 and R is not the map's Jacobian, so the two rate
-    # routes would disagree; (1/2, 1/2) is still a fixed point by symmetry
-    with pytest.warns(RuntimeWarning, match="floor constraint violated"):
-        params = sa.build_squeeze_params(golden, [0.2, 0.2], [0, 0, 0], force=True)
+    # a direct build over the floor constraint, which the builders refuse:
+    # W* is clamped, its rows sum above 1 and R is not the map's Jacobian, so
+    # the two rate routes would disagree; (1/2, 1/2) is still a fixed point
+    # by symmetry
+    params = sa.SqueezeParams(golden, [0.2, 0.2], [0, 0, 0])
     assert not params.feasible
     assert params.w_star.sum(axis=1).max() > 1.0 + 1e-3
     p_star = sa.fixed_point_on_floor(params, [0.5, 0.5])

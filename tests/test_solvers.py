@@ -18,6 +18,7 @@ from helpers import (
     UNSHIFTED_MAX_Z,
     alg3_posterior_step,
     block_channel,
+    drawn_offset,
     golden_channel,
     golden_section_capacity,
     heavy_overlap_channel,
@@ -135,19 +136,14 @@ class TestSteps:
             sa.alg1_step(golden, 3.0, [0.5, 0.5])
         with pytest.raises(sa.LambdaRangeError):
             sa.alg1_step(golden, 1.0 - 1e-9, [0.5, 0.5])
-        # the params_from_r_lambda that solve calls: forced, it warns about the
-        # gain and about the offset it implies, and steps
-        with pytest.warns(RuntimeWarning) as caught:
-            p = sa.alg1_step(golden, 3.0, [0.4, 0.6], force=True)
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 2 and "outside feasible interval" in messages[0]
-        assert messages[1].startswith("offset constraint violated")
-        assert all(w.filename == __file__ for w in caught)
-        assert p.probs.sum() == pytest.approx(1.0)
-        with pytest.warns(RuntimeWarning):
-            # forced mode still computes (no convergence guarantee)
-            sa.solve(golden, "alg1", lam=3.0, force=True,
-                     config=sa.SolverConfig(max_iters=50))
+        assert under_every_filter(lambda: sa.alg1_step(golden, 3.0, [0.4, 0.6])) == (
+            sa.LambdaRangeError, "lambda = 3 outside feasible interval [1, 1.66666666666667]")
+        # the gain above the interval steps only with directly built params,
+        # which break the offset constraint, and still gives a point
+        over = sa.SqueezeParams(golden, 0.0, drawn_offset(golden, np.zeros(2), 3.0))
+        assert not over.feasible and over.lam == 3.0
+        p = under_every_filter(lambda: sa.alg2_step(golden, over, [0.4, 0.6]).probs.tolist())
+        assert sum(p) == pytest.approx(1.0)
 
     def test_alg1_moves_faster_than_aba(self, golden):
         # per-iterate distance to the optimizer shrinks faster at the
@@ -351,8 +347,7 @@ class TestSolve:
         # a start on the floor boundary can zero out an output letter that
         # some row still uses; the update must refuse to continue
         ch = sa.validate_channel([[0.5, 0.5], [1.0, 0.0]])
-        with pytest.warns(RuntimeWarning):
-            params = sa.build_squeeze_params(ch, [0.2, 0.0], [0.0, 0.0], force=True)
+        params = sa.SqueezeParams(ch, [0.2, 0.0], [0.0, 0.0])  # over the floor constraint
         with pytest.raises(sa.NumericalBreakdownError):
             sa.alg2_step(ch, params, [0.2, 0.8])
 
@@ -360,14 +355,13 @@ class TestSolve:
         # the same breakdown reached inside the solve loop, where the check is
         # a non-finite max z under the loop's own errstate
         ch = sa.validate_channel([[0.5, 0.5], [1.0, 0.0]])
-        with pytest.warns(RuntimeWarning):
-            params = sa.params_from_r_lambda(ch, [0.2, 0.0], 50.0, force=True)
+        params = sa.SqueezeParams(ch, [0.2, 0.0], drawn_offset(ch, [0.2, 0.0], 50.0))
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sa.NumericalBreakdownError,
                                match="output letter 1 has zero probability"):
-                sa.solve(ch, "alg2", params=params, force=True)
+                sa.solve(ch, "alg2", params=params)
         assert np.geterr() == before
         sa.solve(ch, "aba")
         sa.alg2_step(ch, params, [0.6, 0.4])
@@ -379,15 +373,14 @@ class TestSolve:
         ch = sa.validate_channel([[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.5, 0.25],
                                   [0.2, 0.2, 0.0, 0.6]])
         r = [0.0, 0.2, 0.0]
-        with pytest.warns(RuntimeWarning):
-            params = sa.params_from_r_lambda(ch, r, 50.0, force=True)
+        params = sa.SqueezeParams(ch, r, drawn_offset(ch, r, 50.0))
         match = "output letter 2 has zero probability"
         with pytest.raises(sa.NumericalBreakdownError, match=match):
             sa.alg2_step(ch, params, [0.4, 0.2, 0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sa.NumericalBreakdownError, match=match):
-                sa.solve(ch, "alg2", params=params, force=True)
+                sa.solve(ch, "alg2", params=params)
 
     def test_methods_agree_on_capacity(self, rng):
         for _ in range(15):
@@ -654,8 +647,9 @@ class TestUpdateKernel:
 
 
 class TestMonotoneAscentCheck:
-    """An infeasible gain makes the objective fall; the loop warns under
-    force and raises otherwise."""
+    """An infeasible gain makes the objective fall.  Only a direct
+    ``SqueezeParams`` builds such params, and the loop runs them forced: it
+    warns where the objective falls, and raises for feasible params."""
 
     @staticmethod
     def _overdriven():
@@ -664,26 +658,29 @@ class TestMonotoneAscentCheck:
 
     def test_forced_solve_warns_at_the_caller(self):
         ch, lam = self._overdriven()
+        assert under_every_filter(lambda: sa.solve(ch, "alg1", lam=lam))[0] is sa.LambdaRangeError
+        params = sa.SqueezeParams(ch, 0.0, drawn_offset(ch, np.zeros(2), lam))
         with pytest.warns(RuntimeWarning) as caught:
-            sa.solve(ch, "alg1", lam=lam, force=True, config=sa.SolverConfig(max_iters=200))
+            sa.solve(ch, "alg2", params=params, config=sa.SolverConfig(max_iters=200))
         first = [w for w in caught if "objective decreased" in str(w.message)][0]
         assert "objective decreased from 0.12801616446244096" in str(first.message)
         assert str(first.message).endswith("at iteration 1")
         assert first.filename == __file__
 
     def test_infeasible_direct_params_solve_as_forced(self):
-        # a direct build runs the column tests too, so its verdict is the
-        # forced builder's: the loop is forced and the lost ascent warns
+        # a direct build runs the column tests too: the builder refuses the
+        # same (r, f), and both methods that take prebuilt params run them
+        # forced, so the lost ascent warns
         ch, lam = self._overdriven()
         f = np.full(4, (lam - 1) / 4)
         direct = sa.SqueezeParams(ch, np.zeros(2), f)
-        with pytest.warns(RuntimeWarning, match="offset constraint violated"):
-            built = sa.build_squeeze_params(ch, np.zeros(2), f, force=True)
-        assert not direct.feasible and not built.feasible
+        assert not direct.feasible
+        error, msg = under_every_filter(lambda: sa.build_squeeze_params(ch, np.zeros(2), f))
+        assert error is sa.SqueezeConstraintError and msg.startswith("offset constraint violated")
         outcomes = []
-        for params in (direct, built):
+        for method in ("alg2", "alg3"):
             with pytest.warns(RuntimeWarning) as caught:
-                res = sa.solve(ch, "alg3", params=params, config=sa.SolverConfig(max_iters=200))
+                res = sa.solve(ch, method, params=direct, config=sa.SolverConfig(max_iters=200))
             messages = [str(w.message) for w in caught]
             assert any("objective decreased" in msg for msg in messages)
             outcomes.append((res.p_hat.probs.tobytes(), res.capacity_lower.hex(),
@@ -1139,23 +1136,21 @@ def test_weights_that_underflow_mid_solve_raise(monkeypatch):
     # geometrically until it underflows to 0 hundreds of updates in.  The
     # no-bind answer then has q_0 = 0, which the strict test refuses, and
     # waterfill raises as it does when called on every update; a warning
-    # other than the forced gain's would be numpy's, from the shortcut
+    # other than the lost ascent's would be numpy's, from the shortcut
     rng = np.random.default_rng(107)
     ch = sa.random_channel(3, 4, rng)
     r = np.zeros(3)
     r[1:] = rng.uniform(0.0, 0.2, 2)
-    lam = 3 * sa.lambda_upper_bound(ch)
-    forced = ("outside feasible interval", "offset constraint violated", "objective decreased")
+    params = sa.SqueezeParams(ch, r, drawn_offset(ch, r, 3 * sa.lambda_upper_bound(ch)))
     calls = spy_calls(monkeypatch, "waterfill")
     with pytest.warns(RuntimeWarning) as caught:
-        res = sa.solve(ch, "alg2", r=r, lam=lam, force=True,
-                       config=sa.SolverConfig(max_iters=500))
+        res = sa.solve(ch, "alg2", params=params, config=sa.SolverConfig(max_iters=500))
         assert not res.converged and len(calls) == 1  # still no bind, no underflow
         calls.clear()
         with pytest.raises(sa.NonpositiveWeightError, match="finite and strictly positive"):
-            sa.solve(ch, "alg2", r=r, lam=lam, force=True)
+            sa.solve(ch, "alg2", params=params)
     assert len(calls) == 2  # the first update, then the refused answer's fallback
-    assert all(any(text in str(w.message) for text in forced) for w in caught), \
+    assert all("objective decreased" in str(w.message) for w in caught), \
         [str(w.message) for w in caught]
 
 

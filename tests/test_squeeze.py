@@ -1,5 +1,6 @@
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     GOLDEN_LAMBDA,
     GOLDEN_R_OPT,
     GOLDEN_WTILDE,
+    drawn_offset,
     entropy_offsets,
     random_channel,
     random_floor,
@@ -57,12 +59,6 @@ class TestBuildSqueezeParams:
     def test_floor_mass_at_least_one_rejected(self, golden):
         with pytest.raises(sa.InfeasibleFloorError):
             sa.build_squeeze_params(golden, [0.6, 0.6], [0, 0, 0])
-
-    def test_force_clamps_and_flags(self, golden):
-        with pytest.warns(RuntimeWarning):
-            params = sa.build_squeeze_params(golden, [0, 0], [0.5, 0.5, 0.5], force=True)
-        assert not params.feasible
-        assert params.w_tilde.min() >= 0.0
 
     def test_nonfinite_vectors_rejected(self, golden):
         with pytest.raises(sa.ValidationError, match="r must be finite"):
@@ -114,12 +110,8 @@ class TestBuildSqueezeParams:
                     sa.build_squeeze_params(ch, r, f)
             else:
                 assert sa.build_squeeze_params(ch, r, f).feasible
-            assert sa.SqueezeParams(ch, r, f).feasible == (floor_ok and offset_ok)
-
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                params = sa.build_squeeze_params(ch, r, f, force=True)
-            assert len(caught) == (not floor_ok) + (not offset_ok)
+            # a direct build takes what the builder refuses, and clamps its W* and W~
+            params = sa.SqueezeParams(ch, r, f)
             assert params.feasible == (floor_ok and offset_ok)
             assert np.array_equal(params.w_star, w_star)
             assert np.array_equal(params.w_tilde, np.maximum(w_tilde, 0.0))
@@ -187,39 +179,24 @@ class TestParamsFromRLambda:
         # W[1,0] = 0.1 is below (rW)[0] = 0.14; lambda is inside its interval
         with pytest.raises(sa.FloorConstraintError, match=r"W\[1,0\]"):
             sa.params_from_r_lambda(golden, [0.2, 0.0], 1.5)
-        with pytest.warns(RuntimeWarning, match="floor constraint violated"):
-            params = sa.params_from_r_lambda(golden, [0.2, 0.0], 1.5, force=True)
+        # the params it refused, built directly from the offset it drew
+        params = sa.SqueezeParams(golden, [0.2, 0.0], drawn_offset(golden, [0.2, 0.0], 1.5))
         assert not params.feasible
         assert params.f.min() >= 0.0 and params.lam == pytest.approx(1.5)
 
-    def test_force_permits_overshoot(self, golden):
-        with pytest.warns(RuntimeWarning):
-            params = sa.params_from_r_lambda(golden, [0, 0], 2.5, force=True)
-        assert not params.feasible
 
-
-def _resolution(fn, channel, *args, force):
-    """What ``fn(channel, *args, force=force)`` gives: the params' bytes, or
-    its exception's class and message; and every warning's class and message."""
+def _resolution(fn, channel, *args):
+    """What ``fn(channel, *args)`` gives: the params' bytes, or its
+    exception's class and message; and every warning's class and message."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            sp = fn(channel, *args, force=force)
+            sp = fn(channel, *args)
             out = (sp.r.tobytes(), sp.f.tobytes(), float(sp.lam).hex(), float(sp.r_plus).hex(),
                    float(sp.f_plus).hex(), sp.feasible, sp.channel is channel)
         except (sa.SqueezeAbaError, TypeError, ValueError) as exc:
             out = (type(exc), str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
-
-
-def _refused_under_force(channel, args, plain) -> bool:
-    """Whether a forced ``params_from_r_lambda(channel, *args)`` refuses its gain
-    where the reference replaced it: the unforced call found the gain out of
-    range, and it is not above the upper bound (below the lower bound, or NaN).
-    No offset f >= 0 gives a gain below 1/(1 - r_+)."""
-    out = plain[0]
-    return (out[0] is sa.LambdaRangeError and "outside feasible interval" in out[1]
-            and not float(args[1]) > reference_lambda_bounds(channel, args[0])[1])
 
 
 BAD_VECTORS = ([np.nan, 0.1], [np.inf, 0.1], [-np.inf, 0.1], [0.1, -0.1], [np.nan, -1.0],
@@ -230,24 +207,15 @@ class TestResolutionMatchesReference:
     """Single-pass parameter resolution against its form before it
     (``helpers.reference_params_from_r_lambda`` and
     ``reference_build_squeeze_params``): bytewise the same r, f, lambda,
-    r_+, f_+ and verdict, and the same exception and warnings, forced or not.
-    One departure is deliberate: a forced gain below the lower bound, or NaN,
-    is refused with the unforced error, where the reference warned and ran
-    the lower bound (or failed later on a NaN offset) instead."""
+    r_+, f_+ and verdict, or the same exception, and no warning."""
 
     def _same(self, channel, *args):
-        outcomes = []
         fn, ref = ((sa.params_from_r_lambda, reference_params_from_r_lambda)
                    if np.ndim(args[1]) == 0 or isinstance(args[1], str)
                    else (sa.build_squeeze_params, reference_build_squeeze_params))
-        for force in (False, True):
-            expected = _resolution(ref, channel, *args, force=force)
-            if force and fn is sa.params_from_r_lambda and _refused_under_force(
-                    channel, args, outcomes[0]):
-                expected = outcomes[0]
-            assert _resolution(fn, channel, *args, force=force) == expected, (args, force)
-            outcomes.append(expected)
-        return outcomes
+        expected = _resolution(ref, channel, *args)
+        assert _resolution(fn, channel, *args) == expected, args
+        return expected
 
     def test_seeded_floors_and_gains(self, rng):
         verdicts = set()
@@ -261,17 +229,18 @@ class TestResolutionMatchesReference:
             lo, hi = reference_lambda_bounds(ch, r)
             for lam in (lo, hi, rng.uniform(lo, max(lo, hi)), lo * (1 - 1e-10), hi * (1 + 1e-10),
                         lo - 2e-12, hi + 2e-12):
-                for out, caught in self._same(ch, r, lam):
-                    verdicts.add((out[0] if isinstance(out[0], type) else out[5],
-                                  tuple(c for c, _ in caught)))
-            f = random_offset(rng, ch, np.zeros(ch.m), float(rng.choice([0.5, 1.0, 1.5])))
-            for out, caught in self._same(ch, r, f):
+                out, caught = self._same(ch, r, lam)
                 verdicts.add((out[0] if isinstance(out[0], type) else out[5],
                               tuple(c for c, _ in caught)))
-        # every error, warnings, and feasible and infeasible results all occur
-        assert {v[0] for v in verdicts} >= {True, False, sa.LambdaRangeError,
-                                            sa.FloorConstraintError, sa.SqueezeConstraintError}
-        assert any(v[1] for v in verdicts)
+            f = random_offset(rng, ch, np.zeros(ch.m), float(rng.choice([0.5, 1.0, 1.5])))
+            out, caught = self._same(ch, r, f)
+            verdicts.add((out[0] if isinstance(out[0], type) else out[5],
+                          tuple(c for c, _ in caught)))
+        # every error and feasible results occur, and no builder returns
+        # infeasible params or warns
+        assert {v[0] for v in verdicts} == {True, sa.LambdaRangeError, sa.FloorConstraintError,
+                                            sa.SqueezeConstraintError}
+        assert not any(v[1] for v in verdicts)
 
     def test_invalid_vectors(self, golden):
         for bad in BAD_VECTORS:
@@ -279,15 +248,17 @@ class TestResolutionMatchesReference:
             self._same(golden, bad, [0.0, 0.0, 0.0])
             self._same(golden, [0.0, 0.0], bad)
             self._same(golden, [0.0, 0.0], [0.0, 0.0, bad] if np.ndim(bad) == 0 else bad)
-        # the first bad input wins, and r is checked before lambda is converted
-        for lam in ("abc", None, np.nan, np.inf):
+        # the first bad input wins, and r, its entries and then its mass, is
+        # checked before lambda is converted
+        for lam in ("abc", "1.5", [1.5], np.array([1.5]), np.array(1.5), 1 + 2j, 10**400,
+                    -10**400, None, np.nan, np.inf, 2, np.float32(1.25), Fraction(5, 4)):
             self._same(golden, [np.nan, 0.0], lam)
             self._same(golden, [0.6, 0.6], lam)
             self._same(golden, [0.0, 0.0], lam)
 
     def test_floor_mass_at_least_one(self, golden):
         for r in ([0.5, 0.5], [0.7, 0.6], [1.0, 0.0]):
-            for outcome in self._same(golden, r, 1.2) + self._same(golden, r, [0.0, 0.0, 0.0]):
+            for outcome in (self._same(golden, r, 1.2), self._same(golden, r, [0.0, 0.0, 0.0])):
                 assert outcome[0][0] is sa.InfeasibleFloorError
 
     def test_gain_just_outside_its_interval(self, golden):
@@ -296,14 +267,10 @@ class TestResolutionMatchesReference:
             edges = (lo - 1e-12, hi + 1e-12)  # the slack
             outside = [np.nextafter(edges[0], 0.0), np.nextafter(edges[1], np.inf), lo - 1e-9, hi + 1e-9]
             for lam in outside:
-                plain, forced = self._same(golden, r, lam)
-                assert plain[0][0] is sa.LambdaRangeError
-                if lam > hi:
-                    assert "outside feasible interval" in forced[1][0][1]
-                else:  # below the lower bound, force does not help
-                    assert forced == plain and not forced[1]
+                assert self._same(golden, r, lam)[0] == (sa.LambdaRangeError, (
+                    f"lambda = {lam:.15g} outside feasible interval [{lo:.15g}, {hi:.15g}]"))
             for lam in edges:
-                assert not self._same(golden, r, lam)[0][1]
+                assert not self._same(golden, r, lam)[1]
 
     def test_channel_without_squeezing_room(self):
         # no overlap, and an overlap that the floor takes up exactly: lo = hi
@@ -313,12 +280,10 @@ class TestResolutionMatchesReference:
             lo, hi = reference_lambda_bounds(ch, r)
             assert lo == hi
             # inside the slack the gain asks for an offset there is no room for
-            for outcome in self._same(ch, r, lo + 5e-13):
-                assert outcome[0][0] is sa.LambdaRangeError and "no squeezing room" in outcome[0][1]
-            plain, forced = self._same(ch, r, 1.5 * lo)
-            assert "outside feasible interval" in plain[0][1]
-            assert "no squeezing room" in forced[0][1] and forced[1]
-            assert self._same(ch, r, lo)[0][0][5]
+            out = self._same(ch, r, lo + 5e-13)[0]
+            assert out[0] is sa.LambdaRangeError and "no squeezing room" in out[1]
+            assert "outside feasible interval" in self._same(ch, r, 1.5 * lo)[0][1]
+            assert self._same(ch, r, lo)[0][5]
 
     def test_all_rows_equal_channel(self):
         ch = sa.validate_channel([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
@@ -328,7 +293,7 @@ class TestResolutionMatchesReference:
             for lam in (None, 1.0, 1.5, 1e6, 1e308, np.inf, np.nan):
                 self._same(ch, r, lam)
             self._same(ch, r, [0.1, 0.0, 0.2])
-        assert self._same(ch, [0.0, 0.0], np.inf)[0][0] == (sa.ValidationError, "f must be finite")
+        assert self._same(ch, [0.0, 0.0], np.inf)[0] == (sa.ValidationError, "f must be finite")
 
 
 def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
@@ -339,9 +304,8 @@ def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
     rather than form again.  Its params are those of the explicit upper
     bound."""
     _, hi = reference_lambda_bounds(golden, GOLDEN_R_OPT)
-    explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi, force=False)
-    assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None,
-                       force=False) == explicit
+    explicit = _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, hi)
+    assert _resolution(sa.params_from_r_lambda, golden, GOLDEN_R_OPT, None) == explicit
     counts = Counter()
 
     def counted(name, fn):
@@ -353,8 +317,7 @@ def test_default_gain_resolves_in_one_pass(golden, monkeypatch):
     monkeypatch.setattr(squeeze, "_check_vector", counted("check", squeeze._check_vector))
     monkeypatch.setattr(sa.ChannelMatrix, "column_minima",
                         counted("colmin", sa.ChannelMatrix.column_minima))
-    resolved = _resolution(lambda ch, r, force: sa.solve(ch, "alg2", r=r, force=force).params,
-                           golden, GOLDEN_R_OPT, force=False)
+    resolved = _resolution(lambda ch, r: sa.solve(ch, "alg2", r=r).params, golden, GOLDEN_R_OPT)
     assert (counts["check"], counts["colmin"]) == (3, 2)
     assert resolved == explicit
 
@@ -374,7 +337,9 @@ def test_builders_take_each_mass_once(golden, rng):
     """The column tests read the params' own r_+ and f_+, so a returned params
     holds both already, bitwise the reductions of r and f.  The r_+, room
     and star_min that ``params_from_r_lambda`` hands construction give the
-    params a direct construction of its (r, f) gives, feasible or not."""
+    verdict a direct construction of its (r, f) gives: the builder returns
+    the direct build's params where that is feasible, and raises its column
+    error where it is not."""
     for sp in (sa.build_squeeze_params(golden, GOLDEN_R_OPT, GOLDEN_F_OPT),
                sa.params_from_r_lambda(golden, GOLDEN_R_OPT)):
         assert {"r_plus", "f_plus"} <= vars(sp).keys()
@@ -391,46 +356,19 @@ def test_builders_take_each_mass_once(golden, rng):
         if r.sum() >= 1.0:
             continue
         lo, hi = reference_lambda_bounds(ch, r)
-        for lam in (lo, hi, hi * (1 + 1e-9)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    built = sa.params_from_r_lambda(ch, r, lam, force=True)
-                except sa.LambdaRangeError:  # no squeezing room
-                    continue
+        for lam in (lo, hi, 0.5 * (lo + hi)):
+            try:
+                built = sa.params_from_r_lambda(ch, r, lam)
+            except sa.LambdaRangeError:  # no squeezing room
+                continue
+            except (sa.FloorConstraintError, sa.SqueezeConstraintError):
+                f = drawn_offset(ch, r, lam) if lam > lo else 0.0
+                assert not sa.SqueezeParams(ch, r, f).feasible
+                verdicts.add(False)
+                continue
             assert fields(built) == fields(sa.SqueezeParams(ch, built.r, built.f))
             verdicts.add(built.feasible)
     assert verdicts == {True, False}
-
-
-def test_forced_gain_below_lower_bound_refused(golden):
-    """No offset f >= 0 gives lambda < 1/(1 - r_+), so force does not turn
-    such a gain into a warning: every path refuses it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in (lambda: sa.solve(golden, "alg1", lam=0.5, force=True),
-                     lambda: sa.alg1_step(golden, 0.5, [0.5, 0.5], force=True),
-                     lambda: sa.params_from_r_lambda(golden, [0.1, 0.1], 1.2, force=True),
-                     lambda: sa.solve(golden, "alg2", r=[0.1, 0.1], lam=np.nan, force=True)):
-            with pytest.raises(sa.LambdaRangeError, match="outside feasible interval"):
-                call()
-
-
-def test_forced_violations_warn_at_the_caller(golden):
-    """A forced violation is reported at the line that called the public
-    function, not inside the package."""
-    short = sa.SolverConfig(max_iters=20)
-    calls = (lambda: sa.build_squeeze_params(golden, [0, 0], [0.5, 0.5, 0.5], force=True),
-             lambda: sa.params_from_r_lambda(golden, [0.2, 0.0], 1.5, force=True),
-             lambda: sa.params_from_r_lambda(golden, [0, 0], 2.5, force=True),
-             lambda: sa.alg1_step(golden, 2.5, [0.5, 0.5], force=True),
-             lambda: sa.solve(golden, "alg1", lam=3.0, config=short, force=True),
-             lambda: sa.solve(golden, "alg3", r=[0, 0], f=[0.5, 0.5, 0.5], config=short,
-                              force=True))
-    for call in calls:
-        with pytest.warns(RuntimeWarning) as caught:
-            call()
-        assert {w.filename for w in caught} == {__file__}
 
 
 def test_direct_construction_checks_the_lengths(golden):
@@ -477,20 +415,33 @@ def test_direct_construction_checks_the_entries(golden):
         assert refusal(call) == (error, msg)
 
 
-@pytest.mark.parametrize("force", [False, True])
-def test_the_floor_is_judged_first(golden, force):
+@pytest.mark.parametrize("through_solve", [False, True])
+def test_the_floor_is_judged_first(golden, through_solve):
     """With two bad inputs the floor's entries, then its mass, are refused
-    before the gain and before the offset, forced or not, under every
-    warnings filter."""
+    before the gain and before the offset, by the builders called directly
+    or through ``solve``, under every warnings filter."""
+    if through_solve:
+        def from_lam(r, lam):
+            return sa.solve(golden, "alg2", r=r, lam=lam).params
+
+        def from_f(r, f):
+            return sa.solve(golden, "alg3", r=r, f=f).params
+    else:
+        def from_lam(r, lam):
+            return sa.params_from_r_lambda(golden, r, lam)
+
+        def from_f(r, f):
+            return sa.build_squeeze_params(golden, r, f)
     lam_cases = (
+        ([np.nan, 0.1], "abc", sa.ValidationError, "r must be finite"),
+        ([0.6, 0.5], "abc", sa.InfeasibleFloorError, "floor mass r_+ = 1.1 must be < 1"),
         ([np.nan, 0.1], 100.0, sa.ValidationError, "r must be finite"),
         ([np.nan, 0.1], 0.5, sa.ValidationError, "r must be finite"),
         ([-0.1, 0.1], 100.0, sa.NegativeEntryError, "r must be nonnegative (min -1.000e-01 at 0)"),
         ([0.6, 0.5], 100.0, sa.InfeasibleFloorError, "floor mass r_+ = 1.1 must be < 1"),
         ([0.6, 0.5], 0.5, sa.InfeasibleFloorError, "floor mass r_+ = 1.1 must be < 1"))
     for r, lam, error, msg in lam_cases:
-        assert under_every_filter(
-            lambda: sa.params_from_r_lambda(golden, r, lam, force=force)) == (error, msg)
+        assert under_every_filter(lambda: from_lam(r, lam)) == (error, msg)
     f_cases = (
         ([np.nan, 0.1], [-1.0, 0.0, 0.0], sa.ValidationError, "r must be finite"),
         ([-0.1, 0.1], [np.nan, 0.0, 0.0], sa.NegativeEntryError,
@@ -498,12 +449,7 @@ def test_the_floor_is_judged_first(golden, force):
         ([0.1, 0.1, 0.1], [-1.0, 0.0], sa.DimensionMismatchError,
          "r must have length 2, got shape (3,)"))
     for r, f, error, msg in f_cases:
-        assert under_every_filter(
-            lambda: sa.build_squeeze_params(golden, r, f, force=force)) == (error, msg)
-
-
-def _direct(channel, r, f, *, force):
-    return sa.SqueezeParams(channel, r, f)
+        assert under_every_filter(lambda: from_f(r, f)) == (error, msg)
 
 
 def test_the_two_doors_agree(golden, monkeypatch):
@@ -524,9 +470,8 @@ def test_the_two_doors_agree(golden, monkeypatch):
         (r, np.full(3, 1e308)))  # f_+ overflows
     outcomes = set()
     for r_in, f_in in table:
-        direct = _resolution(_direct, golden, r_in, f_in, force=False)
-        assert direct == _resolution(sa.build_squeeze_params, golden, r_in, f_in,
-                                     force=False), (r_in, f_in)
+        direct = _resolution(sa.SqueezeParams, golden, r_in, f_in)
+        assert direct == _resolution(sa.build_squeeze_params, golden, r_in, f_in), (r_in, f_in)
         outcomes.add(direct[0][0] if isinstance(direct[0][0], type) else True)
     assert outcomes == {True, sa.DimensionMismatchError, sa.ValidationError,
                         sa.NegativeEntryError, sa.InfeasibleFloorError}
@@ -563,3 +508,65 @@ def test_the_two_doors_agree(golden, monkeypatch):
         assert zero == fields(sa.params_from_r_lambda(ch, np.zeros(ch.m), 1.0))
         assert zero == fields(sa.plan(ch, "none").params)
         assert zero == fields(sa.solve(ch, "aba").params)
+
+
+def test_builders_raise_under_every_filter(golden):
+    """Feasibility has one way past it, a direct ``SqueezeParams``: every
+    builder, called directly or through ``solve`` or ``alg1_step``, raises
+    the same error with the same message on an infeasible floor, an
+    infeasible offset and a gain outside its interval, and warns of none,
+    whatever the warnings filter.  An offset drawn from a gain is feasible
+    whenever the floor and the gain are, so offsets go through the two
+    doors that take one."""
+    r = [0.2, 0.0]  # W[1,0] = 0.1 is below (rW)[0] = 0.14
+    floor = (sa.FloorConstraintError, "floor constraint violated: W[1,0] = 0.1 is below "
+             "the floor mixture (rW)[0] = 0.14 by 4.000e-02")
+    for call in (lambda: sa.build_squeeze_params(golden, r, [0.0, 0.0, 0.0]),
+                 lambda: sa.params_from_r_lambda(golden, r, 1.5),
+                 lambda: sa.solve(golden, "alg2", r=r),
+                 lambda: sa.solve(golden, "alg3", r=r, f=[0.0, 0.1, 0.0])):
+        assert under_every_filter(call) == floor
+    f = [0.5, 0.5, 0.5]
+    offset = (sa.SqueezeConstraintError, "offset constraint violated: squeezed entry (1,0) = "
+              "-2.500e-01 is negative; reduce f or r")
+    for call in (lambda: sa.build_squeeze_params(golden, [0.0, 0.0], f),
+                 lambda: sa.solve(golden, "alg3", r=[0.0, 0.0], f=f)):
+        assert under_every_filter(call) == offset
+    for r, lam in (([0.0, 0.0], 2.5), ([0.0, 0.0], 0.5), ([0.1, 0.1], 1.2),
+                   ([0.0, 0.0], np.nan), ([0.1, 0.1], np.nan), ([0.0, 0.0], np.inf)):
+        lo, hi = reference_lambda_bounds(golden, r)
+        gain = (sa.LambdaRangeError,
+                f"lambda = {lam:.15g} outside feasible interval [{lo:.15g}, {hi:.15g}]")
+        calls = [lambda: sa.params_from_r_lambda(golden, r, lam),
+                 lambda: sa.solve(golden, "alg2", r=r, lam=lam),
+                 lambda: sa.solve(golden, "alg3", r=r, lam=lam)]
+        if not any(r):
+            calls += [lambda: sa.solve(golden, "alg1", lam=lam),
+                      lambda: sa.alg1_step(golden, lam, [0.5, 0.5])]
+        for call in calls:
+            assert under_every_filter(call) == gain, (r, lam)
+
+
+@pytest.mark.parametrize("lam, message", [
+    ("abc", "lam must be a real number, got 'abc'"),
+    ("1.5", "lam must be a real number, got '1.5'"),
+    ([1.5], "lam must be a real number, got [1.5]"),
+    (1 + 2j, "lam must be a real number, got (1+2j)"),
+    (np.array([1.5]), "lam must be a real number, got array([1.5])"),
+    (np.array(1.5), "lam must be a real number, got array(1.5)"),
+    (10**400, f"lam must fit a float, got {10**400}"),
+    (Fraction(-10**400, 3), f"lam must fit a float, got {Fraction(-10**400, 3)}")])
+def test_the_gain_is_a_real_number(golden, lam, message):
+    """Every door that takes a gain refuses one that is not a real number a
+    float holds, with the same ValidationError, under every warnings filter;
+    a real number of another type is the float it equals."""
+    for call in (lambda: sa.params_from_r_lambda(golden, [0.0, 0.0], lam),
+                 lambda: sa.alg1_step(golden, lam, [0.5, 0.5]),
+                 lambda: sa.solve(golden, "alg1", lam=lam),
+                 lambda: sa.solve(golden, "alg2", r=[0.1, 0.1], lam=lam),
+                 lambda: sa.solve(golden, "alg3", r=[0.1, 0.1], lam=lam)):
+        assert under_every_filter(call) == (sa.ValidationError, message)
+    as_float = sa.params_from_r_lambda(golden, [0.0, 0.0], 1.5)
+    for same in (Fraction(3, 2), np.float32(1.5), np.float64(1.5)):
+        got = sa.params_from_r_lambda(golden, [0.0, 0.0], same)
+        assert (got.f.tobytes(), got.lam) == (as_float.f.tobytes(), as_float.lam)
