@@ -55,13 +55,14 @@ _FLOAT = np.dtype(float)
 def _readonly(a) -> np.ndarray:
     """A read-only C-contiguous float64 array of a's values: the package's
     one share-or-copy rule.  Such an array is shared as it is.  Any other
-    array that needs no conversion is writeable and the caller's own, so it
-    is copied, not frozen; anything else is converted, then frozen."""
+    array that needs no conversion, or that numpy only views (an ndarray
+    subclass, a buffer), is the caller's own, so it is copied, not frozen;
+    anything else is converted, then frozen."""
     if (isinstance(a, np.ndarray) and a.dtype is _FLOAT and not a.flags.writeable
             and a.flags.c_contiguous):
         return a
     b = np.ascontiguousarray(a, dtype=float)
-    if b is a:
+    if b is a or b.base is not None:
         b = b.copy()
     b.setflags(write=False)
     return b
@@ -110,15 +111,16 @@ def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
 def _check_vector(v, length: int, name: str) -> np.ndarray:
     """v as a read-only, finite, nonnegative float vector of the given length
     (a scalar fills it).  An array made here from a list or scalar is frozen
-    where it is made; the caller's own array goes through ``_readonly``, so
-    a read-only contiguous one is shared as it is and any other copied once."""
+    where it is made; the caller's own array, or numpy's view of a subclass
+    or buffer of the caller's, goes through ``_readonly``, so a read-only
+    contiguous one is shared as it is and any other copied once."""
     a = np.asarray(v, dtype=float)
     if a.ndim == 0:
         a = np.full(length, float(a))
     if a.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
     _check_entries(a, name)
-    if a is not v:
+    if a is not v and a.base is None:
         a.setflags(write=False)  # made here, so no caller holds it
         return a
     return _readonly(a)
@@ -250,8 +252,9 @@ def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
     sum, through ``_total``, is off 1 by more than PROB_SUM_TOL (one past
     the float range sums to inf); NegativeEntryError when p lies more than
     PROB_SUM_TOL below ``floor``, a floor the caller has checked.  An
-    array made here is frozen where it is made; the caller's own is
-    returned as it is."""
+    array made here is frozen where it is made; the caller's own, or
+    numpy's view of a subclass or buffer of the caller's, is returned as
+    it is."""
     given = getattr(p, "probs", p)
     a = np.asarray(given, dtype=float)
     if m is None and (a.ndim != 1 or a.size == 0):
@@ -265,7 +268,7 @@ def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
         i = int(np.argmin(a - floor))
         raise NegativeEntryError(f"{name} must dominate the floor: component {i} is "
                                  f"{a[i]:.15g}, below its floor {floor[i]:.15g}")
-    if a is not given:
+    if a is not given and a.base is None:
         a.setflags(write=False)  # made here, so no caller holds it
     return a
 

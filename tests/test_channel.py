@@ -135,11 +135,17 @@ def test_package_made_arrays_are_shared_not_copied(monkeypatch):
         assert copies == []
 
 
+class Subclass(np.ndarray):
+    pass
+
+
 def test_one_share_or_copy_rule(monkeypatch):
     """Every door that keeps a caller's vector hands it to ``_readonly``
     once: a read-only C-contiguous float vector is shared by identity, a
     writeable one is copied once, and a non-contiguous view is copied,
-    read-only or not.  What is kept is read-only and holds the values given."""
+    read-only or not.  What is kept is read-only and holds the values given.
+    A writeable ndarray subclass, which numpy's asarray views rather than
+    copies, is copied too: writing to it afterwards changes nothing kept."""
     calls = []
     readonly = sa.channel._readonly
 
@@ -167,6 +173,10 @@ def test_one_share_or_copy_rule(monkeypatch):
             assert (kept is given) == shared and np.shares_memory(kept, given) == shared
             assert not kept.flags.writeable and kept.flags.c_contiguous
             assert kept.tolist() == values and given.tolist() == values
+        sub = np.array(values).view(Subclass)
+        kept = keep(sub)
+        sub[0] = 0.5
+        assert not np.shares_memory(kept, sub) and kept.tolist() == values
 
 
 def test_floor_checks_copy_no_floor(monkeypatch):
