@@ -17,8 +17,10 @@ argument's own name.  Tolerances are the module constants, not options.
 A channel with an identically zero column is rejected; deleting that
 output letter is left to the caller.
 
-All types are immutable after construction (arrays are marked read-only)
-and safe to share across threads.
+All types are immutable after construction and safe to share across
+threads: each keeps its own read-only copy of every array it holds
+(``_readonly``), so writing to an array a caller passed in, or unfreezing
+it, changes nothing kept.
 """
 
 from __future__ import annotations
@@ -48,22 +50,13 @@ ROW_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
 
 
-#: float64, the dtype of every array the package keeps
-_FLOAT = np.dtype(float)
-
-
 def _readonly(a) -> np.ndarray:
-    """A read-only C-contiguous float64 array of a's values: the package's
-    one share-or-copy rule.  Such an array is shared as it is.  Any other
-    array that needs no conversion, or that numpy only views (an ndarray
-    subclass, a buffer), is the caller's own, so it is copied, not frozen;
-    anything else is converted, then frozen."""
-    if (isinstance(a, np.ndarray) and a.dtype is _FLOAT and not a.flags.writeable
-            and a.flags.c_contiguous):
-        return a
-    b = np.ascontiguousarray(a, dtype=float)
-    if b is a or b.base is not None:
-        b = b.copy()
+    """A read-only C-contiguous float64 copy of a's values, at least 1-d:
+    the package's one keeper rule.  Every array a frozen object keeps is
+    made here, so none shares memory with an array anyone else holds,
+    whatever a was: a list, an array read-only or not, a view, an ndarray
+    subclass or a buffer."""
+    b = np.array(a, dtype=float, order="C", ndmin=1)
     b.setflags(write=False)
     return b
 
@@ -109,21 +102,14 @@ def _check_entries(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_vector(v, length: int, name: str) -> np.ndarray:
-    """v as a read-only, finite, nonnegative float vector of the given length
-    (a scalar fills it).  An array made here from a list or scalar is frozen
-    where it is made; the caller's own array, or numpy's view of a subclass
-    or buffer of the caller's, goes through ``_readonly``, so a read-only
-    contiguous one is shared as it is and any other copied once."""
+    """v as a finite, nonnegative float vector of the given length (a scalar
+    fills it), in the one read-only copy that ``_readonly`` makes of it, so
+    what is checked is what the caller keeps."""
     a = np.asarray(v, dtype=float)
-    if a.ndim == 0:
-        a = np.full(length, float(a))
+    a = _readonly(a.repeat(length) if a.ndim == 0 else a)
     if a.shape != (length,):
         raise DimensionMismatchError(f"{name} must have length {length}, got shape {a.shape}")
-    _check_entries(a, name)
-    if a is not v and a.base is None:
-        a.setflags(write=False)  # made here, so no caller holds it
-        return a
-    return _readonly(a)
+    return _check_entries(a, name)
 
 
 def _total(v: np.ndarray, axis: int = 0):
@@ -231,7 +217,8 @@ def validate_channel(entries) -> ChannelMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A point of the simplex, or of the floored simplex Omega(r)."""
+    """A point of the simplex, or of the floored simplex Omega(r), holding
+    its own read-only copy of the probabilities."""
 
     probs: np.ndarray
 
@@ -251,10 +238,9 @@ def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
     NegativeEntryError on a negative one; DimensionMismatchError when the
     sum, through ``_total``, is off 1 by more than PROB_SUM_TOL (one past
     the float range sums to inf); NegativeEntryError when p lies more than
-    PROB_SUM_TOL below ``floor``, a floor the caller has checked.  An
-    array made here is frozen where it is made; the caller's own, or
-    numpy's view of a subclass or buffer of the caller's, is returned as
-    it is."""
+    PROB_SUM_TOL below ``floor``, a floor the caller has checked.  It
+    keeps nothing: a caller that keeps the point, as ``Distribution`` does,
+    copies it."""
     given = getattr(p, "probs", p)
     a = np.asarray(given, dtype=float)
     if m is None and (a.ndim != 1 or a.size == 0):
@@ -268,8 +254,6 @@ def _check_point(p, name: str, m: int | None = None, floor=None) -> np.ndarray:
         i = int(np.argmin(a - floor))
         raise NegativeEntryError(f"{name} must dominate the floor: component {i} is "
                                  f"{a[i]:.15g}, below its floor {floor[i]:.15g}")
-    if a is not given and a.base is None:
-        a.setflags(write=False)  # made here, so no caller holds it
     return a
 
 
@@ -279,9 +263,7 @@ def make_distribution(p) -> Distribution:
 
 
 def uniform(m: int) -> Distribution:
-    p = np.full(m, 1.0 / m)
-    p.setflags(write=False)  # made here, so the Distribution shares it
-    return Distribution(p)
+    return Distribution(np.full(m, 1.0 / m))
 
 
 def floored_uniform(r) -> Distribution:
@@ -290,6 +272,4 @@ def floored_uniform(r) -> Distribution:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise DimensionMismatchError(f"r must be a nonempty vector, got shape {r.shape}")
-    p = (1.0 - _floor_mass(_check_entries(r, "r"))) / r.size + r
-    p.setflags(write=False)  # made here, so no caller holds it
-    return Distribution(p)
+    return Distribution((1.0 - _floor_mass(_check_entries(r, "r"))) / r.size + r)

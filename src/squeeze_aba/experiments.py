@@ -52,6 +52,8 @@ class BenchConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         # the solvers' own check of epsilon, which also makes it a Python float
         object.__setattr__(self, "epsilon", SolverConfig(epsilon=self.epsilon).epsilon)
+        if isinstance(self.methods, str):  # tuple() would split it into letters
+            raise ValidationError(f"methods must be a sequence of names, got {self.methods!r}")
         object.__setattr__(self, "methods", tuple(self.methods))  # a list would not hash
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:

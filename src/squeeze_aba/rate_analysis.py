@@ -166,9 +166,7 @@ def fixed_point_on_floor(params: SqueezeParams, p_hat) -> Distribution:
     params checked r when they were built, so the image is not checked again.
     """
     q = _check_point(p_hat, "p_hat", params.channel.m)
-    p = (1.0 - params.r_plus) * q + params.r
-    p.setflags(write=False)  # made here, so the Distribution shares it
-    return Distribution(p)
+    return Distribution((1.0 - params.r_plus) * q + params.r)
 
 
 def _jacobian_and_gram(params: SqueezeParams, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

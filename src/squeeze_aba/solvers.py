@@ -363,9 +363,7 @@ def _step(channel: ChannelMatrix, p, params: SqueezeParams | None = None) -> Dis
     """One update from p of the map that ``params`` resolve to; without them,
     of aba's, which ``_resolve_params`` resolves to r = 0, f = 0 and lambda = 1."""
     p = _check_start(p, params.r if params is not None and params.r_plus else None, channel.m)
-    x = _iterate(channel, params, p)
-    x.setflags(write=False)  # fresh memory, so the Distribution shares it
-    return Distribution(x)
+    return Distribution(_iterate(channel, params, p))
 
 
 def aba_step(channel: ChannelMatrix, p) -> Distribution:
@@ -499,7 +497,5 @@ def solve(channel: ChannelMatrix, method: str = "aba", *, lam=None, r=None, f=No
         channel, sp, (1.0 - sp.r_plus) * q0 + sp.r, config.epsilon, config.max_iters, trace, False)
 
     # the loop ends on an iterate whose q and z it has just evaluated
-    probs = q / np.add.reduce(q)
-    probs.setflags(write=False)  # made here, so the Distribution shares it
-    return SolveResult(Distribution(probs), objective, objective, zmax, t,
+    return SolveResult(Distribution(q / np.add.reduce(q)), objective, objective, zmax, t,
                        gap <= config.epsilon, method, sp, () if trace is None else tuple(trace))

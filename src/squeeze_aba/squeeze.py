@@ -50,10 +50,10 @@ class SqueezeParams:
     built: r, then f, must have the channel's m and n entries
     (DimensionMismatchError; a scalar fills the vector), finite and
     nonnegative; then r_+ >= 1 raises InfeasibleFloorError and an
-    overflowing f_+ ValidationError.  Each is stored read-only: a vector
-    filled or converted here, or an array already read-only (as every
-    array the package makes is), is kept as it is, and a caller's
-    writeable array is copied once.  It derives the floor mass ``r_plus`` = sum_i r_i, the offset
+    overflowing f_+ ValidationError.  Each is kept as the params' own
+    read-only copy, whatever was passed, so writing to the caller's array
+    afterwards, or unfreezing it, changes neither the params nor their
+    verdict.  It derives the floor mass ``r_plus`` = sum_i r_i, the offset
     mass ``f_plus`` = sum_j f_j and the exponent gain ``lam`` =
     (1 + f_+)/(1 - r_+).  Last it runs the column tests that a positive
     mass leaves open and records whether both hold as ``feasible``; a
@@ -219,7 +219,6 @@ def params_from_r_lambda(channel: ChannelMatrix, r, lam: float | None = None) ->
             raise LambdaRangeError("channel has no squeezing room (zero column-minima mass) "
                                    f"but lambda = {lam:.15g} exceeds {1.0 / (1.0 - r_plus):.15g}")
         f = mult * star_min / total
-        f.setflags(write=False)  # made here, so the params share it
     # the params' own construction, handed the r_+, room and star_min derived here
     sp = object.__new__(SqueezeParams)
     vars(sp).update(channel=channel, r=r, f=f)

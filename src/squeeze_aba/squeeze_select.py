@@ -68,7 +68,8 @@ def lambda_upper_bound(channel: ChannelMatrix) -> float:
 
 
 def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
-    """Exact rate-optimal floor for a binary-input channel, read-only.
+    """Exact rate-optimal floor for a binary-input channel, as a new
+    writeable array; params built on it keep their own copy.
 
     With a = min over columns where row 1 exceeds row 2 of
     W_2j / (W_1j - W_2j), and b symmetrically, the floor
@@ -88,14 +89,13 @@ def optimal_r_m2(channel: ChannelMatrix) -> np.ndarray:
     up, dn = d > 0.0, d < 0.0
     a = float(np.minimum.reduce(w2[up] / d[up]))
     b = float(np.minimum.reduce(w1[dn] / -d[dn]))
-    r = np.array([a, b]) / (1.0 + a + b)
-    r.setflags(write=False)  # made here, so the params built on it share it
-    return r
+    return np.array([a, b]) / (1.0 + a + b)
 
 
 def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
     """Floor along a reference distribution: r = delta q with the largest
-    feasible delta = min_{i,j} W_ij / (qW)_j, read-only.
+    feasible delta = min_{i,j} W_ij / (qW)_j, as a new writeable array;
+    params built on it keep their own copy.
 
     Any zero channel entry gives delta = 0 (and r = 0).
     """
@@ -105,9 +105,7 @@ def heuristic_r(channel: ChannelMatrix, q) -> np.ndarray:
         raise ValidationError("reference distribution gives zero output mass")
     # dividing column j by s_j > 0 keeps its order, so its minimum stays in place
     delta = float((channel.column_minima() / s).min())
-    r = delta * qv
-    r.setflags(write=False)  # made here, so the params built on it share it
-    return r
+    return delta * qv
 
 
 def plan(channel: ChannelMatrix, strategy: str = "heuristic", *, q=None) -> SqueezePlan:

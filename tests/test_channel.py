@@ -105,98 +105,89 @@ def test_caller_arrays_stay_writeable():
         assert np.array_equal(a, v)
 
 
-def test_package_made_arrays_are_shared_not_copied(monkeypatch):
-    """Arrays the package makes are frozen where they are made, so the
-    frozen results share them: neither ``Distribution`` nor the copy in
-    ``_check_vector``, both through ``_readonly``, copies one."""
-    copies = []
-    readonly = sa.channel._readonly
-
-    def spy(a):
-        b = readonly(a)
-        if b is not a:
-            copies.append(np.shape(a))
-        return b
-
-    monkeypatch.setattr(sa.channel, "_readonly", spy)
-    ch = sa.validate_channel(np.array(GOLDEN))
-    sa.SqueezeParams(ch, np.zeros(2), 0.0)  # the spy sees a caller's writeable array copied
-    assert copies == [(2,)]
-    copies.clear()
-    r = np.array([0.125, 0.125])
-    r.setflags(write=False)
-    assert copies == []
-    for run in (lambda: sa.solve(ch, "aba"), lambda: sa.solve(ch, "alg2", r=r),
-                lambda: sa.aba_step(ch, [0.3, 0.7]),
-                lambda: sa.build_squeeze_params(ch, [0.125, 0.125], [0, 0.25, 0]),
-                lambda: sa.uniform(3), lambda: sa.make_distribution([0.3, 0.7]),
-                lambda: sa.SolverConfig(initial=[0.3, 0.7])):
-        run()
-        assert copies == []
-
-
 class Subclass(np.ndarray):
     pass
 
 
-def test_one_share_or_copy_rule(monkeypatch):
-    """Every door that keeps a caller's vector hands it to ``_readonly``
-    once: a read-only C-contiguous float vector is shared by identity, a
-    writeable one is copied once, and a non-contiguous view is copied,
-    read-only or not.  What is kept is read-only and holds the values given.
-    A writeable ndarray subclass, which numpy's asarray views rather than
-    copies, is copied too: writing to it afterwards changes nothing kept."""
-    calls = []
-    readonly = sa.channel._readonly
-
-    def spy(a):
-        calls.append(a)
-        return readonly(a)
-
-    monkeypatch.setattr(sa.channel, "_readonly", spy)
-    ch = sa.validate_channel(GOLDEN)
-    doors = ((lambda a: sa.Distribution(a).probs, [0.25, 0.75]),
-             (lambda a: sa.make_distribution(a).probs, [0.25, 0.75]),
-             (lambda a: sa.SqueezeParams(ch, a, 0.0).r, [0.125, 0.0625]))
-    for keep, values in doors:
-        frozen = np.array(values)
-        frozen.setflags(write=False)
-        spaced = np.zeros(4)
-        spaced[::2] = values
-        frozen_view = spaced.copy()[::2]
-        frozen_view.setflags(write=False)
-        for given, shared in ((frozen, True), (np.array(values), False),
-                              (spaced[::2], False), (frozen_view, False)):
-            calls.clear()
-            kept = keep(given)
-            assert [id(a) for a in calls] == [id(given)], (values, given.flags)
-            assert (kept is given) == shared and np.shares_memory(kept, given) == shared
-            assert not kept.flags.writeable and kept.flags.c_contiguous
-            assert kept.tolist() == values and given.tolist() == values
-        sub = np.array(values).view(Subclass)
-        kept = keep(sub)
-        sub[0] = 0.5
-        assert not np.shares_memory(kept, sub) and kept.tolist() == values
+def _unfrozen_after(values):
+    """A read-only array that the test sets writeable again after the call,
+    as numpy lets the owner of an array do."""
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
 
 
-def test_floor_checks_copy_no_floor(monkeypatch):
+def _strided(values):
+    spaced = np.zeros(2 * len(values))
+    spaced[::2] = values
+    return spaced[::2]
+
+
+#: every kind of vector a caller can hand a keeping door, made from its values
+GIVEN = (("list", list), ("writeable", np.array), ("unfrozen after", _unfrozen_after),
+         ("subclass", lambda v: np.array(v).view(Subclass)), ("strided view", _strided),
+         ("float32", lambda v: np.array(v, dtype=np.float32)))
+
+
+def test_every_keeper_keeps_its_own_copy(golden):
+    """Every door that keeps a caller's vector keeps its own read-only
+    C-contiguous float64 copy, sharing no memory with what it was given,
+    whatever that was: a list, a writeable array, a frozen array set
+    writeable again after the call, an ndarray subclass, a strided view, a
+    float32 array, or a floor the planners returned.  Writing through the
+    input afterwards changes no kept value, and the params' masses, gain
+    and verdict stay those of the r and f they keep: raising the first
+    entry of the floor to 0.5 makes it infeasible on the golden channel,
+    so params that shared the caller's frozen floor, once it was set
+    writeable again, would report a verdict their own r breaks."""
+    p, r, f = [0.25, 0.75], [0.125, 0.0625], [0.0, 0.25, 0.0]
+    doors = (
+        ("Distribution", sa.Distribution, lambda d: d.probs, p),
+        ("make_distribution", sa.make_distribution, lambda d: d.probs, p),
+        ("SolverConfig(initial=)", lambda a: sa.SolverConfig(initial=a),
+         lambda c: c.initial.probs, p),
+        ("SqueezeParams r", lambda a: sa.SqueezeParams(golden, a, 0.0), lambda sp: sp.r, r),
+        ("SqueezeParams f", lambda a: sa.SqueezeParams(golden, 0.0, a), lambda sp: sp.f, f),
+        ("build_squeeze_params r", lambda a: sa.build_squeeze_params(golden, a, 0.0),
+         lambda sp: sp.r, r),
+        ("build_squeeze_params f", lambda a: sa.build_squeeze_params(golden, 0.0, a),
+         lambda sp: sp.f, f),
+        ("params_from_r_lambda", lambda a: sa.params_from_r_lambda(golden, a),
+         lambda sp: sp.r, r))
+    planned = (("optimal-m2", lambda: sa.optimal_r_m2(golden)),
+               ("heuristic", lambda: sa.heuristic_r(golden, sa.uniform(2))))
+    for door, keep, kept_of, values in doors:
+        givens = [(label, make(values)) for label, make in GIVEN]
+        if values is r:
+            givens += [(strategy, floor()) for strategy, floor in planned]
+        for label, given in givens:
+            want = np.asarray(given, dtype=float).tolist()
+            kept_by = keep(given)
+            kept, case = kept_of(kept_by), (door, label)
+            if isinstance(given, np.ndarray):
+                held = given if given.base is None else given.base
+                assert not np.shares_memory(kept, held), case
+                given.setflags(write=True)
+            given[0] = 0.5
+            assert type(kept) is np.ndarray and kept.dtype == np.float64, case
+            assert not kept.flags.writeable and kept.flags.c_contiguous, case
+            assert kept.tolist() == want and given[0] == 0.5, case
+            if isinstance(kept_by, sa.SqueezeParams):
+                again = sa.SqueezeParams(golden, kept_by.r.copy(), kept_by.f.copy())
+                assert kept_by.feasible and (kept_by.r_plus, kept_by.f_plus, kept_by.lam) \
+                    == (again.r_plus, again.f_plus, again.lam), case
+            if label in dict(planned):
+                assert sa.plan(golden, label).params.r.tobytes() == kept.tobytes(), case
+
+
+def test_floor_checks_copy_no_floor():
     """``floored_uniform`` and ``waterfill`` check a floor and keep none of
-    it, so neither copies a caller's writeable floor, and both refuse a bad
-    floor with the one entry rule's and the one mass rule's messages."""
-    copies = []
-    readonly = sa.channel._readonly
-
-    def spy(a):
-        b = readonly(a)
-        if b is not a:
-            copies.append(a)
-        return b
-
-    monkeypatch.setattr(sa.channel, "_readonly", spy)
+    it, so a caller's floor stays writeable and as it was, and both refuse a
+    bad floor with the one entry rule's and the one mass rule's messages."""
     floor = np.array([0.125, 0.25])
     assert np.array_equal(sa.floored_uniform(floor).probs, [0.4375, 0.5625])
     assert np.array_equal(sa.waterfill(floor, [1.0, 1.0]).p, [0.5, 0.5])
-    assert copies == [] and floor.flags.writeable
+    assert floor.flags.writeable and floor.tolist() == [0.125, 0.25]
     for bad, error, message in (
             ([np.nan, 0.1], sa.ValidationError, "r must be finite"),
             ([0.1, np.inf], sa.ValidationError, "r must be finite"),
@@ -209,7 +200,7 @@ def test_floor_checks_copy_no_floor(monkeypatch):
         bad = np.array(bad)
         assert under_every_filter(lambda: sa.floored_uniform(bad)) == (error, message)
         assert under_every_filter(lambda: sa.waterfill(bad, [1.0, 1.0])) == (error, message)
-        assert copies == [] and bad.flags.writeable
+        assert bad.flags.writeable
 
 
 def test_make_distribution_checks():

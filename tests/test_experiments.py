@@ -102,6 +102,7 @@ def test_bench_config_validation():
     ({"seed": 2.0}, "seed must be an integer"),
     ({"epsilon": None}, "epsilon must be a real number, got None"),
     ({"epsilon": "1e-8"}, "epsilon must be a real number, got '1e-8'"),
+    ({"methods": "aba"}, "methods must be a sequence of names, got 'aba'"),
 ])
 def test_bench_config_rejects_at_construction(kwargs, match):
     # rejected at construction, not by every replication at run time

@@ -3,7 +3,9 @@ name it never uses.  The package's ``__init__.py`` re-exports its names, so
 it is exempt, and so are ``from __future__`` imports.  And only ``io.py``
 touches files or knows a format: no other module opens a file or imports
 ``json`` or ``csv``, and no class lays itself out with a ``to_dict``.  And
-every name the benchmark's tracer wraps still exists on the package."""
+every name the benchmark's tracer wraps still exists on the package.  And
+only the keeper ``channel._readonly`` and the two classes that freeze
+arrays they made themselves call ``setflags``."""
 
 import ast
 import importlib
@@ -138,3 +140,43 @@ def test_a_deleted_trace_target_is_reported(monkeypatch):
     monkeypatch.delattr(sa.solvers, "build_squeeze_params")
     assert missing_trace_targets(sa, trace_targets()) == [
         "squeeze_aba.solvers.build_squeeze_params"]
+
+
+#: the only functions that may freeze an array: the keeper every frozen object
+#: copies through, and the two classes that freeze arrays made in their own body
+FREEZERS = {"channel._readonly", "channel.ChannelMatrix.__post_init__",
+            "waterfill.WaterfillResult.__post_init__"}
+
+
+def setflags_callers(source: str, module: str) -> list[str]:
+    """``module.qualname`` of the function around each ``setflags`` call in
+    ``source``, or ``module`` for a call at module level, in order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "setflags":
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), (module,))
+    return found
+
+
+def test_the_freeze_check_sees_every_setflags():
+    source = ("a.setflags(write=False)\n"
+              "def f(x):\n    x.setflags(write=False)\n"
+              "class C:\n    def g(self):\n        def h():\n            self.p.setflags()\n")
+    assert setflags_callers(source, "m") == ["m", "m.f", "m.C.g.h"]
+
+
+def test_only_the_keeper_freezes():
+    # a freeze made only so that a keeper can share the array, not copy it,
+    # cannot come back unseen
+    found = set()
+    for path in sorted((ROOT / "src" / "squeeze_aba").glob("*.py")):
+        found.update(setflags_callers(path.read_text(encoding="utf-8"), path.stem))
+    assert found == FREEZERS

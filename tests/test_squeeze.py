@@ -452,12 +452,11 @@ def test_the_floor_is_judged_first(golden, through_solve):
         assert under_every_filter(lambda: from_f(r, f)) == (error, msg)
 
 
-def test_the_two_doors_agree(golden, monkeypatch):
+def test_the_two_doors_agree(golden):
     """A direct build and ``build_squeeze_params`` accept and refuse the same
-    (r, f), with the same params or the same error and message; a caller's
-    writeable array is copied once, never aliased, and an array the package
-    made is shared; and ``SqueezeParams(channel, 0.0, 0.0)`` is bitwise the
-    zero squeeze of every builder."""
+    (r, f), with the same params or the same error and message, and
+    ``SqueezeParams(channel, 0.0, 0.0)`` is bitwise the zero squeeze of
+    every builder."""
     r, f = [0.125, 0.125], [0.0, 0.25, 0.0]
     table = (
         (0.125, 0.0), (r, f), (tuple(r), tuple(f)), (np.array(r), np.array(f)),  # accepted
@@ -475,28 +474,6 @@ def test_the_two_doors_agree(golden, monkeypatch):
         outcomes.add(direct[0][0] if isinstance(direct[0][0], type) else True)
     assert outcomes == {True, sa.DimensionMismatchError, sa.ValidationError,
                         sa.NegativeEntryError, sa.InfeasibleFloorError}
-
-    copies = []
-    readonly = sa.channel._readonly
-
-    def spy(a):
-        b = readonly(a)
-        if b is not a:
-            copies.append(a)
-        return b
-
-    monkeypatch.setattr(sa.channel, "_readonly", spy)
-    mine_r, mine_f = np.array(r), np.array(f)
-    for build in (sa.SqueezeParams, sa.build_squeeze_params):
-        copies.clear()
-        sp = build(golden, mine_r, mine_f)
-        assert [id(a) for a in copies] == [id(mine_r), id(mine_f)]
-        assert not (np.shares_memory(sp.r, mine_r) or np.shares_memory(sp.f, mine_f))
-        assert not (sp.r.flags.writeable or sp.f.flags.writeable)
-    made = sa.params_from_r_lambda(golden, GOLDEN_R_OPT)
-    copies.clear()
-    shared = sa.SqueezeParams(golden, made.r, made.f)
-    assert copies == [] and shared.r is made.r and shared.f is made.f
 
     def fields(sp):
         return (sp.r.tobytes(), sp.f.tobytes(), float(sp.r_plus).hex(), float(sp.f_plus).hex(),

@@ -134,17 +134,6 @@ def test_heuristic_r_golden(golden):
     assert np.allclose(r, GOLDEN_R_OPT, atol=1e-15)
 
 
-def test_planned_floors_are_read_only_and_shared(golden):
-    """The floors the planners make are read-only, as every array the package
-    makes is, so the params built on one share it rather than copy it."""
-    ch3 = sa.validate_channel([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
-    for ch, r in ((golden, sa.optimal_r_m2(golden)), (ch3, sa.heuristic_r(ch3, sa.uniform(3)))):
-        assert not r.flags.writeable
-        assert sa.params_from_r_lambda(ch, r).r is r
-        assert sa.plan(ch, "optimal-m2" if ch.m == 2 else "heuristic").params.r.tobytes() \
-            == r.tobytes()
-
-
 def test_heuristic_r_rejects_non_finite_reference(golden):
     with pytest.raises(sa.ValidationError, match="q must be finite"):
         sa.heuristic_r(golden, [np.nan, 1.0])

@@ -15,7 +15,7 @@ import squeeze_aba as sa
 
 #: code lines in src/squeeze_aba: not blank, not comments, not docstrings.
 #: A change that adds code raises this in the same diff.
-CODE_LINES = 1142
+CODE_LINES = 1116
 
 FIELDS = {
     "ChannelMatrix": ("w",),
